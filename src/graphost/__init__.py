@@ -46,7 +46,6 @@ from .transform import (
     build_weighted_graph,
     filter_edges,
     graphost_transform,
-    heterophily_scores,
     resolve_mode,
 )
 

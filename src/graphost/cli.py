@@ -14,13 +14,16 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .csbm import CsbmParams, generate_csbm_multiclass, symmetric_binary_params
 from .experiments import (
+    METRICS,
     ExperimentReport,
     derive_seed,
     evaluate_graph,
@@ -29,8 +32,7 @@ from .experiments import (
     run_noise_robustness,
     run_random_drop_comparison,
 )
-from .graphs import edge_homophily_degree, load_graph, save_graph
-from .metrics import hd_delta_report
+from .graphs import LabeledGraph, edge_homophily_degree, load_graph, save_graph
 from .models import (
     ArchitectureSpec,
     OptimizerConfig,
@@ -49,7 +51,7 @@ from .theory import (
     phi_vs_simulation,
     separation_check,
 )
-from .transform import TransformConfig, graphost_transform
+from .transform import MODES, TransformConfig, graphost_transform
 
 log = logging.getLogger("graphost")
 
@@ -58,6 +60,81 @@ PINNED_TIMESTAMP = "pinned"
 
 class CliError(Exception):
     """Input/config problem; reported as a usage error before any output."""
+
+
+@dataclass(frozen=True)
+class _Option:
+    """One settable value: built-in default, argparse type and choices, help.
+    A switch is a presence flag that sets True."""
+
+    default: object = None
+    type: Callable | None = None
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+    switch: bool = False
+
+
+_THEORY_SUITES = ("all", "lemmas", "separation", "phi", "theorem", "constraint", "multiclass")
+_NETWORK_KINDS = ("gcn", "mlp")
+
+_OPTIONS: dict[str, _Option] = {
+    # every subcommand
+    "seed": _Option("0", help="seed or comma-separated seed list"),
+    "out": _Option(".", help="output directory"),
+    "pin_timestamp": _Option(
+        False, switch=True, help="pin report timestamps for byte-reproducible output"
+    ),
+    # CSBM parameters
+    "params": _Option(help="CsbmParams JSON file"),
+    "p": _Option(type=float, help="intra-class edge probability"),
+    "q": _Option(type=float, help="inter-class edge probability"),
+    "sizes": _Option("300,300", help="comma-separated class sizes"),
+    "dim": _Option(16, int, help="feature dimension"),
+    "means": _Option(help="class means, ';'-separated comma vectors"),
+    "mean_distance": _Option(2.0, float, help="||mu1 - mu2|| for symmetric binary means"),
+    # training
+    "train_graph": _Option(help="labeled training graph"),
+    "val_graph": _Option(),
+    "target": _Option("both", choices=("classifier", "predictor", "both")),
+    "kind": _Option("gcn", choices=_NETWORK_KINDS, help="classifier backbone"),
+    "predictor_kind": _Option("gcn", choices=_NETWORK_KINDS),
+    "hidden": _Option(32, int),
+    "layers": _Option(2, int),
+    "lr": _Option(1e-2, float),
+    "epochs": _Option(1000, int),
+    "patience": _Option(50, int),
+    "loss": _Option("wbce", choices=("wbce", "bce"), help="predictor loss"),
+    # transformation and evaluation
+    "test_graph": _Option(),
+    "classifier": _Option(),
+    "predictor": _Option(help="predictor checkpoint path"),
+    "mode": _Option(
+        "auto", choices=MODES, help="edge regime; auto resolves it from --train-graph"
+    ),
+    "delta": _Option(0.3, float, help="filtering ratio in [0, 1)"),
+    "no_weight": _Option(False, switch=True, help="disable confidence weighting"),
+    "no_filter": _Option(False, switch=True, help="disable edge filtering"),
+    "threshold_semantics": _Option(
+        False, switch=True, help="filter by score threshold instead of top-fraction rank"
+    ),
+    "metric": _Option("accuracy", choices=METRICS),
+    "delta_grid": _Option(
+        "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="comma-separated filtering ratios"
+    ),
+    "noise_levels": _Option("0,0.1,0.3,0.5", help="comma-separated noise ratios"),
+    # theory validation
+    "p2": _Option(type=float, help="transformed intra-class probability"),
+    "q2": _Option(type=float, help="transformed inter-class probability"),
+    "n1": _Option(500, int),
+    "n2": _Option(500, int),
+    "trials": _Option(20, int),
+    "samples": _Option(100_000, int),
+    "lemma_nodes": _Option(2000, int),
+    "suite": _Option("all", choices=_THEORY_SUITES),
+    "midpoint_tol": _Option(0.05),
+    "cosine_tol": _Option(0.999),
+    "separation_tol": _Option(0.05),
+}
 
 
 def _timestamp(pinned: bool) -> str:
@@ -91,18 +168,21 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > config file > defaults; unknown config keys are rejected."""
-    config = _load_config_file(getattr(args, "config", None))
-    merged = dict(defaults)
-    for key, value in config.items():
-        if key not in defaults:
+def _merge_options(args: argparse.Namespace) -> dict:
+    """flags > config file > defaults; unknown config keys and values outside
+    an option's choices are rejected."""
+    merged = _SUBCOMMANDS[args.command].defaults()
+    for key, value in _load_config_file(args.config).items():
+        if key not in merged:
             raise CliError(f"unknown config key {key!r}")
         merged[key] = value
-    for key in defaults:
+    for key in merged:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+        choices = _OPTIONS[key].choices
+        if choices is not None and merged[key] not in choices:
+            raise CliError(f"{key} must be one of {choices}, got {merged[key]!r}")
     return merged
 
 
@@ -124,14 +204,7 @@ def _report_paths(out: Path, experiment: str, ts: str, seeds: tuple[int, ...]) -
 
 
 def _save_report(report: ExperimentReport, out: Path, ts: str) -> Path:
-    report = ExperimentReport(
-        experiment=report.experiment,
-        seeds=report.seeds,
-        arm_values=report.arm_values,
-        config=report.config,
-        extras=report.extras,
-        timestamp=ts,
-    )
+    report = replace(report, timestamp=ts)
     json_path, csv_path = _report_paths(out, report.experiment, ts, report.seeds)
     report.save(json_path, csv_path)
     log.info("wrote %s and %s", json_path, csv_path)
@@ -141,20 +214,6 @@ def _save_report(report: ExperimentReport, out: Path, ts: str) -> Path:
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
-
-_GENERATE_DEFAULTS = {
-    "params": None,
-    "p": None,
-    "q": None,
-    "sizes": "300,300",
-    "dim": 16,
-    "means": None,
-    "mean_distance": 2.0,
-    "out": ".",
-    "seed": "0",
-    "pin_timestamp": False,
-}
-
 
 def _params_from_options(options: dict) -> CsbmParams:
     if options["params"] is not None:
@@ -198,8 +257,13 @@ def _params_from_options(options: dict) -> CsbmParams:
     return params
 
 
+def _hd_or_none(graph: LabeledGraph) -> float | None:
+    """Edge homophily degree, or None for a graph with no edges."""
+    return edge_homophily_degree(graph) if graph.num_edges else None
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    options = _merge_options(args, _GENERATE_DEFAULTS)
+    options = _merge_options(args)
     params = _params_from_options(options)
     seeds = _parse_seeds(options["seed"])
     seed = seeds[0]
@@ -220,9 +284,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         path = out / f"{split}.json"
         save_graph(graph, path)
         manifest["files"][split] = path.name
-        manifest["edge_homophily_degree"][split] = (
-            edge_homophily_degree(graph) if graph.num_edges else None
-        )
+        manifest["edge_homophily_degree"][split] = _hd_or_none(graph)
     _write_json(out / "generate-manifest.json", manifest)
     print(f"generated train/val/test under {out} (seed {seed})")
     return 0
@@ -231,24 +293,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
-
-_TRAIN_DEFAULTS = {
-    "train_graph": None,
-    "val_graph": None,
-    "target": "both",
-    "kind": "gcn",
-    "predictor_kind": "gcn",
-    "hidden": 32,
-    "layers": 2,
-    "lr": 1e-2,
-    "epochs": 1000,
-    "patience": 50,
-    "loss": "wbce",
-    "out": ".",
-    "seed": "0",
-    "pin_timestamp": False,
-}
-
 
 def _require_graph(options: dict, key: str):
     path = options[key]
@@ -261,9 +305,7 @@ def _require_graph(options: dict, key: str):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    options = _merge_options(args, _TRAIN_DEFAULTS)
-    if options["target"] not in ("classifier", "predictor", "both"):
-        raise CliError("--target must be classifier, predictor, or both")
+    options = _merge_options(args)
     train_graph = _require_graph(options, "train_graph")
     val_graph = _require_graph(options, "val_graph")
     if train_graph.labels is None:
@@ -308,21 +350,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 # transform / evaluate
 # ---------------------------------------------------------------------------
 
-_TRANSFORM_DEFAULTS = {
-    "test_graph": None,
-    "predictor": None,
-    "train_graph": None,
-    "mode": "auto",
-    "delta": 0.3,
-    "no_weight": False,
-    "no_filter": False,
-    "threshold_semantics": False,
-    "out": ".",
-    "seed": "0",
-    "pin_timestamp": False,
-}
-
-
 def _transform_config(options: dict) -> TransformConfig:
     try:
         config = TransformConfig(
@@ -353,7 +380,7 @@ def _require_checkpoint(options: dict, key: str):
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    options = _merge_options(args, _TRANSFORM_DEFAULTS)
+    options = _merge_options(args)
     test_graph = _require_graph(options, "test_graph")
     predictor = _require_checkpoint(options, "predictor")
     config = _transform_config(options)
@@ -366,38 +393,26 @@ def cmd_transform(args: argparse.Namespace) -> int:
         "edges_before": test_graph.num_edges,
         "edges_after": transformed.num_edges,
     }
+    summary = f"transformed graph: {test_graph.num_edges} -> {transformed.num_edges} edges"
     if test_graph.labels is not None:
-        before, after, delta = hd_delta_report(test_graph, transformed, test_graph.labels)
+        # HD after the fact, with the test graph's own labels; None (JSON
+        # null) on a side with no edges, where HD is undefined.
+        before, after = _hd_or_none(test_graph), _hd_or_none(transformed.base)
+        delta = None if before is None or after is None else after - before
         report["hd"] = {"before": before, "after": after, "delta": delta}
+        summary += f", HD {_format_hd(before)} -> {_format_hd(after)}"
     save_graph(transformed, out / "transformed.json")
     _write_json(out / "transform-report.json", report)
-    print(
-        f"transformed graph: {test_graph.num_edges} -> {transformed.num_edges} edges"
-        + (f", HD {report['hd']['before']:.4f} -> {report['hd']['after']:.4f}"
-           if "hd" in report else "")
-    )
+    print(summary)
     return 0
 
 
-_EVALUATE_DEFAULTS = {
-    "test_graph": None,
-    "classifier": None,
-    "predictor": None,
-    "train_graph": None,
-    "mode": "auto",
-    "delta": 0.3,
-    "no_weight": False,
-    "no_filter": False,
-    "threshold_semantics": False,
-    "metric": "accuracy",
-    "out": ".",
-    "seed": "0",
-    "pin_timestamp": False,
-}
+def _format_hd(value: float | None) -> str:
+    return "undefined" if value is None else f"{value:.4f}"
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    options = _merge_options(args, _EVALUATE_DEFAULTS)
+    options = _merge_options(args)
     test_graph = _require_graph(options, "test_graph")
     if test_graph.labels is None:
         raise CliError("evaluation needs a labeled test graph")
@@ -432,27 +447,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # experiment harness subcommands
 # ---------------------------------------------------------------------------
 
-_HARNESS_DEFAULTS = {
-    "test_graph": None,
-    "classifier": None,
-    "predictor": None,
-    "train_graph": None,
-    "mode": "auto",
-    "delta": 0.3,
-    "no_weight": False,
-    "no_filter": False,
-    "threshold_semantics": False,
-    "metric": "accuracy",
-    "noise_levels": "0,0.1,0.3,0.5",
-    "delta_grid": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-    "out": ".",
-    "seed": "0,1",
-    "pin_timestamp": False,
+# experiment -> (runner, option holding the runner's comma-separated grid)
+_HARNESS_RUNNERS: dict[str, tuple[Callable[..., ExperimentReport], str | None]] = {
+    "ablate": (run_ablation, None),
+    "sweep-delta": (run_delta_sweep, "delta_grid"),
+    "noise-robustness": (run_noise_robustness, "noise_levels"),
+    "random-drop": (run_random_drop_comparison, None),
 }
 
 
-def _run_harness(args: argparse.Namespace, experiment: str) -> int:
-    options = _merge_options(args, _HARNESS_DEFAULTS)
+def cmd_harness(args: argparse.Namespace) -> int:
+    options = _merge_options(args)
     test_graph = _require_graph(options, "test_graph")
     if test_graph.labels is None:
         raise CliError("harness experiments need a labeled test graph")
@@ -463,24 +468,11 @@ def _run_harness(args: argparse.Namespace, experiment: str) -> int:
     metric = options["metric"]
     out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
-    if experiment == "ablate":
-        report = run_ablation(classifier, predictor, test_graph, config, seeds, metric)
-    elif experiment == "sweep-delta":
-        grid = tuple(float(tok) for tok in str(options["delta_grid"]).split(","))
-        report = run_delta_sweep(
-            classifier, predictor, test_graph, config, seeds, grid, metric
-        )
-    elif experiment == "noise-robustness":
-        levels = tuple(float(tok) for tok in str(options["noise_levels"]).split(","))
-        report = run_noise_robustness(
-            classifier, predictor, test_graph, config, seeds, levels, metric
-        )
-    elif experiment == "random-drop":
-        report = run_random_drop_comparison(
-            classifier, predictor, test_graph, config, seeds, metric
-        )
-    else:  # pragma: no cover - guarded by argparse choices
-        raise CliError(f"unknown experiment {experiment!r}")
+    runner, grid_key = _HARNESS_RUNNERS[args.command]
+    grid = () if grid_key is None else (
+        tuple(float(tok) for tok in str(options[grid_key]).split(",")),
+    )
+    report = runner(classifier, predictor, test_graph, config, seeds, *grid, metric)
     _save_report(report, out, ts)
     for arm in report.arm_values:
         print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
@@ -490,30 +482,6 @@ def _run_harness(args: argparse.Namespace, experiment: str) -> int:
 # ---------------------------------------------------------------------------
 # theory-validate
 # ---------------------------------------------------------------------------
-
-_THEORY_DEFAULTS = {
-    "p": 0.02,
-    "q": 0.01,
-    "p2": None,
-    "q2": None,
-    "n1": 500,
-    "n2": 500,
-    "mean_distance": 2.0,
-    "dim": 2,
-    "trials": 20,
-    "samples": 100_000,
-    "suite": "all",
-    "lemma_nodes": 2000,
-    "midpoint_tol": 0.05,
-    "cosine_tol": 0.999,
-    "separation_tol": 0.05,
-    "out": ".",
-    "seed": "0",
-    "pin_timestamp": False,
-}
-
-_THEORY_SUITES = ("all", "lemmas", "separation", "phi", "theorem", "constraint", "multiclass")
-
 
 def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: float) -> CsbmParams:
     mu = np.zeros(dim)
@@ -527,9 +495,7 @@ def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: 
 
 
 def cmd_theory_validate(args: argparse.Namespace) -> int:
-    options = _merge_options(args, _THEORY_DEFAULTS)
-    if options["suite"] not in _THEORY_SUITES:
-        raise CliError(f"--suite must be one of {_THEORY_SUITES}")
+    options = _merge_options(args)
     suites = (
         [s for s in _THEORY_SUITES if s != "all"]
         if options["suite"] == "all"
@@ -667,32 +633,85 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with defaults for this subcommand")
-    sub.add_argument("--seed", help="seed or comma-separated seed list")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument(
-        "--pin-timestamp",
-        action="store_const",
-        const=True,
-        dest="pin_timestamp",
-        help="pin report timestamps for byte-reproducible output",
+@dataclass(frozen=True)
+class _Subcommand:
+    """A subcommand's handler, its flags in help order, and the config keys
+    it accepts without a flag. Every subcommand also takes --config and the
+    _COMMON options."""
+
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[str, ...]
+    config_only: tuple[str, ...] = ()
+    default_overrides: dict = field(default_factory=dict)
+
+    def defaults(self) -> dict:
+        names = self.flags + self.config_only + _COMMON
+        return {k: self.default_overrides.get(k, _OPTIONS[k].default) for k in names}
+
+
+_COMMON = ("seed", "out", "pin_timestamp")
+_TRANSFORM_FLAGS = (
+    "predictor", "train_graph", "mode", "delta", "no_weight", "no_filter",
+    "threshold_semantics",
+)
+_GRIDS = ("delta_grid", "noise_levels")
+
+
+def _harness(help_text: str, grid: str | None = None) -> _Subcommand:
+    return _Subcommand(
+        cmd_harness,
+        help_text,
+        ("test_graph", "classifier", "metric") + ((grid,) if grid else ()) + _TRANSFORM_FLAGS,
+        config_only=tuple(k for k in _GRIDS if k != grid),
+        default_overrides={"seed": "0,1"},
     )
 
 
-def _add_transform_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--predictor", help="predictor checkpoint path")
-    sub.add_argument("--train-graph", dest="train_graph",
-                     help="labeled training graph (needed for --mode auto)")
-    sub.add_argument("--mode", choices=("homophilic", "heterophilic", "auto"))
-    sub.add_argument("--delta", type=float, help="filtering ratio in [0, 1)")
-    sub.add_argument("--no-weight", dest="no_weight", action="store_const", const=True,
-                     help="disable confidence weighting")
-    sub.add_argument("--no-filter", dest="no_filter", action="store_const", const=True,
-                     help="disable edge filtering")
-    sub.add_argument("--threshold-semantics", dest="threshold_semantics",
-                     action="store_const", const=True,
-                     help="filter by score threshold instead of top-fraction rank")
+_SUBCOMMANDS: dict[str, _Subcommand] = {
+    "generate": _Subcommand(
+        cmd_generate,
+        "sample CSBM train/val/test graphs",
+        ("params", "p", "q", "sizes", "dim", "means", "mean_distance"),
+    ),
+    "train": _Subcommand(
+        cmd_train,
+        "train the classifier and/or predictor",
+        ("train_graph", "val_graph", "target", "kind", "predictor_kind", "hidden",
+         "layers", "lr", "epochs", "patience", "loss"),
+    ),
+    "transform": _Subcommand(
+        cmd_transform,
+        "apply the structural transformation",
+        ("test_graph",) + _TRANSFORM_FLAGS,
+    ),
+    "evaluate": _Subcommand(
+        cmd_evaluate,
+        "base vs transformed metric report",
+        ("test_graph", "classifier", "metric") + _TRANSFORM_FLAGS,
+    ),
+    "ablate": _harness("base / w-o weight / w-o filter / full arms"),
+    "sweep-delta": _harness("metric across the filtering-ratio grid", "delta_grid"),
+    "noise-robustness": _harness("pipeline under injected structural noise", "noise_levels"),
+    "random-drop": _harness("pipeline vs count-matched random edge dropping"),
+    "theory-validate": _Subcommand(
+        cmd_theory_validate,
+        "closed-form and Monte Carlo checks",
+        ("p", "q", "p2", "q2", "n1", "n2", "mean_distance", "dim", "trials", "samples",
+         "lemma_nodes", "suite"),
+        config_only=("midpoint_tol", "cosine_tol", "separation_tol"),
+        default_overrides={"p": 0.02, "q": 0.01, "dim": 2},
+    ),
+}
+
+
+def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
+    opt = _OPTIONS[name]
+    flag = "--" + name.replace("_", "-")
+    if opt.switch:
+        parser.add_argument(flag, dest=name, action="store_const", const=True, help=opt.help)
+    else:
+        parser.add_argument(flag, dest=name, type=opt.type, choices=opt.choices, help=opt.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -701,84 +720,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Homophily-guided test-time graph transformation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="sample CSBM train/val/test graphs")
-    g.add_argument("--params", help="CsbmParams JSON file")
-    g.add_argument("--p", type=float, help="intra-class edge probability")
-    g.add_argument("--q", type=float, help="inter-class edge probability")
-    g.add_argument("--sizes", help="comma-separated class sizes")
-    g.add_argument("--dim", type=int, help="feature dimension")
-    g.add_argument("--means", help="class means, ';'-separated comma vectors")
-    g.add_argument("--mean-distance", dest="mean_distance", type=float,
-                   help="||mu1 - mu2|| for symmetric binary means")
-    _add_common(g)
-    g.set_defaults(func=cmd_generate)
-
-    t = sub.add_parser("train", help="train the classifier and/or predictor")
-    t.add_argument("--train-graph", dest="train_graph")
-    t.add_argument("--val-graph", dest="val_graph")
-    t.add_argument("--target", choices=("classifier", "predictor", "both"))
-    t.add_argument("--kind", choices=("gcn", "mlp"), help="classifier backbone")
-    t.add_argument("--predictor-kind", dest="predictor_kind", choices=("gcn", "mlp"))
-    t.add_argument("--hidden", type=int)
-    t.add_argument("--layers", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--patience", type=int)
-    t.add_argument("--loss", choices=("wbce", "bce"), help="predictor loss")
-    _add_common(t)
-    t.set_defaults(func=cmd_train)
-
-    tr = sub.add_parser("transform", help="apply the structural transformation")
-    tr.add_argument("--test-graph", dest="test_graph")
-    _add_transform_flags(tr)
-    _add_common(tr)
-    tr.set_defaults(func=cmd_transform)
-
-    ev = sub.add_parser("evaluate", help="base vs transformed metric report")
-    ev.add_argument("--test-graph", dest="test_graph")
-    ev.add_argument("--classifier")
-    ev.add_argument("--metric", choices=("accuracy", "f1_macro"))
-    _add_transform_flags(ev)
-    _add_common(ev)
-    ev.set_defaults(func=cmd_evaluate)
-
-    for name, help_text in (
-        ("ablate", "base / w-o weight / w-o filter / full arms"),
-        ("sweep-delta", "metric across the filtering-ratio grid"),
-        ("noise-robustness", "pipeline under injected structural noise"),
-        ("random-drop", "pipeline vs count-matched random edge dropping"),
-    ):
-        h = sub.add_parser(name, help=help_text)
-        h.add_argument("--test-graph", dest="test_graph")
-        h.add_argument("--classifier")
-        h.add_argument("--metric", choices=("accuracy", "f1_macro"))
-        if name == "sweep-delta":
-            h.add_argument("--delta-grid", dest="delta_grid",
-                           help="comma-separated filtering ratios")
-        if name == "noise-robustness":
-            h.add_argument("--noise-levels", dest="noise_levels",
-                           help="comma-separated noise ratios")
-        _add_transform_flags(h)
-        _add_common(h)
-        h.set_defaults(func=lambda ns, name=name: _run_harness(ns, name))
-
-    th = sub.add_parser("theory-validate", help="closed-form and Monte Carlo checks")
-    th.add_argument("--p", type=float)
-    th.add_argument("--q", type=float)
-    th.add_argument("--p2", type=float, help="transformed intra-class probability")
-    th.add_argument("--q2", type=float, help="transformed inter-class probability")
-    th.add_argument("--n1", type=int)
-    th.add_argument("--n2", type=int)
-    th.add_argument("--mean-distance", dest="mean_distance", type=float)
-    th.add_argument("--dim", type=int)
-    th.add_argument("--trials", type=int)
-    th.add_argument("--samples", type=int)
-    th.add_argument("--lemma-nodes", dest="lemma_nodes", type=int)
-    th.add_argument("--suite", choices=_THEORY_SUITES)
-    _add_common(th)
-    th.set_defaults(func=cmd_theory_validate)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag in spec.flags:
+            _add_flag(p, flag)
+        p.add_argument("--config", help="JSON file with defaults for this subcommand")
+        for flag in _COMMON:
+            _add_flag(p, flag)
+        p.set_defaults(func=spec.run)
     return parser
 
 

@@ -174,7 +174,6 @@ def _generate(params: CsbmParams, seed: int) -> LabeledGraph:
     return LabeledGraph(
         num_nodes=params.num_nodes,
         edges=_sample_edges(params, seed),
-        directed=False,
         features=_sample_features(params, seed),
         labels=labels,
         num_classes=params.num_classes,

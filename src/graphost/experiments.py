@@ -22,6 +22,7 @@ from .models import Checkpoint, predict_labels
 from .transform import TransformConfig, graphost_transform
 
 __all__ = [
+    "METRICS",
     "ExperimentReport",
     "derive_seed",
     "evaluate_graph",
@@ -106,7 +107,7 @@ def _as_provider(test_graphs: LabeledGraph | GraphProvider) -> GraphProvider:
     return lambda _seed: test_graphs
 
 
-_METRICS = {"accuracy": None, "f1_macro": None}
+METRICS = ("accuracy", "f1_macro")
 
 
 def evaluate_graph(
@@ -115,8 +116,8 @@ def evaluate_graph(
     metric: str = "accuracy",
 ) -> float:
     """Classifier metric on a labeled (possibly weighted) graph."""
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {sorted(_METRICS)}, got {metric!r}")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {list(METRICS)}, got {metric!r}")
     if isinstance(graph, WeightedGraph):
         base, weights = graph.base, graph.edge_weights
     else:

@@ -1,15 +1,14 @@
 """Graph containers, homophily measurement, structural perturbations, and file I/O.
 
-Undirected edges are stored once in canonical (u < v) order, sorted
-lexicographically; directed edges keep their given order. Graphs are
-immutable after construction -- every mutating operation returns a new
-graph.
+Graphs are undirected: every edge is stored once in canonical (u < v)
+order, sorted lexicographically. Graphs are immutable after construction --
+every mutating operation returns a new graph.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +45,10 @@ class GraphFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-def canonicalize_edges(edges, num_nodes: int, directed: bool = False) -> np.ndarray:
-    """Return the canonical (E, 2) int64 edge array.
-
-    Undirected: each pair reordered to u < v, then sorted lexicographically
-    and deduplicated. Directed: kept as given, exact duplicates dropped.
-    Self-loops and out-of-range endpoints are rejected.
+def canonicalize_edges(edges, num_nodes: int) -> np.ndarray:
+    """Return the canonical (E, 2) int64 edge array: each pair reordered to
+    u < v, then sorted lexicographically and deduplicated. Self-loops and
+    out-of-range endpoints are rejected.
     """
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
@@ -66,15 +63,6 @@ def canonicalize_edges(edges, num_nodes: int, directed: bool = False) -> np.ndar
     if (arr[:, 0] == arr[:, 1]).any():
         bad = arr[arr[:, 0] == arr[:, 1]][0]
         raise ValueError(f"self-loop ({bad[0]}, {bad[0]}) is not allowed")
-    if directed:
-        # np.unique would reorder; dedupe while preserving first occurrence.
-        seen: set[tuple[int, int]] = set()
-        keep = np.empty(len(arr), dtype=bool)
-        for i, (u, v) in enumerate(arr):
-            pair = (int(u), int(v))
-            keep[i] = pair not in seen
-            seen.add(pair)
-        return arr[keep]
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
@@ -95,7 +83,6 @@ class LabeledGraph:
 
     num_nodes: int
     edges: np.ndarray
-    directed: bool = False
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
     num_classes: int | None = None
@@ -103,7 +90,7 @@ class LabeledGraph:
     def __post_init__(self):
         if self.num_nodes < 0:
             raise ValueError("num_nodes must be non-negative")
-        edges = canonicalize_edges(self.edges, self.num_nodes, self.directed)
+        edges = canonicalize_edges(self.edges, self.num_nodes)
         object.__setattr__(self, "edges", _freeze(edges))
         if self.features is not None:
             feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -144,24 +131,10 @@ class LabeledGraph:
 
     def with_edges(self, edges) -> "LabeledGraph":
         """New graph sharing nodes/features/labels with a replaced edge set."""
-        return LabeledGraph(
-            num_nodes=self.num_nodes,
-            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-            directed=self.directed,
-            features=self.features,
-            labels=self.labels,
-            num_classes=self.num_classes,
-        )
+        return replace(self, edges=edges)
 
     def with_features(self, features: np.ndarray) -> "LabeledGraph":
-        return LabeledGraph(
-            num_nodes=self.num_nodes,
-            edges=self.edges,
-            directed=self.directed,
-            features=features,
-            labels=self.labels,
-            num_classes=self.num_classes,
-        )
+        return replace(self, features=features)
 
 
 @dataclass(frozen=True)
@@ -200,10 +173,6 @@ def edge_homophily_degree(graph: LabeledGraph) -> float:
     return float(np.count_nonzero(same)) / graph.num_edges
 
 
-def _all_pairs_count(n: int, directed: bool) -> int:
-    return n * (n - 1) if directed else n * (n - 1) // 2
-
-
 def _sample_non_edges(
     graph: LabeledGraph, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -215,7 +184,7 @@ def _sample_non_edges(
     """
     n = graph.num_nodes
     existing = graph.edge_pairs()
-    pool_size = _all_pairs_count(n, graph.directed) - len(existing)
+    pool_size = n * (n - 1) // 2 - len(existing)
     target = min(count, pool_size)
     if target <= 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -231,7 +200,7 @@ def _sample_non_edges(
         for u, v in zip(us.tolist(), vs.tolist()):
             if u == v:
                 continue
-            pair = (u, v) if graph.directed else (min(u, v), max(u, v))
+            pair = (min(u, v), max(u, v))
             if pair in existing or pair in chosen_set:
                 continue
             chosen.append(pair)
@@ -244,8 +213,8 @@ def _sample_non_edges(
         complement = [
             (u, v)
             for u in range(n)
-            for v in (range(n) if graph.directed else range(u + 1, n))
-            if u != v and (u, v) not in existing and (u, v) not in chosen_set
+            for v in range(u + 1, n)
+            if (u, v) not in existing and (u, v) not in chosen_set
         ]
         extra = rng.choice(len(complement), size=target - len(chosen), replace=False)
         chosen.extend(complement[i] for i in sorted(extra.tolist()))
@@ -295,9 +264,10 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
 # ---------------------------------------------------------------------------
 # File formats
 #
-# "json": single container {"num_nodes", "directed", "edges", "features",
-#         "labels", "num_classes"} (labels/features optional; weighted graphs
-#         add "edge_weights").
+# "json": single container {"num_nodes", "edges", "features", "labels",
+#         "num_classes"} (labels/features optional; weighted graphs add
+#         "edge_weights"). A legacy "directed": false key is accepted;
+#         "directed": true is rejected.
 # "edgelist": <prefix>.edges ("u v" per line, '#' comments),
 #             <prefix>.features.csv and <prefix>.labels.csv (headerless,
 #             row i = node i; labels file optional).
@@ -315,12 +285,12 @@ def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path, format: st
         raise ValueError(f"unknown graph format {format!r}")
 
 
-def load_graph(path: str | Path, format: str = "json", directed: bool = False) -> LabeledGraph:
+def load_graph(path: str | Path, format: str = "json") -> LabeledGraph:
     if format == "json":
         graph, _ = _load_json(Path(path))
         return graph
     if format == "edgelist":
-        return _load_edgelist(Path(path), directed=directed)
+        return _load_edgelist(Path(path))
     raise ValueError(f"unknown graph format {format!r}")
 
 
@@ -334,7 +304,6 @@ def _save_json(graph: LabeledGraph | WeightedGraph, path: Path) -> None:
     base = graph.base if isinstance(graph, WeightedGraph) else graph
     doc: dict = {
         "num_nodes": base.num_nodes,
-        "directed": base.directed,
         "edges": base.edges.tolist(),
     }
     if base.features is not None:
@@ -357,11 +326,12 @@ def _load_json(path: Path) -> tuple[LabeledGraph, np.ndarray | None]:
     for key in ("num_nodes", "edges"):
         if key not in doc:
             raise GraphFormatError(f"missing required key {key!r}", path)
+    if doc.get("directed", False):
+        raise GraphFormatError("directed graphs are not supported", path)
     try:
         graph = LabeledGraph(
             num_nodes=int(doc["num_nodes"]),
-            edges=np.asarray(doc["edges"], dtype=np.int64).reshape(-1, 2),
-            directed=bool(doc.get("directed", False)),
+            edges=_json_edges(doc["edges"], path),
             features=np.asarray(doc["features"], dtype=np.float64)
             if "features" in doc
             else None,
@@ -380,6 +350,19 @@ def _load_json(path: Path) -> tuple[LabeledGraph, np.ndarray | None]:
                 f"{weights.shape[0]} edge weights for {graph.num_edges} edges", path
             )
     return graph, weights
+
+
+def _json_edges(value, path: Path) -> np.ndarray:
+    """The "edges" value as an (E, 2) int64 array; [] means no edges."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise GraphFormatError('"edges" must be a list of [u, v] integer pairs', path)
+    return arr.astype(np.int64)
 
 
 def _edge_path(prefix: Path) -> Path:
@@ -407,7 +390,7 @@ def _save_edgelist(graph: LabeledGraph, prefix: Path) -> None:
         )
 
 
-def _load_edgelist(prefix: Path, directed: bool) -> LabeledGraph:
+def _load_edgelist(prefix: Path) -> LabeledGraph:
     fpath = _features_path(prefix)
     features_rows: list[list[float]] = []
     width = None
@@ -473,8 +456,7 @@ def _load_edgelist(prefix: Path, directed: bool) -> LabeledGraph:
 
     return LabeledGraph(
         num_nodes=num_nodes,
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        directed=directed,
+        edges=edges,
         features=np.asarray(features_rows, dtype=np.float64),
         labels=labels,
     )

@@ -4,7 +4,6 @@ degree change reports."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .graphs import LabeledGraph, WeightedGraph
 
@@ -47,6 +46,18 @@ def f1_macro(predicted, true, num_classes: int) -> float:
     return float(np.mean(scores))
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; each run of tied values shares the mean of its
+    first and last rank. Ranks are integers or halves, so they are exact."""
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney ROC-AUC: P(score_pos > score_neg) with ties counting 1/2."""
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -59,7 +70,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("undefined AUC: both classes must be present")
-    ranks = rankdata(scores)  # midranks for ties
+    if np.isnan(scores).any():  # NaN has no rank order
+        return float("nan")
+    ranks = _midranks(scores)
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

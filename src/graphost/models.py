@@ -531,14 +531,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: invalid checkpoint JSON: {exc.msg} at offset {exc.pos}"
         ) from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"{path}: checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {version!r} "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    spec = ArchitectureSpec.from_dict(doc["spec"])
-    params = {k: _decode_tensor(v, k) for k, v in doc["params"].items()}
+    try:
+        spec = ArchitectureSpec.from_dict(doc["spec"])
+        params = {k: _decode_tensor(v, k) for k, v in doc["params"].items()}
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     for layer in range(spec.num_layers):
         w_name, b_name = f"W{layer}", f"b{layer}"
         if w_name not in params or b_name not in params:

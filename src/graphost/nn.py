@@ -19,12 +19,10 @@ from .graphs import LabeledGraph
 __all__ = [
     "MeanAggregator",
     "mean_aggregate",
-    "gcn_layer_forward",
     "relu",
     "relu_grad",
     "sigmoid",
     "softmax",
-    "cosine_similarity",
     "wbce_loss",
     "bce_loss",
     "cross_entropy_loss",
@@ -67,14 +65,9 @@ class MeanAggregator:
                 )
             _require_finite("edge_weights", w)
 
-        if graph.directed:
-            dst = graph.edges[:, 1]
-            src = graph.edges[:, 0]
-            weights = w
-        else:
-            dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-            src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-            weights = np.concatenate([w, w])
+        dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
+        src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+        weights = np.concatenate([w, w])
 
         if self_loops:
             loop = np.arange(n, dtype=np.int64)
@@ -132,30 +125,6 @@ _ACTIVATIONS = {
 }
 
 
-def gcn_layer_forward(
-    graph: LabeledGraph,
-    h_in: np.ndarray,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    edge_weights: np.ndarray | None = None,
-    activation: str = "relu",
-) -> np.ndarray:
-    """One graph-convolution layer: weighted-mean aggregation over
-    neighbours plus a unit self-loop, then an affine map and activation."""
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    h_in = np.asarray(h_in, dtype=np.float64)
-    weight = np.asarray(weight, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if h_in.shape[1] != weight.shape[0] or weight.shape[1] != bias.shape[0]:
-        raise ValueError(
-            f"shape mismatch: h {h_in.shape}, W {weight.shape}, b {bias.shape}"
-        )
-    agg = MeanAggregator(graph, edge_weights, self_loops=True)
-    act, _ = _ACTIVATIONS[activation]
-    return act(agg.apply(h_in) @ weight + bias)
-
-
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     arr = np.asarray(x, dtype=np.float64)
     _require_finite("sigmoid input", arr)
@@ -174,19 +143,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between u and v; 0 if either vector is zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    _require_finite("cosine input", u)
-    _require_finite("cosine input", v)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
 def wbce_loss(

@@ -20,7 +20,6 @@ from .models import Checkpoint, EdgeScoreTable, edge_homophily_scores
 
 __all__ = [
     "TransformConfig",
-    "heterophily_scores",
     "build_weighted_graph",
     "filter_edges",
     "graphost_transform",
@@ -65,10 +64,6 @@ class TransformConfig:
         if train_graph is None:
             raise ValueError("mode='auto' needs a labeled training graph to resolve")
         return replace(self, mode=resolve_mode(train_graph))
-
-
-def heterophily_scores(scores: EdgeScoreTable) -> EdgeScoreTable:
-    return EdgeScoreTable(scores=1.0 - scores.scores)
 
 
 def _check_mode(mode: str) -> None:

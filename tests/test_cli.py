@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -134,6 +135,49 @@ class TestTransform:
         assert transformed["edges"] == original["edges"]
         assert all(w == 1.0 for w in transformed["edge_weights"])
 
+    def test_zero_edge_test_graph_reports_null_hd(self, workspace, tmp_path):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        doc = json.loads((data / "test.json").read_text())
+        doc["edges"] = []
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run([
+            "transform", "--test-graph", str(empty),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "homophilic", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "transform-report.json").read_text())
+        assert report["hd"] == {"before": None, "after": None, "delta": None}
+        assert json.loads((out / "transformed.json").read_text())["edges"] == []
+
+    def test_every_edge_filtered_reports_null_hd_after(self, workspace, tmp_path):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        assert run([
+            "transform", "--test-graph", str(data / "test.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "homophilic", "--threshold-semantics", "--delta", "0",
+            "--out", str(tmp_path),
+        ]) == 0
+        report = json.loads((tmp_path / "transform-report.json").read_text())
+        assert report["edges_after"] == 0
+        assert 0.0 < report["hd"]["before"] < 1.0
+        assert report["hd"]["after"] is None and report["hd"]["delta"] is None
+        assert json.loads((tmp_path / "transformed.json").read_text())["edges"] == []
+
+    def test_checkpoint_missing_key_exits_1_naming_path(self, workspace, tmp_path, capsys):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        doc = json.loads((ckpt / "predictor.json").read_text())
+        del doc["params"]["W0"]["data_b64"]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        assert run([
+            "transform", "--test-graph", str(data / "test.json"),
+            "--predictor", str(broken), "--mode", "homophilic",
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert str(broken) in capsys.readouterr().err
+
     def test_auto_mode_without_train_graph_is_usage_error(self, workspace, tmp_path):
         data, ckpt = workspace / "data", workspace / "ckpt"
         assert run([
@@ -260,3 +304,62 @@ class TestUsageErrors:
             "--mode", "homophilic", "--seed", "zero",
             "--out", str(tmp_path),
         ]) == 2
+
+
+class TestCliSurface:
+    """Pins the flags, config keys, defaults and value types of every
+    subcommand, so the option table cannot drift."""
+
+    COMMON = {"--help", "--config", "--seed", "--out", "--pin-timestamp"}
+    TRANSFORM = {"--predictor", "--train-graph", "--mode", "--delta", "--no-weight",
+                 "--no-filter", "--threshold-semantics"}
+    HARNESS = COMMON | TRANSFORM | {"--test-graph", "--classifier", "--metric"}
+    FLAGS = {
+        "generate": COMMON | {"--params", "--p", "--q", "--sizes", "--dim", "--means",
+                              "--mean-distance"},
+        "train": COMMON | {"--train-graph", "--val-graph", "--target", "--kind",
+                           "--predictor-kind", "--hidden", "--layers", "--lr", "--epochs",
+                           "--patience", "--loss"},
+        "transform": COMMON | TRANSFORM | {"--test-graph"},
+        "evaluate": HARNESS,
+        "ablate": HARNESS,
+        "sweep-delta": HARNESS | {"--delta-grid"},
+        "noise-robustness": HARNESS | {"--noise-levels"},
+        "random-drop": HARNESS,
+        "theory-validate": COMMON | {"--p", "--q", "--p2", "--q2", "--n1", "--n2",
+                                     "--mean-distance", "--dim", "--trials", "--samples",
+                                     "--lemma-nodes", "--suite"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(FLAGS))
+    def test_help_lists_flags(self, name, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run([name, "--help"])
+        assert exit_info.value.code == 0
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert shown == self.FLAGS[name]
+
+    def test_theory_options_block(self, tmp_path):
+        assert run([
+            "theory-validate", "--suite", "multiclass", "--p", "0.1", "--q", "0.02",
+            "--out", str(tmp_path), "--pin-timestamp",
+        ]) == 0
+        options = json.loads((tmp_path / "theory-report-pinned-0.json").read_text())["options"]
+        expected = {
+            "cosine_tol": 0.999, "dim": 2, "lemma_nodes": 2000, "mean_distance": 2.0,
+            "midpoint_tol": 0.05, "n1": 500, "n2": 500, "p": 0.1, "p2": None,
+            "pin_timestamp": True, "q": 0.02, "q2": None, "samples": 100000, "seed": "0",
+            "separation_tol": 0.05, "suite": "multiclass", "trials": 20,
+        }
+        assert options == expected
+        assert {k: type(v) for k, v in options.items()} == {
+            k: type(v) for k, v in expected.items()
+        }
+
+    @pytest.mark.parametrize("name, key", [("evaluate", "lr"), ("transform", "delta_grid")])
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys, name, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert run([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

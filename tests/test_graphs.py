@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,10 +39,6 @@ class TestCanonicalization:
     def test_undirected_sorted_unique(self):
         edges = canonicalize_edges([(2, 1), (1, 2), (0, 3)], num_nodes=4)
         assert edges.tolist() == [[0, 3], [1, 2]]
-
-    def test_directed_preserves_order(self):
-        edges = canonicalize_edges([(2, 1), (1, 2), (2, 1)], num_nodes=3, directed=True)
-        assert edges.tolist() == [[2, 1], [1, 2]]
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -242,49 +240,6 @@ class TestRandomEdgeDrop:
             random_edge_drop(triangle(), 4, seed=0)
 
 
-class TestDirectedMode:
-    def test_directed_edges_kept_as_given(self):
-        g = LabeledGraph(
-            num_nodes=3,
-            edges=np.array([[2, 0], [0, 1]]),
-            directed=True,
-            labels=np.array([0, 0, 1]),
-        )
-        assert g.edges.tolist() == [[2, 0], [0, 1]]
-
-    def test_directed_hd_counts_each_edge_once(self):
-        # (0,1) and (1,0) are distinct directed edges; one homophilic pair
-        g = LabeledGraph(
-            num_nodes=3,
-            edges=np.array([[0, 1], [1, 0], [1, 2]]),
-            directed=True,
-            labels=np.array([0, 0, 1]),
-        )
-        assert edge_homophily_degree(g) == pytest.approx(2.0 / 3.0)
-
-    def test_directed_noise_respects_direction(self):
-        g = LabeledGraph(
-            num_nodes=6,
-            edges=np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]]),
-            directed=True,
-        )
-        noisy = inject_structural_noise(g, 1.0, seed=2)
-        assert noisy.num_edges == g.num_edges
-        assert noisy.directed
-
-    def test_directed_round_trip(self, tmp_path):
-        g = LabeledGraph(
-            num_nodes=3,
-            edges=np.array([[2, 0], [0, 2]]),
-            directed=True,
-            features=np.eye(3),
-        )
-        save_graph(g, tmp_path / "d.json")
-        loaded = load_graph(tmp_path / "d.json")
-        assert loaded.directed
-        assert np.array_equal(loaded.edges, g.edges)
-
-
 class TestGraphIO:
     def test_json_round_trip(self, tmp_path):
         g = triangle()
@@ -351,3 +306,40 @@ class TestGraphIO:
         (tmp_path / "c.edges").write_text("# header\n\n0 1  # trailing\n")
         g = load_graph(tmp_path / "c", format="edgelist")
         assert g.edges.tolist() == [[0, 1]]
+
+    def test_zero_edge_graph_round_trip(self, tmp_path):
+        g = LabeledGraph(num_nodes=2, edges=[], labels=np.array([0, 1]))
+        save_graph(g, tmp_path / "empty.json")
+        loaded = load_graph(tmp_path / "empty.json")
+        assert loaded.num_edges == 0 and loaded.edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("directed, loads", [(True, False), (False, True), (None, True)])
+    def test_directed_key(self, tmp_path, directed, loads):
+        doc = {"num_nodes": 2, "edges": [[1, 0]]}
+        if directed is not None:
+            doc["directed"] = directed
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(doc))
+        if loads:
+            assert load_graph(path).edges.tolist() == [[0, 1]]
+        else:
+            with pytest.raises(GraphFormatError, match="directed") as err:
+                load_graph(path)
+            assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 2], [3, 4, 5]],  # width 3: once silently reshaped into 3 pairs
+        [0, 1],
+        [[0, 1], [2]],
+        [[]],
+        [[0.5, 1]],
+        [["0", "1"]],
+        [[[0, 1]]],
+        "0 1",
+    ])
+    def test_edges_must_be_integer_pairs(self, tmp_path, edges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"num_nodes": 6, "edges": edges}))
+        with pytest.raises(GraphFormatError, match="integer pairs") as err:
+            load_graph(path)
+        assert err.value.path == str(path)

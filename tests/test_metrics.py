@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import graphost
 from graphost.graphs import LabeledGraph, WeightedGraph
 from graphost.metrics import accuracy, f1_macro, hd_delta_report, roc_auc
 
@@ -95,6 +102,38 @@ class TestRocAuc:
         assert roc_auc(scores, labels) == pytest.approx(
             auc_pair_counting(scores, labels)
         )
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 0.5 + 2**-53, 1.0]) | st.floats(0, 1),
+                st.integers(0, 1),
+            ),
+            min_size=2,
+            max_size=200,
+        ).filter(lambda pairs: len({y for _, y in pairs}) == 2)
+    )
+    @settings(max_examples=200)
+    def test_equals_scipy_rankdata_reference(self, pairs):
+        # Early stopping compares AUCs exactly, so the numpy midranks must
+        # reproduce the scipy.stats.rankdata result bit for bit.
+        scores = np.array([s for s, _ in pairs])
+        labels = np.array([y for _, y in pairs])
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        rank_sum = float(rankdata(scores)[labels == 1].sum())
+        expected = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+        assert roc_auc(scores, labels) == expected
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        env = dict(os.environ)
+        src = str(Path(graphost.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import graphost, sys; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
     @given(st.integers(0, 100_000))
     @settings(max_examples=50)

@@ -331,3 +331,22 @@ class TestCheckpointIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop", [
+        ("spec",), ("params",), ("spec", "kind"), ("params", "W0", "shape"),
+        ("params", "b1", "data_b64"),
+    ])
+    def test_missing_key_names_path(self, tmp_path, trained_classifier, drop):
+        import json
+
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(trained_classifier, path)
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=repr(drop[-1])) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)

@@ -9,13 +9,19 @@ from graphost.nn import (
     MeanAggregator,
     adam_step,
     bce_loss,
-    cosine_similarity,
     cross_entropy_loss,
-    gcn_layer_forward,
     mean_aggregate,
     sigmoid,
     softmax,
     wbce_loss,
+)
+
+from graphost.models import (
+    ArchitectureSpec,
+    _edge_scores_with_cache,
+    init_params,
+    network_backward,
+    network_forward,
 )
 
 from conftest import finite_difference_grads, gradient_relative_error
@@ -70,19 +76,6 @@ class TestMeanAggregate:
         h = mean_aggregate(g, g.features, np.array([1.0, 3.0]))
         assert h[0, 0] == pytest.approx((1.0 * 1.0 + 3.0 * 3.0) / 4.0)
 
-    def test_directed_aggregates_in_neighbors(self):
-        # edge (u, v) sends u's feature to v only
-        g = LabeledGraph(
-            num_nodes=3,
-            edges=np.array([[0, 1], [1, 2]]),
-            directed=True,
-            features=np.array([[1.0], [10.0], [100.0]]),
-        )
-        h = mean_aggregate(g, g.features)
-        assert h[1, 0] == 1.0  # from node 0
-        assert h[2, 0] == 10.0  # from node 1
-        assert h[0, 0] == 1.0  # no in-neighbours: copies own feature
-
     def test_adjoint_matches_transpose(self, rng):
         g = LabeledGraph(num_nodes=4, edges=np.array([[0, 1], [1, 2], [2, 3]]))
         agg = MeanAggregator(g, self_loops=True)
@@ -92,24 +85,27 @@ class TestMeanAggregate:
         assert np.sum(agg.apply(x) * y) == pytest.approx(np.sum(x * agg.adjoint(y)))
 
 
+def identity_gcn(dim: int) -> tuple[ArchitectureSpec, dict]:
+    """Two-layer GCN with identity weights, zero biases and no activation."""
+    spec = ArchitectureSpec(kind="gcn", layer_dims=(dim, dim, dim), activation="identity")
+    eye, zero = np.eye(dim), np.zeros(dim)
+    return spec, {"W0": eye, "b0": zero, "W1": eye, "b1": zero}
+
+
 class TestGcnLayer:
     def test_identity_parameters_reduce_to_aggregation(self):
         g = star_graph()
-        out = gcn_layer_forward(
-            g, g.features, np.eye(2), np.zeros(2), activation="identity"
-        )
-        expected = MeanAggregator(g, self_loops=True).apply(g.features)
-        assert np.array_equal(out, expected)
+        agg = MeanAggregator(g, self_loops=True)
+        spec, params = identity_gcn(2)
+        out = network_forward(spec, params, g.features, agg)
+        assert np.array_equal(out, agg.apply(agg.apply(g.features)))
 
     def test_zero_weight_severs_message(self):
         g = LabeledGraph(
             num_nodes=2, edges=np.array([[0, 1]]), features=np.array([[1.0], [4.0]])
         )
-        out = gcn_layer_forward(
-            g, g.features, np.eye(1), np.zeros(1),
-            edge_weights=np.array([0.0]), activation="identity",
-        )
-        assert np.array_equal(out, g.features)  # self-loop only
+        agg = MeanAggregator(g, np.array([0.0]), self_loops=True)
+        assert np.array_equal(agg.apply(g.features), g.features)  # self-loop only
 
     def test_uniform_weights_equal_unweighted(self, rng):
         g = LabeledGraph(
@@ -117,22 +113,19 @@ class TestGcnLayer:
             edges=np.array([[0, 1], [1, 2], [0, 3]]),
             features=rng.normal(size=(4, 3)),
         )
-        w = rng.normal(size=(3, 2))
-        b = rng.normal(size=2)
         assert np.array_equal(
-            gcn_layer_forward(g, g.features, w, b),
-            gcn_layer_forward(g, g.features, w, b, edge_weights=np.ones(3)),
+            MeanAggregator(g, self_loops=True).apply(g.features),
+            MeanAggregator(g, np.ones(3), self_loops=True).apply(g.features),
         )
 
     def test_shape_mismatch_rejected(self):
         g = star_graph()
-        with pytest.raises(ValueError, match="shape mismatch"):
-            gcn_layer_forward(g, g.features, np.eye(3), np.zeros(3))
+        spec, params = identity_gcn(3)
+        with pytest.raises(ValueError, match="does not match"):
+            network_forward(spec, params, g.features, MeanAggregator(g, self_loops=True))
 
     def test_finite_difference_gradient(self, rng):
         # independent oracle for the hand-derived layer backward pass
-        from graphost.models import ArchitectureSpec, init_params, network_backward, network_forward
-
         g = LabeledGraph(
             num_nodes=5,
             edges=np.array([[0, 1], [1, 2], [2, 3], [3, 4], [0, 4]]),
@@ -177,19 +170,22 @@ class TestActivationsAndScores:
         assert sigmoid(1000.0) == pytest.approx(1.0)
 
     def test_cosine_self_and_orthogonal(self):
-        v = np.array([1.0, 2.0])
-        assert cosine_similarity(v, v) == pytest.approx(1.0)
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        edges = np.array([[0, 1]])
+        v = np.array([[1.0, 2.0], [1.0, 2.0]])
+        assert _edge_scores_with_cache(v, edges)[1]["cos"][0] == pytest.approx(1.0)
+        assert _edge_scores_with_cache(np.eye(2), edges)[1]["cos"][0] == 0.0
 
     def test_cosine_zero_vector_convention(self):
-        assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+        z = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        assert _edge_scores_with_cache(z, np.array([[0, 1]]))[1]["cos"][0] == 0.0
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=6))
     @settings(max_examples=50)
     def test_cosine_symmetric(self, values):
         u = np.array(values)
-        v = np.roll(u, 1) + 1.0
-        assert cosine_similarity(u, v) == pytest.approx(cosine_similarity(v, u))
+        z = np.stack([u, np.roll(u, 1) + 1.0])
+        cos = _edge_scores_with_cache(z, np.array([[0, 1], [1, 0]]))[1]["cos"]
+        assert cos[0] == pytest.approx(cos[1])
 
 
 class TestLosses:

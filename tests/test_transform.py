@@ -9,7 +9,6 @@ from graphost.transform import (
     TransformConfig,
     build_weighted_graph,
     filter_edges,
-    heterophily_scores,
     resolve_mode,
 )
 
@@ -35,27 +34,6 @@ def brute_force_filter(graph, scores, mode, delta):
     )
     hd = same / len(pairs) if pairs else None
     return set(pairs), hd
-
-
-class TestScoreAlgebra:
-    def test_heterophily_elementwise(self):
-        het = heterophily_scores(EdgeScoreTable(scores=np.array([0.9, 0.1])))
-        assert np.allclose(het.scores, [0.1, 0.9])
-
-    def test_involution(self):
-        table = EdgeScoreTable(scores=np.array([0.3, 0.55, 1.0]))
-        assert np.allclose(heterophily_scores(heterophily_scores(table)).scores, table.scores)
-
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=20))
-    @settings(max_examples=50)
-    def test_involution_property(self, values):
-        table = EdgeScoreTable(scores=np.array(values))
-        round_trip = heterophily_scores(heterophily_scores(table))
-        assert np.allclose(round_trip.scores, table.scores)
-
-    def test_half_is_fixed_point(self):
-        table = EdgeScoreTable(scores=np.full(4, 0.5))
-        assert np.allclose(heterophily_scores(table).scores, 0.5)
 
 
 class TestWeightedConstruction:
