@@ -21,7 +21,12 @@ from typing import Callable
 
 import numpy as np
 
-from .csbm import CsbmParams, generate_csbm_multiclass, symmetric_binary_params
+from .csbm import (
+    SAMPLER_VERSION,
+    CsbmParams,
+    generate_csbm_multiclass,
+    symmetric_binary_params,
+)
 from .experiments import (
     METRICS,
     ExperimentReport,
@@ -276,6 +281,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     manifest = {
         "timestamp": ts,
         "seed": seed,
+        "sampler_version": SAMPLER_VERSION,
         "params": params.to_dict(),
         "files": {},
         "edge_homophily_degree": {},

@@ -1,11 +1,19 @@
 """Contextual stochastic block model sampling.
 
-Nodes are laid out block-wise by class. Features for node i come from a
-dedicated counter-based Philox stream keyed on (seed, node index), so a
-node's feature draw does not depend on class sizes or sampling order;
-normals use numpy's ziggurat sampler. Edges come from one separate stream,
-scanned in a fixed block order (intra-class first, then cross blocks in
-ascending index order).
+Nodes are laid out block-wise by class. Every draw comes from a
+counter-based Philox stream keyed on (seed, tag):
+
+- Features: one ``standard_normal((n, l))`` from the feature stream. Row i
+  holds the stream's normals i*l ... i*l + l - 1, so a node's draw does not
+  depend on class sizes. Feature noise uses its own stream the same way.
+- Edges: every block (intra-class, or one cross-class pair) has its own
+  stream keyed by a block id, so a block's edges depend only on its sizes
+  and probability. Hits are found by geometric-gap skipping over the
+  block's candidate pairs in row-major order (Batagelj & Brandes, Phys.
+  Rev. E 71, 2005), which costs O(pairs hit), not O(pairs).
+
+Normals use numpy's ziggurat sampler. ``SAMPLER_VERSION`` names this
+layout; it changes whenever a seed would draw a different graph.
 """
 
 from __future__ import annotations
@@ -19,12 +27,15 @@ import numpy as np
 from .graphs import LabeledGraph
 
 __all__ = [
+    "SAMPLER_VERSION",
     "CsbmParams",
     "symmetric_binary_params",
     "generate_csbm",
     "generate_csbm_multiclass",
     "perturb_features",
 ]
+
+SAMPLER_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 _STREAM_FEATURE = 1 << 62
@@ -117,14 +128,11 @@ def symmetric_binary_params(
     )
 
 
-def _stream_key(seed: int, word: int) -> np.ndarray:
-    # An explicit uint64 array: plain int lists with entries >= 2**63 would be
+def _stream(seed: int, word: int) -> np.random.Generator:
+    # An explicit uint64 key: plain int lists with entries >= 2**63 would be
     # routed through float64 by numpy and silently lose the low bits.
-    return np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
-
-
-def _node_stream(seed: int, tag: int, node: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, tag | node)))
+    key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _block_offsets(sizes: tuple[int, ...]) -> np.ndarray:
@@ -132,41 +140,68 @@ def _block_offsets(sizes: tuple[int, ...]) -> np.ndarray:
 
 
 def _sample_features(params: CsbmParams, seed: int) -> np.ndarray:
-    n, l = params.num_nodes, params.feature_dim
-    feats = np.empty((n, l), dtype=np.float64)
+    feats = _stream(seed, _STREAM_FEATURE).standard_normal(
+        (params.num_nodes, params.feature_dim)
+    )
     offsets = _block_offsets(params.class_sizes)
-    means = np.asarray(params.class_means, dtype=np.float64)
-    for k, size in enumerate(params.class_sizes):
-        for i in range(offsets[k], offsets[k] + size):
-            feats[i] = means[k] + _node_stream(seed, _STREAM_FEATURE, i).standard_normal(l)
+    for k, mean in enumerate(params.class_means):
+        feats[offsets[k] : offsets[k + 1]] += mean
     return feats
 
 
-def _sample_edges(params: CsbmParams, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=_stream_key(seed, _STREAM_EDGES)))
-    offsets = _block_offsets(params.class_sizes)
-    p, q = params.intra_prob, params.inter_prob
+def _block_hits(rng: np.random.Generator, pairs: int, prob: float) -> np.ndarray:
+    """Sorted indices in [0, pairs), each kept independently with `prob`.
+
+    The gap from one hit to the next is Geometric(prob); gaps are drawn in
+    batches of about the expected remaining hits, so memory is O(hits).
+    """
+    if pairs == 0 or prob == 0.0:
+        return np.empty(0, dtype=np.int64)
     chunks: list[np.ndarray] = []
-    s = params.num_classes
-    for k1 in range(s):
-        lo1, m1 = offsets[k1], params.class_sizes[k1]
-        if m1 > 1 and p > 0.0:
-            iu, ju = np.triu_indices(m1, k=1)
-            mask = rng.random(len(iu)) < p
-            if mask.any():
-                chunks.append(np.stack([iu[mask] + lo1, ju[mask] + lo1], axis=1))
-        elif m1 > 1:
-            rng.random(m1 * (m1 - 1) // 2)  # keep stream layout independent of p
-        for k2 in range(k1 + 1, s):
-            lo2, m2 = offsets[k2], params.class_sizes[k2]
-            flat = np.flatnonzero(rng.random(m1 * m2) < q)
-            if flat.size:
-                chunks.append(
-                    np.stack([flat // m2 + lo1, flat % m2 + lo2], axis=1)
-                )
-    if not chunks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.concatenate(chunks, axis=0).astype(np.int64)
+    last = -1
+    while True:
+        batch = int((pairs - 1 - last) * prob) + 64
+        gaps = rng.geometric(prob, size=batch)
+        # Any gap of pairs + 1 or more lands past the end, even from
+        # last = -1; capping it there keeps the cumsum from overflowing.
+        np.minimum(gaps, pairs + 1, out=gaps)
+        pos = last + np.cumsum(gaps)
+        if pos[-1] >= pairs:
+            chunks.append(pos[: np.searchsorted(pos, pairs)])
+            break
+        chunks.append(pos)
+        last = int(pos[-1])
+    return np.concatenate(chunks)
+
+
+def _unrank_triu(hits: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major upper-triangle index -> (i, j), i < j < m; the inverse of
+    the order ``np.triu_indices(m, k=1)`` enumerates."""
+    rows = np.arange(m, dtype=np.int64)
+    starts = rows * (2 * m - rows - 1) // 2
+    i = np.searchsorted(starts, hits, side="right") - 1
+    return i, hits - starts[i] + i + 1
+
+
+def _sample_edges(params: CsbmParams, seed: int) -> np.ndarray:
+    """Blocks in a fixed order: for each class k1 its intra block, then the
+    cross blocks (k1, k2 > k1). Block (k1, k2) draws from its own stream,
+    keyed by the id k2 (k2 + 1) / 2 + k1."""
+    offsets = _block_offsets(params.class_sizes)
+    sizes = params.class_sizes
+    chunks: list[np.ndarray] = []
+    for k1 in range(params.num_classes):
+        for k2 in range(k1, params.num_classes):
+            rng = _stream(seed, _STREAM_EDGES | (k2 * (k2 + 1) // 2 + k1))
+            m1, m2 = sizes[k1], sizes[k2]
+            if k1 == k2:
+                hits = _block_hits(rng, m1 * (m1 - 1) // 2, params.intra_prob)
+                i, j = _unrank_triu(hits, m1)
+            else:
+                hits = _block_hits(rng, m1 * m2, params.inter_prob)
+                i, j = np.divmod(hits, m2)
+            chunks.append(np.stack([i + offsets[k1], j + offsets[k2]], axis=1))
+    return np.concatenate(chunks, axis=0)
 
 
 def _generate(params: CsbmParams, seed: int) -> LabeledGraph:
@@ -202,8 +237,6 @@ def perturb_features(graph: LabeledGraph, noise_std: float, seed: int) -> Labele
         raise ValueError("noise_std must be non-negative")
     if noise_std == 0:
         return graph
-    noisy = np.array(graph.features, dtype=np.float64)
-    l = noisy.shape[1]
-    for i in range(graph.num_nodes):
-        noisy[i] += noise_std * _node_stream(seed, _STREAM_NOISE, i).standard_normal(l)
-    return graph.with_features(noisy)
+    noise = _stream(seed, _STREAM_NOISE).standard_normal(graph.features.shape)
+    noise *= noise_std
+    return graph.with_features(graph.features + noise)

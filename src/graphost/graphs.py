@@ -8,6 +8,7 @@ every mutating operation returns a new graph.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -45,11 +46,23 @@ class GraphFormatError(ValueError):
         super().__init__(prefix + message)
 
 
+# Largest node count whose pair keys u * n + v fit in int64.
+_MAX_KEYED_NODES = 3_037_000_499
+
+
 def canonicalize_edges(edges, num_nodes: int) -> np.ndarray:
     """Return the canonical (E, 2) int64 edge array: each pair reordered to
     u < v, then sorted lexicographically and deduplicated. Self-loops and
-    out-of-range endpoints are rejected.
+    out-of-range endpoints are rejected. The result is always a new array.
+
+    Pairs are ordered by the int64 key u * num_nodes + v; input whose keys
+    already strictly increase (any graph's own edges) skips the sort.
     """
+    if num_nodes > _MAX_KEYED_NODES:
+        raise ValueError(
+            f"num_nodes {num_nodes} exceeds {_MAX_KEYED_NODES}, the most an "
+            "int64 edge key supports"
+        )
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
@@ -60,12 +73,23 @@ def canonicalize_edges(edges, num_nodes: int) -> np.ndarray:
         raise ValueError(
             f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {num_nodes})"
         )
-    if (arr[:, 0] == arr[:, 1]).any():
-        bad = arr[arr[:, 0] == arr[:, 1]][0]
-        raise ValueError(f"self-loop ({bad[0]}, {bad[0]}) is not allowed")
     lo = np.minimum(arr[:, 0], arr[:, 1])
     hi = np.maximum(arr[:, 0], arr[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    if (lo == hi).any():
+        bad = lo[lo == hi][0]
+        raise ValueError(f"self-loop ({bad}, {bad}) is not allowed")
+    keys = lo * num_nodes + hi
+    if not (keys[1:] > keys[:-1]).all():
+        # np.sort, not np.unique: numpy 2.4's np.unique dedupes int64 through
+        # a hash table, several times slower than a sort at millions of edges.
+        keys.sort()
+        keep = np.empty(len(keys), dtype=bool)
+        keep[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+        keys = keys[keep]
+        lo = keys // num_nodes
+        hi = keys - lo * num_nodes
+    return np.stack([lo, hi], axis=1)
 
 
 def _freeze(a: np.ndarray | None) -> np.ndarray | None:
@@ -99,6 +123,9 @@ class LabeledGraph:
                     f"features must be (num_nodes, dim), got {feats.shape} for "
                     f"{self.num_nodes} nodes"
                 )
+            if not np.isfinite(feats).all():
+                row = int(np.flatnonzero(~np.isfinite(feats).all(axis=1))[0])
+                raise ValueError(f"features of node {row} are not finite")
             object.__setattr__(self, "features", _freeze(feats))
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
@@ -153,8 +180,10 @@ class WeightedGraph:
             raise ValueError(
                 f"{weights.shape[0]} weights for {self.base.num_edges} edges"
             )
-        if weights.size and (weights.min() < 0.0 or weights.max() > 1.0):
-            raise ValueError("edge weights must lie in [0, 1]")
+        outside = ~((weights >= 0.0) & (weights <= 1.0))  # NaN is outside too
+        if outside.any():
+            bad = weights[outside][0]
+            raise ValueError(f"edge weights must lie in [0, 1], got {bad}")
         object.__setattr__(self, "edge_weights", _freeze(weights))
 
     @property
@@ -180,46 +209,40 @@ def _sample_non_edges(
 
     Rejection sampling against the existing edge set, falling back to full
     complement enumeration once the attempt budget is spent. Returns fewer
-    than `count` rows only when the complement pool is smaller.
+    than `count` rows only when the complement pool is smaller. Pairs are
+    compared as int64 keys u * n + v (u < v); within a batch the first
+    occurrence of a new pair wins, in draw order.
     """
     n = graph.num_nodes
-    existing = graph.edge_pairs()
+    existing = graph.edges[:, 0] * n + graph.edges[:, 1]
     pool_size = n * (n - 1) // 2 - len(existing)
     target = min(count, pool_size)
     if target <= 0:
         return np.empty((0, 2), dtype=np.int64)
 
-    chosen: list[tuple[int, int]] = []
-    chosen_set: set[tuple[int, int]] = set()
+    chosen = np.empty(0, dtype=np.int64)
     attempts_left = _REJECTION_ATTEMPT_FACTOR * target
     while len(chosen) < target and attempts_left > 0:
         batch = min(attempts_left, max(64, target - len(chosen)))
         us = rng.integers(0, n, size=batch)
         vs = rng.integers(0, n, size=batch)
         attempts_left -= batch
-        for u, v in zip(us.tolist(), vs.tolist()):
-            if u == v:
-                continue
-            pair = (min(u, v), max(u, v))
-            if pair in existing or pair in chosen_set:
-                continue
-            chosen.append(pair)
-            chosen_set.add(pair)
-            if len(chosen) == target:
-                break
+        keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+        keys = keys[(us != vs) & ~np.isin(keys, existing) & ~np.isin(keys, chosen)]
+        _, first = np.unique(keys, return_index=True)
+        chosen = np.concatenate([chosen, keys[np.sort(first)][: target - len(chosen)]])
 
     if len(chosen) < target:
         # Dense graph: enumerate the complement and draw without replacement.
-        complement = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) not in existing and (u, v) not in chosen_set
+        us, vs = np.triu_indices(n, k=1)
+        complement = us * n + vs
+        complement = complement[
+            ~np.isin(complement, existing) & ~np.isin(complement, chosen)
         ]
         extra = rng.choice(len(complement), size=target - len(chosen), replace=False)
-        chosen.extend(complement[i] for i in sorted(extra.tolist()))
+        chosen = np.concatenate([chosen, complement[np.sort(extra)]])
 
-    return np.asarray(chosen, dtype=np.int64).reshape(-1, 2)
+    return np.stack([chosen // n, chosen % n], axis=1)
 
 
 def inject_structural_noise(
@@ -297,7 +320,10 @@ def load_graph(path: str | Path, format: str = "json") -> LabeledGraph:
 def load_weighted_graph(path: str | Path) -> WeightedGraph:
     """Load a JSON container; missing "edge_weights" means unit weights."""
     graph, weights = _load_json(Path(path))
-    return WeightedGraph(base=graph, edge_weights=weights)
+    try:
+        return WeightedGraph(base=graph, edge_weights=weights)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc), path) from exc
 
 
 def _save_json(graph: LabeledGraph | WeightedGraph, path: Path) -> None:
@@ -401,6 +427,8 @@ def _load_edgelist(prefix: Path) -> LabeledGraph:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:
             raise GraphFormatError(f"bad feature value: {exc}", fpath, lineno) from exc
+        if not all(math.isfinite(x) for x in row):
+            raise GraphFormatError("feature value is not finite", fpath, lineno)
         if width is None:
             width = len(row)
         elif len(row) != width:

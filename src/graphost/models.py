@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import LabeledGraph
 from .metrics import accuracy, roc_auc
@@ -356,10 +357,15 @@ def _edge_scores_backward(
     zero_v = ctx["norms"][dst] == 0.0
     gu[zero_u | zero_v] = 0.0
     gv[zero_u | zero_v] = 0.0
-    grad_z = np.zeros((n, dim), dtype=np.float64)
-    np.add.at(grad_z, src, grad_cos[:, None] * gu)
-    np.add.at(grad_z, dst, grad_cos[:, None] * gv)
-    return grad_z
+    # Scatter-add rows onto their endpoints with the incidence matrix: column
+    # c holds one entry, at row src[c] (c < E) or dst[c - E]. The product
+    # adds columns in order, the same order np.add.at would, so it is exact.
+    num = len(edges)
+    incidence = sp.csc_matrix(
+        (np.ones(2 * num), np.concatenate([src, dst]), np.arange(2 * num + 1)),
+        shape=(n, 2 * num),
+    )
+    return incidence @ np.concatenate([grad_cos[:, None] * gu, grad_cos[:, None] * gv])
 
 
 def _holdout_split(

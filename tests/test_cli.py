@@ -4,6 +4,7 @@ import re
 import pytest
 
 from graphost.cli import main
+from graphost.csbm import SAMPLER_VERSION
 
 
 def run(args):
@@ -57,6 +58,10 @@ class TestGenerate:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params))
         assert run(["generate", "--params", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    def test_manifest_records_sampler_version(self, workspace):
+        manifest = json.loads((workspace / "data" / "generate-manifest.json").read_text())
+        assert manifest["sampler_version"] == SAMPLER_VERSION
 
     def test_bad_params_is_usage_error(self, tmp_path):
         path = tmp_path / "params.json"
@@ -177,6 +182,19 @@ class TestTransform:
             "--out", str(tmp_path / "o"),
         ]) == 1
         assert str(broken) in capsys.readouterr().err
+
+    def test_non_finite_features_exit_1_naming_path(self, workspace, tmp_path, capsys):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        doc = json.loads((data / "test.json").read_text())
+        doc["features"][3][0] = float("nan")
+        broken = tmp_path / "nan.json"
+        broken.write_text(json.dumps(doc))  # writes the NaN literal
+        assert run([
+            "transform", "--test-graph", str(broken),
+            "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert f"{broken}: features of node 3 are not finite" in capsys.readouterr().err
 
     def test_auto_mode_without_train_graph_is_usage_error(self, workspace, tmp_path):
         data, ckpt = workspace / "data", workspace / "ckpt"

@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from graphost.csbm import (
     CsbmParams,
+    _sample_edges,
+    _unrank_triu,
     generate_csbm,
     generate_csbm_multiclass,
     perturb_features,
@@ -109,6 +112,64 @@ class TestGeneration:
             assert np.linalg.norm(sample_mean - mu[cls]) <= 4 * np.sqrt(8 / 500)
 
 
+class TestEdgeSampler:
+    def test_unranking_matches_triu_order(self):
+        for m in range(1, 65):
+            iu, ju = np.triu_indices(m, k=1)
+            i, j = _unrank_triu(np.arange(len(iu)), m)
+            assert np.array_equal(i, iu) and np.array_equal(j, ju), m
+
+    def test_blocks_draw_independently(self):
+        # each block has its own stream: q only moves cross-block edges,
+        # p only moves intra-block edges
+        means = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0))
+        sizes = (30, 40, 25)
+
+        def split(p, q):
+            g = generate_csbm_multiclass(CsbmParams(means, sizes, p, q), seed=11)
+            same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
+            return g.edges[same], g.edges[~same]
+
+        intra, cross = split(0.3, 0.05)
+        intra_q, cross_q = split(0.3, 0.2)
+        intra_p, cross_p = split(0.6, 0.05)
+        assert np.array_equal(intra, intra_q) and not np.array_equal(cross, cross_q)
+        assert np.array_equal(cross, cross_p) and not np.array_equal(intra, intra_p)
+
+    @pytest.mark.parametrize("p, q", [(0.1, 0.5), (0.5, 1.0), (1.0, 0.1)])
+    def test_pair_frequencies(self, p, q):
+        # every pair is an independent Bernoulli(p or q) draw: over 2,000
+        # seeds each pair's frequency sits within 4 SE of its probability
+        m, seeds = 6, 2000
+        params = binary_params(p, q, n=m)
+        n = 2 * m
+        counts = np.zeros(n * n)
+        for seed in range(seeds):
+            e = _sample_edges(params, seed)
+            counts[e[:, 0] * n + e[:, 1]] += 1
+        u, v = np.triu_indices(n, k=1)
+        prob = np.where((u < m) == (v < m), p, q)
+        freq = counts.reshape(n, n)[u, v] / seeds
+        se = np.sqrt(prob * (1 - prob) / seeds)
+        assert np.all(np.abs(freq - prob) <= 4 * se)
+        assert counts.reshape(n, n)[np.tril_indices(n)].sum() == 0
+
+    def test_memory_linear_in_edges(self):
+        # 2 x 5,000 nodes at mean degree ~21: an all-pairs scan would trace
+        # hundreds of MB; the sampler holds O(n + E)
+        m = 5000
+        q = 21.0 / (2.5 * (m - 1) + m)
+        params = symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q)
+        tracemalloc.start()
+        try:
+            g = generate_csbm(params, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 15 * m < g.num_edges < 27 * m
+        assert peak < 64 * 2**20
+
+
 class TestMulticlass:
     def test_s2_identical_to_binary(self):
         params = binary_params(0.3, 0.1, n=20)
@@ -151,6 +212,13 @@ class TestPerturbFeatures:
         a = perturb_features(g, 0.5, seed=1)
         b = perturb_features(g, 0.5, seed=1)
         assert np.array_equal(a.features, b.features)
+
+    def test_node_noise_independent_of_graph_size(self):
+        small = generate_csbm(binary_params(0.5, 0.1, n=5), seed=0)
+        large = generate_csbm(binary_params(0.5, 0.1, n=50), seed=0)
+        delta_small = perturb_features(small, 0.5, seed=1).features - small.features
+        delta_large = perturb_features(large, 0.5, seed=1).features - large.features
+        assert np.array_equal(delta_small[:5], delta_large[:5])
 
     def test_noise_scale(self):
         g = generate_csbm(binary_params(0.5, 0.1, n=400, dim=8), seed=0)

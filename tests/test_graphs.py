@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphost.graphs as graphs_module
 from graphost.graphs import (
     GraphFormatError,
     LabeledGraph,
@@ -65,6 +66,46 @@ class TestCanonicalization:
         )
 
 
+def canonical_reference(edges, num_nodes):
+    """The row-wise np.unique canonicalisation the keyed sort replaced."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.stack([arr.min(axis=1), arr.max(axis=1)], axis=1)
+    return np.unique(pairs, axis=0)
+
+
+class TestCanonicalReference:
+    @given(
+        edge_lists,
+        st.sampled_from(["as_given", "reversed_pairs", "doubled", "canonical"]),
+    )
+    @settings(max_examples=200)
+    def test_equals_unique_reference(self, edges, layout):
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if layout == "reversed_pairs":
+            arr = np.ascontiguousarray(arr[:, ::-1])
+        elif layout == "doubled":
+            arr = np.concatenate([arr, arr[::-1, ::-1]])
+        elif layout == "canonical":
+            arr = canonical_reference(arr, 10)
+        out = canonicalize_edges(arr, num_nodes=10)
+        want = canonical_reference(arr, 10)
+        assert out.dtype == np.int64 and out.shape == (len(want), 2)
+        assert np.array_equal(out, want)
+        assert not np.shares_memory(out, arr)
+
+    def test_graph_edges_never_alias_input(self):
+        edges = np.array([[0, 1], [1, 2]])
+        g = LabeledGraph(num_nodes=3, edges=edges)
+        edges[0, 1] = 2
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert edges.flags.writeable
+
+    def test_rejects_node_count_beyond_int64_keys(self):
+        canonicalize_edges([(0, 1)], num_nodes=3_037_000_499)
+        with pytest.raises(ValueError, match="int64"):
+            canonicalize_edges([(0, 1)], num_nodes=3_037_000_500)
+
+
 class TestGraphInvariants:
     def test_labels_length_checked(self):
         with pytest.raises(ValueError, match="labels length"):
@@ -89,6 +130,18 @@ class TestGraphInvariants:
             WeightedGraph(base=g, edge_weights=np.array([0.5, 1.2, 0.1]))
         with pytest.raises(ValueError, match="weights for"):
             WeightedGraph(base=g, edge_weights=np.array([0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        feats = np.eye(3)
+        feats[1, 2] = bad
+        with pytest.raises(ValueError, match="node 1 are not finite"):
+            LabeledGraph(num_nodes=3, edges=np.array([[0, 1]]), features=feats)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\], got"):
+            WeightedGraph(base=triangle(), edge_weights=np.array([0.5, bad, 0.1]))
 
     def test_weighted_graph_defaults_to_unit(self):
         wg = WeightedGraph(base=triangle())
@@ -215,6 +268,57 @@ class TestStructuralNoise:
         assert np.array_equal(noisy.labels, g.labels)
 
 
+def sample_non_edges_loop(graph, count, rng):
+    """The pure-Python sampler the vectorised one replaced, kept as oracle."""
+    n = graph.num_nodes
+    existing = graph.edge_pairs()
+    target = min(count, n * (n - 1) // 2 - len(existing))
+    if target <= 0:
+        return np.empty((0, 2), dtype=np.int64)
+    chosen, chosen_set = [], set()
+    attempts_left = graphs_module._REJECTION_ATTEMPT_FACTOR * target
+    while len(chosen) < target and attempts_left > 0:
+        batch = min(attempts_left, max(64, target - len(chosen)))
+        us = rng.integers(0, n, size=batch)
+        vs = rng.integers(0, n, size=batch)
+        attempts_left -= batch
+        for u, v in zip(us.tolist(), vs.tolist()):
+            pair = (min(u, v), max(u, v))
+            if u == v or pair in existing or pair in chosen_set:
+                continue
+            chosen.append(pair)
+            chosen_set.add(pair)
+            if len(chosen) == target:
+                break
+    if len(chosen) < target:
+        complement = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (u, v) not in existing and (u, v) not in chosen_set
+        ]
+        extra = rng.choice(len(complement), size=target - len(chosen), replace=False)
+        chosen.extend(complement[i] for i in sorted(extra.tolist()))
+    return np.asarray(chosen, dtype=np.int64).reshape(-1, 2)
+
+
+class TestNonEdgeSampler:
+    @pytest.mark.parametrize("attempt_factor", [100, 1])
+    def test_matches_loop_oracle(self, monkeypatch, attempt_factor):
+        # attempt factor 1 spends the rejection budget early, so many cases
+        # reach the dense complement fallback
+        monkeypatch.setattr(graphs_module, "_REJECTION_ATTEMPT_FACTOR", attempt_factor)
+        rng = np.random.default_rng(77)
+        for _ in range(150):
+            n = int(rng.integers(2, 30))
+            arr = rng.integers(0, n, size=(int(rng.integers(0, n * n)), 2))
+            g = LabeledGraph(num_nodes=n, edges=arr[arr[:, 0] != arr[:, 1]])
+            count, seed = int(rng.integers(0, n * n)), int(rng.integers(0, 2**31))
+            want = sample_non_edges_loop(g, count, np.random.default_rng(seed))
+            got = graphs_module._sample_non_edges(g, count, np.random.default_rng(seed))
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 class TestRandomEdgeDrop:
     def test_zero_drop_identity(self):
         g = triangle()
@@ -312,6 +416,29 @@ class TestGraphIO:
         save_graph(g, tmp_path / "empty.json")
         loaded = load_graph(tmp_path / "empty.json")
         assert loaded.num_edges == 0 and loaded.edges.shape == (0, 2)
+
+    def test_non_finite_json_feature_names_path(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"num_nodes": 2, "edges": [[0, 1]], "features": [[1.0], [NaN]]}')
+        with pytest.raises(GraphFormatError, match="not finite") as err:
+            load_graph(path)
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_json_weight_names_path(self, tmp_path, bad):
+        path = tmp_path / "w.json"
+        path.write_text(f'{{"num_nodes": 2, "edges": [[0, 1]], "edge_weights": [{bad}]}}')
+        with pytest.raises(GraphFormatError, match=r"\[0, 1\]") as err:
+            load_weighted_graph(path)
+        assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_edgelist_feature_names_line(self, tmp_path, bad):
+        (tmp_path / "bad.features.csv").write_text(f"1.0,2.0\n3.0,{bad}\n")
+        (tmp_path / "bad.edges").write_text("0 1\n")
+        with pytest.raises(GraphFormatError, match=r"bad\.features\.csv:2") as err:
+            load_graph(tmp_path / "bad", format="edgelist")
+        assert err.value.line == 2
 
     @pytest.mark.parametrize("directed, loads", [(True, False), (False, True), (None, True)])
     def test_directed_key(self, tmp_path, directed, loads):

@@ -20,6 +20,7 @@ from graphost.models import (
     train_classifier,
     train_homophily_predictor,
 )
+from graphost.models import _edge_scores_backward, _edge_scores_with_cache
 
 SIGMOID_1 = 0.7310585786300049
 SIGMOID_M1 = 0.2689414213699951
@@ -290,6 +291,37 @@ class TestEdgeScores:
     def test_table_validates_range(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             EdgeScoreTable(scores=np.array([0.5, 1.5]))
+
+
+def edge_scores_backward_add_at(grad_scores, edges, scores, ctx, n, dim):
+    """The np.add.at scatter the incidence product replaced, kept as oracle."""
+    grad_cos = grad_scores * scores * (1.0 - scores)
+    cu, cv, cos = ctx["cu"], ctx["cv"], ctx["cos"]
+    src, dst = edges[:, 0], edges[:, 1]
+    gu = (cv - cos[:, None] * cu) / ctx["safe"][src][:, None]
+    gv = (cu - cos[:, None] * cv) / ctx["safe"][dst][:, None]
+    zero = (ctx["norms"][src] == 0.0) | (ctx["norms"][dst] == 0.0)
+    gu[zero] = 0.0
+    gv[zero] = 0.0
+    grad_z = np.zeros((n, dim), dtype=np.float64)
+    np.add.at(grad_z, src, grad_cos[:, None] * gu)
+    np.add.at(grad_z, dst, grad_cos[:, None] * gv)
+    return grad_z
+
+
+class TestEdgeScoreBackward:
+    @pytest.mark.parametrize("n, num_edges, dim", [(2, 1, 1), (40, 300, 16), (300, 4000, 64)])
+    def test_bit_identical_to_add_at(self, n, num_edges, dim):
+        rng = np.random.default_rng(n)
+        pairs = rng.integers(0, n, size=(num_edges, 2))
+        g = LabeledGraph(num_nodes=n, edges=pairs[pairs[:, 0] != pairs[:, 1]])
+        z = rng.standard_normal((n, dim))
+        z[0] = 0.0  # the zero-norm convention
+        scores, ctx = _edge_scores_with_cache(z, g.edges)
+        grad = rng.standard_normal(g.num_edges)
+        got = _edge_scores_backward(grad, g.edges, scores, ctx, n, dim)
+        want = edge_scores_backward_add_at(grad, g.edges, scores, ctx, n, dim)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
 
 class TestCheckpointIO:
