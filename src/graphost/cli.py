@@ -418,6 +418,12 @@ def _format_hd(value: float | None) -> str:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Evaluate base and transformed test graph once.
+
+    Nothing here draws at random, so repeating it per seed would report a
+    spread of 0 as if it were variance across seeds. The seed list only
+    names the report, and each arm holds one value.
+    """
     options = _merge_options(args)
     test_graph = _require_graph(options, "test_graph")
     if test_graph.labels is None:
@@ -429,23 +435,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     metric = options["metric"]
     out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
-    base_values, graphost_values = [], []
-    for _seed in seeds:
-        base_values.append(evaluate_graph(classifier, test_graph, metric))
-        transformed = graphost_transform(test_graph, predictor, config)
-        graphost_values.append(evaluate_graph(classifier, transformed, metric))
-    report = ExperimentReport(
-        experiment="evaluate",
-        seeds=seeds,
-        arm_values={"base": tuple(base_values), "graphost": tuple(graphost_values)},
-        config=config.to_dict() | {"metric": metric},
-        timestamp=ts,
-    )
-    _save_report(report, out, ts)
-    print(
-        f"{metric}: base {report.mean('base'):.4f} -> graphost "
-        f"{report.mean('graphost'):.4f}"
-    )
+    base = evaluate_graph(classifier, test_graph, metric)
+    transformed = graphost_transform(test_graph, predictor, config)
+    after = evaluate_graph(classifier, transformed, metric)
+    json_path, _ = _report_paths(out, "evaluate", ts, seeds)
+    _write_json(json_path, {
+        "experiment": "evaluate",
+        "timestamp": ts,
+        "seeds": list(seeds),
+        "config": config.to_dict() | {"metric": metric},
+        "arms": {"base": {"value": base}, "graphost": {"value": after}},
+    })
+    print(f"{metric}: base {base:.4f} -> graphost {after:.4f}")
     return 0
 
 

@@ -354,41 +354,57 @@ def _load_json(path: Path) -> tuple[LabeledGraph, np.ndarray | None]:
             raise GraphFormatError(f"missing required key {key!r}", path)
     if doc.get("directed", False):
         raise GraphFormatError("directed graphs are not supported", path)
+    pairs = "a list of [u, v] integer pairs"
+    edges = _json_array(doc, "edges", 2, "iu", pairs, path)
+    if edges.ndim == 1:
+        edges = np.empty((0, 2), dtype=np.int64)
+    elif edges.shape[1] != 2:
+        raise GraphFormatError(f'"edges" must be {pairs}', path)
+    fields = {
+        "num_nodes": _json_int(doc, "num_nodes", path),
+        "features": _json_array(doc, "features", 2, "iuf", "a list of numeric rows", path),
+        "labels": _json_array(doc, "labels", 1, "iu", "a list of integer class indices", path),
+        "num_classes": _json_int(doc, "num_classes", path, optional=True),
+    }
+    weights = _json_array(doc, "edge_weights", 1, "iuf", "a list of numbers", path)
     try:
-        graph = LabeledGraph(
-            num_nodes=int(doc["num_nodes"]),
-            edges=_json_edges(doc["edges"], path),
-            features=np.asarray(doc["features"], dtype=np.float64)
-            if "features" in doc
-            else None,
-            labels=np.asarray(doc["labels"], dtype=np.int64)
-            if "labels" in doc
-            else None,
-            num_classes=doc.get("num_classes"),
-        )
+        graph = LabeledGraph(edges=edges, **fields)
     except ValueError as exc:
         raise GraphFormatError(str(exc), path) from exc
-    weights = None
-    if "edge_weights" in doc:
-        weights = np.asarray(doc["edge_weights"], dtype=np.float64)
-        if weights.shape[0] != graph.num_edges:
-            raise GraphFormatError(
-                f"{weights.shape[0]} edge weights for {graph.num_edges} edges", path
-            )
+    if weights is not None and weights.shape[0] != graph.num_edges:
+        raise GraphFormatError(
+            f"{weights.shape[0]} edge weights for {graph.num_edges} edges", path
+        )
     return graph, weights
 
 
-def _json_edges(value, path: Path) -> np.ndarray:
-    """The "edges" value as an (E, 2) int64 array; [] means no edges."""
+def _json_int(doc: dict, key: str, path: Path, optional: bool = False) -> int | None:
+    """doc[key] as an int; an optional key may be absent or null (None)."""
+    value = doc.get(key)
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GraphFormatError(f'"{key}" must be an integer, got {value!r}', path)
+    return value
+
+
+def _json_array(
+    doc: dict, key: str, ndim: int, kinds: str, shape: str, path: Path
+) -> np.ndarray | None:
+    """doc[key] as an ndim-deep array whose numpy dtype kind is one of
+    `kinds` ("i", "u", "f"); a bare [] passes as an empty 1-d array, and an
+    absent key as None."""
+    if key not in doc:
+        return None
     try:
-        arr = np.asarray(value)
+        arr = np.asarray(doc[key])
     except ValueError:  # ragged rows
         arr = None
     if arr is not None and arr.ndim == 1 and arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr is None or arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
-        raise GraphFormatError('"edges" must be a list of [u, v] integer pairs', path)
-    return arr.astype(np.int64)
+        return arr
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in kinds:
+        raise GraphFormatError(f'"{key}" must be {shape}', path)
+    return arr
 
 
 def _edge_path(prefix: Path) -> Path:

@@ -6,6 +6,14 @@ map, the "mlp" kind skips aggregation. Backpropagation is hand-derived.
 The predictor's output head is fixed: sigmoid(cosine(z_i, z_j)) on the
 encoder embeddings of an edge's endpoints -- its only learned parameters
 are the encoder's.
+
+The head never builds an (E, d) array. Its forward pass takes the cosines
+as row dots of unit embeddings over fixed blocks of edges, so memory stays
+O(n d + E) and every cosine equals the one-shot row sum bit for bit. Its
+backward pass sums each node's cosine gradients in closed form: with G =
+A @ unit, A the symmetric n x n matrix of per-edge gradients, a node's
+gradient is the part of G_u tangent to its unit vector, divided by |z_u|
+-- one sparse product plus O(n d) work.
 """
 
 from __future__ import annotations
@@ -51,6 +59,10 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Edges per row block of the cosine head; bounds its temporaries to
+# _EDGE_BLOCK x d floats whatever the edge count.
+_EDGE_BLOCK = 1024
 
 
 class CheckpointError(ValueError):
@@ -329,15 +341,21 @@ def build_edge_training_set(
 
 
 def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray):
-    """sigmoid(cosine) per edge plus everything needed for the backward pass."""
+    """sigmoid(cosine) per edge plus everything needed for the backward pass.
+
+    Cosines are taken _EDGE_BLOCK edges at a time; each row's sum is the
+    same as in one whole-array product.
+    """
     norms = np.linalg.norm(z, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = z / safe[:, None]
-    cu = unit[edges[:, 0]]
-    cv = unit[edges[:, 1]]
-    cos = np.clip(np.sum(cu * cv, axis=1), -1.0, 1.0)
+    cos = np.empty(len(edges), dtype=np.float64)
+    for start in range(0, len(edges), _EDGE_BLOCK):
+        b = edges[start:start + _EDGE_BLOCK]
+        cos[start:start + len(b)] = np.sum(unit[b[:, 0]] * unit[b[:, 1]], axis=1)
+    np.clip(cos, -1.0, 1.0, out=cos)
     scores = sigmoid(cos)
-    return scores, {"norms": norms, "safe": safe, "cu": cu, "cv": cv, "cos": cos}
+    return scores, {"norms": norms, "safe": safe, "unit": unit, "cos": cos}
 
 
 def _edge_scores_backward(
@@ -345,27 +363,26 @@ def _edge_scores_backward(
 ) -> np.ndarray:
     """Accumulate d(loss)/dZ from per-edge score gradients.
 
-    Zero-norm embeddings use the documented cosine := 0 convention and get
-    zero gradient.
+    With g_e = d(loss)/d(cos_e), the sum over a node's edges is the tangent
+    projection (G_u - (G_u . u_u) u_u) / |z_u| of G = A @ unit, where A is
+    the symmetric n x n matrix holding g_e at (src, dst) and (dst, src): one
+    sparse product instead of per-edge (E, d) gradients. Zero-norm
+    embeddings use the documented cosine := 0 convention: their unit row is
+    0, so they add nothing to their neighbours, and their own row is zeroed.
     """
     grad_cos = grad_scores * scores * (1.0 - scores)
-    cu, cv, cos = ctx["cu"], ctx["cv"], ctx["cos"]
     src, dst = edges[:, 0], edges[:, 1]
-    gu = (cv - cos[:, None] * cu) / ctx["safe"][src][:, None]
-    gv = (cu - cos[:, None] * cv) / ctx["safe"][dst][:, None]
-    zero_u = ctx["norms"][src] == 0.0
-    zero_v = ctx["norms"][dst] == 0.0
-    gu[zero_u | zero_v] = 0.0
-    gv[zero_u | zero_v] = 0.0
-    # Scatter-add rows onto their endpoints with the incidence matrix: column
-    # c holds one entry, at row src[c] (c < E) or dst[c - E]. The product
-    # adds columns in order, the same order np.add.at would, so it is exact.
-    num = len(edges)
-    incidence = sp.csc_matrix(
-        (np.ones(2 * num), np.concatenate([src, dst]), np.arange(2 * num + 1)),
-        shape=(n, 2 * num),
+    adjacency = sp.csr_matrix(
+        (np.concatenate([grad_cos, grad_cos]),
+         (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+        shape=(n, n),
     )
-    return incidence @ np.concatenate([grad_cos[:, None] * gu, grad_cos[:, None] * gv])
+    unit = ctx["unit"]
+    grad_z = adjacency @ unit
+    grad_z -= np.einsum("ij,ij->i", grad_z, unit)[:, None] * unit
+    grad_z /= ctx["safe"][:, None]
+    grad_z[ctx["norms"] == 0.0] = 0.0
+    return grad_z
 
 
 def _holdout_split(

@@ -86,10 +86,8 @@ class MeanAggregator:
         coef = weights / totals[dst]
         mat = sp.csr_matrix((coef, (dst, src)), shape=(n, n))
         mat.sort_indices()
-        adj = mat.T.tocsr()
-        adj.sort_indices()
         self._mat = mat
-        self._adj = adj
+        self._adj: sp.csr_matrix | None = None  # built by the first adjoint()
         self.num_nodes = n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -98,6 +96,10 @@ class MeanAggregator:
         return self._mat @ x
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
+        if self._adj is None:
+            adj = self._mat.T.tocsr()
+            adj.sort_indices()
+            self._adj = adj
         return self._adj @ g
 
 

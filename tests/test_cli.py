@@ -196,6 +196,17 @@ class TestTransform:
         ]) == 1
         assert f"{broken}: features of node 3 are not finite" in capsys.readouterr().err
 
+    def test_null_num_nodes_exits_1_naming_path(self, workspace, tmp_path, capsys):
+        ckpt = workspace / "ckpt"
+        broken = tmp_path / "null.json"
+        broken.write_text('{"num_nodes": null, "edges": []}')
+        assert run([
+            "transform", "--test-graph", str(broken),
+            "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert f'{broken}: "num_nodes" must be an integer' in capsys.readouterr().err
+
     def test_auto_mode_without_train_graph_is_usage_error(self, workspace, tmp_path):
         data, ckpt = workspace / "data", workspace / "ckpt"
         assert run([
@@ -221,6 +232,31 @@ class TestEvaluate:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         doc = json.loads((tmp_path / "a" / name).read_text())
         assert set(doc["arms"]) == {"base", "graphost"}
+
+    def test_seed_list_evaluates_once_without_spread(self, workspace, tmp_path, monkeypatch):
+        # evaluate draws nothing: more seeds must not repeat it or report std 0
+        import graphost.cli as cli_module
+
+        calls = []
+        real = cli_module.evaluate_graph
+        monkeypatch.setattr(
+            cli_module, "evaluate_graph", lambda *a: calls.append(1) or real(*a)
+        )
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        args = [
+            "evaluate", "--test-graph", str(data / "test.json"),
+            "--classifier", str(ckpt / "classifier.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "homophilic", "--pin-timestamp",
+        ]
+        assert run(args + ["--seed", "0,1,2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 2  # base and transformed, once each
+        assert run(args + ["--seed", "0", "--out", str(tmp_path)]) == 0
+        many = json.loads((tmp_path / "evaluate-pinned-0-1-2.json").read_text())
+        one = json.loads((tmp_path / "evaluate-pinned-0.json").read_text())
+        assert many["seeds"] == [0, 1, 2]
+        assert many["arms"] == one["arms"]
+        assert set(many["arms"]["base"]) == {"value"}
 
     def test_config_file_merging(self, workspace, tmp_path):
         data, ckpt = workspace / "data", workspace / "ckpt"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -453,6 +454,26 @@ class TestGraphIO:
             with pytest.raises(GraphFormatError, match="directed") as err:
                 load_graph(path)
             assert err.value.path == str(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_nodes", None, '"num_nodes" must be an integer'),
+        ("num_nodes", 2.5, '"num_nodes" must be an integer'),
+        ("num_classes", "x", '"num_classes" must be an integer'),
+        ("labels", ["a", "b"], '"labels" must be a list of integer class indices'),
+        ("labels", [0.5, 1], '"labels" must be a list of integer class indices'),
+        ("features", [[1.0], [None]], '"features" must be a list of numeric rows'),
+        ("edge_weights", 0.5, '"edge_weights" must be a list of numbers'),
+        ("edge_weights", [[0.5], [0.5, 1.0]], '"edge_weights" must be a list of numbers'),
+    ])
+    def test_mistyped_field_names_path(self, tmp_path, field, value, message):
+        doc = {"num_nodes": 2, "edges": [[0, 1]], "labels": [0, 1], "num_classes": 2}
+        doc[field] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphFormatError, match=re.escape(message)) as err:
+            load_weighted_graph(path)
+        assert err.value.path == str(path)
+        assert str(err.value).count(str(path)) == 1
 
     @pytest.mark.parametrize("edges", [
         [[0, 1, 2], [3, 4, 5]],  # width 3: once silently reshaped into 3 pairs
