@@ -30,6 +30,7 @@ from .csbm import (
 from .experiments import (
     METRICS,
     ExperimentReport,
+    RepeatedArmError,
     derive_seed,
     evaluate_graph,
     run_ablation,
@@ -158,6 +159,14 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _single_seed(options: dict) -> int:
+    """The one seed of a subcommand that makes a single run."""
+    seeds = _parse_seeds(options["seed"])
+    if len(seeds) > 1:
+        raise CliError(f"--seed takes one seed here, got {options['seed']!r}")
+    return seeds[0]
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -270,8 +279,7 @@ def _hd_or_none(graph: LabeledGraph) -> float | None:
 def cmd_generate(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     params = _params_from_options(options)
-    seeds = _parse_seeds(options["seed"])
-    seed = seeds[0]
+    seed = _single_seed(options)
     out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
     splits = {}
@@ -316,8 +324,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     val_graph = _require_graph(options, "val_graph")
     if train_graph.labels is None:
         raise CliError("training graph must carry labels")
-    seeds = _parse_seeds(options["seed"])
-    seed = seeds[0]
+    seed = _single_seed(options)
     out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
     optimizer = OptimizerConfig(
@@ -479,7 +486,10 @@ def cmd_harness(args: argparse.Namespace) -> int:
     grid = () if grid_key is None else (
         tuple(float(tok) for tok in str(options[grid_key]).split(",")),
     )
-    report = runner(classifier, predictor, test_graph, config, seeds, *grid, metric)
+    try:
+        report = runner(classifier, predictor, test_graph, config, seeds, *grid, metric)
+    except RepeatedArmError as exc:
+        raise CliError(f"--{grid_key.replace('_', '-')}: {exc}") from exc
     _save_report(report, out, ts)
     for arm in report.arm_values:
         print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
@@ -512,8 +522,7 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
     n1, n2 = int(options["n1"]), int(options["n2"])
     a = float(options["mean_distance"])
     dim = int(options["dim"])
-    seeds = _parse_seeds(options["seed"])
-    seed = seeds[0]
+    seed = _single_seed(options)
     trials = int(options["trials"])
     samples = int(options["samples"])
     have_transform = options["p2"] is not None and options["q2"] is not None

@@ -2,7 +2,9 @@
 filtering-ratio sweeps, and the random-drop comparison.
 
 Every arm within an experiment reuses the same per-seed streams, so arm
-differences are attributable to the method rather than sampling. Test
+differences are attributable to the method rather than sampling. Arms that
+transform the same graph share one EdgeScoreTable: the graph is scored once
+and each arm's config is applied to those scores. Test
 graphs are supplied either as a single labeled graph or as a callable
 seed -> graph, which lets each seed evaluate a fresh test sample.
 """
@@ -18,12 +20,13 @@ import numpy as np
 
 from .graphs import LabeledGraph, WeightedGraph, inject_structural_noise, random_edge_drop
 from .metrics import accuracy, f1_macro, hd_delta_report
-from .models import Checkpoint, predict_labels
+from .models import Checkpoint, edge_homophily_scores, predict_labels
 from .transform import TransformConfig, graphost_transform
 
 __all__ = [
     "METRICS",
     "ExperimentReport",
+    "RepeatedArmError",
     "derive_seed",
     "evaluate_graph",
     "run_ablation",
@@ -135,6 +138,22 @@ def _require_resolved(config: TransformConfig) -> None:
         raise ValueError("harness needs a resolved transform mode, not 'auto'")
 
 
+class RepeatedArmError(ValueError):
+    """Two grid values give one arm label, so their values would merge."""
+
+
+def _grid_arms(prefix: str, grid: tuple[float, ...]) -> list[str]:
+    """One arm label per grid value, the value printed with :g."""
+    arms = [f"{prefix}{value:g}" for value in grid]
+    for i, arm in enumerate(arms):
+        first = arms.index(arm)
+        if first < i:
+            raise RepeatedArmError(
+                f"grid values {grid[first]!r} and {grid[i]!r} both give arm {arm!r}"
+            )
+    return arms
+
+
 def run_ablation(
     classifier: Checkpoint,
     predictor: Checkpoint,
@@ -157,8 +176,9 @@ def run_ablation(
     for seed in seeds:
         graph = provider(seed)
         values["base"].append(evaluate_graph(classifier, graph, metric))
+        scores = edge_homophily_scores(predictor, graph)
         for arm, arm_cfg in arm_configs.items():
-            transformed = graphost_transform(graph, predictor, arm_cfg)
+            transformed = graphost_transform(graph, scores, arm_cfg)
             values[arm].append(evaluate_graph(classifier, transformed, metric))
             if arm == "full" and graph.labels is not None:
                 before, after, _ = hd_delta_report(graph, transformed, graph.labels)
@@ -185,17 +205,15 @@ def run_noise_robustness(
     """Full pipeline under injected structural noise vs. the clean base."""
     _require_resolved(config)
     provider = _as_provider(test_graphs)
-    arms = ["base"] + [f"graphost_noise{level:g}" for level in noise_levels]
-    values: dict[str, list[float]] = {arm: [] for arm in arms}
+    arms = _grid_arms("graphost_noise", noise_levels)
+    values: dict[str, list[float]] = {arm: [] for arm in ["base"] + arms}
     for seed in seeds:
         graph = provider(seed)
         values["base"].append(evaluate_graph(classifier, graph, metric))
-        for idx, level in enumerate(noise_levels):
+        for idx, (arm, level) in enumerate(zip(arms, noise_levels)):
             noisy = inject_structural_noise(graph, level, derive_seed(seed, idx))
             transformed = graphost_transform(noisy, predictor, config)
-            values[f"graphost_noise{level:g}"].append(
-                evaluate_graph(classifier, transformed, metric)
-            )
+            values[arm].append(evaluate_graph(classifier, transformed, metric))
     return ExperimentReport(
         experiment="noise-robustness",
         seeds=tuple(seeds),
@@ -216,14 +234,14 @@ def run_delta_sweep(
     """One arm per filtering ratio on the grid."""
     _require_resolved(config)
     provider = _as_provider(test_graphs)
-    values: dict[str, list[float]] = {f"delta={d:g}": [] for d in delta_grid}
+    arms = _grid_arms("delta=", delta_grid)
+    values: dict[str, list[float]] = {arm: [] for arm in arms}
     for seed in seeds:
         graph = provider(seed)
-        for d in delta_grid:
-            transformed = graphost_transform(graph, predictor, replace(config, delta=d))
-            values[f"delta={d:g}"].append(
-                evaluate_graph(classifier, transformed, metric)
-            )
+        scores = edge_homophily_scores(predictor, graph)
+        for arm, d in zip(arms, delta_grid):
+            transformed = graphost_transform(graph, scores, replace(config, delta=d))
+            values[arm].append(evaluate_graph(classifier, transformed, metric))
     return ExperimentReport(
         experiment="delta-sweep",
         seeds=tuple(seeds),

@@ -126,17 +126,29 @@ def filter_edges(graph, scores, mode, delta, threshold_semantics=False):
 
 def graphost_transform(
     test_graph: LabeledGraph,
-    predictor: Checkpoint,
+    predictor: Checkpoint | EdgeScoreTable,
     config: TransformConfig,
 ) -> WeightedGraph:
     """Score edges with the trained predictor, weight the graph, filter the
     top-delta harmful edges. Needs no test labels; the classifier is never
-    touched."""
+    touched.
+
+    ``predictor`` is the trained predictor checkpoint or the EdgeScoreTable
+    already computed from it for ``test_graph``. Scoring is the only step
+    that reads the predictor and it does not depend on ``config``, so a
+    caller applying several configs to one graph scores it once and passes
+    the table to each.
+    """
     if config.mode == "auto":
         raise ValueError(
             "config.mode is 'auto'; resolve it against the training graph first"
         )
-    scores = edge_homophily_scores(predictor, test_graph)
+    if isinstance(predictor, EdgeScoreTable):
+        if len(predictor) != test_graph.num_edges:
+            raise ValueError(f"{len(predictor)} scores for {test_graph.num_edges} edges")
+        scores = predictor
+    else:
+        scores = edge_homophily_scores(predictor, test_graph)
     if config.enable_weighting:
         weighted = build_weighted_graph(test_graph, scores, config.mode)
     else:

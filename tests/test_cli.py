@@ -359,6 +359,37 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 2
 
+    @pytest.mark.parametrize("name, args", [
+        ("generate", ["--p", "0.06", "--q", "0.02", "--sizes", "20,20"]),
+        ("train", ["--train-graph", "{data}/train.json", "--val-graph", "{data}/val.json",
+                   "--epochs", "2"]),
+        ("theory-validate", ["--suite", "multiclass", "--p", "0.1", "--q", "0.02"]),
+    ])
+    def test_seed_list_rejected_by_single_run_subcommands(self, workspace, tmp_path, capsys,
+                                                          name, args):
+        args = [a.format(data=workspace / "data") for a in args]
+        out = tmp_path / "never"
+        assert run([name, *args, "--seed", "3,4", "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, flag, grid, arm", [
+        ("sweep-delta", "--delta-grid", "0.1,0.1", "delta=0.1"),
+        ("noise-robustness", "--noise-levels", "0.1,0.10000001", "graphost_noise0.1"),
+    ])
+    def test_repeated_grid_arm_is_usage_error(self, workspace, tmp_path, capsys,
+                                              name, flag, grid, arm):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        assert run([
+            name, "--test-graph", str(data / "test.json"),
+            "--classifier", str(ckpt / "classifier.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "homophilic", flag, grid, "--out", str(tmp_path),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(arm) in err
+        assert not list(tmp_path.glob("*.json"))
+
 
 class TestCliSurface:
     """Pins the flags, config keys, defaults and value types of every

@@ -1,17 +1,26 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import graphost.experiments as experiments
+import graphost.transform as transform
 from graphost.experiments import (
     ExperimentReport,
+    RepeatedArmError,
+    derive_seed,
+    evaluate_graph,
     run_ablation,
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
 )
 from graphost.fixtures import make_fixture
-from graphost.transform import TransformConfig
+from graphost.graphs import inject_structural_noise, random_edge_drop
+from graphost.metrics import hd_delta_report
+from graphost.transform import TransformConfig, graphost_transform
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +142,110 @@ class TestRandomDropComparison:
         assert set(report.arm_values) == {"base", "random_drop", "graphost"}
         expected_k = int(np.ceil(0.3 * fixture.test_graph(0).num_edges))
         assert report.extras["dropped_edges"][0] == expected_k
+
+
+NOISE_LEVELS = (0.0, 0.3)
+DELTA_GRID = (0.0, 0.3, 0.6)
+
+
+def reference_reports(fx, config, seeds):
+    """The runners' arms with every transform scored straight from the
+    predictor: experiment -> (arm values, extras)."""
+
+    def score(graph):
+        return evaluate_graph(fx.classifier, graph)
+
+    def transformed(graph, **changes):
+        return graphost_transform(graph, fx.predictor, replace(config, **changes))
+
+    ablation = {"base": [], "wo_weight": [], "wo_filter": [], "full": []}
+    hd_before, hd_after = [], []
+    sweep = {f"delta={d:g}": [] for d in DELTA_GRID}
+    noise = {"base": []} | {f"graphost_noise{lv:g}": [] for lv in NOISE_LEVELS}
+    drop = {"base": [], "random_drop": [], "graphost": []}
+    dropped = []
+    for seed in seeds:
+        graph = fx.test_graph(seed)
+        ablation["base"].append(score(graph))
+        ablation["wo_weight"].append(score(transformed(graph, enable_weighting=False)))
+        ablation["wo_filter"].append(score(transformed(graph, enable_filtering=False)))
+        full = transformed(graph)
+        ablation["full"].append(score(full))
+        before, after, _ = hd_delta_report(graph, full, graph.labels)
+        hd_before.append(before)
+        hd_after.append(after)
+        for d in DELTA_GRID:
+            sweep[f"delta={d:g}"].append(score(transformed(graph, delta=d)))
+        noise["base"].append(score(graph))
+        for idx, level in enumerate(NOISE_LEVELS):
+            noisy = inject_structural_noise(graph, level, derive_seed(seed, idx))
+            noise[f"graphost_noise{level:g}"].append(score(transformed(noisy)))
+        k = graph.num_edges - full.num_edges
+        drop["base"].append(score(graph))
+        drop["random_drop"].append(score(random_edge_drop(graph, k, derive_seed(seed, 7))))
+        drop["graphost"].append(score(full))
+        dropped.append(k)
+
+    def arms(values):
+        return {arm: tuple(v) for arm, v in values.items()}
+
+    return {
+        "ablation": (arms(ablation), {"hd_before": hd_before, "hd_after_full": hd_after}),
+        "delta-sweep": (arms(sweep), {}),
+        "noise-robustness": (arms(noise), {}),
+        "random-drop": (arms(drop), {"dropped_edges": dropped}),
+    }
+
+
+@pytest.fixture
+def score_calls(monkeypatch):
+    """Counts edge scorings made through the runners' and the transform's
+    bindings."""
+    calls = []
+    original = transform.edge_homophily_scores
+
+    def counted(predictor, graph):
+        calls.append(graph)
+        return original(predictor, graph)
+
+    monkeypatch.setattr(experiments, "edge_homophily_scores", counted)
+    monkeypatch.setattr(transform, "edge_homophily_scores", counted)
+    return calls
+
+
+class TestSharedScoreTable:
+    @pytest.mark.parametrize("mode", ["homophilic", "heterophilic"])
+    def test_runners_match_per_arm_scoring(self, fixture, mode):
+        config = replace(fixture.config, mode=mode)
+        args = (fixture.classifier, fixture.predictor, fixture.test_graph, config, SEEDS)
+        reports = {
+            "ablation": run_ablation(*args),
+            "delta-sweep": run_delta_sweep(*args, delta_grid=DELTA_GRID),
+            "noise-robustness": run_noise_robustness(*args, noise_levels=NOISE_LEVELS),
+            "random-drop": run_random_drop_comparison(*args),
+        }
+        for name, (arm_values, extras) in reference_reports(fixture, config, SEEDS).items():
+            assert reports[name].arm_values == arm_values, name
+            assert reports[name].extras == extras, name
+
+    def test_one_scoring_per_seed(self, fixture, score_calls):
+        args = (fixture.classifier, fixture.predictor, fixture.test_graph,
+                fixture.config, SEEDS)
+        run_ablation(*args)
+        assert len(score_calls) == len(SEEDS)
+        score_calls.clear()
+        run_delta_sweep(*args, delta_grid=DELTA_GRID)
+        assert len(score_calls) == len(SEEDS)
+
+    @pytest.mark.parametrize("runner, grid, arm", [
+        (run_delta_sweep, (0.1, 0.1), "delta=0.1"),
+        (run_delta_sweep, (0.1, 0.10000001), "delta=0.1"),
+        (run_noise_robustness, (0.0, 0.1, 0.1), "graphost_noise0.1"),
+        (run_noise_robustness, (0.1, 0.10000001), "graphost_noise0.1"),
+    ])
+    def test_repeated_arm_rejected_before_scoring(self, fixture, score_calls,
+                                                  runner, grid, arm):
+        with pytest.raises(RepeatedArmError, match=re.escape(repr(arm))):
+            runner(fixture.classifier, fixture.predictor, fixture.test_graph,
+                   fixture.config, SEEDS, grid)
+        assert score_calls == []

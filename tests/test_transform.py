@@ -4,11 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphost.graphs import LabeledGraph, WeightedGraph, edge_homophily_degree
-from graphost.models import EdgeScoreTable
+from graphost.models import (
+    ArchitectureSpec,
+    Checkpoint,
+    EdgeScoreTable,
+    edge_homophily_scores,
+    init_params,
+)
 from graphost.transform import (
     TransformConfig,
     build_weighted_graph,
     filter_edges,
+    graphost_transform,
     resolve_mode,
 )
 
@@ -251,3 +258,41 @@ class TestPipelineAlgebra:
         a = filter_edges(g, scores, "homophilic", 0.5)
         b = filter_edges(shuffled, scores, "homophilic", 0.5)
         assert np.array_equal(a.edges, b.edges)
+
+
+ARM_CONFIGS = {
+    "base": dict(enable_weighting=False, enable_filtering=False),
+    "wo_weight": dict(enable_weighting=False, enable_filtering=True),
+    "wo_filter": dict(enable_weighting=True, enable_filtering=False),
+    "full": dict(enable_weighting=True, enable_filtering=True),
+}
+
+
+class TestScoreTableArgument:
+    @pytest.fixture
+    def setup(self, rng):
+        graph = random_labeled_graph(rng, 30, 0.3, feature_dim=4)
+        spec = ArchitectureSpec.default("gcn", 4, 8, hidden=8)
+        return graph, Checkpoint(spec=spec, params=init_params(spec, seed=5))
+
+    @pytest.mark.parametrize("mode", ["homophilic", "heterophilic"])
+    @pytest.mark.parametrize("arm", sorted(ARM_CONFIGS))
+    def test_table_gives_the_predictor_result(self, setup, mode, arm):
+        graph, predictor = setup
+        config = TransformConfig(mode=mode, delta=0.3, **ARM_CONFIGS[arm])
+        from_predictor = graphost_transform(graph, predictor, config)
+        table = edge_homophily_scores(predictor, graph)
+        from_table = graphost_transform(graph, table, config)
+        assert np.array_equal(from_table.base.edges, from_predictor.base.edges)
+        assert np.array_equal(from_table.edge_weights, from_predictor.edge_weights)
+
+    @pytest.mark.parametrize("weighting", [True, False])
+    @pytest.mark.parametrize("filtering", [True, False])
+    def test_wrong_length_table_rejected(self, setup, weighting, filtering):
+        graph, _ = setup
+        table = EdgeScoreTable(scores=np.full(graph.num_edges + 1, 0.5))
+        config = TransformConfig(
+            mode="homophilic", enable_weighting=weighting, enable_filtering=filtering
+        )
+        with pytest.raises(ValueError, match="scores for"):
+            graphost_transform(graph, table, config)
