@@ -80,7 +80,6 @@ class _Option:
     switch: bool = False
 
 
-_THEORY_SUITES = ("all", "lemmas", "separation", "phi", "theorem", "constraint", "multiclass")
 _NETWORK_KINDS = ("gcn", "mlp")
 
 _OPTIONS: dict[str, _Option] = {
@@ -136,10 +135,10 @@ _OPTIONS: dict[str, _Option] = {
     "trials": _Option(20, int),
     "samples": _Option(100_000, int),
     "lemma_nodes": _Option(2000, int),
-    "suite": _Option("all", choices=_THEORY_SUITES),
     "midpoint_tol": _Option(0.05),
     "cosine_tol": _Option(0.999),
     "separation_tol": _Option(0.05),
+    # "suite" is added beside _THEORY_SUITES, whose keys are its choices.
 }
 
 
@@ -468,6 +467,25 @@ _HARNESS_RUNNERS: dict[str, tuple[Callable[..., ExperimentReport], str | None]] 
     "noise-robustness": (run_noise_robustness, "noise_levels"),
     "random-drop": (run_random_drop_comparison, None),
 }
+# grid option -> (whether a value is in range, the range as printed)
+_GRID_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
+    "delta_grid": (lambda v: 0.0 <= v < 1.0, "[0, 1)"),
+    "noise_levels": (lambda v: 0.0 <= v <= 1.0, "[0, 1]"),
+}
+
+
+def _parse_grid(options: dict, key: str) -> tuple[float, ...]:
+    """A comma-separated grid option as floats, each within its range."""
+    flag = "--" + key.replace("_", "-")
+    try:
+        grid = tuple(float(tok) for tok in str(options[key]).split(","))
+    except ValueError as exc:
+        raise CliError(f"bad {flag} value {options[key]!r}: {exc}") from exc
+    in_range, shown = _GRID_RANGES[key]
+    for value in grid:
+        if not in_range(value):
+            raise CliError(f"{flag}: {value:g} lies outside {shown}")
+    return grid
 
 
 def cmd_harness(args: argparse.Namespace) -> int:
@@ -480,12 +498,10 @@ def cmd_harness(args: argparse.Namespace) -> int:
     config = _transform_config(options)
     seeds = _parse_seeds(options["seed"])
     metric = options["metric"]
+    runner, grid_key = _HARNESS_RUNNERS[args.command]
+    grid = () if grid_key is None else (_parse_grid(options, grid_key),)
     out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
-    runner, grid_key = _HARNESS_RUNNERS[args.command]
-    grid = () if grid_key is None else (
-        tuple(float(tok) for tok in str(options[grid_key]).split(",")),
-    )
     try:
         report = runner(classifier, predictor, test_graph, config, seeds, *grid, metric)
     except RepeatedArmError as exc:
@@ -511,121 +527,121 @@ def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: 
     )
 
 
+def _lemma_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    nodes = int(o["lemma_nodes"])
+    lc = lemma_check(_axis_params(o["mean_distance"], o["dim"], nodes, nodes, o["p"], o["q"]), seed)
+    midpoint, cosine = lc["midpoint_error"], abs(lc["direction_cosine"])
+    return [
+        ("lemma-midpoint", midpoint <= float(o["midpoint_tol"]),
+         f"midpoint error {midpoint:.5f} (tol {o['midpoint_tol']})"),
+        ("lemma-direction", cosine >= float(o["cosine_tol"]),
+         f"|cosine| {cosine:.6f} (tol {o['cosine_tol']})"),
+    ]
+
+
+def _separation_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    nodes = int(o["lemma_nodes"])
+    sc = separation_check(
+        _axis_params(o["mean_distance"], o["dim"], nodes, nodes, o["p"], o["q"]), seed
+    )
+    detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
+              f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
+    return [("separation-closed-form", sc["relative_error"] <= float(o["separation_tol"]), detail)]
+
+
+def _phi_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    r = phi_vs_simulation(o["p"], o["q"], o["n1"], o["n2"], o["mean_distance"], o["samples"], seed)
+    detail = (f"closed form {r['closed_form']:.6f} vs simulated {r['simulated']:.6f} "
+              f"(3se {3 * r['std_error']:.6f})")
+    return [("phi-vs-simulation", r["within_3_std_errors"], detail)]
+
+
+def _theorem_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    """Also leaves the Monte Carlo report in found["theorem"]."""
+    a, dim, n1, n2 = o["mean_distance"], o["dim"], o["n1"], o["n2"]
+    params = _axis_params(a, dim, n1, n2, o["p"], o["q"])
+    params2 = _axis_params(a, dim, n1, n2, float(o["p2"]), float(o["q2"]))
+    report = found["theorem"] = monte_carlo_theorem_check(
+        params, params2, trials=o["trials"], seed=seed
+    )
+    need = int(np.ceil(0.9 * o["trials"]))
+    detail = (f"{report.improved_trials}/{o['trials']} trials improved, mean "
+              f"difference {report.mean_difference:+.5f} "
+              f"(constraint {'holds' if report.constraint_satisfied else 'violated'})")
+    passed = report.improved_trials >= need and report.mean_difference > 0
+    return [("theorem-improvement", passed, detail)]
+
+
+def _constraint_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    p, q, p2, q2, n1, n2 = o["p"], o["q"], float(o["p2"]), float(o["q2"]), o["n1"], o["n2"]
+    regime = "homophilic" if p > q else "heterophilic"
+    holds = degree_relaxation_constraint(p, q, p2, q2, n1, n2, regime)
+    diff = misclassification_prob(p, q, n1, n2, o["mean_distance"]) - misclassification_prob(
+        p2, q2, n1, n2, o["mean_distance"]
+    )
+    detail = f"constraint {holds}, closed-form error change {diff:+.6f}"
+    return [("constraint-vs-phi", holds == (diff > 0), detail)]
+
+
+def _multiclass_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    p, q, a = o["p"], o["q"], o["mean_distance"]
+    grid_ok = True
+    worst = 0.0
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        gp = rng.uniform(0.01, 0.99)
+        gq = rng.uniform(0.01, 0.99)
+        ga = rng.uniform(0.1, 5.0)
+        lhs = multiclass_separation(gp, gq, 2, ga)
+        rhs = 2.0 * class_separation_distance(gp, gq, ga)
+        worst = max(worst, abs(lhs - rhs))
+        grid_ok = grid_ok and abs(lhs - rhs) <= 1e-12
+    mono = all(
+        multiclass_separation(p, q, s, a) > multiclass_separation(p, q, s + 1, a)
+        for s in range(2, 10)
+    ) if p != q and q > 0 else True
+    return [
+        ("multiclass-reduction", grid_ok, f"max |s=2 formula - binary formula| = {worst:.2e}"),
+        ("multiclass-monotone", mono, "separation strictly decreases in the class count"),
+    ]
+
+
+# suite -> its checks as (name, passed, detail) rows, in report order;
+# "all" runs every suite in this order.
+_THEORY_SUITES: dict[str, Callable[[dict, int, dict], list[tuple[str, bool, str]]]] = {
+    "lemmas": _lemma_checks,
+    "separation": _separation_checks,
+    "phi": _phi_checks,
+    "theorem": _theorem_checks,
+    "constraint": _constraint_checks,
+    "multiclass": _multiclass_checks,
+}
+_NEEDS_TRANSFORM = ("theorem", "constraint")
+_OPTIONS["suite"] = _Option("all", choices=("all", *_THEORY_SUITES))
+
+
 def cmd_theory_validate(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    suites = (
-        [s for s in _THEORY_SUITES if s != "all"]
-        if options["suite"] == "all"
-        else [options["suite"]]
-    )
-    p, q = float(options["p"]), float(options["q"])
-    n1, n2 = int(options["n1"]), int(options["n2"])
-    a = float(options["mean_distance"])
-    dim = int(options["dim"])
+    suites = list(_THEORY_SUITES) if options["suite"] == "all" else [options["suite"]]
+    # Typed values for the checks; the report echoes the options as given.
+    o = options | {k: float(options[k]) for k in ("p", "q", "mean_distance")}
+    o |= {k: int(options[k]) for k in ("n1", "n2", "dim", "trials", "samples")}
     seed = _single_seed(options)
-    trials = int(options["trials"])
-    samples = int(options["samples"])
     have_transform = options["p2"] is not None and options["q2"] is not None
-    if any(s in suites for s in ("theorem", "constraint")) and not have_transform:
+    if any(s in suites for s in _NEEDS_TRANSFORM) and not have_transform:
         if options["suite"] == "all":
-            suites = [s for s in suites if s not in ("theorem", "constraint")]
+            suites = [s for s in suites if s not in _NEEDS_TRANSFORM]
         else:
             raise CliError("--p2 and --q2 are required for the theorem/constraint suites")
     out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
 
     checks: list[dict] = []
-    theorem_report = None
-
-    def record(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
+    found: dict = {}
     for suite in suites:
-        if suite == "lemmas":
-            params = _axis_params(a, dim, int(options["lemma_nodes"]), int(options["lemma_nodes"]), p, q)
-            lc = lemma_check(params, seed)
-            record(
-                "lemma-midpoint",
-                lc["midpoint_error"] <= float(options["midpoint_tol"]),
-                f"midpoint error {lc['midpoint_error']:.5f} (tol {options['midpoint_tol']})",
-            )
-            record(
-                "lemma-direction",
-                abs(lc["direction_cosine"]) >= float(options["cosine_tol"]),
-                f"|cosine| {abs(lc['direction_cosine']):.6f} (tol {options['cosine_tol']})",
-            )
-        elif suite == "separation":
-            params = _axis_params(a, dim, int(options["lemma_nodes"]), int(options["lemma_nodes"]), p, q)
-            sc = separation_check(params, seed)
-            record(
-                "separation-closed-form",
-                sc["relative_error"] <= float(options["separation_tol"]),
-                f"empirical {sc['empirical_distance']:.5f} vs closed form "
-                f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})",
-            )
-        elif suite == "phi":
-            r = phi_vs_simulation(p, q, n1, n2, a, samples, seed)
-            record(
-                "phi-vs-simulation",
-                r["within_3_std_errors"],
-                f"closed form {r['closed_form']:.6f} vs simulated {r['simulated']:.6f} "
-                f"(3se {3 * r['std_error']:.6f})",
-            )
-        elif suite == "theorem":
-            p2, q2 = float(options["p2"]), float(options["q2"])
-            params = _axis_params(a, dim, n1, n2, p, q)
-            params2 = _axis_params(a, dim, n1, n2, p2, q2)
-            theorem_report = monte_carlo_theorem_check(
-                params, params2, trials=trials, seed=seed
-            )
-            need = int(np.ceil(0.9 * trials))
-            record(
-                "theorem-improvement",
-                theorem_report.improved_trials >= need
-                and theorem_report.mean_difference > 0,
-                f"{theorem_report.improved_trials}/{trials} trials improved, mean "
-                f"difference {theorem_report.mean_difference:+.5f} "
-                f"(constraint {'holds' if theorem_report.constraint_satisfied else 'violated'})",
-            )
-        elif suite == "constraint":
-            p2, q2 = float(options["p2"]), float(options["q2"])
-            regime = "homophilic" if p > q else "heterophilic"
-            holds = degree_relaxation_constraint(p, q, p2, q2, n1, n2, regime)
-            diff = misclassification_prob(p, q, n1, n2, a) - misclassification_prob(
-                p2, q2, n1, n2, a
-            )
-            record(
-                "constraint-vs-phi",
-                holds == (diff > 0),
-                f"constraint {holds}, closed-form error change {diff:+.6f}",
-            )
-        elif suite == "multiclass":
-            grid_ok = True
-            worst = 0.0
-            rng = np.random.default_rng(seed)
-            for _ in range(100):
-                gp = rng.uniform(0.01, 0.99)
-                gq = rng.uniform(0.01, 0.99)
-                ga = rng.uniform(0.1, 5.0)
-                lhs = multiclass_separation(gp, gq, 2, ga)
-                rhs = 2.0 * class_separation_distance(gp, gq, ga)
-                worst = max(worst, abs(lhs - rhs))
-                grid_ok = grid_ok and abs(lhs - rhs) <= 1e-12
-            mono = all(
-                multiclass_separation(p, q, s, a) > multiclass_separation(p, q, s + 1, a)
-                for s in range(2, 10)
-            ) if p != q and q > 0 else True
-            record(
-                "multiclass-reduction",
-                grid_ok,
-                f"max |s=2 formula - binary formula| = {worst:.2e}",
-            )
-            record(
-                "multiclass-monotone",
-                mono,
-                "separation strictly decreases in the class count",
-            )
+        for name, passed, detail in _THEORY_SUITES[suite](o, seed, found):
+            checks.append({"name": name, "passed": bool(passed), "detail": detail})
+            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
     doc = {
         "timestamp": ts,
@@ -633,9 +649,9 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
         "options": {k: options[k] for k in sorted(options) if k not in ("out",)},
         "checks": checks,
     }
-    if theorem_report is not None:
-        doc["theorem_report"] = theorem_report.to_dict()
-        csv_rows = theorem_report.to_csv_rows()
+    if "theorem" in found:
+        doc["theorem_report"] = found["theorem"].to_dict()
+        csv_rows = found["theorem"].to_csv_rows()
         csv_path = out / f"theory-theorem-{ts}-{seed}.csv"
         csv_path.write_text("\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n")
     _write_json(out / f"theory-report-{ts}-{seed}.json", doc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -104,12 +104,6 @@ class ExperimentReport:
 GraphProvider = Callable[[int], LabeledGraph]
 
 
-def _as_provider(test_graphs: LabeledGraph | GraphProvider) -> GraphProvider:
-    if callable(test_graphs):
-        return test_graphs
-    return lambda _seed: test_graphs
-
-
 METRICS = ("accuracy", "f1_macro")
 
 
@@ -133,11 +127,6 @@ def evaluate_graph(
     return f1_macro(predicted, base.labels, base.num_classes)
 
 
-def _require_resolved(config: TransformConfig) -> None:
-    if config.mode == "auto":
-        raise ValueError("harness needs a resolved transform mode, not 'auto'")
-
-
 class RepeatedArmError(ValueError):
     """Two grid values give one arm label, so their values would merge."""
 
@@ -154,6 +143,31 @@ def _grid_arms(prefix: str, grid: tuple[float, ...]) -> list[str]:
     return arms
 
 
+def _run_arms(
+    experiment: str, classifier: Checkpoint, test_graphs: LabeledGraph | GraphProvider,
+    config: TransformConfig, seeds: tuple[int, ...], metric: str,
+    arms: Callable[[int, LabeledGraph], Iterator[tuple[str, LabeledGraph | WeightedGraph]]],
+    grid: dict | None = None, extras: dict | None = None,
+) -> ExperimentReport:
+    """The seed x arm loop: arms(seed, graph) yields (arm, graph) in report
+    order for each seed's test graph, and each yielded graph is evaluated
+    before the next is made. `grid` joins the report's config block."""
+    if config.mode == "auto":
+        raise ValueError("harness needs a resolved transform mode, not 'auto'")
+    provider = test_graphs if callable(test_graphs) else lambda _seed: test_graphs
+    values: dict[str, list[float]] = {}
+    for seed in seeds:
+        for arm, graph in arms(seed, provider(seed)):
+            values.setdefault(arm, []).append(evaluate_graph(classifier, graph, metric))
+    return ExperimentReport(
+        experiment=experiment,
+        seeds=tuple(seeds),
+        arm_values={a: tuple(v) for a, v in values.items()},
+        config=config.to_dict() | {"metric": metric} | (grid or {}),
+        extras={} if extras is None else extras,
+    )
+
+
 def run_ablation(
     classifier: Checkpoint,
     predictor: Checkpoint,
@@ -163,34 +177,27 @@ def run_ablation(
     metric: str = "accuracy",
 ) -> ExperimentReport:
     """Arms per seed: base (untransformed), w/o-weight, w/o-filter, full."""
-    _require_resolved(config)
-    provider = _as_provider(test_graphs)
     arm_configs = {
         "wo_weight": replace(config, enable_weighting=False, enable_filtering=True),
         "wo_filter": replace(config, enable_weighting=True, enable_filtering=False),
         "full": replace(config, enable_weighting=True, enable_filtering=True),
     }
-    values: dict[str, list[float]] = {"base": []} | {a: [] for a in arm_configs}
     hd_before: list[float] = []
     hd_after_full: list[float] = []
-    for seed in seeds:
-        graph = provider(seed)
-        values["base"].append(evaluate_graph(classifier, graph, metric))
+
+    def arms(seed, graph):
+        yield "base", graph
         scores = edge_homophily_scores(predictor, graph)
         for arm, arm_cfg in arm_configs.items():
             transformed = graphost_transform(graph, scores, arm_cfg)
-            values[arm].append(evaluate_graph(classifier, transformed, metric))
+            yield arm, transformed
             if arm == "full" and graph.labels is not None:
                 before, after, _ = hd_delta_report(graph, transformed, graph.labels)
                 hd_before.append(before)
                 hd_after_full.append(after)
-    return ExperimentReport(
-        experiment="ablation",
-        seeds=tuple(seeds),
-        arm_values={a: tuple(v) for a, v in values.items()},
-        config=config.to_dict() | {"metric": metric},
-        extras={"hd_before": hd_before, "hd_after_full": hd_after_full},
-    )
+
+    return _run_arms("ablation", classifier, test_graphs, config, seeds, metric, arms,
+                     extras={"hd_before": hd_before, "hd_after_full": hd_after_full})
 
 
 def run_noise_robustness(
@@ -203,23 +210,16 @@ def run_noise_robustness(
     metric: str = "accuracy",
 ) -> ExperimentReport:
     """Full pipeline under injected structural noise vs. the clean base."""
-    _require_resolved(config)
-    provider = _as_provider(test_graphs)
-    arms = _grid_arms("graphost_noise", noise_levels)
-    values: dict[str, list[float]] = {arm: [] for arm in ["base"] + arms}
-    for seed in seeds:
-        graph = provider(seed)
-        values["base"].append(evaluate_graph(classifier, graph, metric))
-        for idx, (arm, level) in enumerate(zip(arms, noise_levels)):
+    level_arms = _grid_arms("graphost_noise", noise_levels)
+
+    def arms(seed, graph):
+        yield "base", graph
+        for idx, (arm, level) in enumerate(zip(level_arms, noise_levels)):
             noisy = inject_structural_noise(graph, level, derive_seed(seed, idx))
-            transformed = graphost_transform(noisy, predictor, config)
-            values[arm].append(evaluate_graph(classifier, transformed, metric))
-    return ExperimentReport(
-        experiment="noise-robustness",
-        seeds=tuple(seeds),
-        arm_values={a: tuple(v) for a, v in values.items()},
-        config=config.to_dict() | {"metric": metric, "noise_levels": list(noise_levels)},
-    )
+            yield arm, graphost_transform(noisy, predictor, config)
+
+    return _run_arms("noise-robustness", classifier, test_graphs, config, seeds, metric, arms,
+                     {"noise_levels": list(noise_levels)})
 
 
 def run_delta_sweep(
@@ -232,22 +232,15 @@ def run_delta_sweep(
     metric: str = "accuracy",
 ) -> ExperimentReport:
     """One arm per filtering ratio on the grid."""
-    _require_resolved(config)
-    provider = _as_provider(test_graphs)
-    arms = _grid_arms("delta=", delta_grid)
-    values: dict[str, list[float]] = {arm: [] for arm in arms}
-    for seed in seeds:
-        graph = provider(seed)
+    delta_arms = _grid_arms("delta=", delta_grid)
+
+    def arms(seed, graph):
         scores = edge_homophily_scores(predictor, graph)
-        for arm, d in zip(arms, delta_grid):
-            transformed = graphost_transform(graph, scores, replace(config, delta=d))
-            values[arm].append(evaluate_graph(classifier, transformed, metric))
-    return ExperimentReport(
-        experiment="delta-sweep",
-        seeds=tuple(seeds),
-        arm_values={a: tuple(v) for a, v in values.items()},
-        config=config.to_dict() | {"metric": metric, "delta_grid": list(delta_grid)},
-    )
+        for arm, d in zip(delta_arms, delta_grid):
+            yield arm, graphost_transform(graph, scores, replace(config, delta=d))
+
+    return _run_arms("delta-sweep", classifier, test_graphs, config, seeds, metric, arms,
+                     {"delta_grid": list(delta_grid)})
 
 
 def run_random_drop_comparison(
@@ -260,27 +253,18 @@ def run_random_drop_comparison(
 ) -> ExperimentReport:
     """Base vs. random edge-dropping (count matched to the filter) vs. the
     full pipeline."""
-    _require_resolved(config)
-    provider = _as_provider(test_graphs)
-    values: dict[str, list[float]] = {"base": [], "random_drop": [], "graphost": []}
     dropped: list[int] = []
-    for seed in seeds:
-        graph = provider(seed)
-        values["base"].append(evaluate_graph(classifier, graph, metric))
+
+    def arms(seed, graph):
+        yield "base", graph
         transformed = graphost_transform(graph, predictor, config)
         k = graph.num_edges - transformed.num_edges
         randomly_dropped = random_edge_drop(graph, k, derive_seed(seed, 7))
         if randomly_dropped.num_edges != transformed.num_edges:
             raise AssertionError("random-drop arm is not count-matched")
         dropped.append(k)
-        values["random_drop"].append(
-            evaluate_graph(classifier, randomly_dropped, metric)
-        )
-        values["graphost"].append(evaluate_graph(classifier, transformed, metric))
-    return ExperimentReport(
-        experiment="random-drop",
-        seeds=tuple(seeds),
-        arm_values={a: tuple(v) for a, v in values.items()},
-        config=config.to_dict() | {"metric": metric},
-        extras={"dropped_edges": dropped},
-    )
+        yield "random_drop", randomly_dropped
+        yield "graphost", transformed
+
+    return _run_arms("random-drop", classifier, test_graphs, config, seeds, metric, arms,
+                     extras={"dropped_edges": dropped})

@@ -8,7 +8,6 @@ every mutating operation returns a new graph.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -285,36 +284,16 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
 
 
 # ---------------------------------------------------------------------------
-# File formats
-#
-# "json": single container {"num_nodes", "edges", "features", "labels",
-#         "num_classes"} (labels/features optional; weighted graphs add
-#         "edge_weights"). A legacy "directed": false key is accepted;
-#         "directed": true is rejected.
-# "edgelist": <prefix>.edges ("u v" per line, '#' comments),
-#             <prefix>.features.csv and <prefix>.labels.csv (headerless,
-#             row i = node i; labels file optional).
+# File format: JSON is the one graph file format. A file holds a single
+# object {"num_nodes", "edges", "features", "labels", "num_classes"}
+# (labels/features optional; weighted graphs add "edge_weights"). A legacy
+# "directed": false key is accepted; "directed": true is rejected.
 # ---------------------------------------------------------------------------
 
 
-def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path, format: str = "json") -> None:
-    if format == "json":
-        _save_json(graph, Path(path))
-    elif format == "edgelist":
-        if isinstance(graph, WeightedGraph):
-            raise ValueError("edgelist format does not carry edge weights")
-        _save_edgelist(graph, Path(path))
-    else:
-        raise ValueError(f"unknown graph format {format!r}")
-
-
-def load_graph(path: str | Path, format: str = "json") -> LabeledGraph:
-    if format == "json":
-        graph, _ = _load_json(Path(path))
-        return graph
-    if format == "edgelist":
-        return _load_edgelist(Path(path))
-    raise ValueError(f"unknown graph format {format!r}")
+def load_graph(path: str | Path) -> LabeledGraph:
+    graph, _ = _load_json(Path(path))
+    return graph
 
 
 def load_weighted_graph(path: str | Path) -> WeightedGraph:
@@ -326,7 +305,7 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
         raise GraphFormatError(str(exc), path) from exc
 
 
-def _save_json(graph: LabeledGraph | WeightedGraph, path: Path) -> None:
+def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path) -> None:
     base = graph.base if isinstance(graph, WeightedGraph) else graph
     doc: dict = {
         "num_nodes": base.num_nodes,
@@ -339,14 +318,16 @@ def _save_json(graph: LabeledGraph | WeightedGraph, path: Path) -> None:
         doc["num_classes"] = base.num_classes
     if isinstance(graph, WeightedGraph):
         doc["edge_weights"] = [float(w) for w in graph.edge_weights]
-    path.write_text(json.dumps(doc, sort_keys=True))
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
 def _load_json(path: Path) -> tuple[LabeledGraph, np.ndarray | None]:
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"invalid JSON: {exc.msg} at offset {exc.pos}", path) from exc
+        raise GraphFormatError(
+            f"invalid JSON: {exc.msg} at offset {exc.pos}", path, exc.lineno
+        ) from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("top-level JSON value must be an object", path)
     for key in ("num_nodes", "edges"):
@@ -405,102 +386,3 @@ def _json_array(
     if arr is None or arr.ndim != ndim or arr.dtype.kind not in kinds:
         raise GraphFormatError(f'"{key}" must be {shape}', path)
     return arr
-
-
-def _edge_path(prefix: Path) -> Path:
-    return prefix.with_name(prefix.name + ".edges")
-
-
-def _features_path(prefix: Path) -> Path:
-    return prefix.with_name(prefix.name + ".features.csv")
-
-
-def _labels_path(prefix: Path) -> Path:
-    return prefix.with_name(prefix.name + ".labels.csv")
-
-
-def _save_edgelist(graph: LabeledGraph, prefix: Path) -> None:
-    if graph.features is None:
-        raise ValueError("edgelist format requires node features")
-    lines = [f"{u} {v}" for u, v in graph.edges]
-    _edge_path(prefix).write_text("\n".join(lines) + ("\n" if lines else ""))
-    rows = [",".join(repr(float(x)) for x in row) for row in graph.features]
-    _features_path(prefix).write_text("\n".join(rows) + "\n")
-    if graph.labels is not None:
-        _labels_path(prefix).write_text(
-            "\n".join(str(int(y)) for y in graph.labels) + "\n"
-        )
-
-
-def _load_edgelist(prefix: Path) -> LabeledGraph:
-    fpath = _features_path(prefix)
-    features_rows: list[list[float]] = []
-    width = None
-    for lineno, line in enumerate(fpath.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise GraphFormatError(f"bad feature value: {exc}", fpath, lineno) from exc
-        if not all(math.isfinite(x) for x in row):
-            raise GraphFormatError("feature value is not finite", fpath, lineno)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise GraphFormatError(
-                f"expected {width} columns, got {len(row)}", fpath, lineno
-            )
-        features_rows.append(row)
-    if not features_rows:
-        raise GraphFormatError("feature file is empty", fpath)
-    num_nodes = len(features_rows)
-
-    epath = _edge_path(prefix)
-    edges: list[tuple[int, int]] = []
-    for lineno, line in enumerate(epath.read_text().splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.split()
-        if len(parts) != 2:
-            raise GraphFormatError(
-                f"expected 'u v', got {line.strip()!r}", epath, lineno
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"bad node index: {exc}", epath, lineno) from exc
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise GraphFormatError(
-                f"edge ({u}, {v}) references a node outside [0, {num_nodes})",
-                epath,
-                lineno,
-            )
-        if u == v:
-            raise GraphFormatError(f"self-loop ({u}, {v})", epath, lineno)
-        edges.append((u, v))
-
-    labels = None
-    lpath = _labels_path(prefix)
-    if lpath.exists():
-        values: list[int] = []
-        for lineno, line in enumerate(lpath.read_text().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                values.append(int(line.strip()))
-            except ValueError as exc:
-                raise GraphFormatError(f"bad label: {exc}", lpath, lineno) from exc
-        if len(values) != num_nodes:
-            raise GraphFormatError(
-                f"{len(values)} labels for {num_nodes} nodes", lpath, len(values)
-            )
-        labels = np.asarray(values, dtype=np.int64)
-
-    return LabeledGraph(
-        num_nodes=num_nodes,
-        edges=edges,
-        features=np.asarray(features_rows, dtype=np.float64),
-        labels=labels,
-    )

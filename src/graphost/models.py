@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import base64
 import json
+import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Generator
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +61,8 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 # Edges per row block of the cosine head; bounds its temporaries to
 # _EDGE_BLOCK x d floats whatever the edge count.
@@ -233,6 +237,62 @@ def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
+def _fit(
+    spec: ArchitectureSpec, optimizer: OptimizerConfig, seed: int, passes: Generator,
+    val_metric: Callable[[dict], float], metric_name: str, metadata: dict,
+) -> Checkpoint:
+    """Adam from init_params(spec, seed), early-stopped when val_metric has
+    not improved for `patience` epochs; keeps the best parameters.
+
+    `passes` is the trainer's generator of training passes. Each epoch it
+    is sent the parameters and yields the forward pass's loss, then on
+    next() that pass's gradients, so a non-finite loss stops before backprop.
+    Its locals live until the next epoch overwrites them, as a plain loop's
+    would: freeing each pass's arrays sooner tripled the page faults of
+    predictor training.
+    """
+    params = init_params(spec, seed)
+    adam = AdamState.for_params(params, optimizer.learning_rate)
+    best_params = _copy_params(params)
+    best_metric = val_metric(params)
+    best_epoch = 0
+    bad_epochs = 0
+    loss_tail: list[float] = []
+    stop = "max_epochs"
+    next(passes)
+    for epoch in range(1, optimizer.max_epochs + 1):
+        loss = passes.send(params)
+        if not np.isfinite(loss):
+            raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
+        grads = next(passes)
+        params = adam_step(params, grads, adam)
+        loss_tail = (loss_tail + [loss])[-10:]
+        metric = val_metric(params)
+        log.debug("epoch %d: loss %.6g, %s %.6g", epoch, loss, metric_name, metric)
+        if metric > best_metric:
+            best_metric, best_params, best_epoch = metric, _copy_params(params), epoch
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= optimizer.patience:
+                stop = "patience"
+                break
+    log.info("trained %s: %d epochs, best epoch %d, %s %.6g, stopped by %s",
+             metadata["trained_as"], epoch, best_epoch, metric_name, best_metric, stop)
+    return Checkpoint(
+        spec=spec,
+        params=best_params,
+        metadata=metadata | {
+            "seed": seed,
+            "epochs_run": epoch,
+            "best_epoch": best_epoch,
+            metric_name: best_metric,
+            "loss_tail": loss_tail,
+            "optimizer": optimizer.to_dict(),
+        },
+    )
+
+
 def train_classifier(
     train_graph: LabeledGraph,
     val_graph: LabeledGraph,
@@ -246,51 +306,26 @@ def train_classifier(
     """
     if train_graph.labels is None or val_graph.labels is None:
         raise ValueError("classifier training needs labeled train and val graphs")
-    params = init_params(spec, seed)
-    adam = AdamState.for_params(params, optimizer.learning_rate)
     train_agg = MeanAggregator(train_graph, self_loops=True) if spec.kind == "gcn" else None
     val_agg = MeanAggregator(val_graph, self_loops=True) if spec.kind == "gcn" else None
+
+    def training_passes():
+        p = yield
+        while True:
+            logits, cache = network_forward(
+                spec, p, train_graph.features, train_agg, with_cache=True
+            )
+            loss, grad_logits = cross_entropy_loss(logits, train_graph.labels)
+            yield loss
+            grads = network_backward(spec, p, cache, grad_logits, train_agg)
+            p = yield grads
 
     def val_accuracy(p):
         logits = network_forward(spec, p, val_graph.features, val_agg)
         return accuracy(np.argmax(logits, axis=1), val_graph.labels)
 
-    best_params = _copy_params(params)
-    best_metric = val_accuracy(params)
-    best_epoch = 0
-    bad_epochs = 0
-    loss_tail: list[float] = []
-    for epoch in range(1, optimizer.max_epochs + 1):
-        logits, cache = network_forward(
-            spec, params, train_graph.features, train_agg, with_cache=True
-        )
-        loss, grad_logits = cross_entropy_loss(logits, train_graph.labels)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
-        grads = network_backward(spec, params, cache, grad_logits, train_agg)
-        params = adam_step(params, grads, adam)
-        loss_tail = (loss_tail + [loss])[-10:]
-        metric = val_accuracy(params)
-        if metric > best_metric:
-            best_metric, best_params, best_epoch = metric, _copy_params(params), epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= optimizer.patience:
-                break
-    return Checkpoint(
-        spec=spec,
-        params=best_params,
-        metadata={
-            "trained_as": "classifier",
-            "seed": seed,
-            "epochs_run": epoch,
-            "best_epoch": best_epoch,
-            "val_accuracy": best_metric,
-            "loss_tail": loss_tail,
-            "optimizer": optimizer.to_dict(),
-        },
-    )
+    return _fit(spec, optimizer, seed, training_passes(), val_accuracy, "val_accuracy",
+                {"trained_as": "classifier"})
 
 
 def classifier_logits(
@@ -427,76 +462,44 @@ def train_homophily_predictor(
             "degenerate edge classes: training graph has a single edge class"
         )
 
+    train_agg = MeanAggregator(train_graph, self_loops=True) if spec.kind == "gcn" else None
     if val_graph is not None:
         val_edges, val_labels, _ = build_edge_training_set(val_graph)
         if len(np.unique(val_labels)) < 2:
             raise ValueError("validation graph has a single edge class")
         fit_edges, fit_labels = edges, edge_labels
-        val_on_train_graph = False
+        val_agg = MeanAggregator(val_graph, self_loops=True) if spec.kind == "gcn" else None
+        val_feats = val_graph.features
     else:
         fit_idx, held_idx = _holdout_split(edge_labels, 0.1, seed)
         fit_edges, fit_labels = edges[fit_idx], edge_labels[fit_idx]
         val_edges, val_labels = edges[held_idx], edge_labels[held_idx]
-        val_on_train_graph = True
-
-    params = init_params(spec, seed)
-    adam = AdamState.for_params(params, optimizer.learning_rate)
-    train_agg = MeanAggregator(train_graph, self_loops=True) if spec.kind == "gcn" else None
-    if val_on_train_graph:
         val_agg, val_feats = train_agg, train_graph.features
-    else:
-        val_agg = MeanAggregator(val_graph, self_loops=True) if spec.kind == "gcn" else None
-        val_feats = val_graph.features
+    n, out_dim = train_graph.num_nodes, spec.output_dim
+
+    def training_passes():
+        p = yield
+        while True:
+            z, cache = network_forward(
+                spec, p, train_graph.features, train_agg, with_cache=True
+            )
+            scores, ctx = _edge_scores_with_cache(z, fit_edges)
+            if loss == "wbce":
+                loss_value, grad_scores = wbce_loss(scores, fit_labels, alpha)
+            else:
+                loss_value, grad_scores = bce_loss(scores, fit_labels)
+            yield loss_value
+            grad_z = _edge_scores_backward(grad_scores, fit_edges, scores, ctx, n, out_dim)
+            grads = network_backward(spec, p, cache, grad_z, train_agg)
+            p = yield grads
 
     def val_auc(p):
         z = network_forward(spec, p, val_feats, val_agg)
         scores, _ = _edge_scores_with_cache(z, val_edges)
         return roc_auc(scores, val_labels.astype(np.int64))
 
-    best_params = _copy_params(params)
-    best_metric = val_auc(params)
-    best_epoch = 0
-    bad_epochs = 0
-    loss_tail: list[float] = []
-    n, out_dim = train_graph.num_nodes, spec.output_dim
-    for epoch in range(1, optimizer.max_epochs + 1):
-        z, cache = network_forward(
-            spec, params, train_graph.features, train_agg, with_cache=True
-        )
-        scores, ctx = _edge_scores_with_cache(z, fit_edges)
-        if loss == "wbce":
-            loss_value, grad_scores = wbce_loss(scores, fit_labels, alpha)
-        else:
-            loss_value, grad_scores = bce_loss(scores, fit_labels)
-        if not np.isfinite(loss_value):
-            raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
-        grad_z = _edge_scores_backward(grad_scores, fit_edges, scores, ctx, n, out_dim)
-        grads = network_backward(spec, params, cache, grad_z, train_agg)
-        params = adam_step(params, grads, adam)
-        loss_tail = (loss_tail + [loss_value])[-10:]
-        metric = val_auc(params)
-        if metric > best_metric:
-            best_metric, best_params, best_epoch = metric, _copy_params(params), epoch
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= optimizer.patience:
-                break
-    return Checkpoint(
-        spec=spec,
-        params=best_params,
-        metadata={
-            "trained_as": "predictor",
-            "seed": seed,
-            "epochs_run": epoch,
-            "best_epoch": best_epoch,
-            "val_roc_auc": best_metric,
-            "alpha": alpha,
-            "loss": loss,
-            "loss_tail": loss_tail,
-            "optimizer": optimizer.to_dict(),
-        },
-    )
+    return _fit(spec, optimizer, seed, training_passes(), val_auc, "val_roc_auc",
+                {"trained_as": "predictor", "alpha": alpha, "loss": loss})
 
 
 def edge_homophily_scores(

@@ -3,6 +3,8 @@ import re
 
 import pytest
 
+import graphost.experiments as experiments
+import graphost.transform as transform
 from graphost.cli import main
 from graphost.csbm import SAMPLER_VERSION
 
@@ -340,6 +342,38 @@ class TestTheoryValidate:
         assert "PASS multiclass-monotone" in out
 
 
+    SUITE_CHECKS = {
+        "lemmas": ["lemma-midpoint", "lemma-direction"],
+        "separation": ["separation-closed-form"],
+        "phi": ["phi-vs-simulation"],
+        "theorem": ["theorem-improvement"],
+        "constraint": ["constraint-vs-phi"],
+        "multiclass": ["multiclass-reduction", "multiclass-monotone"],
+    }
+    ALL_CHECKS = ["lemma-midpoint", "lemma-direction", "separation-closed-form",
+                  "phi-vs-simulation", "theorem-improvement", "constraint-vs-phi",
+                  "multiclass-reduction", "multiclass-monotone"]
+
+    @pytest.mark.parametrize("suite, transformed, names", [
+        ("all", True, ALL_CHECKS),
+        ("all", False, [c for c in ALL_CHECKS
+                        if c not in ("theorem-improvement", "constraint-vs-phi")]),
+        *[(suite, True, names) for suite, names in SUITE_CHECKS.items()],
+    ])
+    def test_suite_reports_its_checks_in_order(self, tmp_path, suite, transformed, names):
+        args = ["theory-validate", "--suite", suite, "--p", "0.02", "--q", "0.01",
+                "--n1", "100", "--n2", "100", "--lemma-nodes", "200", "--trials", "2",
+                "--samples", "2000", "--out", str(tmp_path), "--pin-timestamp"]
+        if transformed:
+            args += ["--p2", "0.03", "--q2", "0.005"]
+        assert run(args) in (0, 1)
+        doc = json.loads((tmp_path / "theory-report-pinned-0.json").read_text())
+        assert [check["name"] for check in doc["checks"]] == names
+        assert (tmp_path / "theory-theorem-pinned-0.csv").exists() == (
+            "theorem-improvement" in names
+        )
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
@@ -389,6 +423,47 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert flag in err and repr(arm) in err
         assert not list(tmp_path.glob("*.json"))
+
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("sweep-delta", "delta_grid", "0.1,abc"),
+        ("sweep-delta", "delta_grid", "0.1,1.5"),
+        ("sweep-delta", "delta_grid", "0.1,1"),
+        ("sweep-delta", "delta_grid", "-0.1"),
+        ("sweep-delta", "delta_grid", [0.1, 0.2]),
+        ("noise-robustness", "noise_levels", "0.1,abc"),
+        ("noise-robustness", "noise_levels", "0.1,1.5"),
+        ("noise-robustness", "noise_levels", "nan"),
+    ])
+    def test_bad_grid_is_usage_error_before_scoring(self, workspace, tmp_path, capsys,
+                                                    monkeypatch, name, key, value):
+        calls = []
+        original = transform.edge_homophily_scores
+
+        def counted(predictor, graph):
+            calls.append(graph)
+            return original(predictor, graph)
+
+        monkeypatch.setattr(experiments, "edge_homophily_scores", counted)
+        monkeypatch.setattr(transform, "edge_homophily_scores", counted)
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, list):  # a JSON list in a config file is not a grid
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            grid_args = ["--config", str(cfg)]
+        else:
+            grid_args = [flag, value]
+        out = tmp_path / "never"
+        assert run([
+            name, "--test-graph", str(data / "test.json"),
+            "--classifier", str(ckpt / "classifier.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "homophilic", *grid_args, "--out", str(out),
+        ]) == 2
+        assert flag in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
 
 class TestCliSurface:

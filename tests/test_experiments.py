@@ -249,3 +249,26 @@ class TestSharedScoreTable:
             runner(fixture.classifier, fixture.predictor, fixture.test_graph,
                    fixture.config, SEEDS, grid)
         assert score_calls == []
+
+    @pytest.mark.parametrize("runner, grid, per_seed", [
+        (run_ablation, None, 3),
+        (run_delta_sweep, DELTA_GRID, len(DELTA_GRID)),
+        (run_noise_robustness, NOISE_LEVELS, len(NOISE_LEVELS)),
+        (run_random_drop_comparison, None, 1),
+    ])
+    def test_transform_calls_through_runner_binding(self, fixture, monkeypatch,
+                                                    runner, grid, per_seed):
+        # The benchmark's removal-count check wraps this binding, so every
+        # transformed arm must pass through it, positionally.
+        calls = []
+
+        def counted(*args, **kwargs):
+            assert not kwargs
+            calls.append(args)
+            return graphost_transform(*args)
+
+        monkeypatch.setattr(experiments, "graphost_transform", counted)
+        grids = () if grid is None else (grid,)
+        runner(fixture.classifier, fixture.predictor, fixture.test_graph,
+               fixture.config, SEEDS, *grids)
+        assert len(calls) == per_seed * len(SEEDS)

@@ -194,8 +194,8 @@ class TestHomophilyDegree:
             features=np.arange(300, dtype=float).reshape(-1, 1),
             labels=np.array([0] * 150 + [1] * 150),
         )
-        save_graph(g, tmp_path / "photo_like", format="edgelist")
-        loaded = load_graph(tmp_path / "photo_like", format="edgelist")
+        save_graph(g, tmp_path / "photo_like.json")
+        loaded = load_graph(tmp_path / "photo_like.json")
         assert loaded.num_edges == 10_000
         assert edge_homophily_degree(loaded) == pytest.approx(0.9546)
 
@@ -357,20 +357,6 @@ class TestGraphIO:
         assert np.array_equal(loaded.labels, g.labels)
         assert loaded.num_classes == g.num_classes
 
-    def test_edgelist_round_trip_exact_features(self, tmp_path):
-        rng = np.random.default_rng(8)
-        g = LabeledGraph(
-            num_nodes=5,
-            edges=np.array([[0, 1], [2, 4]]),
-            features=rng.normal(size=(5, 3)),
-            labels=np.array([0, 1, 0, 1, 1]),
-        )
-        save_graph(g, tmp_path / "g", format="edgelist")
-        loaded = load_graph(tmp_path / "g", format="edgelist")
-        assert np.array_equal(loaded.edges, g.edges)
-        assert np.array_equal(loaded.features, g.features)  # repr round-trips
-        assert np.array_equal(loaded.labels, g.labels)
-
     def test_missing_labels_key_loads_unlabeled(self, tmp_path):
         path = tmp_path / "unlabeled.json"
         path.write_text(
@@ -379,24 +365,18 @@ class TestGraphIO:
         g = load_graph(path)
         assert g.labels is None
 
-    def test_edge_index_error_names_line(self, tmp_path):
-        (tmp_path / "bad.features.csv").write_text("1.0\n2.0\n3.0\n")
-        (tmp_path / "bad.edges").write_text("0 1\n# comment\n0 99\n")
-        with pytest.raises(GraphFormatError, match=r"bad\.edges:3") as err:
-            load_graph(tmp_path / "bad", format="edgelist")
-        assert err.value.line == 3
-
-    def test_malformed_feature_row(self, tmp_path):
-        (tmp_path / "bad.features.csv").write_text("1.0,2.0\n3.0\n")
-        (tmp_path / "bad.edges").write_text("0 1\n")
-        with pytest.raises(GraphFormatError, match="expected 2 columns"):
-            load_graph(tmp_path / "bad", format="edgelist")
-
     def test_truncated_json_reports_offset(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"num_nodes": 2, "edges"')
         with pytest.raises(GraphFormatError, match="offset"):
             load_graph(path)
+
+    def test_invalid_json_names_line(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"num_nodes": 2,\n "edges": [[0, 1]],\n "labels": [0 1]}\n')
+        with pytest.raises(GraphFormatError, match=r"broken\.json:3: invalid JSON: .* offset") as err:
+            load_graph(path)
+        assert err.value.line == 3
 
     def test_weighted_round_trip(self, tmp_path):
         wg = WeightedGraph(base=triangle(), edge_weights=np.array([0.25, 0.5, 1.0]))
@@ -405,12 +385,6 @@ class TestGraphIO:
         loaded = load_weighted_graph(path)
         assert np.array_equal(loaded.edge_weights, wg.edge_weights)
         assert np.array_equal(loaded.base.edges, wg.base.edges)
-
-    def test_comments_and_blank_lines_allowed(self, tmp_path):
-        (tmp_path / "c.features.csv").write_text("1.0\n2.0\n")
-        (tmp_path / "c.edges").write_text("# header\n\n0 1  # trailing\n")
-        g = load_graph(tmp_path / "c", format="edgelist")
-        assert g.edges.tolist() == [[0, 1]]
 
     def test_zero_edge_graph_round_trip(self, tmp_path):
         g = LabeledGraph(num_nodes=2, edges=[], labels=np.array([0, 1]))
@@ -432,14 +406,6 @@ class TestGraphIO:
         with pytest.raises(GraphFormatError, match=r"\[0, 1\]") as err:
             load_weighted_graph(path)
         assert err.value.path == str(path)
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
-    def test_non_finite_edgelist_feature_names_line(self, tmp_path, bad):
-        (tmp_path / "bad.features.csv").write_text(f"1.0,2.0\n3.0,{bad}\n")
-        (tmp_path / "bad.edges").write_text("0 1\n")
-        with pytest.raises(GraphFormatError, match=r"bad\.features\.csv:2") as err:
-            load_graph(tmp_path / "bad", format="edgelist")
-        assert err.value.line == 2
 
     @pytest.mark.parametrize("directed, loads", [(True, False), (False, True), (None, True)])
     def test_directed_key(self, tmp_path, directed, loads):

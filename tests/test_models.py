@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,39 @@ class TestPredictorTraining:
         edges, labels, _ = build_edge_training_set(train)
         scores = edge_homophily_scores(ckpt, train)
         assert roc_auc(scores.scores, labels.astype(int)) > 0.95
+
+
+class TestTrainingLog:
+    @pytest.mark.parametrize("trained_as, metric", [
+        ("classifier", "val_accuracy"), ("predictor", "val_roc_auc"),
+    ])
+    @pytest.mark.parametrize("optimizer, stop", [
+        (OptimizerConfig(max_epochs=5, patience=50), "max_epochs"),
+        (OptimizerConfig(learning_rate=0.0, max_epochs=50, patience=3), "patience"),
+    ])
+    def test_epochs_at_debug_one_summary_at_info(self, small_csbm, caplog, trained_as,
+                                                 metric, optimizer, stop):
+        train, val = small_csbm
+        with caplog.at_level(logging.DEBUG, logger="graphost"):
+            if trained_as == "classifier":
+                spec = ArchitectureSpec.default("gcn", 8, 2)
+                ckpt = train_classifier(train, val, spec, optimizer, seed=5)
+            else:
+                spec = ArchitectureSpec.default("gcn", 8, 16, 16)
+                ckpt = train_homophily_predictor(train, val, spec, optimizer, seed=5)
+        meta = ckpt.metadata
+        records = [r for r in caplog.records if r.name == "graphost.models"]
+        epochs = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+        summary = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert len(epochs) == meta["epochs_run"]
+        assert all(f"epoch {i}: loss " in line and metric in line
+                   for i, line in enumerate(epochs, start=1))
+        assert summary == [
+            f"trained {trained_as}: {meta['epochs_run']} epochs, best epoch "
+            f"{meta['best_epoch']}, {metric} {meta[metric]:.6g}, stopped by {stop}"
+        ]
+        assert meta["epochs_run"] == (5 if stop == "max_epochs" else 3)
+        assert "stop" not in meta
 
 
 class TestEdgeScores:
