@@ -2,9 +2,9 @@
 
 Subcommands: generate | train | transform | evaluate | ablate | sweep-delta
 | noise-robustness | random-drop | theory-validate. Flag values override the
---config JSON file, which overrides built-in defaults; the effective config
-is echoed into every report. Verbosity comes from the GRAPHOST_LOG
-environment variable (DEBUG/INFO/WARNING/ERROR).
+--config JSON file, which overrides built-in defaults; each option's parser
+reads all three alike, and the effective config is echoed into every report.
+Verbosity comes from GRAPHOST_LOG (DEBUG/INFO/WARNING/ERROR).
 """
 
 from __future__ import annotations
@@ -68,46 +68,105 @@ class CliError(Exception):
     """Input/config problem; reported as a usage error before any output."""
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a string")
+    return value
+
+
+def _int(value) -> int:
+    """Integer text, or a JSON integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError("expected an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """Number text, or a JSON number (not a bool); finite either way."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("expected a number")
+    number = float(value)
+    if not np.isfinite(number):
+        raise ValueError("must be finite")
+    return number
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+def _ranged(in_range: Callable[[float], bool], shown: str) -> Callable[[object], float]:
+    """_float, also requiring the value to lie in the range `shown`."""
+    def parse(value) -> float:
+        number = _float(value)
+        if not in_range(number):
+            raise ValueError(f"{number:g} lies outside {shown}")
+        return number
+    return parse
+
+
+def _split(item: Callable, sep: str = ",") -> Callable[[object], tuple]:
+    """Text of `sep`-separated pieces, each read by `item`."""
+    return lambda value: tuple(item(piece) for piece in _text(value).split(sep))
+
+
+def _parse_seeds(value) -> tuple[int, ...]:
+    seeds = tuple(int(tok) for tok in str(value).split(",") if tok.strip() != "")
+    if not seeds:
+        raise ValueError("seed list must not be empty")
+    return seeds
+
+
 @dataclass(frozen=True)
 class _Option:
-    """One settable value: built-in default, argparse type and choices, help.
-    A switch is a presence flag that sets True."""
+    """One settable value: built-in default, parser, choices, help. `parse`
+    reads flag text and config JSON values alike, raising ValueError on
+    anything else; a `_switch` option is a presence flag that sets True."""
 
     default: object = None
-    type: Callable | None = None
+    parse: Callable[[object], object] = _text
     choices: tuple[str, ...] | None = None
     help: str | None = None
-    switch: bool = False
+
+    def read(self, value):
+        value = self.parse(value)
+        if self.choices is not None and value not in self.choices:
+            raise ValueError(f"must be one of {self.choices}")
+        return value
 
 
 _NETWORK_KINDS = ("gcn", "mlp")
 
 _OPTIONS: dict[str, _Option] = {
-    # every subcommand
-    "seed": _Option("0", help="seed or comma-separated seed list"),
+    # every subcommand; a seed list is checked but kept as given: reports echo it
+    "seed": _Option("0", lambda v: _parse_seeds(v) and v,
+                    help="seed or comma-separated seed list"),
     "out": _Option(".", help="output directory"),
     "pin_timestamp": _Option(
-        False, switch=True, help="pin report timestamps for byte-reproducible output"
+        False, _switch, help="pin report timestamps for byte-reproducible output"
     ),
     # CSBM parameters
     "params": _Option(help="CsbmParams JSON file"),
-    "p": _Option(type=float, help="intra-class edge probability"),
-    "q": _Option(type=float, help="inter-class edge probability"),
-    "sizes": _Option("300,300", help="comma-separated class sizes"),
-    "dim": _Option(16, int, help="feature dimension"),
-    "means": _Option(help="class means, ';'-separated comma vectors"),
-    "mean_distance": _Option(2.0, float, help="||mu1 - mu2|| for symmetric binary means"),
+    "p": _Option(parse=_float, help="intra-class edge probability"),
+    "q": _Option(parse=_float, help="inter-class edge probability"),
+    "sizes": _Option("300,300", _split(_int), help="comma-separated class sizes"),
+    "dim": _Option(16, _int, help="feature dimension"),
+    "means": _Option(parse=_split(_split(_float), ";"),
+                     help="class means, ';'-separated comma vectors"),
+    "mean_distance": _Option(2.0, _float, help="||mu1 - mu2|| for symmetric binary means"),
     # training
     "train_graph": _Option(help="labeled training graph"),
     "val_graph": _Option(),
     "target": _Option("both", choices=("classifier", "predictor", "both")),
     "kind": _Option("gcn", choices=_NETWORK_KINDS, help="classifier backbone"),
     "predictor_kind": _Option("gcn", choices=_NETWORK_KINDS),
-    "hidden": _Option(32, int),
-    "layers": _Option(2, int),
-    "lr": _Option(1e-2, float),
-    "epochs": _Option(1000, int),
-    "patience": _Option(50, int),
+    "hidden": _Option(32, _int),
+    "layers": _Option(2, _int),
+    "lr": _Option(1e-2, _float),
+    "epochs": _Option(1000, _int),
+    "patience": _Option(50, _int),
     "loss": _Option("wbce", choices=("wbce", "bce"), help="predictor loss"),
     # transformation and evaluation
     "test_graph": _Option(),
@@ -116,46 +175,45 @@ _OPTIONS: dict[str, _Option] = {
     "mode": _Option(
         "auto", choices=MODES, help="edge regime; auto resolves it from --train-graph"
     ),
-    "delta": _Option(0.3, float, help="filtering ratio in [0, 1)"),
-    "no_weight": _Option(False, switch=True, help="disable confidence weighting"),
-    "no_filter": _Option(False, switch=True, help="disable edge filtering"),
+    "delta": _Option(0.3, _float, help="filtering ratio in [0, 1)"),
+    "no_weight": _Option(False, _switch, help="disable confidence weighting"),
+    "no_filter": _Option(False, _switch, help="disable edge filtering"),
     "threshold_semantics": _Option(
-        False, switch=True, help="filter by score threshold instead of top-fraction rank"
+        False, _switch, help="filter by score threshold instead of top-fraction rank"
     ),
     "metric": _Option("accuracy", choices=METRICS),
     "delta_grid": _Option(
-        "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", help="comma-separated filtering ratios"
+        "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+        _split(_ranged(lambda v: 0 <= v < 1, "[0, 1)")),
+        help="comma-separated filtering ratios",
     ),
-    "noise_levels": _Option("0,0.1,0.3,0.5", help="comma-separated noise ratios"),
+    "noise_levels": _Option(
+        "0,0.1,0.3,0.5", _split(_ranged(lambda v: 0 <= v <= 1, "[0, 1]")),
+        help="comma-separated noise ratios",
+    ),
     # theory validation
-    "p2": _Option(type=float, help="transformed intra-class probability"),
-    "q2": _Option(type=float, help="transformed inter-class probability"),
-    "n1": _Option(500, int),
-    "n2": _Option(500, int),
-    "trials": _Option(20, int),
-    "samples": _Option(100_000, int),
-    "lemma_nodes": _Option(2000, int),
-    "midpoint_tol": _Option(0.05),
-    "cosine_tol": _Option(0.999),
-    "separation_tol": _Option(0.05),
+    "p2": _Option(parse=_float, help="transformed intra-class probability"),
+    "q2": _Option(parse=_float, help="transformed inter-class probability"),
+    "n1": _Option(500, _int),
+    "n2": _Option(500, _int),
+    "trials": _Option(20, _int),
+    "samples": _Option(100_000, _int),
+    "lemma_nodes": _Option(2000, _int),
+    "midpoint_tol": _Option(0.05, _float),
+    "cosine_tol": _Option(0.999, _float),
+    "separation_tol": _Option(0.05, _float),
     # "suite" is added beside _THEORY_SUITES, whose keys are its choices.
 }
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _timestamp(pinned: bool) -> str:
     if pinned:
         return PINNED_TIMESTAMP
     return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-
-
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        seeds = tuple(int(tok) for tok in str(text).split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise CliError(f"bad --seed value {text!r}: {exc}") from exc
-    if not seeds:
-        raise CliError("seed list must not be empty")
-    return seeds
 
 
 def _single_seed(options: dict) -> int:
@@ -182,24 +240,31 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    """flags > config file > defaults; unknown config keys and values outside
-    an option's choices are rejected."""
-    merged = _SUBCOMMANDS[args.command].defaults()
+    """flags > config file > defaults, each read by its option's parser; a
+    rejected value is a usage error naming the flag (or config-only key)
+    and the config file it came from. None stays where it is the default."""
+    spec = _SUBCOMMANDS[args.command]
+    defaults = spec.defaults()
+    given = {key: (value, "") for key, value in defaults.items()}
     for key, value in _load_config_file(args.config).items():
-        if key not in merged:
+        if key not in given:
             raise CliError(f"unknown config key {key!r}")
-        merged[key] = value
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-        choices = _OPTIONS[key].choices
-        if choices is not None and merged[key] not in choices:
-            raise CliError(f"{key} must be one of {choices}, got {merged[key]!r}")
+        given[key] = (value, f" in config file {args.config}")
+    merged = {}
+    for key, (value, source) in given.items():
+        if getattr(args, key, None) is not None:
+            value, source = getattr(args, key), ""
+        try:
+            unset = value is None and defaults[key] is None
+            merged[key] = None if unset else _OPTIONS[key].read(value)
+        except (ValueError, OverflowError) as exc:  # float() of a huge JSON integer
+            name = _flag(key) if key in spec.flags + _COMMON else f"config key {key!r}"
+            raise CliError(f"bad {name} value {value!r}{source}: {exc}") from exc
     return merged
 
 
 def _out_dir(options: dict) -> Path:
+    """The output directory, made just before a command's first write."""
     out = Path(options["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -228,46 +293,31 @@ def _save_report(report: ExperimentReport, out: Path, ts: str) -> Path:
 # generate
 # ---------------------------------------------------------------------------
 
+def _require_file(options: dict, key: str, load: Callable[[Path], object]):
+    """`load` of the file option `key` names; unset or missing is a usage error."""
+    if options[key] is None:
+        raise CliError(f"{_flag(key)} is required")
+    path = Path(options[key])
+    if not path.exists():
+        raise CliError(f"{_flag(key)} file not found: {path}")
+    return load(path)
+
+
 def _params_from_options(options: dict) -> CsbmParams:
     if options["params"] is not None:
-        path = Path(options["params"])
-        if not path.exists():
-            raise CliError(f"params file not found: {path}")
         try:
-            return CsbmParams.load(path)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            raise CliError(f"bad params file {path}: {exc}") from exc
-    if options["p"] is None or options["q"] is None:
-        raise CliError("need --params FILE or inline --p and --q")
-    try:
-        sizes = tuple(int(tok) for tok in str(options["sizes"]).split(","))
-    except ValueError as exc:
-        raise CliError(f"bad --sizes value {options['sizes']!r}") from exc
-    if options["means"] is not None:
-        try:
-            means = tuple(
-                tuple(float(x) for x in vec.split(","))
-                for vec in str(options["means"]).split(";")
-            )
+            return _require_file(options, "params", CsbmParams.load)
         except ValueError as exc:
-            raise CliError(f"bad --means value {options['means']!r}") from exc
-        params = CsbmParams(
-            class_means=means,
-            class_sizes=sizes,
-            intra_prob=float(options["p"]),
-            inter_prob=float(options["q"]),
-        )
-    else:
-        if len(sizes) != 2:
-            raise CliError("--mean-distance only builds binary params; pass --means for s > 2")
-        params = symmetric_binary_params(
-            mean_distance=float(options["mean_distance"]),
-            feature_dim=int(options["dim"]),
-            class_sizes=(sizes[0], sizes[1]),
-            intra_prob=float(options["p"]),
-            inter_prob=float(options["q"]),
-        )
-    return params
+            raise CliError(f"bad params file {options['params']}: {exc}") from exc
+    p, q, sizes = options["p"], options["q"], options["sizes"]
+    if p is None or q is None:
+        raise CliError("need --params FILE or inline --p and --q")
+    if options["means"] is not None:
+        return CsbmParams(class_means=options["means"], class_sizes=sizes,
+                          intra_prob=p, inter_prob=q)
+    if len(sizes) != 2:
+        raise CliError("--mean-distance only builds binary params; pass --means for s > 2")
+    return symmetric_binary_params(options["mean_distance"], options["dim"], sizes, p, q)
 
 
 def _hd_or_none(graph: LabeledGraph) -> float | None:
@@ -279,12 +329,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     params = _params_from_options(options)
     seed = _single_seed(options)
-    out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
-    splits = {}
-    for idx, split in enumerate(("train", "val", "test")):
-        graph = generate_csbm_multiclass(params, derive_seed(seed, idx))
-        splits[split] = graph
+    splits = {split: generate_csbm_multiclass(params, derive_seed(seed, idx))
+              for idx, split in enumerate(("train", "val", "test"))}
     manifest = {
         "timestamp": ts,
         "seed": seed,
@@ -293,6 +340,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "files": {},
         "edge_homophily_degree": {},
     }
+    out = _out_dir(options)
     for split, graph in splits.items():
         path = out / f"{split}.json"
         save_graph(graph, path)
@@ -307,54 +355,42 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _require_graph(options: dict, key: str):
-    path = options[key]
-    if path is None:
-        raise CliError(f"--{key.replace('_', '-')} is required")
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"graph file not found: {p}")
-    return load_graph(p)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    train_graph = _require_graph(options, "train_graph")
-    val_graph = _require_graph(options, "val_graph")
+    train_graph = _require_file(options, "train_graph", load_graph)
+    val_graph = _require_file(options, "val_graph", load_graph)
     if train_graph.labels is None:
         raise CliError("training graph must carry labels")
     seed = _single_seed(options)
-    out = _out_dir(options)
+    try:
+        optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
+                                    patience=options["patience"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     ts = _timestamp(options["pin_timestamp"])
-    optimizer = OptimizerConfig(
-        learning_rate=float(options["lr"]),
-        max_epochs=int(options["epochs"]),
-        patience=int(options["patience"]),
-    )
-    hidden, layers = int(options["hidden"]), int(options["layers"])
-    logline: dict = {"timestamp": ts, "seed": seed, "optimizer": optimizer.to_dict()}
-    written: list[str] = []
+    hidden, layers = options["hidden"], options["layers"]
+    checkpoints = {}
     if options["target"] in ("classifier", "both"):
         spec = ArchitectureSpec.default(
             options["kind"], train_graph.feature_dim, train_graph.num_classes,
             hidden, layers,
         )
-        ckpt = train_classifier(train_graph, val_graph, spec, optimizer, seed)
-        save_checkpoint(ckpt, out / "classifier.json")
-        written.append("classifier.json")
-        logline["classifier"] = ckpt.metadata
+        checkpoints["classifier"] = train_classifier(train_graph, val_graph, spec, optimizer, seed)
     if options["target"] in ("predictor", "both"):
         spec = ArchitectureSpec.default(
             options["predictor_kind"], train_graph.feature_dim, hidden, hidden, layers
         )
-        ckpt = train_homophily_predictor(
+        checkpoints["predictor"] = train_homophily_predictor(
             train_graph, val_graph, spec, optimizer, seed, loss=options["loss"]
         )
-        save_checkpoint(ckpt, out / "predictor.json")
-        written.append("predictor.json")
-        logline["predictor"] = ckpt.metadata
+    out = _out_dir(options)
+    logline: dict = {"timestamp": ts, "seed": seed, "optimizer": optimizer.to_dict()}
+    for name, ckpt in checkpoints.items():
+        save_checkpoint(ckpt, out / f"{name}.json")
+        logline[name] = ckpt.metadata
     _write_json(out / "train-log.json", logline)
-    print(f"trained {options['target']} -> {', '.join(written)} under {out}")
+    written = ", ".join(f"{name}.json" for name in checkpoints)
+    print(f"trained {options['target']} -> {written} under {out}")
     return 0
 
 
@@ -366,37 +402,25 @@ def _transform_config(options: dict) -> TransformConfig:
     try:
         config = TransformConfig(
             mode=options["mode"],
-            delta=float(options["delta"]),
+            delta=options["delta"],
             enable_weighting=not options["no_weight"],
             enable_filtering=not options["no_filter"],
-            threshold_semantics=bool(options["threshold_semantics"]),
+            threshold_semantics=options["threshold_semantics"],
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if config.mode == "auto":
         if options["train_graph"] is None:
             raise CliError("--mode auto needs --train-graph to resolve the regime")
-        train_graph = _require_graph(options, "train_graph")
-        config = config.resolved(train_graph)
+        config = config.resolved(_require_file(options, "train_graph", load_graph))
     return config
-
-
-def _require_checkpoint(options: dict, key: str):
-    path = options[key]
-    if path is None:
-        raise CliError(f"--{key.replace('_', '-')} is required")
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"checkpoint file not found: {p}")
-    return load_checkpoint(p)
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    test_graph = _require_graph(options, "test_graph")
-    predictor = _require_checkpoint(options, "predictor")
+    test_graph = _require_file(options, "test_graph", load_graph)
+    predictor = _require_file(options, "predictor", load_checkpoint)
     config = _transform_config(options)
-    out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
     transformed = graphost_transform(test_graph, predictor, config)
     report: dict = {
@@ -413,6 +437,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         delta = None if before is None or after is None else after - before
         report["hd"] = {"before": before, "after": after, "delta": delta}
         summary += f", HD {_format_hd(before)} -> {_format_hd(after)}"
+    out = _out_dir(options)
     save_graph(transformed, out / "transformed.json")
     _write_json(out / "transform-report.json", report)
     print(summary)
@@ -423,6 +448,18 @@ def _format_hd(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.4f}"
 
 
+def _evaluation_inputs(options: dict):
+    """What evaluate and the harness runs share: the labeled test graph,
+    classifier and predictor checkpoints, transform config and seeds."""
+    test_graph = _require_file(options, "test_graph", load_graph)
+    if test_graph.labels is None:
+        raise CliError("evaluation needs a labeled test graph")
+    classifier = _require_file(options, "classifier", load_checkpoint)
+    predictor = _require_file(options, "predictor", load_checkpoint)
+    config = _transform_config(options)
+    return test_graph, classifier, predictor, config, _parse_seeds(options["seed"])
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Evaluate base and transformed test graph once.
 
@@ -431,20 +468,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     names the report, and each arm holds one value.
     """
     options = _merge_options(args)
-    test_graph = _require_graph(options, "test_graph")
-    if test_graph.labels is None:
-        raise CliError("evaluation needs a labeled test graph")
-    classifier = _require_checkpoint(options, "classifier")
-    predictor = _require_checkpoint(options, "predictor")
-    config = _transform_config(options)
-    seeds = _parse_seeds(options["seed"])
+    test_graph, classifier, predictor, config, seeds = _evaluation_inputs(options)
     metric = options["metric"]
-    out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
     base = evaluate_graph(classifier, test_graph, metric)
     transformed = graphost_transform(test_graph, predictor, config)
     after = evaluate_graph(classifier, transformed, metric)
-    json_path, _ = _report_paths(out, "evaluate", ts, seeds)
+    json_path, _ = _report_paths(_out_dir(options), "evaluate", ts, seeds)
     _write_json(json_path, {
         "experiment": "evaluate",
         "timestamp": ts,
@@ -460,53 +490,27 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # experiment harness subcommands
 # ---------------------------------------------------------------------------
 
-# experiment -> (runner, option holding the runner's comma-separated grid)
+# experiment -> (runner, option holding the runner's grid)
 _HARNESS_RUNNERS: dict[str, tuple[Callable[..., ExperimentReport], str | None]] = {
     "ablate": (run_ablation, None),
     "sweep-delta": (run_delta_sweep, "delta_grid"),
     "noise-robustness": (run_noise_robustness, "noise_levels"),
     "random-drop": (run_random_drop_comparison, None),
 }
-# grid option -> (whether a value is in range, the range as printed)
-_GRID_RANGES: dict[str, tuple[Callable[[float], bool], str]] = {
-    "delta_grid": (lambda v: 0.0 <= v < 1.0, "[0, 1)"),
-    "noise_levels": (lambda v: 0.0 <= v <= 1.0, "[0, 1]"),
-}
-
-
-def _parse_grid(options: dict, key: str) -> tuple[float, ...]:
-    """A comma-separated grid option as floats, each within its range."""
-    flag = "--" + key.replace("_", "-")
-    try:
-        grid = tuple(float(tok) for tok in str(options[key]).split(","))
-    except ValueError as exc:
-        raise CliError(f"bad {flag} value {options[key]!r}: {exc}") from exc
-    in_range, shown = _GRID_RANGES[key]
-    for value in grid:
-        if not in_range(value):
-            raise CliError(f"{flag}: {value:g} lies outside {shown}")
-    return grid
 
 
 def cmd_harness(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    test_graph = _require_graph(options, "test_graph")
-    if test_graph.labels is None:
-        raise CliError("harness experiments need a labeled test graph")
-    classifier = _require_checkpoint(options, "classifier")
-    predictor = _require_checkpoint(options, "predictor")
-    config = _transform_config(options)
-    seeds = _parse_seeds(options["seed"])
-    metric = options["metric"]
+    test_graph, classifier, predictor, config, seeds = _evaluation_inputs(options)
     runner, grid_key = _HARNESS_RUNNERS[args.command]
-    grid = () if grid_key is None else (_parse_grid(options, grid_key),)
-    out = _out_dir(options)
+    grid = () if grid_key is None else (options[grid_key],)
     ts = _timestamp(options["pin_timestamp"])
     try:
-        report = runner(classifier, predictor, test_graph, config, seeds, *grid, metric)
+        report = runner(classifier, predictor, test_graph, config, seeds, *grid,
+                        options["metric"])
     except RepeatedArmError as exc:
-        raise CliError(f"--{grid_key.replace('_', '-')}: {exc}") from exc
-    _save_report(report, out, ts)
+        raise CliError(f"{_flag(grid_key)}: {exc}") from exc
+    _save_report(report, _out_dir(options), ts)
     for arm in report.arm_values:
         print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
     return 0
@@ -527,64 +531,63 @@ def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: 
     )
 
 
-def _lemma_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    nodes = int(o["lemma_nodes"])
-    lc = lemma_check(_axis_params(o["mean_distance"], o["dim"], nodes, nodes, o["p"], o["q"]), seed)
+def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    nodes, a, dim = options["lemma_nodes"], options["mean_distance"], options["dim"]
+    lc = lemma_check(_axis_params(a, dim, nodes, nodes, options["p"], options["q"]), seed)
     midpoint, cosine = lc["midpoint_error"], abs(lc["direction_cosine"])
+    midpoint_tol, cosine_tol = options["midpoint_tol"], options["cosine_tol"]
     return [
-        ("lemma-midpoint", midpoint <= float(o["midpoint_tol"]),
-         f"midpoint error {midpoint:.5f} (tol {o['midpoint_tol']})"),
-        ("lemma-direction", cosine >= float(o["cosine_tol"]),
-         f"|cosine| {cosine:.6f} (tol {o['cosine_tol']})"),
+        ("lemma-midpoint", midpoint <= midpoint_tol,
+         f"midpoint error {midpoint:.5f} (tol {midpoint_tol})"),
+        ("lemma-direction", cosine >= cosine_tol,
+         f"|cosine| {cosine:.6f} (tol {cosine_tol})"),
     ]
 
 
-def _separation_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    nodes = int(o["lemma_nodes"])
-    sc = separation_check(
-        _axis_params(o["mean_distance"], o["dim"], nodes, nodes, o["p"], o["q"]), seed
-    )
+def _separation_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    nodes, a, dim = options["lemma_nodes"], options["mean_distance"], options["dim"]
+    sc = separation_check(_axis_params(a, dim, nodes, nodes, options["p"], options["q"]), seed)
     detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
               f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
-    return [("separation-closed-form", sc["relative_error"] <= float(o["separation_tol"]), detail)]
+    return [("separation-closed-form", sc["relative_error"] <= options["separation_tol"], detail)]
 
 
-def _phi_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    r = phi_vs_simulation(o["p"], o["q"], o["n1"], o["n2"], o["mean_distance"], o["samples"], seed)
+def _phi_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    r = phi_vs_simulation(options["p"], options["q"], options["n1"], options["n2"],
+                          options["mean_distance"], options["samples"], seed)
     detail = (f"closed form {r['closed_form']:.6f} vs simulated {r['simulated']:.6f} "
               f"(3se {3 * r['std_error']:.6f})")
     return [("phi-vs-simulation", r["within_3_std_errors"], detail)]
 
 
-def _theorem_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+def _theorem_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
     """Also leaves the Monte Carlo report in found["theorem"]."""
-    a, dim, n1, n2 = o["mean_distance"], o["dim"], o["n1"], o["n2"]
-    params = _axis_params(a, dim, n1, n2, o["p"], o["q"])
-    params2 = _axis_params(a, dim, n1, n2, float(o["p2"]), float(o["q2"]))
+    a, dim, n1, n2 = options["mean_distance"], options["dim"], options["n1"], options["n2"]
+    params = _axis_params(a, dim, n1, n2, options["p"], options["q"])
+    params2 = _axis_params(a, dim, n1, n2, options["p2"], options["q2"])
     report = found["theorem"] = monte_carlo_theorem_check(
-        params, params2, trials=o["trials"], seed=seed
+        params, params2, trials=options["trials"], seed=seed
     )
-    need = int(np.ceil(0.9 * o["trials"]))
-    detail = (f"{report.improved_trials}/{o['trials']} trials improved, mean "
+    need = int(np.ceil(0.9 * options["trials"]))
+    detail = (f"{report.improved_trials}/{options['trials']} trials improved, mean "
               f"difference {report.mean_difference:+.5f} "
               f"(constraint {'holds' if report.constraint_satisfied else 'violated'})")
     passed = report.improved_trials >= need and report.mean_difference > 0
     return [("theorem-improvement", passed, detail)]
 
 
-def _constraint_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    p, q, p2, q2, n1, n2 = o["p"], o["q"], float(o["p2"]), float(o["q2"]), o["n1"], o["n2"]
+def _constraint_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    p, q, p2, q2 = options["p"], options["q"], options["p2"], options["q2"]
+    n1, n2, a = options["n1"], options["n2"], options["mean_distance"]
     regime = "homophilic" if p > q else "heterophilic"
     holds = degree_relaxation_constraint(p, q, p2, q2, n1, n2, regime)
-    diff = misclassification_prob(p, q, n1, n2, o["mean_distance"]) - misclassification_prob(
-        p2, q2, n1, n2, o["mean_distance"]
-    )
+    diff = misclassification_prob(p, q, n1, n2, a) - misclassification_prob(p2, q2, n1, n2, a)
     detail = f"constraint {holds}, closed-form error change {diff:+.6f}"
     return [("constraint-vs-phi", holds == (diff > 0), detail)]
 
 
-def _multiclass_checks(o: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    p, q, a = o["p"], o["q"], o["mean_distance"]
+def _multiclass_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
+    p, q, a = options["p"], options["q"], options["mean_distance"]
     grid_ok = True
     worst = 0.0
     rng = np.random.default_rng(seed)
@@ -623,9 +626,6 @@ _OPTIONS["suite"] = _Option("all", choices=("all", *_THEORY_SUITES))
 def cmd_theory_validate(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     suites = list(_THEORY_SUITES) if options["suite"] == "all" else [options["suite"]]
-    # Typed values for the checks; the report echoes the options as given.
-    o = options | {k: float(options[k]) for k in ("p", "q", "mean_distance")}
-    o |= {k: int(options[k]) for k in ("n1", "n2", "dim", "trials", "samples")}
     seed = _single_seed(options)
     have_transform = options["p2"] is not None and options["q2"] is not None
     if any(s in suites for s in _NEEDS_TRANSFORM) and not have_transform:
@@ -633,13 +633,12 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
             suites = [s for s in suites if s not in _NEEDS_TRANSFORM]
         else:
             raise CliError("--p2 and --q2 are required for the theorem/constraint suites")
-    out = _out_dir(options)
     ts = _timestamp(options["pin_timestamp"])
 
     checks: list[dict] = []
     found: dict = {}
     for suite in suites:
-        for name, passed, detail in _THEORY_SUITES[suite](o, seed, found):
+        for name, passed, detail in _THEORY_SUITES[suite](options, seed, found):
             checks.append({"name": name, "passed": bool(passed), "detail": detail})
             print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
@@ -649,6 +648,7 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
         "options": {k: options[k] for k in sorted(options) if k not in ("out",)},
         "checks": checks,
     }
+    out = _out_dir(options)
     if "theorem" in found:
         doc["theorem_report"] = found["theorem"].to_dict()
         csv_rows = found["theorem"].to_csv_rows()
@@ -738,12 +738,11 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
 
 
 def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
+    # No type=: flag text goes through opt.parse in _merge_options, as config values do.
     opt = _OPTIONS[name]
-    flag = "--" + name.replace("_", "-")
-    if opt.switch:
-        parser.add_argument(flag, dest=name, action="store_const", const=True, help=opt.help)
-    else:
-        parser.add_argument(flag, dest=name, type=opt.type, choices=opt.choices, help=opt.help)
+    kind = (dict(action="store_const", const=True) if opt.parse is _switch
+            else dict(choices=opt.choices))
+    parser.add_argument(_flag(name), dest=name, help=opt.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,7 @@ layout; it changes whenever a seed would draw a different graph.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,12 @@ _MASK64 = (1 << 64) - 1
 _STREAM_FEATURE = 1 << 62
 _STREAM_EDGES = 2 << 62
 _STREAM_NOISE = 3 << 62
+
+
+def _is_number(value) -> bool:
+    """A JSON number a finite float can hold; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -95,9 +102,27 @@ class CsbmParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CsbmParams":
+        """Params from their JSON form; a field of the wrong JSON type raises
+        ValueError naming it, so nothing is silently cast."""
+        if not isinstance(doc, dict):
+            raise ValueError("params must be a JSON object")
+        for key in ("class_means", "class_sizes", "intra_prob", "inter_prob"):
+            if key not in doc:
+                raise ValueError(f"missing field {key!r}")
+        means, sizes = doc["class_means"], doc["class_sizes"]
+        if not (isinstance(means, list) and all(isinstance(m, list) for m in means)
+                and len({len(m) for m in means}) <= 1
+                and all(_is_number(x) for m in means for x in m)):
+            raise ValueError('"class_means" must be a list of equal-length lists of numbers')
+        if not (isinstance(sizes, list)
+                and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes)):
+            raise ValueError('"class_sizes" must be a list of integers')
+        for key in ("intra_prob", "inter_prob"):
+            if not _is_number(doc[key]):
+                raise ValueError(f'"{key}" must be a number')
         return cls(
-            class_means=tuple(tuple(m) for m in doc["class_means"]),
-            class_sizes=tuple(doc["class_sizes"]),
+            class_means=tuple(tuple(m) for m in means),
+            class_sizes=tuple(sizes),
             intra_prob=float(doc["intra_prob"]),
             inter_prob=float(doc["inter_prob"]),
         )

@@ -244,6 +244,13 @@ def _sample_non_edges(
     return np.stack([chosen // n, chosen % n], axis=1)
 
 
+def _keep_mask(num_edges: int, drop: int, rng: np.random.Generator) -> np.ndarray:
+    """True for each edge kept after dropping `drop` uniformly at random."""
+    keep = np.ones(num_edges, dtype=bool)
+    keep[rng.choice(num_edges, size=drop, replace=False)] = False
+    return keep
+
+
 def inject_structural_noise(
     graph: LabeledGraph, noise_ratio: float, seed: int
 ) -> LabeledGraph:
@@ -258,9 +265,7 @@ def inject_structural_noise(
     if k == 0:
         return graph
     rng = np.random.default_rng(seed)
-    removed_idx = rng.choice(graph.num_edges, size=k, replace=False)
-    keep = np.ones(graph.num_edges, dtype=bool)
-    keep[removed_idx] = False
+    keep = _keep_mask(graph.num_edges, k, rng)
     added = _sample_non_edges(graph, k, rng)
     new_edges = np.concatenate([graph.edges[keep], added], axis=0)
     return graph.with_edges(new_edges)
@@ -276,10 +281,7 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
         )
     if drop_count == 0:
         return graph
-    rng = np.random.default_rng(seed)
-    removed_idx = rng.choice(graph.num_edges, size=drop_count, replace=False)
-    keep = np.ones(graph.num_edges, dtype=bool)
-    keep[removed_idx] = False
+    keep = _keep_mask(graph.num_edges, drop_count, np.random.default_rng(seed))
     return graph.with_edges(graph.edges[keep])
 
 

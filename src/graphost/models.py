@@ -134,6 +134,15 @@ class OptimizerConfig:
     max_epochs: int = 1000
     patience: int = 50
 
+    def __post_init__(self):
+        # A learning rate of 0 is legal: it keeps the initial parameters.
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be at least 1, got {self.patience}")
+
     def to_dict(self) -> dict:
         return {
             "learning_rate": self.learning_rate,

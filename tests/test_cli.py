@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import graphost.cli as cli
 import graphost.experiments as experiments
 import graphost.transform as transform
 from graphost.cli import main
@@ -418,11 +419,11 @@ class TestUsageErrors:
             name, "--test-graph", str(data / "test.json"),
             "--classifier", str(ckpt / "classifier.json"),
             "--predictor", str(ckpt / "predictor.json"),
-            "--mode", "homophilic", flag, grid, "--out", str(tmp_path),
+            "--mode", "homophilic", flag, grid, "--out", str(tmp_path / "rep"),
         ]) == 2
         err = capsys.readouterr().err
         assert flag in err and repr(arm) in err
-        assert not list(tmp_path.glob("*.json"))
+        assert not (tmp_path / "rep").exists()
 
 
     @pytest.mark.parametrize("name, key, value", [
@@ -463,6 +464,137 @@ class TestUsageErrors:
         ]) == 2
         assert flag in capsys.readouterr().err
         assert calls == []
+        assert not out.exists()
+
+
+    def test_bad_params_field_is_usage_error_naming_it(self, tmp_path, capsys):
+        good = {"class_means": [[1.0, 0.0], [-1.0, 0.0]], "class_sizes": [30, 30],
+                "intra_prob": 0.2, "inter_prob": 0.05}
+        for field, value in [("class_means", 5), ("class_sizes", [3.7, 3]),
+                             ("intra_prob", "0.1")]:
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(good | {field: value}))
+            out = tmp_path / "never"
+            assert run(["generate", "--params", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"bad params file {path}" in err and field in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "0"), ("--patience", "0"), ("--lr", "-1"), ("--lr", "inf"),
+    ])
+    def test_bad_optimizer_value_is_usage_error(self, workspace, tmp_path, capsys,
+                                                flag, value):
+        data = workspace / "data"
+        out = tmp_path / "never"
+        assert run([
+            "train", "--train-graph", str(data / "train.json"),
+            "--val-graph", str(data / "val.json"), f"{flag}={value}", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+        assert not out.exists()
+
+
+INT_OPTIONS = {"dim", "hidden", "layers", "epochs", "patience", "n1", "n2", "trials",
+               "samples", "lemma_nodes"}
+FLOAT_OPTIONS = {"p", "q", "p2", "q2", "mean_distance", "lr", "delta", "midpoint_tol",
+                 "cosine_tol", "separation_tol"}
+SWITCH_OPTIONS = {"pin_timestamp", "no_weight", "no_filter", "threshold_semantics"}
+PATH_OPTIONS = {"out", "params", "train_graph", "val_graph", "test_graph", "classifier",
+                "predictor"}
+# option -> (flag text or None for a switch, config JSON value, merged value)
+OPTION_SAMPLES = {
+    **{k: ("7", 7, 7) for k in INT_OPTIONS},
+    **{k: ("0.25", 0.25, 0.25) for k in FLOAT_OPTIONS},
+    **{k: (None, True, True) for k in SWITCH_OPTIONS},
+    **{k: ("x.json", "x.json", "x.json") for k in PATH_OPTIONS},
+    "seed": ("2,3", "2,3", "2,3"),
+    "target": ("classifier", "classifier", "classifier"),
+    "kind": ("mlp", "mlp", "mlp"),
+    "predictor_kind": ("mlp", "mlp", "mlp"),
+    "loss": ("bce", "bce", "bce"),
+    "mode": ("heterophilic", "heterophilic", "heterophilic"),
+    "metric": ("f1_macro", "f1_macro", "f1_macro"),
+    "suite": ("phi", "phi", "phi"),
+    "sizes": ("20,30", "20,30", (20, 30)),
+    "means": ("1,0;0,1", "1,0;0,1", ((1.0, 0.0), (0.0, 1.0))),
+    "delta_grid": ("0.1,0.5", "0.1,0.5", (0.1, 0.5)),
+    "noise_levels": ("0.5,1", "0.5,1", (0.5, 1.0)),
+}
+# option kinds and config values their parser must reject
+BAD_CONFIG_VALUES = [
+    (INT_OPTIONS, [3.9, True, "ten", None]),
+    (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
+    (SWITCH_OPTIONS, [1, "true"]),
+    (PATH_OPTIONS, [5, ["a"]]),
+]
+
+
+
+def merged(argv):
+    return cli._merge_options(cli.build_parser().parse_args(argv))
+
+
+class TestOptionParsing:
+    """Every option goes through its parser once: flag text and config JSON
+    values merge alike, and a mistyped config value is a usage error naming
+    the flag (or config-only key) and the config file, before any output."""
+
+    SAMPLES = OPTION_SAMPLES
+
+    def test_samples_cover_every_option(self):
+        assert set(self.SAMPLES) == set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, spec in cli._SUBCOMMANDS.items()
+        for key in spec.flags + cli._COMMON
+    ])
+    def test_flag_and_config_value_merge_alike(self, tmp_path, name, key):
+        text, value, expected = self.SAMPLES[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        flag = ["--" + key.replace("_", "-")] + ([] if text is None else [text])
+        by_flag = merged([name, *flag])
+        assert by_flag == merged([name, "--config", str(cfg)])
+        assert by_flag[key] == expected and type(by_flag[key]) is type(expected)
+
+    def test_json_integer_seed_kept_as_given(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 3}')
+        assert merged(["theory-validate", "--config", str(cfg)])["seed"] == 3
+
+    @pytest.mark.parametrize("name, key, value", [
+        (name, key, value) for name, spec in cli._SUBCOMMANDS.items()
+        for key in spec.defaults() for keys, values in BAD_CONFIG_VALUES if key in keys
+        for value in values
+    ])
+    def test_mistyped_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                  name, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        out = [] if key == "out" else ["--out", "never"]
+        assert run([name, "--config", str(cfg), *out]) == 2
+        err = capsys.readouterr().err
+        spec = cli._SUBCOMMANDS[name]
+        shown = ("--" + key.replace("_", "-") if key in spec.flags + cli._COMMON
+                 else repr(key))
+        assert shown in err and str(cfg) in err and "Traceback" not in err
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("name, flag, text", [
+        ("train", "--epochs", "abc"), ("train", "--epochs", "3.9"),
+        ("theory-validate", "--trials", "ten"), ("theory-validate", "--p", "nan"),
+        ("evaluate", "--delta", "inf"), ("generate", "--sizes", "20,x"),
+        ("generate", "--means", "1,0;0,y"), ("generate", "--seed", "zero"),
+    ])
+    def test_bad_flag_text_is_usage_error(self, tmp_path, capsys, name, flag, text):
+        out = tmp_path / "never"
+        assert run([name, flag, text, "--out", str(out)]) == 2
+        assert f"bad {flag} value {text!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -38,6 +38,27 @@ class TestParams:
         assert CsbmParams.load(path) == params
         assert CsbmParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
 
+    @pytest.mark.parametrize("field, value", [
+        ("class_means", 5),
+        ("class_means", [[1.0, 0.0], [-1.0]]),
+        ("class_means", [[1.0, "0"], [-1.0, 0.0]]),
+        ("class_means", [[1.0, True], [-1.0, 0.0]]),
+        ("class_means", [[1.0, float("nan")], [-1.0, 0.0]]),
+        ("class_sizes", [3.7, 3]),
+        ("class_sizes", [True, 3]),
+        ("class_sizes", "3,3"),
+        ("intra_prob", "0.1"),
+        ("inter_prob", None),
+    ])
+    def test_from_dict_rejects_mistyped_field_by_name(self, field, value):
+        doc = {"class_means": [[1.0, 0.0], [-1.0, 0.0]], "class_sizes": [3, 3],
+               "intra_prob": 0.2, "inter_prob": 0.05}
+        with pytest.raises(ValueError, match=field):
+            CsbmParams.from_dict(doc | {field: value})
+        doc.pop(field)
+        with pytest.raises(ValueError, match=field):
+            CsbmParams.from_dict(doc)
+
     def test_symmetric_means_distance(self):
         params = symmetric_binary_params(2.0, 16, (10, 10), 0.5, 0.1)
         mu = np.asarray(params.class_means)

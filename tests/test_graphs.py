@@ -245,6 +245,20 @@ class TestStructuralNoise:
         removed = int(np.floor(0.5 * g.num_edges))
         assert noisy.num_edges == g.num_edges - removed + 3
 
+    def test_drop_draw_is_one_choice_without_replacement(self, rng):
+        # both the noise injection and the random drop remove the edges of
+        # rng.choice(E, k, replace=False), drawn first from default_rng(seed)
+        edges = [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.25]
+        g = LabeledGraph(num_nodes=30, edges=np.array(edges))
+        k = int(np.floor(0.25 * g.num_edges))
+        removed = np.random.default_rng(11).choice(g.num_edges, size=k, replace=False)
+        kept = np.delete(g.edges, removed, axis=0)
+        assert np.array_equal(random_edge_drop(g, k, seed=11).edges, kept)
+        assert kept.tolist() == [
+            e for e in inject_structural_noise(g, 0.5, seed=11).edges.tolist()
+            if tuple(e) in g.edge_pairs()
+        ]
+
     def test_invalid_ratio(self):
         with pytest.raises(ValueError, match="noise_ratio"):
             inject_structural_noise(triangle(), 1.5, seed=0)

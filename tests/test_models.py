@@ -66,6 +66,22 @@ class TestArchitectureSpec:
         assert params["W1"].shape == (8, 2)
 
 
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("fields, name", [
+        ({"max_epochs": 0}, "max_epochs"),
+        ({"patience": 0}, "patience"),
+        ({"learning_rate": -1.0}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"learning_rate": float("inf")}, "learning_rate"),
+    ])
+    def test_out_of_range_field_raises(self, fields, name):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**fields)
+
+    def test_zero_learning_rate_is_legal(self):
+        assert OptimizerConfig(learning_rate=0.0, max_epochs=1, patience=1).learning_rate == 0.0
+
+
 class TestClassifierTraining:
     def test_separable_csbm_high_accuracy(self, small_csbm, trained_classifier):
         train, _ = small_csbm
