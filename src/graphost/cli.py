@@ -10,7 +10,6 @@ Verbosity comes from GRAPHOST_LOG (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -37,8 +36,10 @@ from .experiments import (
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
+    write_csv,
 )
 from .graphs import LabeledGraph, edge_homophily_degree, load_graph, save_graph
+from .jsonfile import FileFormatError, read_json, write_json
 from .models import (
     ArchitectureSpec,
     OptimizerConfig,
@@ -58,8 +59,6 @@ from .theory import (
     separation_check,
 )
 from .transform import MODES, TransformConfig, graphost_transform
-
-log = logging.getLogger("graphost")
 
 PINNED_TIMESTAMP = "pinned"
 
@@ -97,10 +96,11 @@ def _switch(value) -> bool:
     return value
 
 
-def _ranged(in_range: Callable[[float], bool], shown: str) -> Callable[[object], float]:
-    """_float, also requiring the value to lie in the range `shown`."""
+def _ranged(in_range: Callable[[float], bool], shown: str,
+            read: Callable[[object], float] = _float) -> Callable[[object], float]:
+    """`read` (_float or _int), also requiring the value to lie in the range `shown`."""
     def parse(value) -> float:
-        number = _float(value)
+        number = read(value)
         if not in_range(number):
             raise ValueError(f"{number:g} lies outside {shown}")
         return number
@@ -138,6 +138,7 @@ class _Option:
 
 
 _NETWORK_KINDS = ("gcn", "mlp")
+_COUNT = _ranged(lambda v: v >= 1, "[1, inf)", _int)
 
 _OPTIONS: dict[str, _Option] = {
     # every subcommand; a seed list is checked but kept as given: reports echo it
@@ -151,8 +152,8 @@ _OPTIONS: dict[str, _Option] = {
     "params": _Option(help="CsbmParams JSON file"),
     "p": _Option(parse=_float, help="intra-class edge probability"),
     "q": _Option(parse=_float, help="inter-class edge probability"),
-    "sizes": _Option("300,300", _split(_int), help="comma-separated class sizes"),
-    "dim": _Option(16, _int, help="feature dimension"),
+    "sizes": _Option("300,300", _split(_COUNT), help="comma-separated class sizes"),
+    "dim": _Option(16, _COUNT, help="feature dimension"),
     "means": _Option(parse=_split(_split(_float), ";"),
                      help="class means, ';'-separated comma vectors"),
     "mean_distance": _Option(2.0, _float, help="||mu1 - mu2|| for symmetric binary means"),
@@ -194,11 +195,11 @@ _OPTIONS: dict[str, _Option] = {
     # theory validation
     "p2": _Option(parse=_float, help="transformed intra-class probability"),
     "q2": _Option(parse=_float, help="transformed inter-class probability"),
-    "n1": _Option(500, _int),
-    "n2": _Option(500, _int),
-    "trials": _Option(20, _int),
-    "samples": _Option(100_000, _int),
-    "lemma_nodes": _Option(2000, _int),
+    "n1": _Option(500, _COUNT),
+    "n2": _Option(500, _COUNT),
+    "trials": _Option(20, _COUNT),
+    "samples": _Option(100_000, _COUNT),
+    "lemma_nodes": _Option(2000, _COUNT),
     "midpoint_tol": _Option(0.05, _float),
     "cosine_tol": _Option(0.999, _float),
     "separation_tol": _Option(0.05, _float),
@@ -227,16 +228,12 @@ def _single_seed(options: dict) -> int:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise CliError(f"config file not found: {path}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError(f"config file {path} must hold a JSON object")
-    return doc
+        return read_json(path).raw
+    except FileFormatError as exc:
+        raise CliError(f"bad config file {exc}") from exc
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -270,23 +267,10 @@ def _out_dir(options: dict) -> Path:
     return out
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True))
-    log.info("wrote %s", path)
-
-
 def _report_paths(out: Path, experiment: str, ts: str, seeds: tuple[int, ...]) -> tuple[Path, Path]:
     seed_str = "-".join(str(s) for s in seeds)
     stem = f"{experiment}-{ts}-{seed_str}"
     return out / f"{stem}.json", out / f"{stem}.csv"
-
-
-def _save_report(report: ExperimentReport, out: Path, ts: str) -> Path:
-    report = replace(report, timestamp=ts)
-    json_path, csv_path = _report_paths(out, report.experiment, ts, report.seeds)
-    report.save(json_path, csv_path)
-    log.info("wrote %s and %s", json_path, csv_path)
-    return json_path
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +291,8 @@ def _params_from_options(options: dict) -> CsbmParams:
     if options["params"] is not None:
         try:
             return _require_file(options, "params", CsbmParams.load)
-        except ValueError as exc:
-            raise CliError(f"bad params file {options['params']}: {exc}") from exc
+        except FileFormatError as exc:
+            raise CliError(f"bad params file {exc}") from exc
     p, q, sizes = options["p"], options["q"], options["sizes"]
     if p is None or q is None:
         raise CliError("need --params FILE or inline --p and --q")
@@ -346,7 +330,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         save_graph(graph, path)
         manifest["files"][split] = path.name
         manifest["edge_homophily_degree"][split] = _hd_or_none(graph)
-    _write_json(out / "generate-manifest.json", manifest)
+    write_json(out / "generate-manifest.json", manifest)
     print(f"generated train/val/test under {out} (seed {seed})")
     return 0
 
@@ -388,7 +372,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     for name, ckpt in checkpoints.items():
         save_checkpoint(ckpt, out / f"{name}.json")
         logline[name] = ckpt.metadata
-    _write_json(out / "train-log.json", logline)
+    write_json(out / "train-log.json", logline)
     written = ", ".join(f"{name}.json" for name in checkpoints)
     print(f"trained {options['target']} -> {written} under {out}")
     return 0
@@ -439,7 +423,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
         summary += f", HD {_format_hd(before)} -> {_format_hd(after)}"
     out = _out_dir(options)
     save_graph(transformed, out / "transformed.json")
-    _write_json(out / "transform-report.json", report)
+    write_json(out / "transform-report.json", report)
     print(summary)
     return 0
 
@@ -475,7 +459,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     transformed = graphost_transform(test_graph, predictor, config)
     after = evaluate_graph(classifier, transformed, metric)
     json_path, _ = _report_paths(_out_dir(options), "evaluate", ts, seeds)
-    _write_json(json_path, {
+    write_json(json_path, {
         "experiment": "evaluate",
         "timestamp": ts,
         "seeds": list(seeds),
@@ -510,7 +494,8 @@ def cmd_harness(args: argparse.Namespace) -> int:
                         options["metric"])
     except RepeatedArmError as exc:
         raise CliError(f"{_flag(grid_key)}: {exc}") from exc
-    _save_report(report, _out_dir(options), ts)
+    paths = _report_paths(_out_dir(options), report.experiment, ts, report.seeds)
+    replace(report, timestamp=ts).save(*paths)
     for arm in report.arm_values:
         print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
     return 0
@@ -531,9 +516,15 @@ def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: 
     )
 
 
+def _lemma_params(options: dict) -> CsbmParams:
+    """The lemma and separation suites' graph: lemma_nodes nodes per class."""
+    nodes = options["lemma_nodes"]
+    return _axis_params(options["mean_distance"], options["dim"], nodes, nodes,
+                        options["p"], options["q"])
+
+
 def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    nodes, a, dim = options["lemma_nodes"], options["mean_distance"], options["dim"]
-    lc = lemma_check(_axis_params(a, dim, nodes, nodes, options["p"], options["q"]), seed)
+    lc = lemma_check(_lemma_params(options), seed)
     midpoint, cosine = lc["midpoint_error"], abs(lc["direction_cosine"])
     midpoint_tol, cosine_tol = options["midpoint_tol"], options["cosine_tol"]
     return [
@@ -545,8 +536,7 @@ def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool
 
 
 def _separation_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    nodes, a, dim = options["lemma_nodes"], options["mean_distance"], options["dim"]
-    sc = separation_check(_axis_params(a, dim, nodes, nodes, options["p"], options["q"]), seed)
+    sc = separation_check(_lemma_params(options), seed)
     detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
               f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
     return [("separation-closed-form", sc["relative_error"] <= options["separation_tol"], detail)]
@@ -651,10 +641,8 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
     out = _out_dir(options)
     if "theorem" in found:
         doc["theorem_report"] = found["theorem"].to_dict()
-        csv_rows = found["theorem"].to_csv_rows()
-        csv_path = out / f"theory-theorem-{ts}-{seed}.csv"
-        csv_path.write_text("\n".join(",".join(str(c) for c in row) for row in csv_rows) + "\n")
-    _write_json(out / f"theory-report-{ts}-{seed}.json", doc)
+        write_csv(out / f"theory-theorem-{ts}-{seed}.csv", found["theorem"].to_csv_rows())
+    write_json(out / f"theory-report-{ts}-{seed}.json", doc)
     failed = [c for c in checks if not c["passed"]]
     print(f"{len(checks) - len(failed)}/{len(checks)} theory checks passed")
     return 1 if failed else 0

@@ -18,14 +18,13 @@ layout; it changes whenever a seed would draw a different graph.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .graphs import LabeledGraph
+from .jsonfile import JsonObject, read_json, write_json
 
 __all__ = [
     "SAMPLER_VERSION",
@@ -42,12 +41,6 @@ _MASK64 = (1 << 64) - 1
 _STREAM_FEATURE = 1 << 62
 _STREAM_EDGES = 2 << 62
 _STREAM_NOISE = 3 << 62
-
-
-def _is_number(value) -> bool:
-    """A JSON number a finite float can hold; bools are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -71,6 +64,8 @@ class CsbmParams:
         dims = {len(m) for m in self.class_means}
         if len(dims) != 1:
             raise ValueError("all class means must share one dimension")
+        if not np.isfinite(self.class_means).all():
+            raise ValueError("class_means must be finite")
         for a in range(s):
             for b in range(a + 1, s):
                 if self.class_means[a] == self.class_means[b]:
@@ -101,38 +96,27 @@ class CsbmParams:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "CsbmParams":
-        """Params from their JSON form; a field of the wrong JSON type raises
-        ValueError naming it, so nothing is silently cast."""
-        if not isinstance(doc, dict):
-            raise ValueError("params must be a JSON object")
-        for key in ("class_means", "class_sizes", "intra_prob", "inter_prob"):
-            if key not in doc:
-                raise ValueError(f"missing field {key!r}")
-        means, sizes = doc["class_means"], doc["class_sizes"]
-        if not (isinstance(means, list) and all(isinstance(m, list) for m in means)
-                and len({len(m) for m in means}) <= 1
-                and all(_is_number(x) for m in means for x in m)):
-            raise ValueError('"class_means" must be a list of equal-length lists of numbers')
-        if not (isinstance(sizes, list)
-                and all(isinstance(n, int) and not isinstance(n, bool) for n in sizes)):
-            raise ValueError('"class_sizes" must be a list of integers')
-        for key in ("intra_prob", "inter_prob"):
-            if not _is_number(doc[key]):
-                raise ValueError(f'"{key}" must be a number')
-        return cls(
-            class_means=tuple(tuple(m) for m in means),
-            class_sizes=tuple(sizes),
-            intra_prob=float(doc["intra_prob"]),
-            inter_prob=float(doc["inter_prob"]),
+    def from_dict(cls, doc: dict | JsonObject) -> "CsbmParams":
+        """Params from their JSON form (a dict, or a file's JsonObject); each
+        field is read by its JSON type, so nothing is silently cast."""
+        doc = doc if isinstance(doc, JsonObject) else JsonObject(doc)
+        means = doc.array("class_means", (None, None), "number",
+                          "a list of equal-length lists of numbers")
+        return doc.build(
+            cls,
+            class_means=tuple(map(tuple, means.tolist())),
+            class_sizes=tuple(doc.array("class_sizes", (None,), "integer",
+                                        "a list of integers").tolist()),
+            intra_prob=doc.number("intra_prob"),
+            inter_prob=doc.number("inter_prob"),
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True))
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "CsbmParams":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_json(path))
 
 
 def symmetric_binary_params(

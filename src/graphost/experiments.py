@@ -11,7 +11,6 @@ seed -> graph, which lets each seed evaluate a fresh test sample.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
@@ -19,6 +18,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .graphs import LabeledGraph, WeightedGraph, inject_structural_noise, random_edge_drop
+from .jsonfile import write_json
 from .metrics import accuracy, f1_macro, hd_delta_report
 from .models import Checkpoint, edge_homophily_scores, predict_labels
 from .transform import TransformConfig, graphost_transform
@@ -33,6 +33,7 @@ __all__ = [
     "run_noise_robustness",
     "run_delta_sweep",
     "run_random_drop_comparison",
+    "write_csv",
 ]
 
 
@@ -94,11 +95,14 @@ class ExperimentReport:
                              self.mean(arm), self.std(arm)])
         return rows
 
-    def save(self, json_path: str | Path, csv_path: str | Path | None = None) -> None:
-        Path(json_path).write_text(json.dumps(self.to_dict(), sort_keys=True))
-        if csv_path is not None:
-            lines = [",".join(str(cell) for cell in row) for row in self.to_csv_rows()]
-            Path(csv_path).write_text("\n".join(lines) + "\n")
+    def save(self, json_path: str | Path, csv_path: str | Path) -> None:
+        write_json(json_path, self.to_dict())
+        write_csv(csv_path, self.to_csv_rows())
+
+
+def write_csv(path: str | Path, rows: list[list]) -> None:
+    """The one CSV writer: str() of each cell, comma-joined, a newline per row."""
+    Path(path).write_text("\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n")
 
 
 GraphProvider = Callable[[int], LabeledGraph]

@@ -7,11 +7,12 @@ every mutating operation returns a new graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+
+from .jsonfile import FileFormatError, read_json, write_json
 
 __all__ = [
     "GraphFormatError",
@@ -30,19 +31,8 @@ __all__ = [
 _REJECTION_ATTEMPT_FACTOR = 100
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(FileFormatError):
     """Malformed graph file; carries the offending path and 1-based line."""
-
-    def __init__(self, message: str, path: str | Path | None = None, line: int | None = None):
-        self.path = str(path) if path is not None else None
-        self.line = line
-        prefix = ""
-        if self.path is not None:
-            prefix = self.path
-            if line is not None:
-                prefix += f":{line}"
-            prefix += ": "
-        super().__init__(prefix + message)
 
 
 # Largest node count whose pair keys u * n + v fit in int64.
@@ -294,17 +284,24 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
 
 
 def load_graph(path: str | Path) -> LabeledGraph:
-    graph, _ = _load_json(Path(path))
-    return graph
+    return load_weighted_graph(path).base
 
 
 def load_weighted_graph(path: str | Path) -> WeightedGraph:
     """Load a JSON container; missing "edge_weights" means unit weights."""
-    graph, weights = _load_json(Path(path))
-    try:
-        return WeightedGraph(base=graph, edge_weights=weights)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc), path) from exc
+    doc = read_json(path, GraphFormatError)
+    if doc.raw.get("directed", False) is not False:
+        doc.fail("directed graphs are not supported")
+    base = doc.build(
+        LabeledGraph,
+        num_nodes=doc.integer("num_nodes"),
+        edges=doc.array("edges", (None, 2), "integer", "a list of [u, v] integer pairs"),
+        features=doc.array("features", (None, None), "number", "a list of numeric rows", None),
+        labels=doc.array("labels", (None,), "integer", "a list of integer class indices", None),
+        num_classes=doc.integer("num_classes", None),
+    )
+    weights = doc.array("edge_weights", (None,), "number", "a list of numbers", None)
+    return doc.build(WeightedGraph, base=base, edge_weights=weights)
 
 
 def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path) -> None:
@@ -320,71 +317,4 @@ def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path) -> None:
         doc["num_classes"] = base.num_classes
     if isinstance(graph, WeightedGraph):
         doc["edge_weights"] = [float(w) for w in graph.edge_weights]
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
-
-
-def _load_json(path: Path) -> tuple[LabeledGraph, np.ndarray | None]:
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(
-            f"invalid JSON: {exc.msg} at offset {exc.pos}", path, exc.lineno
-        ) from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError("top-level JSON value must be an object", path)
-    for key in ("num_nodes", "edges"):
-        if key not in doc:
-            raise GraphFormatError(f"missing required key {key!r}", path)
-    if doc.get("directed", False):
-        raise GraphFormatError("directed graphs are not supported", path)
-    pairs = "a list of [u, v] integer pairs"
-    edges = _json_array(doc, "edges", 2, "iu", pairs, path)
-    if edges.ndim == 1:
-        edges = np.empty((0, 2), dtype=np.int64)
-    elif edges.shape[1] != 2:
-        raise GraphFormatError(f'"edges" must be {pairs}', path)
-    fields = {
-        "num_nodes": _json_int(doc, "num_nodes", path),
-        "features": _json_array(doc, "features", 2, "iuf", "a list of numeric rows", path),
-        "labels": _json_array(doc, "labels", 1, "iu", "a list of integer class indices", path),
-        "num_classes": _json_int(doc, "num_classes", path, optional=True),
-    }
-    weights = _json_array(doc, "edge_weights", 1, "iuf", "a list of numbers", path)
-    try:
-        graph = LabeledGraph(edges=edges, **fields)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc), path) from exc
-    if weights is not None and weights.shape[0] != graph.num_edges:
-        raise GraphFormatError(
-            f"{weights.shape[0]} edge weights for {graph.num_edges} edges", path
-        )
-    return graph, weights
-
-
-def _json_int(doc: dict, key: str, path: Path, optional: bool = False) -> int | None:
-    """doc[key] as an int; an optional key may be absent or null (None)."""
-    value = doc.get(key)
-    if value is None and optional:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GraphFormatError(f'"{key}" must be an integer, got {value!r}', path)
-    return value
-
-
-def _json_array(
-    doc: dict, key: str, ndim: int, kinds: str, shape: str, path: Path
-) -> np.ndarray | None:
-    """doc[key] as an ndim-deep array whose numpy dtype kind is one of
-    `kinds` ("i", "u", "f"); a bare [] passes as an empty 1-d array, and an
-    absent key as None."""
-    if key not in doc:
-        return None
-    try:
-        arr = np.asarray(doc[key])
-    except ValueError:  # ragged rows
-        arr = None
-    if arr is not None and arr.ndim == 1 and arr.size == 0:
-        return arr
-    if arr is None or arr.ndim != ndim or arr.dtype.kind not in kinds:
-        raise GraphFormatError(f'"{key}" must be {shape}', path)
-    return arr
+    write_json(path, doc)

@@ -19,7 +19,7 @@ gradient is the part of G_u tangent to its unit vector, divided by |z_u|
 from __future__ import annotations
 
 import base64
-import json
+import binascii
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graphs import LabeledGraph
+from .jsonfile import FileFormatError, JsonObject, read_json, write_json
 from .metrics import accuracy, roc_auc
 from .nn import (
     AdamState,
@@ -69,8 +70,8 @@ log = logging.getLogger(__name__)
 _EDGE_BLOCK = 1024
 
 
-class CheckpointError(ValueError):
-    pass
+class CheckpointError(FileFormatError):
+    """Malformed checkpoint file; carries the offending path."""
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,6 @@ class ArchitectureSpec:
             "layer_dims": list(self.layer_dims),
             "activation": self.activation,
         }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ArchitectureSpec":
-        return cls(
-            kind=doc["kind"],
-            layer_dims=tuple(doc["layer_dims"]),
-            activation=doc.get("activation", "relu"),
-        )
 
     @classmethod
     def default(cls, kind: str, input_dim: int, output_dim: int,
@@ -535,64 +528,51 @@ def _encode_tensor(a: np.ndarray) -> dict:
     }
 
 
-def _decode_tensor(doc: dict, name: str) -> np.ndarray:
-    raw = base64.b64decode(doc["data_b64"])
-    shape = tuple(doc["shape"])
-    expected = int(np.prod(shape)) * 8
-    if len(raw) != expected:
-        raise CheckpointError(
-            f"tensor {name!r}: {len(raw)} bytes for shape {shape} (expected {expected})"
-        )
+def _decode_tensor(tensors: JsonObject, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    tensor = tensors.object(name)
+    declared = tuple(tensor.array("shape", (None,), "integer", "a list of integers").tolist())
+    if declared != shape:
+        tensors.fail(f"{name} has shape {declared}, spec wants {shape}")
+    try:
+        raw = base64.b64decode(tensor.text("data_b64"), validate=True)
+    except binascii.Error as exc:
+        tensors.fail(f"tensor {name!r}: data_b64 is not base64 ({exc})")
+    if len(raw) != 8 * int(np.prod(shape)):
+        tensors.fail(f"tensor {name!r}: {len(raw)} bytes for shape {shape}")
     a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(a).all():
-        raise CheckpointError(f"tensor {name!r} contains NaN or Inf")
+        tensors.fail(f"tensor {name!r} contains NaN or Inf")
     return a
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
-    doc = {
+    write_json(path, {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "spec": checkpoint.spec.to_dict(),
         "params": {k: _encode_tensor(v) for k, v in checkpoint.params.items()},
         "metadata": checkpoint.metadata,
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    })
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"{path}: invalid checkpoint JSON: {exc.msg} at offset {exc.pos}"
-        ) from exc
-    if not isinstance(doc, dict):
-        raise CheckpointError(f"{path}: checkpoint must be a JSON object")
-    version = doc.get("format_version")
+    doc = read_json(path, CheckpointError)
+    version = doc.integer("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported checkpoint version {version!r} "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
-        )
-    try:
-        spec = ArchitectureSpec.from_dict(doc["spec"])
-        params = {k: _decode_tensor(v, k) for k, v in doc["params"].items()}
-    except KeyError as exc:
-        raise CheckpointError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
-    for layer in range(spec.num_layers):
-        w_name, b_name = f"W{layer}", f"b{layer}"
-        if w_name not in params or b_name not in params:
-            raise CheckpointError(f"{path}: missing tensors for layer {layer}")
-        want_w = (spec.layer_dims[layer], spec.layer_dims[layer + 1])
-        if params[w_name].shape != want_w:
-            raise CheckpointError(
-                f"{path}: {w_name} has shape {params[w_name].shape}, spec wants {want_w}"
-            )
-        if params[b_name].shape != (spec.layer_dims[layer + 1],):
-            raise CheckpointError(
-                f"{path}: {b_name} has shape {params[b_name].shape}, spec wants "
-                f"({spec.layer_dims[layer + 1]},)"
-            )
-    return Checkpoint(spec=spec, params=params, metadata=doc.get("metadata", {}))
+        doc.fail(f"unsupported checkpoint version {version} "
+                 f"(expected {CHECKPOINT_FORMAT_VERSION})")
+    spec_doc = doc.object("spec")
+    spec = doc.build(
+        ArchitectureSpec,
+        kind=spec_doc.text("kind"),
+        layer_dims=tuple(spec_doc.array("layer_dims", (None,), "integer",
+                                        "a list of integers").tolist()),
+        activation=spec_doc.text("activation"),
+    )
+    tensors = doc.object("params")
+    dims = spec.layer_dims
+    shapes = {f"W{i}": (dims[i], dims[i + 1]) for i in range(spec.num_layers)}
+    shapes |= {f"b{i}": (dims[i + 1],) for i in range(spec.num_layers)}
+    if set(tensors.raw) != set(shapes):
+        doc.fail(f"tensors {sorted(tensors.raw)} do not match the spec's {sorted(shapes)}")
+    params = {name: _decode_tensor(tensors, name, shape) for name, shape in shapes.items()}
+    return Checkpoint(spec=spec, params=params, metadata=doc.object("metadata", {}).raw)

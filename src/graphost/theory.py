@@ -281,12 +281,10 @@ class TheoremCheckReport:
         return rows
 
 
-def _degrees(graph: LabeledGraph) -> np.ndarray:
-    deg = np.zeros(graph.num_nodes, dtype=np.int64)
-    if graph.num_edges:
-        deg += np.bincount(graph.edges[:, 0], minlength=graph.num_nodes)
-        deg += np.bincount(graph.edges[:, 1], minlength=graph.num_nodes)
-    return deg
+def _strict_mean(graph: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Strict-neighbour mean embeddings, and which nodes have a neighbour."""
+    degree = np.bincount(graph.edges.ravel(), minlength=graph.num_nodes)
+    return mean_aggregate(graph, graph.features), degree > 0
 
 
 def _misclassification_rate(
@@ -294,8 +292,7 @@ def _misclassification_rate(
 ) -> tuple[float, int]:
     """Error rate of the fixed boundary on strict-mean aggregated embeddings,
     excluding degree-0 nodes; returns (rate, excluded_count)."""
-    h = mean_aggregate(graph, graph.features)
-    include = _degrees(graph) > 0
+    h, include = _strict_mean(graph)
     signed = boundary_signed_value(h[include], boundary)
     predicted_c0 = orientation * signed > 0.0
     true_c0 = graph.labels[include] == 0
@@ -303,29 +300,10 @@ def _misclassification_rate(
     return rate, int(np.count_nonzero(~include))
 
 
-def _scaled_binary(params: CsbmParams, samples_per_trial: int | None) -> CsbmParams:
-    if params.num_classes != 2:
-        raise ValueError("theorem checks are binary; use two-class parameters")
-    if samples_per_trial is None:
-        return params
-    total = sum(params.class_sizes)
-    sizes = tuple(
-        max(1, round(samples_per_trial * n / total)) for n in params.class_sizes
-    )
-    return CsbmParams(
-        class_means=params.class_means,
-        class_sizes=sizes,
-        intra_prob=params.intra_prob,
-        inter_prob=params.inter_prob,
-    )
-
-
 def monte_carlo_theorem_check(
     params: CsbmParams,
     params_new: CsbmParams,
-    boundary: BoundarySpec | None = None,
     trials: int = 20,
-    samples_per_trial: int | None = None,
     seed: int = 0,
 ) -> TheoremCheckReport:
     """Empirical companion to the fixed-boundary improvement theorems.
@@ -341,8 +319,8 @@ def monte_carlo_theorem_check(
         raise ValueError("class means must stay fixed across the transformation")
     if params.class_sizes != params_new.class_sizes:
         raise ValueError("class sizes must stay fixed across the transformation")
-    params = _scaled_binary(params, samples_per_trial)
-    params_new = _scaled_binary(params_new, samples_per_trial)
+    if params.num_classes != 2:
+        raise ValueError("theorem checks are binary; use two-class parameters")
     p, q = params.intra_prob, params.inter_prob
     p2, q2 = params_new.intra_prob, params_new.inter_prob
     if p == q:
@@ -361,8 +339,7 @@ def monte_carlo_theorem_check(
             p, q, p2, q2, params.class_sizes[0], params.class_sizes[1], regime
         )
     )
-    if boundary is None:
-        boundary = boundary_from_means(params.class_means)
+    boundary = boundary_from_means(params.class_means)
     orientation = 1.0 if p > q else -1.0
 
     rates_before: list[float] = []
@@ -394,21 +371,27 @@ def monte_carlo_theorem_check(
     )
 
 
-def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
-    """Empirical midpoint and direction of class-mean aggregated embeddings
-    against their closed forms, on one sampled binary CSBM graph."""
+def _class_means(params: CsbmParams, seed: int, check: str) -> tuple[list[np.ndarray], int]:
+    """Both classes' mean aggregated embedding over their non-isolated nodes
+    in one sampled binary CSBM graph, and the isolated-node count."""
     if params.num_classes != 2:
-        raise ValueError("lemma checks are binary; use two-class parameters")
+        raise ValueError(f"{check} checks are binary; use two-class parameters")
     graph = _generate(params, seed)
-    h = mean_aggregate(graph, graph.features)
-    include = _degrees(graph) > 0
-    means = np.asarray(params.class_means, dtype=np.float64)
+    h, include = _strict_mean(graph)
     emp = []
     for cls in (0, 1):
         mask = include & (graph.labels == cls)
         if not mask.any():
             raise ValueError(f"class {cls} has no non-isolated nodes")
         emp.append(h[mask].mean(axis=0))
+    return emp, int(np.count_nonzero(~include))
+
+
+def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
+    """Empirical midpoint and direction of class-mean aggregated embeddings
+    against their closed forms, on one sampled binary CSBM graph."""
+    emp, excluded = _class_means(params, seed, "lemma")
+    means = np.asarray(params.class_means, dtype=np.float64)
     emp_mid = (emp[0] + emp[1]) / 2.0
     expected_mid = midpoint(means)
     diff = emp[0] - emp[1]
@@ -420,22 +403,15 @@ def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
         "expected_midpoint": expected_mid.tolist(),
         "midpoint_error": float(np.linalg.norm(emp_mid - expected_mid)),
         "direction_cosine": cos,
-        "excluded_nodes": int(np.count_nonzero(~include)),
+        "excluded_nodes": excluded,
     }
 
 
 def separation_check(params: CsbmParams, seed: int = 0) -> dict:
     """Empirical distance between aggregated class means against the
     closed-form |p - q| / (p + q) * ||mu_1 - mu_2||."""
-    if params.num_classes != 2:
-        raise ValueError("separation checks are binary; use two-class parameters")
-    graph = _generate(params, seed)
-    h = mean_aggregate(graph, graph.features)
-    include = _degrees(graph) > 0
+    emp, _ = _class_means(params, seed, "separation")
     means = np.asarray(params.class_means, dtype=np.float64)
-    emp = [
-        h[include & (graph.labels == cls)].mean(axis=0) for cls in (0, 1)
-    ]
     empirical = float(np.linalg.norm(emp[0] - emp[1]))
     a = float(np.linalg.norm(means[0] - means[1]))
     closed_form = 2.0 * class_separation_distance(

@@ -523,8 +523,10 @@ OPTION_SAMPLES = {
     "noise_levels": ("0.5,1", "0.5,1", (0.5, 1.0)),
 }
 # option kinds and config values their parser must reject
+COUNT_OPTIONS = {"dim", "n1", "n2", "trials", "samples", "lemma_nodes"}  # each >= 1
 BAD_CONFIG_VALUES = [
     (INT_OPTIONS, [3.9, True, "ten", None]),
+    (COUNT_OPTIONS, [0, -5]),
     (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
     (SWITCH_OPTIONS, [1, "true"]),
     (PATH_OPTIONS, [5, ["a"]]),
@@ -590,11 +592,16 @@ class TestOptionParsing:
         ("theory-validate", "--trials", "ten"), ("theory-validate", "--p", "nan"),
         ("evaluate", "--delta", "inf"), ("generate", "--sizes", "20,x"),
         ("generate", "--means", "1,0;0,y"), ("generate", "--seed", "zero"),
+        ("theory-validate", "--samples", "0"), ("theory-validate", "--trials", "0"),
+        ("theory-validate", "--dim", "0"), ("theory-validate", "--n1", "-5"),
+        ("theory-validate", "--lemma-nodes", "0"), ("generate", "--dim", "0"),
+        ("generate", "--sizes", "0,5"),
     ])
     def test_bad_flag_text_is_usage_error(self, tmp_path, capsys, name, flag, text):
         out = tmp_path / "never"
         assert run([name, flag, text, "--out", str(out)]) == 2
-        assert f"bad {flag} value {text!r}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"bad {flag} value {text!r}" in captured.err and captured.out == ""
         assert not out.exists()
 
 

@@ -263,16 +263,6 @@ class TestMonteCarloTheoremCheck:
                 axis_params(0.02, 0.01), axis_params(0.03, 0.005, a=4.0), trials=2, seed=0
             )
 
-    def test_samples_per_trial_override(self):
-        report = monte_carlo_theorem_check(
-            axis_params(0.05, 0.01, n=500),
-            axis_params(0.06, 0.005, n=500),
-            trials=2,
-            samples_per_trial=100,
-            seed=1,
-        )
-        assert report.params["class_sizes"] == [50, 50]
-
     def test_report_serialization(self):
         report = monte_carlo_theorem_check(
             axis_params(0.02, 0.01), axis_params(0.03, 0.005), trials=3, seed=0
