@@ -56,7 +56,8 @@ from .theory import (
     monte_carlo_theorem_check,
     multiclass_separation,
     phi_vs_simulation,
-    separation_check,
+    separation_check,  # unused: kept bound for perfbench's trace of the theory lab
+    separation_from_means,
 )
 from .transform import MODES, TransformConfig, graphost_transform
 
@@ -139,6 +140,7 @@ class _Option:
 
 _NETWORK_KINDS = ("gcn", "mlp")
 _COUNT = _ranged(lambda v: v >= 1, "[1, inf)", _int)
+_PROBABILITY = _ranged(lambda v: 0 <= v <= 1, "[0, 1]")
 
 _OPTIONS: dict[str, _Option] = {
     # every subcommand; a seed list is checked but kept as given: reports echo it
@@ -150,8 +152,8 @@ _OPTIONS: dict[str, _Option] = {
     ),
     # CSBM parameters
     "params": _Option(help="CsbmParams JSON file"),
-    "p": _Option(parse=_float, help="intra-class edge probability"),
-    "q": _Option(parse=_float, help="inter-class edge probability"),
+    "p": _Option(parse=_PROBABILITY, help="intra-class edge probability"),
+    "q": _Option(parse=_PROBABILITY, help="inter-class edge probability"),
     "sizes": _Option("300,300", _split(_COUNT), help="comma-separated class sizes"),
     "dim": _Option(16, _COUNT, help="feature dimension"),
     "means": _Option(parse=_split(_split(_float), ";"),
@@ -189,12 +191,12 @@ _OPTIONS: dict[str, _Option] = {
         help="comma-separated filtering ratios",
     ),
     "noise_levels": _Option(
-        "0,0.1,0.3,0.5", _split(_ranged(lambda v: 0 <= v <= 1, "[0, 1]")),
+        "0,0.1,0.3,0.5", _split(_PROBABILITY),
         help="comma-separated noise ratios",
     ),
     # theory validation
-    "p2": _Option(parse=_float, help="transformed intra-class probability"),
-    "q2": _Option(parse=_float, help="transformed inter-class probability"),
+    "p2": _Option(parse=_PROBABILITY, help="transformed intra-class probability"),
+    "q2": _Option(parse=_PROBABILITY, help="transformed inter-class probability"),
     "n1": _Option(500, _COUNT),
     "n2": _Option(500, _COUNT),
     "trials": _Option(20, _COUNT),
@@ -523,8 +525,16 @@ def _lemma_params(options: dict) -> CsbmParams:
                         options["p"], options["q"])
 
 
+def _lemma_report(options: dict, seed: int, found: dict) -> dict:
+    """lemma_check's report on the lemma graph, drawn once per run: the
+    lemma and separation suites both read it from found["lemma"]."""
+    if "lemma" not in found:
+        found["lemma"] = lemma_check(_lemma_params(options), seed)
+    return found["lemma"]
+
+
 def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    lc = lemma_check(_lemma_params(options), seed)
+    lc = _lemma_report(options, seed, found)
     midpoint, cosine = lc["midpoint_error"], abs(lc["direction_cosine"])
     midpoint_tol, cosine_tol = options["midpoint_tol"], options["cosine_tol"]
     return [
@@ -536,7 +546,8 @@ def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool
 
 
 def _separation_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    sc = separation_check(_lemma_params(options), seed)
+    class_means = _lemma_report(options, seed, found)["empirical_class_means"]
+    sc = separation_from_means(_lemma_params(options), class_means)
     detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
               f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
     return [("separation-closed-form", sc["relative_error"] <= options["separation_tol"], detail)]

@@ -191,6 +191,14 @@ def edge_homophily_degree(graph: LabeledGraph) -> float:
     return float(np.count_nonzero(same)) / graph.num_edges
 
 
+def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """np.isin(keys, sorted_keys) by binary search in the ascending keys."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=bool)
+    pos = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+    return sorted_keys[pos] == keys
+
+
 def _sample_non_edges(
     graph: LabeledGraph, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -203,13 +211,14 @@ def _sample_non_edges(
     occurrence of a new pair wins, in draw order.
     """
     n = graph.num_nodes
-    existing = graph.edges[:, 0] * n + graph.edges[:, 1]
+    existing = graph.edges[:, 0] * n + graph.edges[:, 1]  # ascending: edges are canonical
     pool_size = n * (n - 1) // 2 - len(existing)
     target = min(count, pool_size)
     if target <= 0:
         return np.empty((0, 2), dtype=np.int64)
 
-    chosen = np.empty(0, dtype=np.int64)
+    chosen = np.empty(0, dtype=np.int64)  # draw order
+    taken = chosen  # the same keys, sorted for membership tests
     attempts_left = _REJECTION_ATTEMPT_FACTOR * target
     while len(chosen) < target and attempts_left > 0:
         batch = min(attempts_left, max(64, target - len(chosen)))
@@ -217,16 +226,17 @@ def _sample_non_edges(
         vs = rng.integers(0, n, size=batch)
         attempts_left -= batch
         keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-        keys = keys[(us != vs) & ~np.isin(keys, existing) & ~np.isin(keys, chosen)]
+        keys = keys[(us != vs) & ~_in_sorted(keys, existing) & ~_in_sorted(keys, taken)]
         _, first = np.unique(keys, return_index=True)
         chosen = np.concatenate([chosen, keys[np.sort(first)][: target - len(chosen)]])
+        taken = np.sort(chosen)
 
     if len(chosen) < target:
         # Dense graph: enumerate the complement and draw without replacement.
         us, vs = np.triu_indices(n, k=1)
         complement = us * n + vs
         complement = complement[
-            ~np.isin(complement, existing) & ~np.isin(complement, chosen)
+            ~_in_sorted(complement, existing) & ~_in_sorted(complement, taken)
         ]
         extra = rng.choice(len(complement), size=target - len(chosen), replace=False)
         chosen = np.concatenate([chosen, complement[np.sort(extra)]])

@@ -9,7 +9,7 @@ every field of every file:
   never a number;
 - a scalar number is finite (an array's values are checked by the type
   built from it, which can name the offending row);
-- a missing required field is named.
+- a missing required field is named, and no object repeats a key.
 
 Any breach raises the file's `FileFormatError` subclass, whose message
 names the path once, as its prefix.
@@ -56,9 +56,19 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def read_json(path: str | Path, error: type[FileFormatError] = FileFormatError) -> "JsonObject":
-    """The file's top-level object; invalid JSON names its line."""
+    """The file's top-level object; invalid JSON names its line, and a key
+    repeated within one object is an error rather than last-one-wins."""
+
+    def unique_keys(pairs: list) -> dict:
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise error(f"repeated key {repeated!r}", path)
+        return doc
+
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON: {exc.msg} at offset {exc.pos}", path, exc.lineno) from exc
     except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deep

@@ -220,7 +220,8 @@ def network_backward(
     grad_out: np.ndarray,
     aggregator: MeanAggregator | None,
 ) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. all parameters, given d(loss)/d(output)."""
+    """Gradients of a scalar loss w.r.t. all parameters, given d(loss)/d(output).
+    Layer 0 passes nothing back: no input gradient is needed."""
     grads: dict[str, np.ndarray] = {}
     g = grad_out
     for layer in reversed(range(spec.num_layers)):
@@ -229,6 +230,8 @@ def network_backward(
         g_pre = g * act_grad(entry["pre"])
         grads[f"W{layer}"] = entry["agg_in"].T @ g_pre
         grads[f"b{layer}"] = g_pre.sum(axis=0)
+        if layer == 0:
+            break
         g = g_pre @ params[f"W{layer}"].T
         if spec.kind == "gcn":
             g = aggregator.adjoint(g)

@@ -38,6 +38,7 @@ __all__ = [
     "monte_carlo_theorem_check",
     "lemma_check",
     "separation_check",
+    "separation_from_means",
     "phi_vs_simulation",
 ]
 
@@ -411,6 +412,13 @@ def separation_check(params: CsbmParams, seed: int = 0) -> dict:
     """Empirical distance between aggregated class means against the
     closed-form |p - q| / (p + q) * ||mu_1 - mu_2||."""
     emp, _ = _class_means(params, seed, "separation")
+    return separation_from_means(params, emp)
+
+
+def separation_from_means(params: CsbmParams, class_means) -> dict:
+    """separation_check's numbers from both classes' empirical aggregated
+    means, e.g. lemma_check's "empirical_class_means" on the same graph."""
+    emp = np.asarray(class_means, dtype=np.float64)
     means = np.asarray(params.class_means, dtype=np.float64)
     empirical = float(np.linalg.norm(emp[0] - emp[1]))
     a = float(np.linalg.norm(means[0] - means[1]))

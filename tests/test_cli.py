@@ -5,6 +5,7 @@ import pytest
 
 import graphost.cli as cli
 import graphost.experiments as experiments
+import graphost.theory as theory
 import graphost.transform as transform
 from graphost.cli import main
 from graphost.csbm import SAMPLER_VERSION
@@ -374,6 +375,28 @@ class TestTheoryValidate:
             "theorem-improvement" in names
         )
 
+    @pytest.mark.parametrize("suites, draws", [
+        (["all"], 1), (["separation"], 1), (["lemmas"], 1), (["all", "all"], 2),
+    ])
+    def test_lemma_graph_drawn_once_per_run(self, tmp_path, monkeypatch, suites, draws):
+        """The lemma and separation suites share one draw of the lemma graph,
+        and nothing is kept from one cli.main call to the next."""
+        lemma_draws = []
+        generate = theory._generate
+
+        def counted(params, seed):
+            if params.class_sizes == (150, 150):
+                lemma_draws.append(seed)
+            return generate(params, seed)
+
+        monkeypatch.setattr(theory, "_generate", counted)
+        for suite in suites:
+            assert run(["theory-validate", "--suite", suite, "--p", "0.02", "--q", "0.01",
+                        "--n1", "100", "--n2", "100", "--lemma-nodes", "150",
+                        "--p2", "0.03", "--q2", "0.005", "--trials", "2",
+                        "--samples", "2000", "--out", str(tmp_path)]) in (0, 1)
+        assert len(lemma_draws) == draws
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -524,9 +547,11 @@ OPTION_SAMPLES = {
 }
 # option kinds and config values their parser must reject
 COUNT_OPTIONS = {"dim", "n1", "n2", "trials", "samples", "lemma_nodes"}  # each >= 1
+PROBABILITY_OPTIONS = {"p", "q", "p2", "q2"}  # each in [0, 1]
 BAD_CONFIG_VALUES = [
     (INT_OPTIONS, [3.9, True, "ten", None]),
     (COUNT_OPTIONS, [0, -5]),
+    (PROBABILITY_OPTIONS, [1.5, -0.1]),
     (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
     (SWITCH_OPTIONS, [1, "true"]),
     (PATH_OPTIONS, [5, ["a"]]),
@@ -595,7 +620,9 @@ class TestOptionParsing:
         ("theory-validate", "--samples", "0"), ("theory-validate", "--trials", "0"),
         ("theory-validate", "--dim", "0"), ("theory-validate", "--n1", "-5"),
         ("theory-validate", "--lemma-nodes", "0"), ("generate", "--dim", "0"),
-        ("generate", "--sizes", "0,5"),
+        ("generate", "--sizes", "0,5"), ("theory-validate", "--p", "1.5"),
+        ("theory-validate", "--q", "-0.1"), ("theory-validate", "--p2", "2"),
+        ("theory-validate", "--q2", "1.01"), ("generate", "--p", "1.5"),
     ])
     def test_bad_flag_text_is_usage_error(self, tmp_path, capsys, name, flag, text):
         out = tmp_path / "never"

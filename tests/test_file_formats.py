@@ -96,6 +96,7 @@ MUTATIONS = {
     "truncated JSON": (None, lambda data: data[:40]),
     "not UTF-8": (None, lambda data: b"\xff" + data),
     "nested too deep": (None, lambda data: b"[" * 100_000 + data),
+    "repeated key": (None, lambda data: data[:-1] + b", " + data[1:]),  # {a, b, a, b}
 }
 # mutations the config file reader leaves to the option parsers
 CONFIG_VALUE_MUTATIONS = [m for m, (target, _) in MUTATIONS.items() if target]

@@ -85,6 +85,50 @@ class TestMeanAggregate:
         assert np.sum(agg.apply(x) * y) == pytest.approx(np.sum(x * agg.adjoint(y)))
 
 
+@st.composite
+def aggregation_cases(draw):
+    """A graph (possibly edgeless, with isolated nodes), 1-5 feature columns
+    of mixed magnitude and sign (-0.0 included), and edge weights that are
+    absent or include exact zeros."""
+    n = draw(st.integers(1, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40))
+    edges = np.array([(u, v) for u, v in pairs if u != v], dtype=np.int64).reshape(-1, 2)
+    graph = LabeledGraph(num_nodes=n, edges=edges)
+    d = draw(st.integers(1, 5))
+    # values that cancel (+-1e16) or round (0.1, 1e-3) make the summation order show
+    value = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 0.1, 1e-3, 1e16, -1e16])
+    features = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 5.0)
+    weights = draw(st.none() | st.lists(weight, min_size=graph.num_edges,
+                                        max_size=graph.num_edges).map(np.array))
+    return graph, features, weights
+
+
+class TestMeanAggregateOracle:
+    """mean_aggregate scatters over the edges; the strict-mode sparse
+    operator is its reference, bit for bit, sign of zero included."""
+
+    @given(aggregation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_sparse_operator(self, case):
+        graph, features, weights = case
+        got = mean_aggregate(graph, features, weights)
+        want = MeanAggregator(graph, weights, self_loops=False).apply(features)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_sums_in_ascending_neighbour_order(self):
+        # node 2 sums 1e16/3 - 1e16/3 + 1/3 = 1/3 in ascending order (0, 1,
+        # then the upper neighbour 3); upper first, 1/3 is lost to rounding
+        g = LabeledGraph(num_nodes=4, edges=np.array([[0, 2], [1, 2], [2, 3]]))
+        x = np.array([[1e16], [-1e16], [0.0], [1.0]])
+        h = mean_aggregate(g, x)
+        assert h[2, 0] == 1.0 / 3.0
+        assert np.array_equal(h, MeanAggregator(g, self_loops=False).apply(x))
+
+
 def identity_gcn(dim: int) -> tuple[ArchitectureSpec, dict]:
     """Two-layer GCN with identity weights, zero biases and no activation."""
     spec = ArchitectureSpec(kind="gcn", layer_dims=(dim, dim, dim), activation="identity")
