@@ -321,10 +321,10 @@ def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path) -> None:
         "edges": base.edges.tolist(),
     }
     if base.features is not None:
-        doc["features"] = [[float(x) for x in row] for row in base.features]
+        doc["features"] = base.features.tolist()
     if base.labels is not None:
         doc["labels"] = base.labels.tolist()
         doc["num_classes"] = base.num_classes
     if isinstance(graph, WeightedGraph):
-        doc["edge_weights"] = [float(w) for w in graph.edge_weights]
+        doc["edge_weights"] = graph.edge_weights.tolist()
     write_json(path, doc)

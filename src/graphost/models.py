@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Callable, Generator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import LabeledGraph
 from .jsonfile import FileFormatError, JsonObject, read_json, write_json
@@ -35,6 +34,7 @@ from .nn import (
     AdamState,
     MeanAggregator,
     _ACTIVATIONS,
+    csr_matrix,
     adam_step,
     bce_loss,
     cross_entropy_loss,
@@ -65,7 +65,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 log = logging.getLogger(__name__)
 
-# Edges per row block of the cosine head; bounds its temporaries to
+# Edges per row block of the cosine head, at most; bounds its temporaries to
 # _EDGE_BLOCK x d floats whatever the edge count.
 _EDGE_BLOCK = 1024
 
@@ -206,10 +206,16 @@ def network_forward(
     for layer, act_name in enumerate(_layer_activations(spec)):
         act, _ = _ACTIVATIONS[act_name]
         agg_in = aggregator.apply(h) if spec.kind == "gcn" else h
-        pre = agg_in @ params[f"W{layer}"] + params[f"b{layer}"]
+        pre = agg_in @ params[f"W{layer}"]
+        pre += params[f"b{layer}"]
         if with_cache:
             cache.append({"agg_in": agg_in, "pre": pre, "act": act_name})
-        h = act(pre)
+            h = act(pre)
+        else:
+            # inference frees the aggregate before an in-place activation:
+            # at most three n x d arrays alive at once, not five
+            del agg_in
+            h = act(pre, out=pre)
     return (h, cache) if with_cache else h
 
 
@@ -383,15 +389,20 @@ def build_edge_training_set(
 def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray):
     """sigmoid(cosine) per edge plus everything needed for the backward pass.
 
-    Cosines are taken _EDGE_BLOCK edges at a time; each row's sum is the
-    same as in one whole-array product.
+    Cosines are taken a block of edges at a time; each row's sum is the
+    same as in one whole-array product. A block has at most _EDGE_BLOCK
+    edges and at most len(z), so its (block, d) temporaries fit in the space
+    the encoder pass's (n, d) arrays have just freed. Larger blocks on a
+    600-node graph grew the heap top on every call, glibc handed that memory
+    back at once, and a predictor fit took about 4x the page faults.
     """
     norms = np.linalg.norm(z, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = z / safe[:, None]
     cos = np.empty(len(edges), dtype=np.float64)
-    for start in range(0, len(edges), _EDGE_BLOCK):
-        b = edges[start:start + _EDGE_BLOCK]
+    block = max(1, min(_EDGE_BLOCK, len(z)))
+    for start in range(0, len(edges), block):
+        b = edges[start:start + block]
         cos[start:start + len(b)] = np.sum(unit[b[:, 0]] * unit[b[:, 1]], axis=1)
     np.clip(cos, -1.0, 1.0, out=cos)
     scores = sigmoid(cos)
@@ -412,11 +423,8 @@ def _edge_scores_backward(
     """
     grad_cos = grad_scores * scores * (1.0 - scores)
     src, dst = edges[:, 0], edges[:, 1]
-    adjacency = sp.csr_matrix(
-        (np.concatenate([grad_cos, grad_cos]),
-         (np.concatenate([src, dst]), np.concatenate([dst, src]))),
-        shape=(n, n),
-    )
+    adjacency = csr_matrix(np.concatenate([grad_cos, grad_cos]),
+                           np.concatenate([src, dst]), np.concatenate([dst, src]), n)
     unit = ctx["unit"]
     grad_z = adjacency @ unit
     grad_z -= np.einsum("ij,ij->i", grad_z, unit)[:, None] * unit

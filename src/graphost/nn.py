@@ -3,9 +3,13 @@ exact gradients, and Adam.
 
 Matrices are float64 C-order numpy arrays throughout. Aggregation is a
 weighted mean over neighbours: h_i = sum_j w_ij x_j / sum_j w_ij, summed in
-ascending neighbour order, which keeps results bit-reproducible. The layers
-realise it as a sparse row-normalised operator with sorted columns;
-`mean_aggregate`, used once per graph, scatters over the edges directly.
+ascending neighbour order, which keeps results bit-reproducible. Edge weights
+must be finite and non-negative. The layers realise it as a sparse
+row-normalised operator with sorted columns; `mean_aggregate`, used once per
+graph, scatters over the edges directly.
+
+`csr_matrix` is the package's one sparse builder and the only place that
+imports scipy.sparse, which it does on its first call.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import LabeledGraph
 
 __all__ = [
+    "csr_matrix",
     "MeanAggregator",
     "mean_aggregate",
     "relu",
@@ -53,9 +57,30 @@ def _directed_entries(
         if w.shape[0] != graph.num_edges:
             raise ValueError(f"{w.shape[0]} edge weights for {graph.num_edges} edges")
         _require_finite("edge_weights", w)
+        negative = np.flatnonzero(w < 0.0)
+        if negative.size:
+            i = negative[0]
+            u, v = graph.edges[i]
+            raise ValueError(
+                f"edge_weights[{i}] = {float(w[i])} on edge ({u}, {v}) is negative"
+            )
     dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
     return dst, src, np.concatenate([w, w])
+
+
+def csr_matrix(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int):
+    """The n x n scipy CSR matrix holding values[k] at (rows[k], cols[k]),
+    with each row's columns ascending and repeated positions summed."""
+    # Imported here, not at module level: loading scipy.sparse takes about
+    # 0.2 s (it pulls in numpy.f2py, numpy.ma and unittest), as long as a
+    # whole theory-validate run, and sampling, graph file I/O and the theory
+    # checks never build a matrix.
+    import scipy.sparse
+
+    mat = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
+    mat.sort_indices()
+    return mat
 
 
 class MeanAggregator:
@@ -91,11 +116,8 @@ class MeanAggregator:
             weights = np.concatenate([weights, np.ones(fallback.size)])
             totals[fallback] = 1.0
 
-        coef = weights / totals[dst]
-        mat = sp.csr_matrix((coef, (dst, src)), shape=(n, n))
-        mat.sort_indices()
-        self._mat = mat
-        self._adj: sp.csr_matrix | None = None  # built by the first adjoint()
+        self._mat = csr_matrix(weights / totals[dst], dst, src, n)
+        self._adj = None  # the transpose, built by the first adjoint()
         self.num_nodes = n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -143,8 +165,8 @@ def mean_aggregate(
     return out.reshape(x.shape)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_grad(pre: np.ndarray) -> np.ndarray:
@@ -153,7 +175,7 @@ def relu_grad(pre: np.ndarray) -> np.ndarray:
 
 _ACTIVATIONS = {
     "relu": (relu, relu_grad),
-    "identity": (lambda x: x, lambda pre: np.ones_like(pre)),
+    "identity": (lambda x, out=None: x, lambda pre: np.ones_like(pre)),
 }
 
 

@@ -27,6 +27,14 @@ def finite_difference_grads(loss_fn, params, step=1e-5):
     return grads
 
 
+def assert_same_csr(got, want):
+    """Two scipy CSR matrices hold equal arrays, dtypes and zero signs."""
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+
+
 def gradient_relative_error(analytic, numeric):
     """Max-norm relative error between two gradient dicts."""
     a = np.concatenate([analytic[k].reshape(-1) for k in sorted(analytic)])

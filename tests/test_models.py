@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from graphost.csbm import generate_csbm, symmetric_binary_params
 from graphost.graphs import LabeledGraph
@@ -23,7 +24,15 @@ from graphost.models import (
     train_classifier,
     train_homophily_predictor,
 )
-from graphost.models import _EDGE_BLOCK, _edge_scores_backward, _edge_scores_with_cache
+from graphost.models import (
+    _EDGE_BLOCK,
+    _edge_scores_backward,
+    _edge_scores_with_cache,
+    network_forward,
+)
+from graphost.nn import _ACTIVATIONS, MeanAggregator, csr_matrix
+
+from conftest import assert_same_csr
 
 SIGMOID_1 = 0.7310585786300049
 SIGMOID_M1 = 0.2689414213699951
@@ -163,6 +172,61 @@ class TestClassifierInference:
         labels, probs = predict_labels(ckpt, g)
         assert labels.tolist() == [0, 0]
         assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+def network_forward_unfused(spec, params, features, aggregator):
+    """Inference as network_forward computed it before the in-place bias and
+    activation, kept as oracle."""
+    h = features
+    for layer in range(spec.num_layers):
+        act_name = spec.activation if layer < spec.num_layers - 1 else "identity"
+        agg_in = aggregator.apply(h) if spec.kind == "gcn" else h
+        h = _ACTIVATIONS[act_name][0](agg_in @ params[f"W{layer}"] + params[f"b{layer}"])
+    return h
+
+
+class TestInferenceForward:
+    @staticmethod
+    def graph(n, rng):
+        pairs = rng.integers(0, n, size=(5 * n, 2))
+        features = rng.standard_normal((n, 16))
+        features[::5] = -0.0
+        return LabeledGraph(num_nodes=n, edges=pairs[pairs[:, 0] != pairs[:, 1]],
+                            features=features)
+
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_bit_identical_to_unfused(self, rng, kind, activation):
+        g = self.graph(300, rng)
+        spec = ArchitectureSpec(kind=kind, layer_dims=(16, 32, 32, 3), activation=activation)
+        params = init_params(spec, seed=4)
+        agg = MeanAggregator(g, rng.random(g.num_edges), self_loops=True)
+        got = network_forward(spec, params, g.features, agg)
+        want = network_forward_unfused(spec, params, g.features, agg)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the cached (training) pass gives the same output
+        cached, _ = network_forward(spec, params, g.features, agg, with_cache=True)
+        assert np.array_equal(cached, got)
+
+    @pytest.mark.parametrize("num_layers", [2, 3])
+    def test_peak_below_four_hidden_arrays(self, rng, num_layers):
+        # The unfused pass held five n x hidden arrays at its peak (the
+        # layer's input and its pre-activation from the layer before, the
+        # aggregate, the product and the biased sum); in-place bias and
+        # activation hold three.
+        n, hidden = 4000, 256
+        g = self.graph(n, rng)
+        spec = ArchitectureSpec.default("gcn", 16, hidden, hidden=hidden, num_layers=num_layers)
+        params = init_params(spec, seed=0)
+        agg = MeanAggregator(g, self_loops=True)
+        tracemalloc.start()
+        try:
+            network_forward(spec, params, g.features, agg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * hidden * 8
 
 
 class TestEdgeTrainingSet:
@@ -357,9 +421,9 @@ class TestBlockedEdgeCosine:
         0, 1, _EDGE_BLOCK - 1, _EDGE_BLOCK, _EDGE_BLOCK + 1, 3 * _EDGE_BLOCK + 7,
     ])
     @pytest.mark.parametrize("dim", [3, 64])
-    def test_bit_identical_to_unblocked(self, num_edges, dim):
+    @pytest.mark.parametrize("n", [500, 3000])  # blocks of n and of _EDGE_BLOCK edges
+    def test_bit_identical_to_unblocked(self, num_edges, dim, n):
         rng = np.random.default_rng(num_edges)
-        n = 500
         edges = rng.integers(0, n, size=(num_edges, 2))
         z = rng.standard_normal((n, dim))
         z[::7] = 0.0  # zero-norm rows score cos 0
@@ -415,6 +479,32 @@ class TestEdgeScoreBackward:
         assert isinstance(got, np.ndarray) and got.shape == (n, dim)
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
         assert np.all(got[0] == 0.0)
+
+    def test_adjacency_arrays_unchanged(self, rng, monkeypatch):
+        # the backward's A as it was built before nn.csr_matrix was the one
+        # builder, kept as oracle: COO entries into csr_matrix, no re-sort
+        built = []
+
+        def capture(*args):
+            built.append(csr_matrix(*args))
+            return built[-1]
+
+        monkeypatch.setattr("graphost.models.csr_matrix", capture)
+        n = 200
+        pairs = rng.integers(0, n, size=(1500, 2))
+        g = LabeledGraph(num_nodes=n, edges=pairs[pairs[:, 0] != pairs[:, 1]])
+        scores, ctx = _edge_scores_with_cache(rng.standard_normal((n, 8)), g.edges)
+        grad = rng.standard_normal(g.num_edges)
+        _edge_scores_backward(grad, g.edges, scores, ctx, n, 8)
+        grad_cos = grad * scores * (1.0 - scores)
+        src, dst = g.edges[:, 0], g.edges[:, 1]
+        want = scipy.sparse.csr_matrix(
+            (np.concatenate([grad_cos, grad_cos]),
+             (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+            shape=(n, n),
+        )
+        (got,) = built
+        assert_same_csr(got, want)
 
 
 class TestCheckpointIO:

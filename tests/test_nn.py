@@ -1,14 +1,24 @@
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphost
 from graphost.graphs import LabeledGraph
 from graphost.nn import (
     AdamState,
     MeanAggregator,
     adam_step,
     bce_loss,
+    csr_matrix,
     cross_entropy_loss,
     mean_aggregate,
     sigmoid,
@@ -18,13 +28,15 @@ from graphost.nn import (
 
 from graphost.models import (
     ArchitectureSpec,
+    Checkpoint,
     _edge_scores_with_cache,
     init_params,
     network_backward,
     network_forward,
+    predict_labels,
 )
 
-from conftest import finite_difference_grads, gradient_relative_error
+from conftest import assert_same_csr, finite_difference_grads, gradient_relative_error
 
 
 def star_graph():
@@ -127,6 +139,145 @@ class TestMeanAggregateOracle:
         h = mean_aggregate(g, x)
         assert h[2, 0] == 1.0 / 3.0
         assert np.array_equal(h, MeanAggregator(g, self_loops=False).apply(x))
+
+
+def mean_operator_coo(graph, weights, self_loops):
+    """MeanAggregator's matrix as its constructor built it before
+    nn.csr_matrix was the one builder (COO entries, csr_matrix, then
+    sort_indices), kept as oracle."""
+    n = graph.num_nodes
+    w = np.ones(graph.num_edges) if weights is None else np.asarray(weights, dtype=np.float64)
+    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
+    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+    w = np.concatenate([w, w])
+    if self_loops:
+        loop = np.arange(n)
+        dst, src, w = (np.concatenate([dst, loop]), np.concatenate([src, loop]),
+                       np.concatenate([w, np.ones(n)]))
+    totals = np.bincount(dst, weights=w, minlength=n)
+    fallback = np.flatnonzero(totals == 0.0)
+    dst, src, w = (np.concatenate([dst, fallback]), np.concatenate([src, fallback]),
+                   np.concatenate([w, np.ones(fallback.size)]))
+    totals[fallback] = 1.0
+    mat = scipy.sparse.csr_matrix((w / totals[dst], (dst, src)), shape=(n, n))
+    mat.sort_indices()
+    return mat
+
+
+class TestCsrMatrix:
+    @given(aggregation_cases(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_mean_operator_arrays_unchanged(self, case, self_loops):
+        graph, _, weights = case
+        got = MeanAggregator(graph, weights, self_loops=self_loops)._mat
+        assert_same_csr(got, mean_operator_coo(graph, weights, self_loops))
+
+    @pytest.mark.parametrize("n, nnz", [(1, 0), (5, 30), (200, 3000)])
+    def test_rows_ascending_repeats_summed(self, rng, n, nnz):
+        rows, cols = rng.integers(0, n, size=(2, nnz))
+        values = rng.standard_normal(nnz)
+        got = csr_matrix(values, rows, cols, n)
+        assert got.shape == (n, n) and got.has_sorted_indices
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, cols), values)
+        assert np.allclose(got.toarray(), dense, rtol=1e-12, atol=1e-12)
+
+
+class TestNegativeWeights:
+    """A negative weight would put a mean outside its neighbours' convex
+    hull; both aggregation paths refuse it, naming the first such edge."""
+
+    @staticmethod
+    def star():
+        g = LabeledGraph(num_nodes=4, edges=np.array([[0, 1], [0, 2], [0, 3]]),
+                         features=np.array([[1.0], [2.0], [3.0], [4.0]]))
+        return g, np.array([0.5, -1.0, -2.0])
+
+    MESSAGE = r"edge_weights\[1\] = -1\.0 on edge \(0, 2\) is negative"
+
+    @pytest.mark.parametrize("self_loops", [True, False])
+    def test_operator_rejects(self, self_loops):
+        g, w = self.star()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            MeanAggregator(g, w, self_loops=self_loops)
+
+    def test_mean_aggregate_rejects(self):
+        g, w = self.star()
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            mean_aggregate(g, g.features, w)
+
+    def test_predict_labels_rejects_raw_weights(self):
+        g, w = self.star()
+        spec = ArchitectureSpec.default("gcn", 1, 2)
+        ckpt = Checkpoint(spec=spec, params=init_params(spec, seed=0))
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            predict_labels(ckpt, g, w)
+
+    def test_zero_and_above_one_stay_legal(self):
+        g, _ = self.star()
+        w = np.array([0.0, -0.0, 5.0])
+        assert np.array_equal(mean_aggregate(g, g.features, w),
+                              MeanAggregator(g, w).apply(g.features))
+
+
+SRC = Path(graphost.__file__).parent
+GENERATE = ["generate", "--p", "0.06", "--q", "0.02", "--sizes", "40,40", "--out", "g"]
+
+
+def scipy_sparse_loaded(tmp_path, argvs):
+    """Whether a fresh interpreter has scipy.sparse loaded after importing
+    graphost and running each argv through the CLI, all with exit code 0."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = ("import json, sys\n"
+            "import graphost\n"
+            "argvs = json.loads(sys.argv[1])\n"
+            "if argvs:\n"
+            "    from graphost.cli import main\n"
+            "    assert [main(a) for a in argvs] == [0] * len(argvs)\n"
+            "print('scipy.sparse' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                            cwd=tmp_path, capture_output=True, text=True, check=True)
+    return result.stdout.strip().splitlines()[-1] == "True"
+
+
+def scipy_import_scopes(node, scope):
+    """The enclosing module.function of every scipy import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from scipy_import_scopes(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            yield scope
+        yield from scipy_import_scopes(child, scope)
+
+
+class TestScipySparseLoadsAtFirstBuild:
+    def test_import_leaves_it_unloaded(self, tmp_path):
+        assert not scipy_sparse_loaded(tmp_path, [])
+
+    @pytest.mark.parametrize("argvs", [
+        [GENERATE],
+        [["theory-validate", "--suite", "all", "--seed", "1", "--out", "th"]],
+    ], ids=["generate", "theory-validate"])
+    def test_commands_without_a_matrix_leave_it_unloaded(self, tmp_path, argvs):
+        assert not scipy_sparse_loaded(tmp_path, argvs)
+
+    def test_train_loads_it(self, tmp_path):
+        train = ["train", "--train-graph", "g/train.json", "--val-graph", "g/val.json",
+                 "--target", "classifier", "--epochs", "3", "--out", "t"]
+        assert scipy_sparse_loaded(tmp_path, [GENERATE, train])
+
+    def test_one_function_imports_scipy(self):
+        scopes = [scope for path in sorted(SRC.glob("*.py"))
+                  for scope in scipy_import_scopes(ast.parse(path.read_text()), path.stem)]
+        assert scopes == ["nn.csr_matrix"]
 
 
 def identity_gcn(dim: int) -> tuple[ArchitectureSpec, dict]:
