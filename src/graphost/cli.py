@@ -38,10 +38,12 @@ from .experiments import (
     run_random_drop_comparison,
     write_csv,
 )
-from .graphs import LabeledGraph, edge_homophily_degree, load_graph, save_graph
+from .graphs import edge_homophily_or_none, load_graph, save_graph
 from .jsonfile import FileFormatError, read_json, write_json
+from .metrics import hd_delta_report
 from .models import (
     ArchitectureSpec,
+    Checkpoint,
     OptimizerConfig,
     load_checkpoint,
     save_checkpoint,
@@ -289,6 +291,17 @@ def _require_file(options: dict, key: str, load: Callable[[Path], object]):
     return load(path)
 
 
+def _checkpoint(options: dict, role: str) -> Checkpoint:
+    """The checkpoint option `role` names; one whose metadata says it was
+    trained as the other role is a usage error, one without `trained_as` loads."""
+    checkpoint = _require_file(options, role, load_checkpoint)
+    trained_as = checkpoint.metadata.get("trained_as", role)
+    if trained_as != role:
+        raise CliError(f"{_flag(role)} {options[role]}: checkpoint was trained as "
+                       f"{trained_as!r}, not as the {role}")
+    return checkpoint
+
+
 def _params_from_options(options: dict) -> CsbmParams:
     if options["params"] is not None:
         try:
@@ -304,11 +317,6 @@ def _params_from_options(options: dict) -> CsbmParams:
     if len(sizes) != 2:
         raise CliError("--mean-distance only builds binary params; pass --means for s > 2")
     return symmetric_binary_params(options["mean_distance"], options["dim"], sizes, p, q)
-
-
-def _hd_or_none(graph: LabeledGraph) -> float | None:
-    """Edge homophily degree, or None for a graph with no edges."""
-    return edge_homophily_degree(graph) if graph.num_edges else None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -331,7 +339,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         path = out / f"{split}.json"
         save_graph(graph, path)
         manifest["files"][split] = path.name
-        manifest["edge_homophily_degree"][split] = _hd_or_none(graph)
+        manifest["edge_homophily_degree"][split] = edge_homophily_or_none(graph, graph.labels)
     write_json(out / "generate-manifest.json", manifest)
     print(f"generated train/val/test under {out} (seed {seed})")
     return 0
@@ -405,7 +413,7 @@ def _transform_config(options: dict) -> TransformConfig:
 def cmd_transform(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     test_graph = _require_file(options, "test_graph", load_graph)
-    predictor = _require_file(options, "predictor", load_checkpoint)
+    predictor = _checkpoint(options, "predictor")
     config = _transform_config(options)
     ts = _timestamp(options["pin_timestamp"])
     transformed = graphost_transform(test_graph, predictor, config)
@@ -417,10 +425,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
     }
     summary = f"transformed graph: {test_graph.num_edges} -> {transformed.num_edges} edges"
     if test_graph.labels is not None:
-        # HD after the fact, with the test graph's own labels; None (JSON
-        # null) on a side with no edges, where HD is undefined.
-        before, after = _hd_or_none(test_graph), _hd_or_none(transformed.base)
-        delta = None if before is None or after is None else after - before
+        # HD after the fact, with the test graph's own labels; None where undefined
+        before, after, delta = hd_delta_report(test_graph, transformed, test_graph.labels)
         report["hd"] = {"before": before, "after": after, "delta": delta}
         summary += f", HD {_format_hd(before)} -> {_format_hd(after)}"
     out = _out_dir(options)
@@ -440,8 +446,8 @@ def _evaluation_inputs(options: dict):
     test_graph = _require_file(options, "test_graph", load_graph)
     if test_graph.labels is None:
         raise CliError("evaluation needs a labeled test graph")
-    classifier = _require_file(options, "classifier", load_checkpoint)
-    predictor = _require_file(options, "predictor", load_checkpoint)
+    classifier = _checkpoint(options, "classifier")
+    predictor = _checkpoint(options, "predictor")
     config = _transform_config(options)
     return test_graph, classifier, predictor, config, _parse_seeds(options["seed"])
 

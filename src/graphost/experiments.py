@@ -180,14 +180,15 @@ def run_ablation(
     seeds: tuple[int, ...],
     metric: str = "accuracy",
 ) -> ExperimentReport:
-    """Arms per seed: base (untransformed), w/o-weight, w/o-filter, full."""
+    """Arms per seed: base (untransformed), w/o-weight, w/o-filter, full. extras
+    hold each seed's HD before and after full, None on a side with no edges."""
     arm_configs = {
         "wo_weight": replace(config, enable_weighting=False, enable_filtering=True),
         "wo_filter": replace(config, enable_weighting=True, enable_filtering=False),
         "full": replace(config, enable_weighting=True, enable_filtering=True),
     }
-    hd_before: list[float] = []
-    hd_after_full: list[float] = []
+    hd_before: list[float | None] = []
+    hd_after_full: list[float | None] = []
 
     def arms(seed, graph):
         yield "base", graph

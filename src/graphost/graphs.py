@@ -20,6 +20,7 @@ __all__ = [
     "WeightedGraph",
     "canonicalize_edges",
     "edge_homophily_degree",
+    "edge_homophily_or_none",
     "inject_structural_noise",
     "random_edge_drop",
     "load_graph",
@@ -180,15 +181,23 @@ class WeightedGraph:
         return self.base.num_edges
 
 
+def edge_homophily_or_none(graph: LabeledGraph, labels: np.ndarray) -> float | None:
+    """Fraction of the graph's edges whose endpoints share a label under
+    `labels`, or None for a graph with no edges, where it is undefined."""
+    if graph.num_edges == 0:
+        return None
+    same = labels[graph.edges[:, 0]] == labels[graph.edges[:, 1]]
+    return float(np.count_nonzero(same)) / graph.num_edges
+
+
 def edge_homophily_degree(graph: LabeledGraph) -> float:
     """Fraction of edges whose endpoints share a label."""
     if graph.labels is None:
         raise ValueError("edge homophily degree requires node labels")
-    if graph.num_edges == 0:
+    hd = edge_homophily_or_none(graph, graph.labels)
+    if hd is None:
         raise ValueError("undefined HD: graph has no edges")
-    y = graph.labels
-    same = y[graph.edges[:, 0]] == y[graph.edges[:, 1]]
-    return float(np.count_nonzero(same)) / graph.num_edges
+    return hd
 
 
 def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:

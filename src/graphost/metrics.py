@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import LabeledGraph, WeightedGraph
+from .graphs import LabeledGraph, WeightedGraph, edge_homophily_or_none
 
 __all__ = ["accuracy", "f1_macro", "roc_auc", "hd_delta_report"]
 
@@ -77,19 +77,13 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _hd(edges: np.ndarray, labels: np.ndarray) -> float:
-    if len(edges) == 0:
-        raise ValueError("undefined HD: graph has no edges")
-    same = labels[edges[:, 0]] == labels[edges[:, 1]]
-    return float(np.count_nonzero(same)) / len(edges)
-
-
 def hd_delta_report(
     graph_before: LabeledGraph | WeightedGraph,
     graph_after: LabeledGraph | WeightedGraph,
     labels,
-) -> tuple[float, float, float]:
+) -> tuple[float | None, float | None, float | None]:
     """(HD before, HD after, signed change), computed with evaluation labels.
+    A graph with no edges has no HD: its side reads None, and so does the change.
 
     The only place oracle labels may touch a test graph is here, after the
     fact; edge weights are irrelevant to HD.
@@ -99,6 +93,7 @@ def hd_delta_report(
     after = graph_after.base if isinstance(graph_after, WeightedGraph) else graph_after
     if labels.shape[0] != before.num_nodes or labels.shape[0] != after.num_nodes:
         raise ValueError("labels length must match both graphs' node count")
-    hd_before = _hd(before.edges, labels)
-    hd_after = _hd(after.edges, labels)
-    return hd_before, hd_after, hd_after - hd_before
+    hd_before = edge_homophily_or_none(before, labels)
+    hd_after = edge_homophily_or_none(after, labels)
+    delta = None if hd_before is None or hd_after is None else hd_after - hd_before
+    return hd_before, hd_after, delta

@@ -180,6 +180,13 @@ def init_params(spec: ArchitectureSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
+def _aggregator(
+    spec: ArchitectureSpec, graph: LabeledGraph, edge_weights: np.ndarray | None = None
+) -> MeanAggregator | None:
+    """The layers' aggregation operator on graph: a GCN's, none for an MLP."""
+    return MeanAggregator(graph, edge_weights, self_loops=True) if spec.kind == "gcn" else None
+
+
 def _layer_activations(spec: ArchitectureSpec) -> list[str]:
     return [spec.activation] * (spec.num_layers - 1) + ["identity"]
 
@@ -317,8 +324,8 @@ def train_classifier(
     """
     if train_graph.labels is None or val_graph.labels is None:
         raise ValueError("classifier training needs labeled train and val graphs")
-    train_agg = MeanAggregator(train_graph, self_loops=True) if spec.kind == "gcn" else None
-    val_agg = MeanAggregator(val_graph, self_loops=True) if spec.kind == "gcn" else None
+    train_agg = _aggregator(spec, train_graph)
+    val_agg = _aggregator(spec, val_graph)
 
     def training_passes():
         p = yield
@@ -346,11 +353,7 @@ def classifier_logits(
 ) -> np.ndarray:
     """Pure forward pass -> (n, c) logits; weights of 1 equal no weights."""
     spec = checkpoint.spec
-    agg = (
-        MeanAggregator(graph, edge_weights, self_loops=True)
-        if spec.kind == "gcn"
-        else None
-    )
+    agg = _aggregator(spec, graph, edge_weights)
     return network_forward(spec, checkpoint.params, graph.features, agg)
 
 
@@ -475,13 +478,13 @@ def train_homophily_predictor(
             "degenerate edge classes: training graph has a single edge class"
         )
 
-    train_agg = MeanAggregator(train_graph, self_loops=True) if spec.kind == "gcn" else None
+    train_agg = _aggregator(spec, train_graph)
     if val_graph is not None:
         val_edges, val_labels, _ = build_edge_training_set(val_graph)
         if len(np.unique(val_labels)) < 2:
             raise ValueError("validation graph has a single edge class")
         fit_edges, fit_labels = edges, edge_labels
-        val_agg = MeanAggregator(val_graph, self_loops=True) if spec.kind == "gcn" else None
+        val_agg = _aggregator(spec, val_graph)
         val_feats = val_graph.features
     else:
         fit_idx, held_idx = _holdout_split(edge_labels, 0.1, seed)
@@ -520,7 +523,7 @@ def edge_homophily_scores(
 ) -> EdgeScoreTable:
     """One sigmoid(cosine) confidence per canonical edge; label-free."""
     spec = predictor.spec
-    agg = MeanAggregator(graph, self_loops=True) if spec.kind == "gcn" else None
+    agg = _aggregator(spec, graph)
     z = network_forward(spec, predictor.params, graph.features, agg)
     scores, _ = _edge_scores_with_cache(z, graph.edges)
     return EdgeScoreTable(scores=scores)

@@ -4,9 +4,11 @@ exact gradients, and Adam.
 Matrices are float64 C-order numpy arrays throughout. Aggregation is a
 weighted mean over neighbours: h_i = sum_j w_ij x_j / sum_j w_ij, summed in
 ascending neighbour order, which keeps results bit-reproducible. Edge weights
-must be finite and non-negative. The layers realise it as a sparse
-row-normalised operator with sorted columns; `mean_aggregate`, used once per
-graph, scatters over the edges directly.
+must be finite and non-negative. It comes in two kinds, one function each:
+`MeanAggregator` is the GCN layers' operator, a sparse row-normalised matrix
+with sorted columns that counts each node as its own neighbour with weight 1;
+`mean_aggregate`, the theory lab's strict-neighbour mean used once per graph,
+scatters over the edges directly.
 
 `csr_matrix` is the package's one sparse builder and the only place that
 imports scipy.sparse, which it does on its first call.
@@ -84,40 +86,30 @@ def csr_matrix(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int):
 
 
 class MeanAggregator:
-    """Weighted-mean neighbourhood aggregation for a fixed graph.
-
-    With self_loops=True every node also receives its own row with weight 1
-    (the practical GNN layer); with self_loops=False aggregation is over
-    strict neighbours and nodes with zero total incident weight -- isolated
-    ones, or nodes whose incident weights all vanish -- copy their own
-    feature instead.
+    """The GCN layer's aggregation for a fixed graph: each node takes the
+    weighted mean of its neighbours and itself, its own weight 1. self_loops
+    must be passed as True: strict-neighbour means are `mean_aggregate`'s,
+    and False, the old default, raises rather than silently gain self loops.
     """
 
     def __init__(
         self,
         graph: LabeledGraph,
         edge_weights: np.ndarray | None = None,
+        *,
         self_loops: bool = False,
     ):
+        if not self_loops:
+            raise ValueError("MeanAggregator needs self_loops=True; strict-neighbour "
+                             "means are mean_aggregate's")
         n = graph.num_nodes
         dst, src, weights = _directed_entries(graph, edge_weights)
-
-        if self_loops:
-            loop = np.arange(n, dtype=np.int64)
-            dst = np.concatenate([dst, loop])
-            src = np.concatenate([src, loop])
-            weights = np.concatenate([weights, np.ones(n)])
-
+        loop = np.arange(n, dtype=np.int64)
+        dst = np.concatenate([dst, loop])
+        src = np.concatenate([src, loop])
+        weights = np.concatenate([weights, np.ones(n)])
         totals = np.bincount(dst, weights=weights, minlength=n)
-        fallback = np.flatnonzero(totals == 0.0)
-        if fallback.size:
-            dst = np.concatenate([dst, fallback])
-            src = np.concatenate([src, fallback])
-            weights = np.concatenate([weights, np.ones(fallback.size)])
-            totals[fallback] = 1.0
-
         self._mat = csr_matrix(weights / totals[dst], dst, src, n)
-        self._adj = None  # the transpose, built by the first adjoint()
         self.num_nodes = n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -126,11 +118,9 @@ class MeanAggregator:
         return self._mat @ x
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        if self._adj is None:
-            adj = self._mat.T.tocsr()
-            adj.sort_indices()
-            self._adj = adj
-        return self._adj @ g
+        # The CSC view of the transpose sums each output row over ascending
+        # source rows, the order a sorted CSR transpose would use.
+        return self._mat.T @ g
 
 
 def mean_aggregate(
@@ -138,13 +128,13 @@ def mean_aggregate(
     features: np.ndarray,
     edge_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Strict-neighbour weighted mean; a node with zero total incident
-    weight (isolated, or all its weights 0) copies its own feature.
+    """Strict-neighbour weighted mean, the theory lab's aggregation; a node
+    with zero total incident weight (isolated, or all its weights 0) copies
+    its own feature.
 
     One gather-scatter per feature column over the 2E directed entries, with
-    no n x n operator: O(E + n d) memory. Each row sums the same products in
-    the same ascending neighbour order as MeanAggregator(..., self_loops=False)
-    does, so the two agree bit for bit.
+    no n x n operator: O(E + n d) memory. Each row sums its neighbours'
+    weight / total products in ascending neighbour order, starting from +0.0.
     """
     x = np.asarray(features, dtype=np.float64)
     n = graph.num_nodes
@@ -159,8 +149,7 @@ def mean_aggregate(
     out = np.empty(cols.shape)  # float64 even with no edges, where bincount gives int64
     for j in range(cols.shape[1]):
         out[:, j] = np.bincount(dst, weights=coef * cols[src, j], minlength=n)
-    # added onto the +0.0 sum of zero-weight terms, as the operator adds its unit
-    # self entry, so a -0.0 feature reads +0.0 in both
+    # added onto the +0.0 sum of zero-weight terms, so a -0.0 feature reads +0.0
     out[fallback] += cols[fallback]
     return out.reshape(x.shape)
 
@@ -223,16 +212,10 @@ def wbce_loss(
 
 
 def bce_loss(predictions: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unweighted binary cross-entropy, summed over samples."""
-    p = np.asarray(predictions, dtype=np.float64).reshape(-1)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if p.shape != y.shape:
-        raise ValueError("predictions and labels must have the same length")
-    _require_finite("predictions", p)
-    p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    loss = -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p))
-    grad = -y / p + (1.0 - y) / (1.0 - p)
-    return float(loss), grad
+    """Unweighted binary cross-entropy, summed over samples: twice WBCE at
+    alpha = 1/2, bit for bit, since halving and doubling are exact."""
+    loss, grad = wbce_loss(predictions, labels, 0.5)
+    return 2.0 * loss, 2.0 * grad
 
 
 def cross_entropy_loss(

@@ -307,6 +307,63 @@ class TestHarnessSubcommands:
         assert len(json_files) == 1 and len(csv_files) == 1
 
 
+    @pytest.mark.parametrize("edges, hd_before", [([], None), ([[0, 1]], 1.0)])
+    def test_ablate_with_edgeless_side_reports_null_hd(self, workspace, tmp_path, edges,
+                                                       hd_before):
+        # one edge: the full arm's ceil(0.3 * 1) = 1 removal leaves none
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        doc = json.loads((data / "test.json").read_text())
+        doc["edges"], doc["labels"] = edges, [0] * doc["num_nodes"]
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run([
+            "ablate", "--test-graph", str(graph),
+            "--classifier", str(ckpt / "classifier.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "homophilic", "--seed", "0", "--out", str(out), "--pin-timestamp",
+        ]) == 0
+        [report] = out.glob("*.json")
+        extras = json.loads(report.read_text())["extras"]
+        assert extras == {"hd_before": [hd_before], "hd_after_full": [None]}
+
+
+class TestCheckpointRoles:
+    """A checkpoint given in the other network's role is a usage error
+    naming the flag and the file; one that does not say loads as given."""
+
+    @staticmethod
+    def argv(workspace, command, checkpoints, out):
+        argv = [command, "--test-graph", str(workspace / "data" / "test.json"),
+                "--mode", "homophilic", "--out", str(out)]
+        for role, path in checkpoints.items():
+            if command != "transform" or role == "predictor":
+                argv += [f"--{role}", str(path)]
+        return argv
+
+    @pytest.mark.parametrize("command, role", [
+        ("transform", "predictor"), ("evaluate", "predictor"),
+        ("evaluate", "classifier"), ("ablate", "classifier"),
+    ])
+    def test_other_role_exits_2(self, workspace, tmp_path, capsys, command, role):
+        other = "classifier" if role == "predictor" else "predictor"
+        checkpoints = {r: workspace / "ckpt" / f"{r}.json" for r in ("classifier", "predictor")}
+        checkpoints[role] = wrong = workspace / "ckpt" / f"{other}.json"
+        assert run(self.argv(workspace, command, checkpoints, tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert f"--{role} {wrong}: checkpoint was trained as '{other}'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoints_without_role_load(self, workspace, tmp_path):
+        checkpoints = {}
+        for role in ("classifier", "predictor"):
+            doc = json.loads((workspace / "ckpt" / f"{role}.json").read_text())
+            del doc["metadata"]["trained_as"]
+            checkpoints[role] = tmp_path / f"{role}-plain.json"
+            checkpoints[role].write_text(json.dumps(doc))
+        assert run(self.argv(workspace, "evaluate", checkpoints, tmp_path / "o")) == 0
+
+
 class TestTheoryValidate:
     def test_full_suite_passes(self, tmp_path):
         assert run([

@@ -96,6 +96,18 @@ class TestAblation:
             run_ablation(fixture.classifier, fixture.predictor, fixture.test_graph,
                          TransformConfig(mode="auto"), SEEDS)
 
+    @pytest.mark.parametrize("edges, hd_before", [
+        (np.empty((0, 2), dtype=np.int64), None),  # HD undefined before and after
+        (np.array([[0, 1]]), 1.0),  # ceil(0.3 * 1) = 1: the full arm removes it
+    ])
+    def test_edgeless_side_reports_null_hd(self, fixture, edges, hd_before):
+        graph = fixture.test_graph(0)
+        graph = replace(graph, edges=edges, labels=np.zeros(graph.num_nodes, dtype=np.int64))
+        report = run_ablation(fixture.classifier, fixture.predictor, graph,
+                              fixture.config, (0, 1))
+        assert report.extras == {"hd_before": [hd_before] * 2, "hd_after_full": [None] * 2}
+        assert all(len(v) == 2 for v in report.arm_values.values())
+
     def test_constant_graph_gives_constant_arms(self, fixture):
         graph = fixture.test_graph(0)
         report = run_ablation(fixture.classifier, fixture.predictor, graph,

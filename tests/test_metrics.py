@@ -176,11 +176,12 @@ class TestHdDeltaReport:
         before, after, delta = hd_delta_report(g, wg, labels)
         assert delta == 0.0
 
-    def test_empty_after_rejected(self):
+    def test_edgeless_side_gives_none(self):
         g = self.graph([[0, 1]])
         empty = LabeledGraph(num_nodes=4, edges=np.empty((0, 2)))
-        with pytest.raises(ValueError, match="undefined HD"):
-            hd_delta_report(g, empty, np.array([0, 0, 1, 1]))
+        labels = np.array([0, 0, 1, 1])
+        assert hd_delta_report(g, empty, labels) == (1.0, None, None)
+        assert hd_delta_report(empty, g, labels) == (None, 1.0, None)
 
     def test_label_length_checked(self):
         g = self.graph([[0, 1]])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import graphost
 from graphost.graphs import LabeledGraph
 from graphost.nn import (
+    PROB_EPS,
     AdamState,
     MeanAggregator,
     adam_step,
@@ -117,16 +118,42 @@ def aggregation_cases(draw):
     return graph, features, weights
 
 
+def strict_mean_rows(graph, features, weights):
+    """The strict-neighbour mean one row at a time in Python floats: a
+    node's total and each column's sum start at +0.0 and take its
+    neighbours in ascending order; a node with total 0 adds its own feature
+    onto that sum."""
+    x = np.asarray(features, dtype=np.float64)
+    cols = x.reshape(len(x), -1)
+    w = [1.0] * graph.num_edges if weights is None else [float(v) for v in weights]
+    neighbours = [[] for _ in range(graph.num_nodes)]
+    for (u, v), wi in zip(graph.edges.tolist(), w):
+        neighbours[u].append((v, wi))
+        neighbours[v].append((u, wi))
+    out = np.empty(cols.shape)
+    for i, nbrs in enumerate(neighbours):
+        nbrs.sort()
+        total = 0.0
+        for _, wi in nbrs:
+            total += wi
+        for j in range(cols.shape[1]):
+            row_sum = 0.0
+            for k, wi in nbrs:
+                row_sum += wi / (total or 1.0) * float(cols[k, j])
+            out[i, j] = row_sum + float(cols[i, j]) if total == 0.0 else row_sum
+    return out.reshape(x.shape)
+
+
 class TestMeanAggregateOracle:
-    """mean_aggregate scatters over the edges; the strict-mode sparse
-    operator is its reference, bit for bit, sign of zero included."""
+    """mean_aggregate scatters over the edges; a per-row loop is its
+    reference, bit for bit, sign of zero included."""
 
     @given(aggregation_cases())
     @settings(max_examples=150, deadline=None)
-    def test_equals_sparse_operator(self, case):
+    def test_equals_row_loop_reference(self, case):
         graph, features, weights = case
         got = mean_aggregate(graph, features, weights)
-        want = MeanAggregator(graph, weights, self_loops=False).apply(features)
+        want = strict_mean_rows(graph, features, weights)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -138,39 +165,64 @@ class TestMeanAggregateOracle:
         x = np.array([[1e16], [-1e16], [0.0], [1.0]])
         h = mean_aggregate(g, x)
         assert h[2, 0] == 1.0 / 3.0
-        assert np.array_equal(h, MeanAggregator(g, self_loops=False).apply(x))
+        assert np.array_equal(h, strict_mean_rows(g, x, None))
 
 
-def mean_operator_coo(graph, weights, self_loops):
+def mean_operator_coo(graph, weights):
     """MeanAggregator's matrix as its constructor built it before
     nn.csr_matrix was the one builder (COO entries, csr_matrix, then
     sort_indices), kept as oracle."""
     n = graph.num_nodes
     w = np.ones(graph.num_edges) if weights is None else np.asarray(weights, dtype=np.float64)
-    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    w = np.concatenate([w, w])
-    if self_loops:
-        loop = np.arange(n)
-        dst, src, w = (np.concatenate([dst, loop]), np.concatenate([src, loop]),
-                       np.concatenate([w, np.ones(n)]))
+    loop = np.arange(n)
+    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0], loop])
+    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1], loop])
+    w = np.concatenate([w, w, np.ones(n)])
     totals = np.bincount(dst, weights=w, minlength=n)
-    fallback = np.flatnonzero(totals == 0.0)
-    dst, src, w = (np.concatenate([dst, fallback]), np.concatenate([src, fallback]),
-                   np.concatenate([w, np.ones(fallback.size)]))
-    totals[fallback] = 1.0
     mat = scipy.sparse.csr_matrix((w / totals[dst], (dst, src)), shape=(n, n))
     mat.sort_indices()
     return mat
 
 
+def sorted_transpose_adjoint(mat, g):
+    """MeanAggregator.adjoint as it was before it used the transpose view:
+    the transpose built as a second CSR with sorted columns, kept as oracle."""
+    adj = mat.T.tocsr()
+    adj.sort_indices()
+    return adj @ g
+
+
+class TestMeanAggregator:
+    @pytest.mark.parametrize("kwargs", [{}, {"self_loops": False}], ids=["omitted", "false"])
+    def test_strict_mode_is_refused(self, kwargs):
+        with pytest.raises(ValueError, match="mean_aggregate"):
+            MeanAggregator(star_graph(), **kwargs)
+
+    def test_self_loops_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            MeanAggregator(star_graph(), None, True)
+
+    @given(aggregation_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_adjoint_equals_sorted_transpose(self, case):
+        # features double as the upstream gradient: -0.0, cancelling and
+        # rounding values make any change of summation order show
+        graph, grad, weights = case
+        agg = MeanAggregator(graph, weights, self_loops=True)
+        got = agg.adjoint(grad)
+        want = sorted_transpose_adjoint(agg._mat, grad)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestCsrMatrix:
-    @given(aggregation_cases(), st.booleans())
+    @given(aggregation_cases())
     @settings(max_examples=100, deadline=None)
-    def test_mean_operator_arrays_unchanged(self, case, self_loops):
+    def test_mean_operator_arrays_unchanged(self, case):
         graph, _, weights = case
-        got = MeanAggregator(graph, weights, self_loops=self_loops)._mat
-        assert_same_csr(got, mean_operator_coo(graph, weights, self_loops))
+        got = MeanAggregator(graph, weights, self_loops=True)._mat
+        assert_same_csr(got, mean_operator_coo(graph, weights))
 
     @pytest.mark.parametrize("n, nnz", [(1, 0), (5, 30), (200, 3000)])
     def test_rows_ascending_repeats_summed(self, rng, n, nnz):
@@ -195,11 +247,10 @@ class TestNegativeWeights:
 
     MESSAGE = r"edge_weights\[1\] = -1\.0 on edge \(0, 2\) is negative"
 
-    @pytest.mark.parametrize("self_loops", [True, False])
-    def test_operator_rejects(self, self_loops):
+    def test_operator_rejects(self):
         g, w = self.star()
         with pytest.raises(ValueError, match=self.MESSAGE):
-            MeanAggregator(g, w, self_loops=self_loops)
+            MeanAggregator(g, w, self_loops=True)
 
     def test_mean_aggregate_rejects(self):
         g, w = self.star()
@@ -217,7 +268,9 @@ class TestNegativeWeights:
         g, _ = self.star()
         w = np.array([0.0, -0.0, 5.0])
         assert np.array_equal(mean_aggregate(g, g.features, w),
-                              MeanAggregator(g, w).apply(g.features))
+                              strict_mean_rows(g, g.features, w))
+        h = MeanAggregator(g, w, self_loops=True).apply(g.features)
+        assert np.allclose(h[:, 0], [(1.0 + 5.0 * 4.0) / 6.0, 2.0, 3.0, (5.0 * 1.0 + 4.0) / 6.0])
 
 
 SRC = Path(graphost.__file__).parent
@@ -383,6 +436,16 @@ class TestActivationsAndScores:
         assert cos[0] == pytest.approx(cos[1])
 
 
+def bce_loss_formula(predictions, labels):
+    """bce_loss as it was written before it became twice WBCE at
+    alpha = 1/2, kept as oracle."""
+    p = np.clip(np.asarray(predictions, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    y = np.asarray(labels, dtype=np.float64)
+    loss = -np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    grad = -y / p + (1.0 - y) / (1.0 - p)
+    return float(loss), grad
+
+
 class TestLosses:
     def test_wbce_hand_value(self):
         # -0.3 * ln(0.5)
@@ -406,6 +469,23 @@ class TestLosses:
         p = np.array(probs)
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(p), max_size=len(p))), dtype=float)
         assert wbce_loss(p, y, 0.5)[0] == 0.5 * bce_loss(p, y)[0]
+
+    @given(
+        # the clamp's endpoints and the values beyond them included
+        st.lists(st.sampled_from([0.0, 1e-9, PROB_EPS, 0.5, 1.0 - PROB_EPS, 1.0 - 1e-9, 1.0])
+                 | st.floats(0.0, 1.0), min_size=1, max_size=30),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_bce_equals_its_old_formula(self, probs, data):
+        p = np.array(probs)
+        y = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(p),
+                                        max_size=len(p))))
+        loss, grad = bce_loss(p, y)
+        want_loss, want_grad = bce_loss_formula(p, y)
+        assert loss == want_loss and np.signbit(loss) == np.signbit(want_loss)
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(np.signbit(grad), np.signbit(want_grad))
 
     def test_wbce_gradient_matches_finite_difference(self, rng):
         p = rng.uniform(0.1, 0.9, size=12)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,3 +298,43 @@ class TestScoreTableArgument:
         )
         with pytest.raises(ValueError, match="scores for"):
             graphost_transform(graph, table, config)
+
+
+@st.composite
+def labeled_test_graphs(draw):
+    """A test graph with labels, plus a permutation of those labels."""
+    n = draw(st.integers(2, 14))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=40))
+    edges = np.array([(u, v) for u, v in pairs if u != v], dtype=np.int64).reshape(-1, 2)
+    features = np.array(draw(st.lists(st.floats(-10, 10), min_size=3 * n, max_size=3 * n)))
+    labels = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    graph = LabeledGraph(num_nodes=n, edges=edges, features=features.reshape(n, 3),
+                         labels=labels, num_classes=3)
+    return graph, draw(st.permutations(labels.tolist()))
+
+
+class TestLabelFree:
+    """Scoring and the transform never read test labels: a graph with its
+    labels, with permuted labels and with none give the same bits."""
+
+    @given(labeled_test_graphs(), st.sampled_from(["gcn", "mlp"]),
+           st.sampled_from(["homophilic", "heterophilic"]), st.sampled_from([0.0, 0.3, 0.7]),
+           st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_labels_change_no_output(self, case, kind, mode, delta, weighting, filtering,
+                                     threshold, seed):
+        graph, permuted = case
+        spec = ArchitectureSpec.default(kind, 3, 4, hidden=4)
+        predictor = Checkpoint(spec=spec, params=init_params(spec, seed=seed))
+        config = TransformConfig(mode=mode, delta=delta, enable_weighting=weighting,
+                                 enable_filtering=filtering, threshold_semantics=threshold)
+        want_scores = edge_homophily_scores(predictor, graph).scores
+        want = graphost_transform(graph, predictor, config)
+        for variant in (replace(graph, labels=np.array(permuted)), replace(graph, labels=None)):
+            scores = edge_homophily_scores(predictor, variant).scores
+            assert scores.tobytes() == want_scores.tobytes()
+            got = graphost_transform(variant, predictor, config)
+            assert np.array_equal(got.base.edges, want.base.edges)
+            assert got.base.features.tobytes() == want.base.features.tobytes()
+            assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
