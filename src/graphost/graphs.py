@@ -297,19 +297,28 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
 # ---------------------------------------------------------------------------
 # File format: JSON is the one graph file format. A file holds a single
 # object {"num_nodes", "edges", "features", "labels", "num_classes"}
-# (labels/features optional; weighted graphs add "edge_weights"). A legacy
-# "directed": false key is accepted; "directed": true is rejected.
+# (labels/features optional; weighted graphs add "edge_weights", which only
+# load_weighted_graph reads). A legacy "directed": false key is accepted;
+# "directed": true is rejected.
 # ---------------------------------------------------------------------------
 
 
 def load_graph(path: str | Path) -> LabeledGraph:
-    return load_weighted_graph(path).base
+    """Load an unweighted JSON container. A file with "edge_weights" raises
+    GraphFormatError: dropping its weights would read every edge as 1."""
+    return _load(path, weighted=False).base
 
 
 def load_weighted_graph(path: str | Path) -> WeightedGraph:
     """Load a JSON container; missing "edge_weights" means unit weights."""
+    return _load(path, weighted=True)
+
+
+def _load(path: str | Path, weighted: bool) -> WeightedGraph:
     doc = read_json(path, GraphFormatError)
-    if doc.raw.get("directed", False) is not False:
+    if not weighted and "edge_weights" in doc:
+        doc.fail('the file holds "edge_weights"; read it with load_weighted_graph')
+    if doc.boolean("directed", False):
         doc.fail("directed graphs are not supported")
     base = doc.build(
         LabeledGraph,
@@ -324,16 +333,14 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
 
 
 def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path) -> None:
+    """Write the JSON container; the arrays go to write_json as they are."""
     base = graph.base if isinstance(graph, WeightedGraph) else graph
-    doc: dict = {
-        "num_nodes": base.num_nodes,
-        "edges": base.edges.tolist(),
-    }
+    doc: dict = {"num_nodes": base.num_nodes, "edges": base.edges}
     if base.features is not None:
-        doc["features"] = base.features.tolist()
+        doc["features"] = base.features
     if base.labels is not None:
-        doc["labels"] = base.labels.tolist()
+        doc["labels"] = base.labels
         doc["num_classes"] = base.num_classes
     if isinstance(graph, WeightedGraph):
-        doc["edge_weights"] = graph.edge_weights.tolist()
+        doc["edge_weights"] = graph.edge_weights
     write_json(path, doc)

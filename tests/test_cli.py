@@ -237,6 +237,25 @@ class TestEvaluate:
         doc = json.loads((tmp_path / "a" / name).read_text())
         assert set(doc["arms"]) == {"base", "graphost"}
 
+    def test_weighted_test_graph_exits_1_naming_path(self, workspace, tmp_path, capsys):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        assert run([
+            "transform", "--test-graph", str(data / "test.json"),
+            "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+            "--out", str(tmp_path / "t"),
+        ]) == 0
+        transformed = tmp_path / "t" / "transformed.json"
+        capsys.readouterr()
+        assert run([
+            "evaluate", "--test-graph", str(transformed),
+            "--classifier", str(ckpt / "classifier.json"),
+            "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+            "--out", str(tmp_path / "e"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count(str(transformed)) == 1 and "load_weighted_graph" in err
+        assert not (tmp_path / "e").exists()
+
     def test_seed_list_evaluates_once_without_spread(self, workspace, tmp_path, monkeypatch):
         # evaluate draws nothing: more seeds must not repeat it or report std 0
         import graphost.cli as cli_module

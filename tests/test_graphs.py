@@ -400,6 +400,14 @@ class TestGraphIO:
         assert np.array_equal(loaded.edge_weights, wg.edge_weights)
         assert np.array_equal(loaded.base.edges, wg.base.edges)
 
+    def test_load_graph_rejects_weighted_file(self, tmp_path):
+        path = tmp_path / "wg.json"
+        save_graph(WeightedGraph(base=triangle(), edge_weights=np.array([0.25, 0.5, 1.0])), path)
+        with pytest.raises(GraphFormatError, match="load_weighted_graph") as err:
+            load_graph(path)
+        assert err.value.path == str(path)
+        assert str(err.value).count(str(path)) == 1
+
     def test_zero_edge_graph_round_trip(self, tmp_path):
         g = LabeledGraph(num_nodes=2, edges=[], labels=np.array([0, 1]))
         save_graph(g, tmp_path / "empty.json")
