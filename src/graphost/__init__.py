@@ -4,7 +4,6 @@ confidence, plus a CSBM numerical laboratory for the underlying theory."""
 from .csbm import (
     CsbmParams,
     generate_csbm,
-    generate_csbm_multiclass,
     perturb_features,
     symmetric_binary_params,
 )
@@ -43,7 +42,6 @@ from .models import (
 )
 from .transform import (
     TransformConfig,
-    build_weighted_graph,
     filter_edges,
     graphost_transform,
     resolve_mode,

@@ -23,7 +23,7 @@ import numpy as np
 from .csbm import (
     SAMPLER_VERSION,
     CsbmParams,
-    generate_csbm_multiclass,
+    generate_csbm,
     symmetric_binary_params,
 )
 from .experiments import (
@@ -59,9 +59,8 @@ from .theory import (
     multiclass_separation,
     phi_vs_simulation,
     separation_check,  # unused: kept bound for perfbench's trace of the theory lab
-    separation_from_means,
 )
-from .transform import MODES, TransformConfig, graphost_transform
+from .transform import MODES, TransformConfig, graphost_transform, resolve_mode
 
 PINNED_TIMESTAMP = "pinned"
 
@@ -143,6 +142,7 @@ class _Option:
 _NETWORK_KINDS = ("gcn", "mlp")
 _COUNT = _ranged(lambda v: v >= 1, "[1, inf)", _int)
 _PROBABILITY = _ranged(lambda v: 0 <= v <= 1, "[0, 1]")
+_RATIO = _ranged(lambda v: 0 <= v < 1, "[0, 1)")
 
 _OPTIONS: dict[str, _Option] = {
     # every subcommand; a seed list is checked but kept as given: reports echo it
@@ -178,9 +178,9 @@ _OPTIONS: dict[str, _Option] = {
     "classifier": _Option(),
     "predictor": _Option(help="predictor checkpoint path"),
     "mode": _Option(
-        "auto", choices=MODES, help="edge regime; auto resolves it from --train-graph"
+        "auto", choices=(*MODES, "auto"), help="edge regime; auto resolves it from --train-graph"
     ),
-    "delta": _Option(0.3, _float, help="filtering ratio in [0, 1)"),
+    "delta": _Option(0.3, _RATIO, help="filtering ratio in [0, 1)"),
     "no_weight": _Option(False, _switch, help="disable confidence weighting"),
     "no_filter": _Option(False, _switch, help="disable edge filtering"),
     "threshold_semantics": _Option(
@@ -189,7 +189,7 @@ _OPTIONS: dict[str, _Option] = {
     "metric": _Option("accuracy", choices=METRICS),
     "delta_grid": _Option(
         "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-        _split(_ranged(lambda v: 0 <= v < 1, "[0, 1)")),
+        _split(_RATIO),
         help="comma-separated filtering ratios",
     ),
     "noise_levels": _Option(
@@ -324,7 +324,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     params = _params_from_options(options)
     seed = _single_seed(options)
     ts = _timestamp(options["pin_timestamp"])
-    splits = {split: generate_csbm_multiclass(params, derive_seed(seed, idx))
+    splits = {split: generate_csbm(params, derive_seed(seed, idx))
               for idx, split in enumerate(("train", "val", "test"))}
     manifest = {
         "timestamp": ts,
@@ -393,21 +393,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _transform_config(options: dict) -> TransformConfig:
-    try:
-        config = TransformConfig(
-            mode=options["mode"],
-            delta=options["delta"],
-            enable_weighting=not options["no_weight"],
-            enable_filtering=not options["no_filter"],
-            threshold_semantics=options["threshold_semantics"],
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    if config.mode == "auto":
+    """The options' config, with --mode auto resolved on --train-graph."""
+    mode = options["mode"]
+    if mode == "auto":
         if options["train_graph"] is None:
             raise CliError("--mode auto needs --train-graph to resolve the regime")
-        config = config.resolved(_require_file(options, "train_graph", load_graph))
-    return config
+        mode = resolve_mode(_require_file(options, "train_graph", load_graph))
+    return TransformConfig(
+        mode=mode,
+        delta=options["delta"],
+        enable_weighting=not options["no_weight"],
+        enable_filtering=not options["no_filter"],
+        threshold_semantics=options["threshold_semantics"],
+    )
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
@@ -524,18 +522,15 @@ def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: 
     )
 
 
-def _lemma_params(options: dict) -> CsbmParams:
-    """The lemma and separation suites' graph: lemma_nodes nodes per class."""
-    nodes = options["lemma_nodes"]
-    return _axis_params(options["mean_distance"], options["dim"], nodes, nodes,
-                        options["p"], options["q"])
-
-
 def _lemma_report(options: dict, seed: int, found: dict) -> dict:
-    """lemma_check's report on the lemma graph, drawn once per run: the
-    lemma and separation suites both read it from found["lemma"]."""
+    """lemma_check's report on the lemma graph (lemma_nodes nodes per class),
+    drawn once per run: the lemma and separation suites both read it from
+    found["lemma"]."""
     if "lemma" not in found:
-        found["lemma"] = lemma_check(_lemma_params(options), seed)
+        nodes = options["lemma_nodes"]
+        params = _axis_params(options["mean_distance"], options["dim"], nodes, nodes,
+                              options["p"], options["q"])
+        found["lemma"] = lemma_check(params, seed)
     return found["lemma"]
 
 
@@ -552,8 +547,7 @@ def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool
 
 
 def _separation_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    class_means = _lemma_report(options, seed, found)["empirical_class_means"]
-    sc = separation_from_means(_lemma_params(options), class_means)
+    sc = _lemma_report(options, seed, found)
     detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
               f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
     return [("separation-closed-form", sc["relative_error"] <= options["separation_tol"], detail)]
@@ -634,12 +628,12 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     suites = list(_THEORY_SUITES) if options["suite"] == "all" else [options["suite"]]
     seed = _single_seed(options)
-    have_transform = options["p2"] is not None and options["q2"] is not None
-    if any(s in suites for s in _NEEDS_TRANSFORM) and not have_transform:
-        if options["suite"] == "all":
-            suites = [s for s in suites if s not in _NEEDS_TRANSFORM]
-        else:
+    skipped: list[str] = []
+    if options["p2"] is None or options["q2"] is None:
+        if options["suite"] in _NEEDS_TRANSFORM:
             raise CliError("--p2 and --q2 are required for the theorem/constraint suites")
+        skipped = [s for s in suites if s in _NEEDS_TRANSFORM]
+        suites = [s for s in suites if s not in skipped]
     ts = _timestamp(options["pin_timestamp"])
 
     checks: list[dict] = []
@@ -655,6 +649,9 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
         "options": {k: options[k] for k in sorted(options) if k not in ("out",)},
         "checks": checks,
     }
+    if skipped:
+        doc["skipped"] = skipped
+        print(f"SKIP {', '.join(skipped)}: need --p2 and --q2")
     out = _out_dir(options)
     if "theorem" in found:
         doc["theorem_report"] = found["theorem"].to_dict()

@@ -31,7 +31,6 @@ __all__ = [
     "CsbmParams",
     "symmetric_binary_params",
     "generate_csbm",
-    "generate_csbm_multiclass",
     "perturb_features",
 ]
 
@@ -225,16 +224,8 @@ def _generate(params: CsbmParams, seed: int) -> LabeledGraph:
 
 
 def generate_csbm(params: CsbmParams, seed: int) -> LabeledGraph:
-    """Sample a two-class CSBM graph: features N(mu_k, I), same-class pairs
+    """Sample an s-class CSBM graph: features N(mu_k, I), same-class pairs
     connected with intra_prob, cross-class pairs with inter_prob."""
-    if params.num_classes != 2:
-        raise ValueError("generate_csbm is binary; use generate_csbm_multiclass")
-    return _generate(params, seed)
-
-
-def generate_csbm_multiclass(params: CsbmParams, seed: int) -> LabeledGraph:
-    """s-class CSBM: every same-class pair uses intra_prob, every cross-class
-    pair uses inter_prob. With s = 2 this matches generate_csbm exactly."""
     return _generate(params, seed)
 
 

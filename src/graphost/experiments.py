@@ -156,8 +156,6 @@ def _run_arms(
     """The seed x arm loop: arms(seed, graph) yields (arm, graph) in report
     order for each seed's test graph, and each yielded graph is evaluated
     before the next is made. `grid` joins the report's config block."""
-    if config.mode == "auto":
-        raise ValueError("harness needs a resolved transform mode, not 'auto'")
     provider = test_graphs if callable(test_graphs) else lambda _seed: test_graphs
     values: dict[str, list[float]] = {}
     for seed in seeds:

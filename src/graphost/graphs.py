@@ -335,6 +335,9 @@ def _load(path: str | Path, weighted: bool) -> WeightedGraph:
 def save_graph(graph: LabeledGraph | WeightedGraph, path: str | Path) -> None:
     """Write the JSON container; the arrays go to write_json as they are."""
     base = graph.base if isinstance(graph, WeightedGraph) else graph
+    if base.features is not None and base.features.shape[0] == 0 < base.features.shape[1]:
+        raise ValueError(f"cannot save features of shape {base.features.shape}: "
+                         "a JSON [] keeps no width")
     doc: dict = {"num_nodes": base.num_nodes, "edges": base.edges}
     if base.features is not None:
         doc["features"] = base.features

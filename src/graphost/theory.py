@@ -4,6 +4,10 @@ optimal linear boundary, misclassification probabilities, the degree
 relaxation constraint, the imbalanced-class boundary, and the multi-class
 separation formula.
 
+``lemma_check`` is the one Monte Carlo report on a single sampled binary
+graph: the empirical midpoint, direction and class-mean distance against
+their closed forms. ``separation_check`` returns its distance keys.
+
 All of this deliberately uses strict-neighbour mean aggregation (no self
 loop), unlike the practical model layer, because that is the operation the
 closed forms describe. Nodes of degree zero are excluded from error counts
@@ -38,7 +42,6 @@ __all__ = [
     "monte_carlo_theorem_check",
     "lemma_check",
     "separation_check",
-    "separation_from_means",
     "phi_vs_simulation",
 ]
 
@@ -372,11 +375,13 @@ def monte_carlo_theorem_check(
     )
 
 
-def _class_means(params: CsbmParams, seed: int, check: str) -> tuple[list[np.ndarray], int]:
+def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
     """Both classes' mean aggregated embedding over their non-isolated nodes
-    in one sampled binary CSBM graph, and the isolated-node count."""
+    in one sampled binary CSBM graph, against the closed forms: the lemmas'
+    midpoint and direction, and the distance between the classes,
+    |p - q| / (p + q) * ||mu_1 - mu_2||."""
     if params.num_classes != 2:
-        raise ValueError(f"{check} checks are binary; use two-class parameters")
+        raise ValueError("lemma checks are binary; use two-class parameters")
     graph = _generate(params, seed)
     h, include = _strict_mean(graph)
     emp = []
@@ -385,52 +390,37 @@ def _class_means(params: CsbmParams, seed: int, check: str) -> tuple[list[np.nda
         if not mask.any():
             raise ValueError(f"class {cls} has no non-isolated nodes")
         emp.append(h[mask].mean(axis=0))
-    return emp, int(np.count_nonzero(~include))
-
-
-def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
-    """Empirical midpoint and direction of class-mean aggregated embeddings
-    against their closed forms, on one sampled binary CSBM graph."""
-    emp, excluded = _class_means(params, seed, "lemma")
     means = np.asarray(params.class_means, dtype=np.float64)
     emp_mid = (emp[0] + emp[1]) / 2.0
     expected_mid = midpoint(means)
     diff = emp[0] - emp[1]
     o = direction(means)
     cos = float(np.dot(diff, o) / (np.linalg.norm(diff) * np.linalg.norm(o)))
-    return {
-        "empirical_class_means": [emp[0].tolist(), emp[1].tolist()],
-        "empirical_midpoint": emp_mid.tolist(),
-        "expected_midpoint": expected_mid.tolist(),
-        "midpoint_error": float(np.linalg.norm(emp_mid - expected_mid)),
-        "direction_cosine": cos,
-        "excluded_nodes": excluded,
-    }
-
-
-def separation_check(params: CsbmParams, seed: int = 0) -> dict:
-    """Empirical distance between aggregated class means against the
-    closed-form |p - q| / (p + q) * ||mu_1 - mu_2||."""
-    emp, _ = _class_means(params, seed, "separation")
-    return separation_from_means(params, emp)
-
-
-def separation_from_means(params: CsbmParams, class_means) -> dict:
-    """separation_check's numbers from both classes' empirical aggregated
-    means, e.g. lemma_check's "empirical_class_means" on the same graph."""
-    emp = np.asarray(class_means, dtype=np.float64)
-    means = np.asarray(params.class_means, dtype=np.float64)
-    empirical = float(np.linalg.norm(emp[0] - emp[1]))
+    empirical = float(np.linalg.norm(diff))
     a = float(np.linalg.norm(means[0] - means[1]))
     closed_form = 2.0 * class_separation_distance(
         params.intra_prob, params.inter_prob, a
     )
     rel = abs(empirical - closed_form) / closed_form if closed_form else float("inf")
     return {
+        "empirical_class_means": [emp[0].tolist(), emp[1].tolist()],
+        "empirical_midpoint": emp_mid.tolist(),
+        "expected_midpoint": expected_mid.tolist(),
+        "midpoint_error": float(np.linalg.norm(emp_mid - expected_mid)),
+        "direction_cosine": cos,
+        "excluded_nodes": int(np.count_nonzero(~include)),
         "empirical_distance": empirical,
         "closed_form_distance": closed_form,
         "relative_error": rel,
     }
+
+
+def separation_check(params: CsbmParams, seed: int = 0) -> dict:
+    """lemma_check's distance between the aggregated class means and its
+    closed form |p - q| / (p + q) * ||mu_1 - mu_2||, with their relative error."""
+    report = lemma_check(params, seed)
+    return {k: report[k] for k in ("empirical_distance", "closed_form_distance",
+                                   "relative_error")}
 
 
 def phi_vs_simulation(

@@ -1,17 +1,19 @@
 """Test-time structural transformation: confidence weighting and top-delta
 edge filtering, composed into the label-free end-to-end pipeline.
 
-Harmfulness of an edge is its heterophily confidence on homophilic graphs
-and its homophily confidence on heterophilic graphs. Filtering removes the
-ceil(delta * E) most harmful edges, breaking score ties by ascending
-canonical edge index, so the whole pipeline is invariant to the order the
-input edge list arrived in.
+``graphost_transform`` is the one path. From each edge's homophily score s
+it takes the edge's weight (its keep-confidence: s on homophilic graphs,
+1 - s on heterophilic ones) and its harm (1 - s on homophilic graphs, s on
+heterophilic ones). Filtering removes the ceil(delta * E) most harmful
+edges, breaking ties by ascending canonical edge index, so the whole
+pipeline is invariant to the order the input edge list arrived in. The
+regime is "homophilic" or "heterophilic"; ``resolve_mode`` reads it off a
+labeled training graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import overload
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,18 +22,17 @@ from .models import Checkpoint, EdgeScoreTable, edge_homophily_scores
 
 __all__ = [
     "TransformConfig",
-    "build_weighted_graph",
     "filter_edges",
     "graphost_transform",
     "resolve_mode",
 ]
 
-MODES = ("homophilic", "heterophilic", "auto")
+MODES = ("homophilic", "heterophilic")
 
 
 @dataclass(frozen=True)
 class TransformConfig:
-    mode: str = "auto"
+    mode: str
     delta: float = 0.3
     enable_weighting: bool = True
     enable_filtering: bool = True
@@ -54,74 +55,18 @@ class TransformConfig:
             "threshold_semantics": self.threshold_semantics,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TransformConfig":
-        return cls(**{k: doc[k] for k in cls.__dataclass_fields__ if k in doc})
 
-    def resolved(self, train_graph: LabeledGraph | None) -> "TransformConfig":
-        if self.mode != "auto":
-            return self
-        if train_graph is None:
-            raise ValueError("mode='auto' needs a labeled training graph to resolve")
-        return replace(self, mode=resolve_mode(train_graph))
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("homophilic", "heterophilic"):
-        raise ValueError(f"mode must be 'homophilic' or 'heterophilic', got {mode!r}")
-
-
-def _harmfulness(scores: EdgeScoreTable, mode: str) -> np.ndarray:
-    _check_mode(mode)
-    return 1.0 - scores.scores if mode == "homophilic" else scores.scores.copy()
-
-
-def build_weighted_graph(
-    graph: LabeledGraph, scores: EdgeScoreTable, mode: str
-) -> WeightedGraph:
-    """Weight each edge by its keep-confidence: the homophily score on
-    homophilic graphs, the heterophily score on heterophilic ones."""
-    _check_mode(mode)
-    if len(scores) != graph.num_edges:
-        raise ValueError(f"{len(scores)} scores for {graph.num_edges} edges")
-    weights = scores.scores if mode == "homophilic" else 1.0 - scores.scores
-    return WeightedGraph(base=graph, edge_weights=weights)
-
-
-@overload
-def filter_edges(graph: LabeledGraph, scores: EdgeScoreTable, mode: str,
-                 delta: float, threshold_semantics: bool = False) -> LabeledGraph: ...
-@overload
-def filter_edges(graph: WeightedGraph, scores: EdgeScoreTable, mode: str,
-                 delta: float, threshold_semantics: bool = False) -> WeightedGraph: ...
-
-
-def filter_edges(graph, scores, mode, delta, threshold_semantics=False):
-    """Drop the most confidently harmful edges; nodes and features untouched.
-
-    Default semantics remove exactly min(ceil(delta * E), E) edges ranked by
-    harmfulness descending (ties -> ascending edge index). With
-    threshold_semantics=True, every edge whose harmfulness is >= delta goes
-    instead.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    base = graph.base if isinstance(graph, WeightedGraph) else graph
-    if len(scores) != base.num_edges:
-        raise ValueError(f"{len(scores)} scores for {base.num_edges} edges")
-    harm = _harmfulness(scores, mode)
+def _keep_mask(harm: np.ndarray, delta: float, threshold_semantics: bool) -> np.ndarray:
+    """Edges that survive filtering. By default exactly min(ceil(delta * E),
+    E) edges go, ranked by harm descending (ties -> ascending edge index);
+    with threshold_semantics every edge whose harm is >= delta goes instead."""
     if threshold_semantics:
-        keep_mask = harm < delta
-    else:
-        k = min(int(np.ceil(delta * base.num_edges)), base.num_edges)
-        keep_mask = np.ones(base.num_edges, dtype=bool)
-        if k > 0:
-            order = np.argsort(-harm, kind="stable")
-            keep_mask[order[:k]] = False
-    new_base = base.with_edges(base.edges[keep_mask])
-    if isinstance(graph, WeightedGraph):
-        return WeightedGraph(base=new_base, edge_weights=graph.edge_weights[keep_mask])
-    return new_base
+        return harm < delta
+    k = min(int(np.ceil(delta * len(harm))), len(harm))
+    keep = np.ones(len(harm), dtype=bool)
+    if k > 0:
+        keep[np.argsort(-harm, kind="stable")[:k]] = False
+    return keep
 
 
 def graphost_transform(
@@ -139,25 +84,30 @@ def graphost_transform(
     caller applying several configs to one graph scores it once and passes
     the table to each.
     """
-    if config.mode == "auto":
-        raise ValueError(
-            "config.mode is 'auto'; resolve it against the training graph first"
-        )
     if isinstance(predictor, EdgeScoreTable):
         if len(predictor) != test_graph.num_edges:
             raise ValueError(f"{len(predictor)} scores for {test_graph.num_edges} edges")
-        scores = predictor
+        s = predictor.scores
     else:
-        scores = edge_homophily_scores(predictor, test_graph)
-    if config.enable_weighting:
-        weighted = build_weighted_graph(test_graph, scores, config.mode)
-    else:
-        weighted = WeightedGraph(base=test_graph)
-    if config.enable_filtering:
-        weighted = filter_edges(
-            weighted, scores, config.mode, config.delta, config.threshold_semantics
-        )
-    return weighted
+        s = edge_homophily_scores(predictor, test_graph).scores
+    homophilic = config.mode == "homophilic"
+    weights = (s if homophilic else 1.0 - s) if config.enable_weighting else None
+    if not config.enable_filtering:
+        return WeightedGraph(base=test_graph, edge_weights=weights)
+    keep = _keep_mask(1.0 - s if homophilic else s, config.delta, config.threshold_semantics)
+    return WeightedGraph(
+        base=test_graph.with_edges(test_graph.edges[keep]),
+        edge_weights=None if weights is None else weights[keep],
+    )
+
+
+def filter_edges(graph: LabeledGraph, scores: EdgeScoreTable, mode: str,
+                 delta: float, threshold_semantics: bool = False) -> LabeledGraph:
+    """The graph ``graphost_transform`` keeps with weighting off: nodes and
+    features untouched, the most confidently harmful edges dropped."""
+    config = TransformConfig(mode=mode, delta=delta, enable_weighting=False,
+                             threshold_semantics=threshold_semantics)
+    return graphost_transform(graph, scores, config).base
 
 
 def resolve_mode(train_graph: LabeledGraph) -> str:

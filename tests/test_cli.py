@@ -220,6 +220,24 @@ class TestTransform:
         ]) == 2
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_bad_delta_reported_before_unresolved_auto(self, workspace, tmp_path, capsys,
+                                                       via_config):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"delta": 1.5}')
+        delta = ["--config", str(cfg)] if via_config else ["--delta", "1.5"]
+        assert run([
+            "transform", "--test-graph", str(data / "test.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "auto", *delta, "--out", str(tmp_path / "x"),
+        ]) == 2
+        given = f"1.5 in config file {cfg}" if via_config else "'1.5'"
+        err = capsys.readouterr().err
+        assert f"bad --delta value {given}: 1.5 lies outside [0, 1)" in err
+        assert "--train-graph" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestEvaluate:
     def test_report_written_and_pinned_reruns_byte_identical(self, workspace, tmp_path):
@@ -409,6 +427,23 @@ class TestTheoryValidate:
             "theory-validate", "--suite", "theorem", "--p", "0.02", "--q", "0.01",
             "--out", str(tmp_path),
         ]) == 2
+
+    @pytest.mark.parametrize("transformed", [False, True])
+    def test_skipped_suites_are_reported(self, tmp_path, capsys, transformed):
+        args = ["theory-validate", "--seed", "0", "--out", str(tmp_path), "--pin-timestamp"]
+        if transformed:
+            args += ["--p2", "0.03", "--q2", "0.005", "--trials", "4"]
+        code = run(args)
+        out = capsys.readouterr().out
+        doc = json.loads((tmp_path / "theory-report-pinned-0.json").read_text())
+        assert code == (0 if all(check["passed"] for check in doc["checks"]) else 1)
+        if transformed:
+            assert "skipped" not in doc and "SKIP" not in out
+            assert len(doc["checks"]) == 8
+        else:
+            assert doc["skipped"] == ["theorem", "constraint"]
+            assert "SKIP theorem, constraint: need --p2 and --q2\n" in out
+            assert len(doc["checks"]) == 6 and "6/6 theory checks passed" in out
 
     def test_single_suite_runs(self, tmp_path, capsys):
         assert run([
@@ -628,6 +663,7 @@ BAD_CONFIG_VALUES = [
     (INT_OPTIONS, [3.9, True, "ten", None]),
     (COUNT_OPTIONS, [0, -5]),
     (PROBABILITY_OPTIONS, [1.5, -0.1]),
+    ({"delta"}, [1.0, -0.1]),  # in [0, 1)
     (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
     (SWITCH_OPTIONS, [1, "true"]),
     (PATH_OPTIONS, [5, ["a"]]),
@@ -691,7 +727,8 @@ class TestOptionParsing:
     @pytest.mark.parametrize("name, flag, text", [
         ("train", "--epochs", "abc"), ("train", "--epochs", "3.9"),
         ("theory-validate", "--trials", "ten"), ("theory-validate", "--p", "nan"),
-        ("evaluate", "--delta", "inf"), ("generate", "--sizes", "20,x"),
+        ("evaluate", "--delta", "inf"), ("transform", "--delta", "1"),
+        ("ablate", "--delta", "-0.1"), ("generate", "--sizes", "20,x"),
         ("generate", "--means", "1,0;0,y"), ("generate", "--seed", "zero"),
         ("theory-validate", "--samples", "0"), ("theory-validate", "--trials", "0"),
         ("theory-validate", "--dim", "0"), ("theory-validate", "--n1", "-5"),

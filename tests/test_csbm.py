@@ -9,7 +9,6 @@ from graphost.csbm import (
     _sample_edges,
     _unrank_triu,
     generate_csbm,
-    generate_csbm_multiclass,
     perturb_features,
     symmetric_binary_params,
 )
@@ -147,7 +146,7 @@ class TestEdgeSampler:
         sizes = (30, 40, 25)
 
         def split(p, q):
-            g = generate_csbm_multiclass(CsbmParams(means, sizes, p, q), seed=11)
+            g = generate_csbm(CsbmParams(means, sizes, p, q), seed=11)
             same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
             return g.edges[same], g.edges[~same]
 
@@ -192,26 +191,14 @@ class TestEdgeSampler:
 
 
 class TestMulticlass:
-    def test_s2_identical_to_binary(self):
-        params = binary_params(0.3, 0.1, n=20)
-        a = generate_csbm(params, seed=3)
-        b = generate_csbm_multiclass(params, seed=3)
-        assert np.array_equal(a.edges, b.edges)
-        assert np.array_equal(a.features, b.features)
-
-    def test_binary_entry_point_rejects_multiclass(self):
-        params = CsbmParams(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)), (2, 2, 2), 0.5, 0.1)
-        with pytest.raises(ValueError, match="binary"):
-            generate_csbm(params, seed=0)
-
     def test_three_disjoint_cliques(self):
         params = CsbmParams(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)), (2, 2, 2), 1.0, 0.0)
-        g = generate_csbm_multiclass(params, seed=0)
+        g = generate_csbm(params, seed=0)
         assert g.edge_pairs() == {(0, 1), (2, 3), (4, 5)}
 
     def test_complete_tripartite(self):
         params = CsbmParams(((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)), (2, 2, 2), 0.0, 1.0)
-        g = generate_csbm_multiclass(params, seed=0)
+        g = generate_csbm(params, seed=0)
         assert g.num_edges == 12  # 3 block pairs x 2 x 2
         same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
         assert not same.any()

@@ -284,3 +284,42 @@ class TestSharedScoreTable:
         runner(fixture.classifier, fixture.predictor, fixture.test_graph,
                fixture.config, SEEDS, *grids)
         assert len(calls) == per_seed * len(SEEDS)
+
+
+class TestRunnersLabelFree:
+    """Every transformed arm of every runner is label-free: each
+    graphost_transform call gives the same edges and weights on the test
+    graphs and on the same graphs with permuted labels."""
+
+    @pytest.mark.parametrize("mode", ["homophilic", "heterophilic"])
+    def test_transformed_arms_ignore_test_labels(self, fixture, monkeypatch, mode):
+        outputs: list = []
+
+        def recorded(*args):
+            out = graphost_transform(*args)
+            outputs.append(out)
+            return out
+
+        def permuted(seed):
+            graph = fixture.test_graph(seed)
+            labels = np.random.default_rng(seed).permutation(graph.labels)
+            assert not np.array_equal(labels, graph.labels)
+            return replace(graph, labels=labels)
+
+        monkeypatch.setattr(experiments, "graphost_transform", recorded)
+        config = replace(fixture.config, mode=mode)
+        runs = []
+        for test_graphs in (fixture.test_graph, permuted):
+            outputs.clear()
+            args = (fixture.classifier, fixture.predictor, test_graphs, config, SEEDS)
+            run_ablation(*args)
+            run_delta_sweep(*args, delta_grid=DELTA_GRID)
+            run_noise_robustness(*args, noise_levels=NOISE_LEVELS)
+            run_random_drop_comparison(*args)
+            runs.append(list(outputs))
+        labeled, relabeled = runs
+        assert len(labeled) == len(relabeled) == len(SEEDS) * (
+            3 + len(DELTA_GRID) + len(NOISE_LEVELS) + 1)
+        for want, got in zip(labeled, relabeled):
+            assert got.base.edges.tobytes() == want.base.edges.tobytes()
+            assert got.edge_weights.tobytes() == want.edge_weights.tobytes()

@@ -85,18 +85,35 @@ def _same_bits(a, b) -> bool:
 @given(graph=graphs())
 def test_save_graph_writes_the_bytes_of_one_json_dumps(scratch, graph):
     path = scratch / "graph.json"
+    path.unlink(missing_ok=True)
+    base = graph.base if isinstance(graph, WeightedGraph) else graph
+    if base.features is not None and base.features.shape[0] == 0 < base.features.shape[1]:
+        with pytest.raises(ValueError, match=r"a JSON \[\] keeps no width"):
+            save_graph(graph, path)  # [] would read back as width 0
+        assert not list(scratch.glob("graph.json*"))
+        return
     save_graph(graph, path)
     assert path.read_bytes() == json.dumps(_listed(graph), sort_keys=True).encode()
     loaded = load_weighted_graph(path)
-    base = graph.base if isinstance(graph, WeightedGraph) else graph
-    features = base.features
-    if features is not None and not len(features):
-        features = features.reshape(0, 0)  # [] carries no width
-    for want, got in [(base.edges, loaded.base.edges), (features, loaded.base.features),
+    for want, got in [(base.edges, loaded.base.edges), (base.features, loaded.base.features),
                       (base.labels, loaded.base.labels)]:
         assert (want is None and got is None) or _same_bits(want, got)
     if isinstance(graph, WeightedGraph):
         assert _same_bits(graph.edge_weights, loaded.edge_weights)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3])
+def test_save_graph_refuses_zero_rows_of_nonzero_width(tmp_path, width):
+    graph = LabeledGraph(num_nodes=0, edges=np.empty((0, 2), dtype=np.int64),
+                         features=np.empty((0, width)))
+    path = tmp_path / "graph.json"
+    if width == 0:
+        save_graph(graph, path)
+        assert load_weighted_graph(path).base.features.shape == (0, 0)
+        return
+    with pytest.raises(ValueError, match=rf"shape \(0, {width}\): a JSON \[\] keeps no width"):
+        save_graph(WeightedGraph(base=graph), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("existing", [True, False])

@@ -14,8 +14,8 @@ from graphost.models import (
     init_params,
 )
 from graphost.transform import (
+    MODES,
     TransformConfig,
-    build_weighted_graph,
     filter_edges,
     graphost_transform,
     resolve_mode,
@@ -45,29 +45,98 @@ def brute_force_filter(graph, scores, mode, delta):
     return set(pairs), hd
 
 
+def reference_weighted_graph(graph, scores, mode):
+    """The weighting step as a separate function, before the transform had
+    one path: keep-confidence s (homophilic) or 1 - s (heterophilic)."""
+    weights = scores.scores if mode == "homophilic" else 1.0 - scores.scores
+    return WeightedGraph(base=graph, edge_weights=weights)
+
+
+def reference_filter(graph, scores, mode, delta, threshold_semantics=False):
+    """The filtering step on a WeightedGraph, as a separate function: drop
+    the top ceil(delta * E) harmful edges (or harm >= delta) and keep the
+    survivors' weights."""
+    harm = 1.0 - scores.scores if mode == "homophilic" else scores.scores.copy()
+    if threshold_semantics:
+        keep_mask = harm < delta
+    else:
+        k = min(int(np.ceil(delta * graph.num_edges)), graph.num_edges)
+        keep_mask = np.ones(graph.num_edges, dtype=bool)
+        if k > 0:
+            order = np.argsort(-harm, kind="stable")
+            keep_mask[order[:k]] = False
+    return WeightedGraph(base=graph.base.with_edges(graph.base.edges[keep_mask]),
+                         edge_weights=graph.edge_weights[keep_mask])
+
+
+def reference_transform(graph, scores, config):
+    """The weighting-then-filtering composition, the oracle for graphost_transform."""
+    if config.enable_weighting:
+        weighted = reference_weighted_graph(graph, scores, config.mode)
+    else:
+        weighted = WeightedGraph(base=graph)
+    if config.enable_filtering:
+        weighted = reference_filter(weighted, scores, config.mode, config.delta,
+                                    config.threshold_semantics)
+    return weighted
+
+
+# Few distinct values, so that ties occur; -0.0 and 0.7 (1 - 0.7 is not 0.3)
+# make sign bits and last-bit differences show.
+TIED_SCORES = [-0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0]
+
+
+class TestOnePathMatchesReference:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.data(),
+           st.sampled_from(MODES), st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75]) | st.floats(0.0, 0.99))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, graph_seed, n, data, mode, weighting, filtering,
+                           threshold, delta):
+        g = random_labeled_graph(np.random.default_rng(graph_seed), n, 0.5)
+        scores = EdgeScoreTable(scores=np.array(data.draw(st.lists(
+            st.sampled_from(TIED_SCORES), min_size=g.num_edges, max_size=g.num_edges))))
+        config = TransformConfig(mode=mode, delta=delta, enable_weighting=weighting,
+                                 enable_filtering=filtering, threshold_semantics=threshold)
+        got = graphost_transform(g, scores, config)
+        want = reference_transform(g, scores, config)
+        assert got.base.edges.dtype == want.base.edges.dtype
+        assert np.array_equal(got.base.edges, want.base.edges)
+        assert got.edge_weights.dtype == want.edge_weights.dtype
+        assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
+        assert np.array_equal(np.signbit(got.edge_weights), np.signbit(want.edge_weights))
+        assert filter_edges(g, scores, mode, delta, threshold).edges.tobytes() == (
+            reference_filter(WeightedGraph(base=g), scores, mode, delta,
+                             threshold).base.edges.tobytes())
+
+
+def weighting_only(mode):
+    return TransformConfig(mode=mode, enable_filtering=False)
+
+
 class TestWeightedConstruction:
     def test_homophilic_keeps_scores(self, rng):
         g = random_labeled_graph(rng, 6, 0.7)
         scores = EdgeScoreTable(scores=rng.uniform(size=g.num_edges))
-        wg = build_weighted_graph(g, scores, "homophilic")
+        wg = graphost_transform(g, scores, weighting_only("homophilic"))
         assert np.array_equal(wg.edge_weights, scores.scores)
+        assert np.array_equal(wg.base.edges, g.edges)
 
     def test_heterophilic_flips_scores(self, rng):
         g = random_labeled_graph(rng, 6, 0.7)
         scores = EdgeScoreTable(scores=rng.uniform(size=g.num_edges))
-        wg = build_weighted_graph(g, scores, "heterophilic")
+        wg = graphost_transform(g, scores, weighting_only("heterophilic"))
         assert np.allclose(wg.edge_weights, 1.0 - scores.scores)
 
     def test_length_mismatch(self, rng):
         g = random_labeled_graph(rng, 6, 0.7)
         with pytest.raises(ValueError, match="scores for"):
-            build_weighted_graph(g, EdgeScoreTable(scores=np.array([0.5])), "homophilic")
+            graphost_transform(g, EdgeScoreTable(scores=np.array([0.5])),
+                               weighting_only("homophilic"))
 
-    def test_mode_checked(self, rng):
-        g = random_labeled_graph(rng, 5, 0.5)
-        scores = EdgeScoreTable(scores=np.full(g.num_edges, 0.5))
+    def test_auto_is_not_a_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            build_weighted_graph(g, scores, "auto")
+            TransformConfig(mode="auto")
 
 
 class TestFilterEdges:
@@ -109,9 +178,8 @@ class TestFilterEdges:
     def test_weighted_graph_keeps_surviving_weights(self, rng):
         g = random_labeled_graph(rng, 8, 0.6)
         scores = EdgeScoreTable(scores=rng.uniform(size=g.num_edges))
-        wg = build_weighted_graph(g, scores, "homophilic")
-        out = filter_edges(wg, scores, "homophilic", 0.4)
-        assert isinstance(out, WeightedGraph)
+        wg = graphost_transform(g, scores, weighting_only("homophilic"))
+        out = graphost_transform(g, scores, TransformConfig(mode="homophilic", delta=0.4))
         for i, pair in enumerate(map(tuple, out.base.edges)):
             j = next(k for k, p in enumerate(map(tuple, g.edges)) if p == pair)
             assert out.edge_weights[i] == wg.edge_weights[j]
@@ -186,15 +254,13 @@ class TestTransformConfig:
         with pytest.raises(ValueError, match="mode"):
             TransformConfig(mode="sideways")
         with pytest.raises(ValueError, match="delta"):
-            TransformConfig(delta=1.0)
+            TransformConfig(mode="homophilic", delta=1.0)
 
-    def test_round_trip(self):
-        cfg = TransformConfig(mode="heterophilic", delta=0.2, enable_weighting=False)
-        assert TransformConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_resolved_needs_train_graph(self):
-        with pytest.raises(ValueError, match="auto"):
-            TransformConfig(mode="auto").resolved(None)
+    def test_mode_is_required_and_resolved(self):
+        with pytest.raises(TypeError, match="mode"):
+            TransformConfig()
+        with pytest.raises(ValueError, match="'auto'"):
+            TransformConfig(mode="auto")
 
 
 class TestResolveMode:
@@ -232,16 +298,17 @@ class TestPipelineAlgebra:
     def test_weight_filter_order_independent(self, rng):
         g = random_labeled_graph(rng, 12, 0.4)
         scores = EdgeScoreTable(scores=rng.uniform(size=g.num_edges))
-        weighted_first = filter_edges(
-            build_weighted_graph(g, scores, "homophilic"), scores, "homophilic", 0.4
+        weighted_first = graphost_transform(
+            g, scores, TransformConfig(mode="homophilic", delta=0.4)
         )
         filtered = filter_edges(g, scores, "homophilic", 0.4)
         surviving_idx = [
             i for i, pair in enumerate(map(tuple, g.edges))
             if pair in filtered.edge_pairs()
         ]
-        filtered_first = build_weighted_graph(
-            filtered, EdgeScoreTable(scores=scores.scores[surviving_idx]), "homophilic"
+        filtered_first = graphost_transform(
+            filtered, EdgeScoreTable(scores=scores.scores[surviving_idx]),
+            weighting_only("homophilic"),
         )
         assert np.array_equal(weighted_first.base.edges, filtered_first.base.edges)
         assert np.array_equal(weighted_first.edge_weights, filtered_first.edge_weights)
