@@ -13,7 +13,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -183,9 +183,6 @@ _OPTIONS: dict[str, _Option] = {
     "delta": _Option(0.3, _RATIO, help="filtering ratio in [0, 1)"),
     "no_weight": _Option(False, _switch, help="disable confidence weighting"),
     "no_filter": _Option(False, _switch, help="disable edge filtering"),
-    "threshold_semantics": _Option(
-        False, _switch, help="filter by score threshold instead of top-fraction rank"
-    ),
     "metric": _Option("accuracy", choices=METRICS),
     "delta_grid": _Option(
         "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
@@ -393,18 +390,22 @@ def cmd_train(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _transform_config(options: dict) -> TransformConfig:
-    """The options' config, with --mode auto resolved on --train-graph."""
+    """The options' config, with --mode auto resolved on --train-graph; a
+    training graph without labels or edges is a usage error."""
     mode = options["mode"]
     if mode == "auto":
         if options["train_graph"] is None:
             raise CliError("--mode auto needs --train-graph to resolve the regime")
-        mode = resolve_mode(_require_file(options, "train_graph", load_graph))
+        train_graph = _require_file(options, "train_graph", load_graph)
+        try:
+            mode = resolve_mode(train_graph)
+        except ValueError as exc:
+            raise CliError(f"--mode auto: --train-graph {options['train_graph']}: {exc}") from exc
     return TransformConfig(
         mode=mode,
         delta=options["delta"],
         enable_weighting=not options["no_weight"],
         enable_filtering=not options["no_filter"],
-        threshold_semantics=options["threshold_semantics"],
     )
 
 
@@ -417,7 +418,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     transformed = graphost_transform(test_graph, predictor, config)
     report: dict = {
         "timestamp": ts,
-        "config": config.to_dict(),
+        "config": asdict(config),
         "edges_before": test_graph.num_edges,
         "edges_after": transformed.num_edges,
     }
@@ -469,7 +470,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "experiment": "evaluate",
         "timestamp": ts,
         "seeds": list(seeds),
-        "config": config.to_dict() | {"metric": metric},
+        "config": asdict(config) | {"metric": metric},
         "arms": {"base": {"value": base}, "graphost": {"value": after}},
     })
     print(f"{metric}: base {base:.4f} -> graphost {after:.4f}")
@@ -685,10 +686,7 @@ class _Subcommand:
 
 
 _COMMON = ("seed", "out", "pin_timestamp")
-_TRANSFORM_FLAGS = (
-    "predictor", "train_graph", "mode", "delta", "no_weight", "no_filter",
-    "threshold_semantics",
-)
+_TRANSFORM_FLAGS = ("predictor", "train_graph", "mode", "delta", "no_weight", "no_filter")
 _GRIDS = ("delta_grid", "noise_levels")
 
 

@@ -11,7 +11,7 @@ seed -> graph, which lets each seed evaluate a fresh test sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -165,7 +165,7 @@ def _run_arms(
         experiment=experiment,
         seeds=tuple(seeds),
         arm_values={a: tuple(v) for a, v in values.items()},
-        config=config.to_dict() | {"metric": metric} | (grid or {}),
+        config=asdict(config) | {"metric": metric} | (grid or {}),
         extras={} if extras is None else extras,
     )
 

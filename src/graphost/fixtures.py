@@ -1,8 +1,11 @@
 """Standard desk-scale benchmark fixtures: a CSBM family, trained classifier
 and homophily predictor, and per-seed noisy test samples.
 
-Feature noise models test-time attribute shift; with variance 0.5 it is
-N(0, 0.5 I) on top of the unit-variance class Gaussians.
+Feature noise models test-time attribute shift: N(0, 0.5 I) on top of the
+unit-variance class Gaussians. The noise, the hidden width, the predictor's
+kind and depth, the learning rate, the predictor loss and the filtering
+ratio are the constants below; ``make_fixture`` takes the CSBM family, the
+seed, the classifier depth, the predictor width and the training length.
 """
 
 from __future__ import annotations
@@ -24,13 +27,18 @@ from .transform import TransformConfig, resolve_mode
 
 __all__ = ["TrainedFixture", "make_fixture"]
 
-DEFAULT_NOISE_STD = math.sqrt(0.5)
+NOISE_STD = math.sqrt(0.5)
+HIDDEN = 32
+PREDICTOR_KIND = "gcn"
+PREDICTOR_LAYERS = 2
+LEARNING_RATE = 1e-2
+PREDICTOR_LOSS = "wbce"
+DELTA = 0.3
 
 
 @dataclass(frozen=True)
 class TrainedFixture:
     params: CsbmParams
-    noise_std: float
     base_seed: int
     train_graph: LabeledGraph
     val_graph: LabeledGraph
@@ -44,7 +52,7 @@ class TrainedFixture:
         feature noise, independent of the training graphs."""
         clean = generate_csbm(self.params, derive_seed(self.base_seed, 100 + seed))
         return perturb_features(
-            clean, self.noise_std, derive_seed(self.base_seed, 7_000_000 + seed)
+            clean, NOISE_STD, derive_seed(self.base_seed, 7_000_000 + seed)
         )
 
 
@@ -54,18 +62,11 @@ def make_fixture(
     nodes_per_class: int = 300,
     mean_distance: float = 2.0,
     feature_dim: int = 16,
-    noise_std: float = DEFAULT_NOISE_STD,
     seed: int = 0,
-    hidden: int = 32,
     num_layers: int = 2,
-    predictor_kind: str = "gcn",
     predictor_hidden: int | None = None,
-    predictor_layers: int = 2,
-    learning_rate: float = 1e-2,
     max_epochs: int = 400,
     patience: int = 50,
-    predictor_loss: str = "wbce",
-    delta: float = 0.3,
 ) -> TrainedFixture:
     params = symmetric_binary_params(
         mean_distance=mean_distance,
@@ -77,35 +78,34 @@ def make_fixture(
     train_graph = generate_csbm(params, derive_seed(seed, 0))
     val_graph = generate_csbm(params, derive_seed(seed, 1))
     optimizer = OptimizerConfig(
-        learning_rate=learning_rate, max_epochs=max_epochs, patience=patience
+        learning_rate=LEARNING_RATE, max_epochs=max_epochs, patience=patience
     )
     classifier = train_classifier(
         train_graph,
         val_graph,
-        ArchitectureSpec.default("gcn", feature_dim, 2, hidden, num_layers),
+        ArchitectureSpec.default("gcn", feature_dim, 2, HIDDEN, num_layers),
         optimizer,
         seed=derive_seed(seed, 2),
     )
-    p_hidden = hidden if predictor_hidden is None else predictor_hidden
+    p_hidden = HIDDEN if predictor_hidden is None else predictor_hidden
     predictor = train_homophily_predictor(
         train_graph,
         val_graph,
         ArchitectureSpec.default(
-            predictor_kind, feature_dim, p_hidden, p_hidden, predictor_layers
+            PREDICTOR_KIND, feature_dim, p_hidden, p_hidden, PREDICTOR_LAYERS
         ),
         optimizer,
         seed=derive_seed(seed, 3),
-        loss=predictor_loss,
+        loss=PREDICTOR_LOSS,
     )
     mode = resolve_mode(train_graph)
     return TrainedFixture(
         params=params,
-        noise_std=noise_std,
         base_seed=seed,
         train_graph=train_graph,
         val_graph=val_graph,
         classifier=classifier,
         predictor=predictor,
         mode=mode,
-        config=TransformConfig(mode=mode, delta=delta),
+        config=TransformConfig(mode=mode, delta=DELTA),
     )

@@ -4,11 +4,11 @@ edge filtering, composed into the label-free end-to-end pipeline.
 ``graphost_transform`` is the one path. From each edge's homophily score s
 it takes the edge's weight (its keep-confidence: s on homophilic graphs,
 1 - s on heterophilic ones) and its harm (1 - s on homophilic graphs, s on
-heterophilic ones). Filtering removes the ceil(delta * E) most harmful
-edges, breaking ties by ascending canonical edge index, so the whole
-pipeline is invariant to the order the input edge list arrived in. The
-regime is "homophilic" or "heterophilic"; ``resolve_mode`` reads it off a
-labeled training graph.
+heterophilic ones). Filtering has one rule: it removes exactly the
+ceil(delta * E) most harmful edges, breaking ties by ascending canonical
+edge index, so the whole pipeline is invariant to the order the input edge
+list arrived in. The regime is "homophilic" or "heterophilic";
+``resolve_mode`` reads it off a labeled training graph.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class TransformConfig:
     delta: float = 0.3
     enable_weighting: bool = True
     enable_filtering: bool = True
-    # Literal score-threshold reading of the filter rule (harm >= delta)
-    # instead of the default top-fraction ranking.
-    threshold_semantics: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -46,22 +43,10 @@ class TransformConfig:
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "delta": self.delta,
-            "enable_weighting": self.enable_weighting,
-            "enable_filtering": self.enable_filtering,
-            "threshold_semantics": self.threshold_semantics,
-        }
 
-
-def _keep_mask(harm: np.ndarray, delta: float, threshold_semantics: bool) -> np.ndarray:
-    """Edges that survive filtering. By default exactly min(ceil(delta * E),
-    E) edges go, ranked by harm descending (ties -> ascending edge index);
-    with threshold_semantics every edge whose harm is >= delta goes instead."""
-    if threshold_semantics:
-        return harm < delta
+def _keep_mask(harm: np.ndarray, delta: float) -> np.ndarray:
+    """Edges that survive filtering: exactly min(ceil(delta * E), E) edges
+    go, ranked by harm descending (ties -> ascending edge index)."""
     k = min(int(np.ceil(delta * len(harm))), len(harm))
     keep = np.ones(len(harm), dtype=bool)
     if k > 0:
@@ -94,7 +79,7 @@ def graphost_transform(
     weights = (s if homophilic else 1.0 - s) if config.enable_weighting else None
     if not config.enable_filtering:
         return WeightedGraph(base=test_graph, edge_weights=weights)
-    keep = _keep_mask(1.0 - s if homophilic else s, config.delta, config.threshold_semantics)
+    keep = _keep_mask(1.0 - s if homophilic else s, config.delta)
     return WeightedGraph(
         base=test_graph.with_edges(test_graph.edges[keep]),
         edge_weights=None if weights is None else weights[keep],
@@ -102,11 +87,11 @@ def graphost_transform(
 
 
 def filter_edges(graph: LabeledGraph, scores: EdgeScoreTable, mode: str,
-                 delta: float, threshold_semantics: bool = False) -> LabeledGraph:
+                 delta: float) -> LabeledGraph:
     """The graph ``graphost_transform`` keeps with weighting off: nodes and
-    features untouched, the most confidently harmful edges dropped."""
-    config = TransformConfig(mode=mode, delta=delta, enable_weighting=False,
-                             threshold_semantics=threshold_semantics)
+    features untouched, the ceil(delta * E) most confidently harmful edges
+    dropped."""
+    config = TransformConfig(mode=mode, delta=delta, enable_weighting=False)
     return graphost_transform(graph, scores, config).base
 
 

@@ -15,6 +15,11 @@ def run(args):
     return main(args)
 
 
+# the subcommands that take the transform flags (--predictor, --mode, --delta, ...)
+TRANSFORM_SUBCOMMANDS = ["transform", "evaluate", "ablate", "sweep-delta",
+                         "noise-robustness", "random-drop"]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Generated data and trained checkpoints shared across CLI tests."""
@@ -165,10 +170,11 @@ class TestTransform:
         assert run([
             "transform", "--test-graph", str(data / "test.json"),
             "--predictor", str(ckpt / "predictor.json"),
-            "--mode", "homophilic", "--threshold-semantics", "--delta", "0",
+            "--mode", "homophilic", "--delta", "0.9999",
             "--out", str(tmp_path),
         ]) == 0
         report = json.loads((tmp_path / "transform-report.json").read_text())
+        assert 0 < report["edges_before"] < 10_000  # so ceil(0.9999 E) = E
         assert report["edges_after"] == 0
         assert 0.0 < report["hd"]["before"] < 1.0
         assert report["hd"]["after"] is None and report["hd"]["delta"] is None
@@ -218,6 +224,43 @@ class TestTransform:
             "--predictor", str(ckpt / "predictor.json"),
             "--mode", "auto", "--out", str(tmp_path / "x"),
         ]) == 2
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("drop, missing", [("edges", "graph has no edges"),
+                                               ("labels", "needs a labeled training graph")])
+    def test_auto_mode_on_unusable_train_graph_is_usage_error(self, workspace, tmp_path,
+                                                              capsys, drop, missing):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        doc = json.loads((data / "train.json").read_text())
+        if drop == "edges":
+            doc["edges"] = []
+        else:
+            del doc["labels"], doc["num_classes"]
+        train = tmp_path / "train.json"
+        train.write_text(json.dumps(doc))
+        assert run([
+            "transform", "--test-graph", str(data / "test.json"),
+            "--predictor", str(ckpt / "predictor.json"),
+            "--mode", "auto", "--train-graph", str(train), "--out", str(tmp_path / "x"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and missing in err
+        assert f"--train-graph {train}" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("name", TRANSFORM_SUBCOMMANDS)
+    def test_removed_threshold_semantics_flag_exits_2(self, workspace, tmp_path, capsys,
+                                                      name):
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        classifier = [] if name == "transform" else ["--classifier", str(ckpt / "classifier.json")]
+        with pytest.raises(SystemExit) as exit_info:
+            run([
+                name, "--test-graph", str(data / "test.json"), *classifier,
+                "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+                "--threshold-semantics", "--out", str(tmp_path / "x"),
+            ])
+        assert exit_info.value.code == 2
+        assert "--threshold-semantics" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("via_config", [False, True])
@@ -634,7 +677,7 @@ INT_OPTIONS = {"dim", "hidden", "layers", "epochs", "patience", "n1", "n2", "tri
                "samples", "lemma_nodes"}
 FLOAT_OPTIONS = {"p", "q", "p2", "q2", "mean_distance", "lr", "delta", "midpoint_tol",
                  "cosine_tol", "separation_tol"}
-SWITCH_OPTIONS = {"pin_timestamp", "no_weight", "no_filter", "threshold_semantics"}
+SWITCH_OPTIONS = {"pin_timestamp", "no_weight", "no_filter"}
 PATH_OPTIONS = {"out", "params", "train_graph", "val_graph", "test_graph", "classifier",
                 "predictor"}
 # option -> (flag text or None for a switch, config JSON value, merged value)
@@ -751,7 +794,7 @@ class TestCliSurface:
 
     COMMON = {"--help", "--config", "--seed", "--out", "--pin-timestamp"}
     TRANSFORM = {"--predictor", "--train-graph", "--mode", "--delta", "--no-weight",
-                 "--no-filter", "--threshold-semantics"}
+                 "--no-filter"}
     HARNESS = COMMON | TRANSFORM | {"--test-graph", "--classifier", "--metric"}
     FLAGS = {
         "generate": COMMON | {"--params", "--p", "--q", "--sizes", "--dim", "--means",
@@ -801,4 +844,15 @@ class TestCliSurface:
         cfg.write_text(json.dumps({key: 1}))
         assert run([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # threshold_semantics was the score-threshold filter switch: a config file
+    # that still sets it, on or off, is refused before its value is read
+    @pytest.mark.parametrize("name", TRANSFORM_SUBCOMMANDS)
+    @pytest.mark.parametrize("value", [False, True])
+    def test_removed_threshold_semantics_key_rejected(self, tmp_path, capsys, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold_semantics": value}))
+        assert run([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown config key 'threshold_semantics'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -7,8 +7,11 @@ reference reader below is that one-call reader, kept here as the oracle.
 """
 
 import json
-import tracemalloc
+import os
+import subprocess
+import sys
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,8 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphost
 from graphost import jsonfile
-from graphost.csbm import generate_csbm, symmetric_binary_params
 from graphost.graphs import LabeledGraph, WeightedGraph, load_weighted_graph, save_graph
 from graphost.jsonfile import FileFormatError, read_json, write_json
 
@@ -323,23 +326,54 @@ def test_written_graph_is_read_without_the_whole_text_path(tmp_path):
 # Memory: no whole-array Python lists at 2 x 10k nodes
 # ---------------------------------------------------------------------------
 
-def _traced_peak(call) -> int:
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+# A fresh interpreter runs one step, `python -c MEMORY_CHILD save|load PATH`,
+# and prints how far the step lifts its resident memory: VmHWM after the
+# step minus VmRSS before it, read from /proc/self/status. Building the graph
+# leaves the high-water mark above the resident set, which would hide that
+# much growth, so a touched ballast first lifts the resident set to it.
+MEMORY_CHILD = """
+import sys
+import numpy as np
+from graphost.csbm import generate_csbm, symmetric_binary_params
+from graphost.graphs import WeightedGraph, load_weighted_graph, save_graph
 
+def status(key):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) * 1024 for line in f if line.startswith(key + ":"))
 
-def test_graph_file_io_memory_is_bounded(tmp_path):
+step, path = sys.argv[1:]
+if step == "save":
     m = 10_000
     q = (0.05 * 299 + 0.02 * 300) / (2.5 * (m - 1) + m)  # mean degree ~21
     graph = generate_csbm(symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q), seed=0)
-    weighted = WeightedGraph(base=graph, edge_weights=np.random.default_rng(0).random(graph.num_edges))
+    weights = np.random.default_rng(0).random(graph.num_edges)
+    weighted = WeightedGraph(base=graph, edge_weights=weights)
+    run = lambda: save_graph(weighted, path)
+else:
+    run = lambda: load_weighted_graph(path)
+ballast = np.ones(max(status("VmHWM") - status("VmRSS"), 0), np.uint8)
+before = status("VmRSS")
+run()
+print(status("VmHWM") - before)
+"""
+
+
+def _resident_growth(step: str, path) -> int:
+    env = dict(os.environ)
+    src = str(Path(graphost.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", MEMORY_CHILD, step, str(path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_graph_file_io_memory_is_bounded(tmp_path):
     path = tmp_path / "big.json"
-    save_peak = _traced_peak(lambda: save_graph(weighted, path))
+    save_growth = _resident_growth("save", path)
     size = path.stat().st_size
-    load_peak = _traced_peak(lambda: load_weighted_graph(path))
-    assert save_peak < 8e6, f"save_graph peaked at {save_peak / 1e6:.1f} MB"
-    assert load_peak < 2.5 * size, f"load peaked at {load_peak / size:.2f}x the file's {size} bytes"
+    load_growth = _resident_growth("load", path)
+    assert save_growth < 8e6, f"save_graph grew resident memory by {save_growth / 1e6:.1f} MB"
+    assert load_growth < 2.5 * size, (
+        f"load grew resident memory by {load_growth / size:.2f}x the file's {size} bytes")

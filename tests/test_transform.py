@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -52,19 +52,15 @@ def reference_weighted_graph(graph, scores, mode):
     return WeightedGraph(base=graph, edge_weights=weights)
 
 
-def reference_filter(graph, scores, mode, delta, threshold_semantics=False):
+def reference_filter(graph, scores, mode, delta):
     """The filtering step on a WeightedGraph, as a separate function: drop
-    the top ceil(delta * E) harmful edges (or harm >= delta) and keep the
-    survivors' weights."""
+    the top ceil(delta * E) harmful edges and keep the survivors' weights."""
     harm = 1.0 - scores.scores if mode == "homophilic" else scores.scores.copy()
-    if threshold_semantics:
-        keep_mask = harm < delta
-    else:
-        k = min(int(np.ceil(delta * graph.num_edges)), graph.num_edges)
-        keep_mask = np.ones(graph.num_edges, dtype=bool)
-        if k > 0:
-            order = np.argsort(-harm, kind="stable")
-            keep_mask[order[:k]] = False
+    k = min(int(np.ceil(delta * graph.num_edges)), graph.num_edges)
+    keep_mask = np.ones(graph.num_edges, dtype=bool)
+    if k > 0:
+        order = np.argsort(-harm, kind="stable")
+        keep_mask[order[:k]] = False
     return WeightedGraph(base=graph.base.with_edges(graph.base.edges[keep_mask]),
                          edge_weights=graph.edge_weights[keep_mask])
 
@@ -76,8 +72,7 @@ def reference_transform(graph, scores, config):
     else:
         weighted = WeightedGraph(base=graph)
     if config.enable_filtering:
-        weighted = reference_filter(weighted, scores, config.mode, config.delta,
-                                    config.threshold_semantics)
+        weighted = reference_filter(weighted, scores, config.mode, config.delta)
     return weighted
 
 
@@ -88,16 +83,15 @@ TIED_SCORES = [-0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1.0]
 
 class TestOnePathMatchesReference:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 14), st.data(),
-           st.sampled_from(MODES), st.booleans(), st.booleans(), st.booleans(),
+           st.sampled_from(MODES), st.booleans(), st.booleans(),
            st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75]) | st.floats(0.0, 0.99))
     @settings(max_examples=200, deadline=None)
-    def test_bit_identical(self, graph_seed, n, data, mode, weighting, filtering,
-                           threshold, delta):
+    def test_bit_identical(self, graph_seed, n, data, mode, weighting, filtering, delta):
         g = random_labeled_graph(np.random.default_rng(graph_seed), n, 0.5)
         scores = EdgeScoreTable(scores=np.array(data.draw(st.lists(
             st.sampled_from(TIED_SCORES), min_size=g.num_edges, max_size=g.num_edges))))
         config = TransformConfig(mode=mode, delta=delta, enable_weighting=weighting,
-                                 enable_filtering=filtering, threshold_semantics=threshold)
+                                 enable_filtering=filtering)
         got = graphost_transform(g, scores, config)
         want = reference_transform(g, scores, config)
         assert got.base.edges.dtype == want.base.edges.dtype
@@ -105,9 +99,8 @@ class TestOnePathMatchesReference:
         assert got.edge_weights.dtype == want.edge_weights.dtype
         assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
         assert np.array_equal(np.signbit(got.edge_weights), np.signbit(want.edge_weights))
-        assert filter_edges(g, scores, mode, delta, threshold).edges.tobytes() == (
-            reference_filter(WeightedGraph(base=g), scores, mode, delta,
-                             threshold).base.edges.tobytes())
+        assert filter_edges(g, scores, mode, delta).edges.tobytes() == (
+            reference_filter(WeightedGraph(base=g), scores, mode, delta).base.edges.tobytes())
 
 
 def weighting_only(mode):
@@ -184,17 +177,6 @@ class TestFilterEdges:
             j = next(k for k, p in enumerate(map(tuple, g.edges)) if p == pair)
             assert out.edge_weights[i] == wg.edge_weights[j]
 
-    def test_threshold_semantics(self):
-        g = LabeledGraph(
-            num_nodes=5,
-            edges=np.array([[0, 1], [1, 2], [2, 3], [3, 4]]),
-            labels=np.zeros(5, dtype=int),
-        )
-        scores = EdgeScoreTable(scores=np.array([0.9, 0.75, 0.5, 0.1]))
-        out = filter_edges(g, scores, "homophilic", 0.3, threshold_semantics=True)
-        # harm = 1 - s = [0.1, 0.25, 0.5, 0.9]; harm >= 0.3 removed
-        assert out.edges.tolist() == [[0, 1], [1, 2]]
-
     def test_invalid_delta(self, rng):
         g = random_labeled_graph(rng, 5, 0.5)
         scores = EdgeScoreTable(scores=np.full(g.num_edges, 0.5))
@@ -255,6 +237,13 @@ class TestTransformConfig:
             TransformConfig(mode="sideways")
         with pytest.raises(ValueError, match="delta"):
             TransformConfig(mode="homophilic", delta=1.0)
+        # the ranked rule is the only filter rule: no score-threshold switch
+        with pytest.raises(TypeError, match="threshold_semantics"):
+            TransformConfig(mode="homophilic", threshold_semantics=True)
+        assert asdict(TransformConfig(mode="homophilic")) == {
+            "mode": "homophilic", "delta": 0.3, "enable_weighting": True,
+            "enable_filtering": True,
+        }
 
     def test_mode_is_required_and_resolved(self):
         with pytest.raises(TypeError, match="mode"):
@@ -387,15 +376,15 @@ class TestLabelFree:
 
     @given(labeled_test_graphs(), st.sampled_from(["gcn", "mlp"]),
            st.sampled_from(["homophilic", "heterophilic"]), st.sampled_from([0.0, 0.3, 0.7]),
-           st.booleans(), st.booleans(), st.booleans(), st.integers(0, 3))
+           st.booleans(), st.booleans(), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_labels_change_no_output(self, case, kind, mode, delta, weighting, filtering,
-                                     threshold, seed):
+                                     seed):
         graph, permuted = case
         spec = ArchitectureSpec.default(kind, 3, 4, hidden=4)
         predictor = Checkpoint(spec=spec, params=init_params(spec, seed=seed))
         config = TransformConfig(mode=mode, delta=delta, enable_weighting=weighting,
-                                 enable_filtering=filtering, threshold_semantics=threshold)
+                                 enable_filtering=filtering)
         want_scores = edge_homophily_scores(predictor, graph).scores
         want = graphost_transform(graph, predictor, config)
         for variant in (replace(graph, labels=np.array(permuted)), replace(graph, labels=None)):
