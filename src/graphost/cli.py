@@ -38,7 +38,7 @@ from .experiments import (
     run_random_drop_comparison,
     write_csv,
 )
-from .graphs import edge_homophily_or_none, load_graph, save_graph
+from .graphs import LabeledGraph, edge_homophily_or_none, load_graph, save_graph
 from .jsonfile import FileFormatError, read_json, write_json
 from .metrics import hd_delta_report
 from .models import (
@@ -145,7 +145,7 @@ _PROBABILITY = _ranged(lambda v: 0 <= v <= 1, "[0, 1]")
 _RATIO = _ranged(lambda v: 0 <= v < 1, "[0, 1)")
 
 _OPTIONS: dict[str, _Option] = {
-    # every subcommand; a seed list is checked but kept as given: reports echo it
+    # all but transform; a seed list is checked but kept as given: reports echo it
     "seed": _Option("0", lambda v: _parse_seeds(v) and v,
                     help="seed or comma-separated seed list"),
     "out": _Option(".", help="output directory"),
@@ -167,18 +167,18 @@ _OPTIONS: dict[str, _Option] = {
     "target": _Option("both", choices=("classifier", "predictor", "both")),
     "kind": _Option("gcn", choices=_NETWORK_KINDS, help="classifier backbone"),
     "predictor_kind": _Option("gcn", choices=_NETWORK_KINDS),
-    "hidden": _Option(32, _int),
-    "layers": _Option(2, _int),
-    "lr": _Option(1e-2, _float),
-    "epochs": _Option(1000, _int),
-    "patience": _Option(50, _int),
+    "hidden": _Option(32, _COUNT),
+    "layers": _Option(2, _ranged(lambda v: v >= 2, "[2, inf)", _int)),
+    "lr": _Option(1e-2, _ranged(lambda v: v >= 0, "[0, inf)")),
+    "epochs": _Option(1000, _COUNT),
+    "patience": _Option(50, _COUNT),
     "loss": _Option("wbce", choices=("wbce", "bce"), help="predictor loss"),
     # transformation and evaluation
     "test_graph": _Option(),
     "classifier": _Option(),
     "predictor": _Option(help="predictor checkpoint path"),
     "mode": _Option(
-        "auto", choices=(*MODES, "auto"), help="edge regime; auto resolves it from --train-graph"
+        "auto", choices=(*MODES, "auto"), help="edge regime; auto reads it from --predictor"
     ),
     "delta": _Option(0.3, _RATIO, help="filtering ratio in [0, 1)"),
     "no_weight": _Option(False, _switch, help="disable confidence weighting"),
@@ -288,14 +288,21 @@ def _require_file(options: dict, key: str, load: Callable[[Path], object]):
     return load(path)
 
 
-def _checkpoint(options: dict, role: str) -> Checkpoint:
-    """The checkpoint option `role` names; one whose metadata says it was
-    trained as the other role is a usage error, one without `trained_as` loads."""
+def _checkpoint(options: dict, role: str, test_graph: LabeledGraph) -> Checkpoint:
+    """The checkpoint option `role` names; a role, input width or class count
+    that does not fit `role` and `test_graph` is a usage error."""
     checkpoint = _require_file(options, role, load_checkpoint)
     trained_as = checkpoint.metadata.get("trained_as", role)
     if trained_as != role:
         raise CliError(f"{_flag(role)} {options[role]}: checkpoint was trained as "
                        f"{trained_as!r}, not as the {role}")
+    spec, graph = checkpoint.spec, f"--test-graph {options['test_graph']}"
+    if test_graph.feature_dim != spec.input_dim:
+        raise CliError(f"{graph} has feature dim {test_graph.feature_dim}, but "
+                       f"{_flag(role)} {options[role]} takes {spec.input_dim}")
+    if role == "classifier" and test_graph.num_classes != spec.output_dim:
+        raise CliError(f"{graph} has {test_graph.num_classes} classes, but "
+                       f"{_flag(role)} {options[role]} predicts {spec.output_dim}")
     return checkpoint
 
 
@@ -353,11 +360,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if train_graph.labels is None:
         raise CliError("training graph must carry labels")
     seed = _single_seed(options)
-    try:
-        optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
-                                    patience=options["patience"])
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
+                                patience=options["patience"])
     ts = _timestamp(options["pin_timestamp"])
     hidden, layers = options["hidden"], options["layers"]
     checkpoints = {}
@@ -389,18 +393,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 # transform / evaluate
 # ---------------------------------------------------------------------------
 
-def _transform_config(options: dict) -> TransformConfig:
-    """The options' config, with --mode auto resolved on --train-graph; a
-    training graph without labels or edges is a usage error."""
+def _transform_config(options: dict, predictor: Checkpoint) -> TransformConfig:
+    """The options' config, with --mode auto resolved on the predictor."""
     mode = options["mode"]
     if mode == "auto":
-        if options["train_graph"] is None:
-            raise CliError("--mode auto needs --train-graph to resolve the regime")
-        train_graph = _require_file(options, "train_graph", load_graph)
         try:
-            mode = resolve_mode(train_graph)
+            mode = resolve_mode(predictor)
         except ValueError as exc:
-            raise CliError(f"--mode auto: --train-graph {options['train_graph']}: {exc}") from exc
+            raise CliError(f"--mode auto: --predictor {options['predictor']}: {exc}") from exc
     return TransformConfig(
         mode=mode,
         delta=options["delta"],
@@ -412,8 +412,8 @@ def _transform_config(options: dict) -> TransformConfig:
 def cmd_transform(args: argparse.Namespace) -> int:
     options = _merge_options(args)
     test_graph = _require_file(options, "test_graph", load_graph)
-    predictor = _checkpoint(options, "predictor")
-    config = _transform_config(options)
+    predictor = _checkpoint(options, "predictor", test_graph)
+    config = _transform_config(options, predictor)
     ts = _timestamp(options["pin_timestamp"])
     transformed = graphost_transform(test_graph, predictor, config)
     report: dict = {
@@ -445,9 +445,9 @@ def _evaluation_inputs(options: dict):
     test_graph = _require_file(options, "test_graph", load_graph)
     if test_graph.labels is None:
         raise CliError("evaluation needs a labeled test graph")
-    classifier = _checkpoint(options, "classifier")
-    predictor = _checkpoint(options, "predictor")
-    config = _transform_config(options)
+    classifier = _checkpoint(options, "classifier", test_graph)
+    predictor = _checkpoint(options, "predictor", test_graph)
+    config = _transform_config(options, predictor)
     return test_graph, classifier, predictor, config, _parse_seeds(options["seed"])
 
 
@@ -685,8 +685,9 @@ class _Subcommand:
         return {k: self.default_overrides.get(k, _OPTIONS[k].default) for k in names}
 
 
-_COMMON = ("seed", "out", "pin_timestamp")
-_TRANSFORM_FLAGS = ("predictor", "train_graph", "mode", "delta", "no_weight", "no_filter")
+_COMMON = ("out", "pin_timestamp")
+_TRANSFORM_FLAGS = ("predictor", "mode", "delta", "no_weight", "no_filter")
+_EVALUATE_FLAGS = ("test_graph", "classifier", "metric", *_TRANSFORM_FLAGS, "seed")
 _GRIDS = ("delta_grid", "noise_levels")
 
 
@@ -694,7 +695,7 @@ def _harness(help_text: str, grid: str | None = None) -> _Subcommand:
     return _Subcommand(
         cmd_harness,
         help_text,
-        ("test_graph", "classifier", "metric") + ((grid,) if grid else ()) + _TRANSFORM_FLAGS,
+        _EVALUATE_FLAGS + ((grid,) if grid else ()),
         config_only=tuple(k for k in _GRIDS if k != grid),
         default_overrides={"seed": "0,1"},
     )
@@ -704,13 +705,13 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     "generate": _Subcommand(
         cmd_generate,
         "sample CSBM train/val/test graphs",
-        ("params", "p", "q", "sizes", "dim", "means", "mean_distance"),
+        ("params", "p", "q", "sizes", "dim", "means", "mean_distance", "seed"),
     ),
     "train": _Subcommand(
         cmd_train,
         "train the classifier and/or predictor",
         ("train_graph", "val_graph", "target", "kind", "predictor_kind", "hidden",
-         "layers", "lr", "epochs", "patience", "loss"),
+         "layers", "lr", "epochs", "patience", "loss", "seed"),
     ),
     "transform": _Subcommand(
         cmd_transform,
@@ -720,7 +721,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     "evaluate": _Subcommand(
         cmd_evaluate,
         "base vs transformed metric report",
-        ("test_graph", "classifier", "metric") + _TRANSFORM_FLAGS,
+        _EVALUATE_FLAGS,
     ),
     "ablate": _harness("base / w-o weight / w-o filter / full arms"),
     "sweep-delta": _harness("metric across the filtering-ratio grid", "delta_grid"),
@@ -730,7 +731,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         cmd_theory_validate,
         "closed-form and Monte Carlo checks",
         ("p", "q", "p2", "q2", "n1", "n2", "mean_distance", "dim", "trials", "samples",
-         "lemma_nodes", "suite"),
+         "lemma_nodes", "suite", "seed"),
         config_only=("midpoint_tol", "cosine_tol", "separation_tol"),
         default_overrides={"p": 0.02, "q": 0.01, "dim": 2},
     ),

@@ -98,7 +98,7 @@ def make_fixture(
         seed=derive_seed(seed, 3),
         loss=PREDICTOR_LOSS,
     )
-    mode = resolve_mode(train_graph)
+    mode = resolve_mode(predictor)
     return TrainedFixture(
         params=params,
         base_seed=seed,

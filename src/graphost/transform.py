@@ -8,7 +8,7 @@ heterophilic ones). Filtering has one rule: it removes exactly the
 ceil(delta * E) most harmful edges, breaking ties by ascending canonical
 edge index, so the whole pipeline is invariant to the order the input edge
 list arrived in. The regime is "homophilic" or "heterophilic";
-``resolve_mode`` reads it off a labeled training graph.
+``resolve_mode`` reads it off the predictor checkpoint's training ``alpha``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LabeledGraph, WeightedGraph, edge_homophily_degree
+from .graphs import LabeledGraph, WeightedGraph
+from .jsonfile import JsonObject
 from .models import Checkpoint, EdgeScoreTable, edge_homophily_scores
 
 __all__ = [
@@ -95,13 +96,10 @@ def filter_edges(graph: LabeledGraph, scores: EdgeScoreTable, mode: str,
     return graphost_transform(graph, scores, config).base
 
 
-def resolve_mode(train_graph: LabeledGraph) -> str:
-    """Majority edge type of the labeled training graph; HD of exactly 0.5
-    counts as homophilic."""
-    if train_graph.labels is None:
-        raise ValueError("mode resolution needs a labeled training graph")
-    return (
-        "homophilic"
-        if edge_homophily_degree(train_graph) >= 0.5
-        else "heterophilic"
-    )
+def resolve_mode(predictor: Checkpoint) -> str:
+    """Majority edge type of the predictor's training graph: HD = 1 - alpha,
+    its metadata's heterophilic edge fraction; alpha = 0.5 is homophilic."""
+    alpha = JsonObject(predictor.metadata, where="metadata").number("alpha")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"metadata alpha {alpha:g} lies outside [0, 1]")
+    return "homophilic" if alpha <= 0.5 else "heterophilic"

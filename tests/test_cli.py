@@ -5,6 +5,7 @@ import pytest
 
 import graphost.cli as cli
 import graphost.experiments as experiments
+import graphost.models as models
 import graphost.theory as theory
 import graphost.transform as transform
 from graphost.cli import main
@@ -36,6 +37,18 @@ def workspace(tmp_path_factory):
         "--epochs", "80", "--patience", "20", "--out", str(ckpt), "--seed", "3",
     ]) == 0
     return root
+
+
+def predictor_with_alpha(workspace, tmp_path, alpha):
+    """A copy of the workspace predictor whose metadata alpha is `alpha`
+    (None: no alpha at all)."""
+    doc = json.loads((workspace / "ckpt" / "predictor.json").read_text())
+    del doc["metadata"]["alpha"]
+    if alpha is not None:
+        doc["metadata"]["alpha"] = alpha
+    path = tmp_path / "predictor-alpha.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestGenerate:
@@ -112,8 +125,7 @@ class TestTransform:
         assert run([
             "transform", "--test-graph", str(data / "test.json"),
             "--predictor", str(ckpt / "predictor.json"),
-            "--mode", "auto", "--train-graph", str(data / "train.json"),
-            "--out", str(tmp_path), "--pin-timestamp",
+            "--mode", "auto", "--out", str(tmp_path), "--pin-timestamp",
         ]) == 0
         report = json.loads((tmp_path / "transform-report.json").read_text())
         assert report["config"]["mode"] == "homophilic"
@@ -217,68 +229,73 @@ class TestTransform:
         ]) == 1
         assert f'{broken}: "num_nodes" must be an integer' in capsys.readouterr().err
 
-    def test_auto_mode_without_train_graph_is_usage_error(self, workspace, tmp_path):
-        data, ckpt = workspace / "data", workspace / "ckpt"
+    @pytest.mark.parametrize("alpha, missing", [
+        (None, "missing required key 'alpha' in metadata"),
+        ("0.3", '"alpha" in metadata must be a finite number'),
+        (1.5, "alpha 1.5 lies outside [0, 1]"),
+    ])
+    def test_auto_mode_on_unusable_alpha_is_usage_error(self, workspace, tmp_path, capsys,
+                                                        alpha, missing):
+        data = workspace / "data"
+        predictor = predictor_with_alpha(workspace, tmp_path, alpha)
         assert run([
             "transform", "--test-graph", str(data / "test.json"),
-            "--predictor", str(ckpt / "predictor.json"),
-            "--mode", "auto", "--out", str(tmp_path / "x"),
-        ]) == 2
-        assert not (tmp_path / "x").exists()
-
-    @pytest.mark.parametrize("drop, missing", [("edges", "graph has no edges"),
-                                               ("labels", "needs a labeled training graph")])
-    def test_auto_mode_on_unusable_train_graph_is_usage_error(self, workspace, tmp_path,
-                                                              capsys, drop, missing):
-        data, ckpt = workspace / "data", workspace / "ckpt"
-        doc = json.loads((data / "train.json").read_text())
-        if drop == "edges":
-            doc["edges"] = []
-        else:
-            del doc["labels"], doc["num_classes"]
-        train = tmp_path / "train.json"
-        train.write_text(json.dumps(doc))
-        assert run([
-            "transform", "--test-graph", str(data / "test.json"),
-            "--predictor", str(ckpt / "predictor.json"),
-            "--mode", "auto", "--train-graph", str(train), "--out", str(tmp_path / "x"),
+            "--predictor", str(predictor), "--mode", "auto", "--out", str(tmp_path / "x"),
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and missing in err
-        assert f"--train-graph {train}" in err
+        assert f"--mode auto: --predictor {predictor}: " in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("name", TRANSFORM_SUBCOMMANDS)
-    def test_removed_threshold_semantics_flag_exits_2(self, workspace, tmp_path, capsys,
-                                                      name):
+    @pytest.mark.parametrize("mode", ["homophilic", "heterophilic"])
+    def test_explicit_mode_never_reads_alpha(self, workspace, tmp_path, mode):
+        data = workspace / "data"
+        predictor = predictor_with_alpha(workspace, tmp_path, "not a number")
+        assert run([
+            "transform", "--test-graph", str(data / "test.json"),
+            "--predictor", str(predictor), "--mode", mode, "--out", str(tmp_path / "x"),
+        ]) == 0
+        report = json.loads((tmp_path / "x" / "transform-report.json").read_text())
+        assert report["config"]["mode"] == mode
+
+    # --threshold-semantics was the score-threshold filter switch; --train-graph
+    # resolved --mode auto before the predictor's alpha did; transform draws
+    # nothing, so it takes no --seed
+    @pytest.mark.parametrize("name, removed", [
+        *[(name, flag) for name in TRANSFORM_SUBCOMMANDS
+          for flag in (["--threshold-semantics"], ["--train-graph", "train.json"])],
+        ("transform", ["--seed", "5"]),
+    ])
+    def test_removed_flag_exits_2(self, workspace, tmp_path, capsys, name, removed):
         data, ckpt = workspace / "data", workspace / "ckpt"
         classifier = [] if name == "transform" else ["--classifier", str(ckpt / "classifier.json")]
         with pytest.raises(SystemExit) as exit_info:
             run([
                 name, "--test-graph", str(data / "test.json"), *classifier,
-                "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
-                "--threshold-semantics", "--out", str(tmp_path / "x"),
+                "--predictor", str(ckpt / "predictor.json"), "--mode", "auto",
+                *removed, "--out", str(tmp_path / "x"),
             ])
         assert exit_info.value.code == 2
-        assert "--threshold-semantics" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(removed)}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_bad_delta_reported_before_unresolved_auto(self, workspace, tmp_path, capsys,
                                                        via_config):
-        data, ckpt = workspace / "data", workspace / "ckpt"
+        data = workspace / "data"
+        predictor = predictor_with_alpha(workspace, tmp_path, None)
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"delta": 1.5}')
         delta = ["--config", str(cfg)] if via_config else ["--delta", "1.5"]
         assert run([
             "transform", "--test-graph", str(data / "test.json"),
-            "--predictor", str(ckpt / "predictor.json"),
+            "--predictor", str(predictor),
             "--mode", "auto", *delta, "--out", str(tmp_path / "x"),
         ]) == 2
         given = f"1.5 in config file {cfg}" if via_config else "'1.5'"
         err = capsys.readouterr().err
         assert f"bad --delta value {given}: 1.5 lies outside [0, 1)" in err
-        assert "--train-graph" not in err
+        assert "alpha" not in err
         assert not (tmp_path / "x").exists()
 
 
@@ -408,18 +425,19 @@ class TestHarnessSubcommands:
         assert extras == {"hd_before": [hd_before], "hd_after_full": [None]}
 
 
+def checkpoint_argv(command, graph, checkpoints, out):
+    """`command` on `graph` in homophilic mode, given the checkpoints (role
+    -> path) it reads: transform takes only the predictor."""
+    argv = [command, "--test-graph", str(graph), "--mode", "homophilic", "--out", str(out)]
+    for role, path in checkpoints.items():
+        if command != "transform" or role == "predictor":
+            argv += [f"--{role}", str(path)]
+    return argv
+
+
 class TestCheckpointRoles:
     """A checkpoint given in the other network's role is a usage error
     naming the flag and the file; one that does not say loads as given."""
-
-    @staticmethod
-    def argv(workspace, command, checkpoints, out):
-        argv = [command, "--test-graph", str(workspace / "data" / "test.json"),
-                "--mode", "homophilic", "--out", str(out)]
-        for role, path in checkpoints.items():
-            if command != "transform" or role == "predictor":
-                argv += [f"--{role}", str(path)]
-        return argv
 
     @pytest.mark.parametrize("command, role", [
         ("transform", "predictor"), ("evaluate", "predictor"),
@@ -429,7 +447,8 @@ class TestCheckpointRoles:
         other = "classifier" if role == "predictor" else "predictor"
         checkpoints = {r: workspace / "ckpt" / f"{r}.json" for r in ("classifier", "predictor")}
         checkpoints[role] = wrong = workspace / "ckpt" / f"{other}.json"
-        assert run(self.argv(workspace, command, checkpoints, tmp_path / "o")) == 2
+        assert run(checkpoint_argv(command, workspace / "data" / "test.json", checkpoints,
+                                   tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert f"--{role} {wrong}: checkpoint was trained as '{other}'" in err
         assert not (tmp_path / "o").exists()
@@ -441,7 +460,75 @@ class TestCheckpointRoles:
             del doc["metadata"]["trained_as"]
             checkpoints[role] = tmp_path / f"{role}-plain.json"
             checkpoints[role].write_text(json.dumps(doc))
-        assert run(self.argv(workspace, "evaluate", checkpoints, tmp_path / "o")) == 0
+        assert run(checkpoint_argv("evaluate", workspace / "data" / "test.json", checkpoints,
+                                   tmp_path / "o")) == 0
+
+
+class TestMismatchedInputs:
+    """A test graph whose feature width is not a checkpoint's input width,
+    or whose class count is not the classifier's output width, is a usage
+    error naming both flags and both paths, before any output."""
+
+    @staticmethod
+    def edited_graph(workspace, tmp_path, edit):
+        doc = json.loads((workspace / "data" / "test.json").read_text())
+        edit(doc)
+        path = tmp_path / "test.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @staticmethod
+    def checkpoints(workspace):
+        return {role: workspace / "ckpt" / f"{role}.json" for role in ("classifier", "predictor")}
+
+    @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS)
+    def test_feature_width_exits_2(self, workspace, tmp_path, capsys, command):
+        def narrow(doc):
+            doc["features"] = [row[:4] for row in doc["features"]]
+
+        graph = self.edited_graph(workspace, tmp_path, narrow)
+        checkpoints = self.checkpoints(workspace)
+        role = "predictor" if command == "transform" else "classifier"  # checked first
+        out = tmp_path / "o"
+        assert run(checkpoint_argv(command, graph, checkpoints, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert (f"--test-graph {graph} has feature dim 4, but "
+                f"--{role} {checkpoints[role]} takes 8") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate"])
+    def test_predictor_width_exits_2(self, workspace, tmp_path, capsys, command):
+        spec = models.ArchitectureSpec.default("gcn", 4, 8, 8, 2)
+        predictor = tmp_path / "narrow-predictor.json"
+        models.save_checkpoint(models.Checkpoint(
+            spec, models.init_params(spec, 0), {"trained_as": "predictor", "alpha": 0.3}
+        ), predictor)
+        checkpoints = self.checkpoints(workspace) | {"predictor": predictor}
+        out = tmp_path / "o"
+        graph = workspace / "data" / "test.json"
+        assert run(checkpoint_argv(command, graph, checkpoints, out)) == 2
+        err = capsys.readouterr().err
+        assert f"--test-graph {graph} has feature dim 8, but --predictor {predictor} takes 4" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS)
+    def test_class_count_exits_2_where_classifier_runs(self, workspace, tmp_path, capsys,
+                                                       command):
+        def third_class(doc):
+            doc["labels"][0], doc["num_classes"] = 2, 3
+
+        graph = self.edited_graph(workspace, tmp_path, third_class)
+        checkpoints = self.checkpoints(workspace)
+        out = tmp_path / "o"
+        code = run(checkpoint_argv(command, graph, checkpoints, out))
+        if command == "transform":  # no classifier: the predictor reads no labels
+            assert code == 0
+            return
+        assert code == 2
+        assert (f"--test-graph {graph} has 3 classes, but "
+                f"--classifier {checkpoints['classifier']} predicts 2") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTheoryValidate:
@@ -700,11 +787,14 @@ OPTION_SAMPLES = {
     "noise_levels": ("0.5,1", "0.5,1", (0.5, 1.0)),
 }
 # option kinds and config values their parser must reject
-COUNT_OPTIONS = {"dim", "n1", "n2", "trials", "samples", "lemma_nodes"}  # each >= 1
+COUNT_OPTIONS = {"dim", "n1", "n2", "trials", "samples", "lemma_nodes", "hidden", "epochs",
+                 "patience"}  # each >= 1
 PROBABILITY_OPTIONS = {"p", "q", "p2", "q2"}  # each in [0, 1]
 BAD_CONFIG_VALUES = [
     (INT_OPTIONS, [3.9, True, "ten", None]),
     (COUNT_OPTIONS, [0, -5]),
+    ({"layers"}, [1, 0, -2]),  # at least two layers
+    ({"lr"}, [-1e-3]),  # at least 0
     (PROBABILITY_OPTIONS, [1.5, -0.1]),
     ({"delta"}, [1.0, -0.1]),  # in [0, 1)
     (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
@@ -779,6 +869,7 @@ class TestOptionParsing:
         ("generate", "--sizes", "0,5"), ("theory-validate", "--p", "1.5"),
         ("theory-validate", "--q", "-0.1"), ("theory-validate", "--p2", "2"),
         ("theory-validate", "--q2", "1.01"), ("generate", "--p", "1.5"),
+        ("train", "--hidden", "0"), ("train", "--layers", "1"),
     ])
     def test_bad_flag_text_is_usage_error(self, tmp_path, capsys, name, flag, text):
         out = tmp_path / "never"
@@ -792,14 +883,14 @@ class TestCliSurface:
     """Pins the flags, config keys, defaults and value types of every
     subcommand, so the option table cannot drift."""
 
-    COMMON = {"--help", "--config", "--seed", "--out", "--pin-timestamp"}
-    TRANSFORM = {"--predictor", "--train-graph", "--mode", "--delta", "--no-weight",
-                 "--no-filter"}
-    HARNESS = COMMON | TRANSFORM | {"--test-graph", "--classifier", "--metric"}
+    COMMON = {"--help", "--config", "--out", "--pin-timestamp"}
+    SEEDED = COMMON | {"--seed"}  # every subcommand but transform, which draws nothing
+    TRANSFORM = {"--predictor", "--mode", "--delta", "--no-weight", "--no-filter"}
+    HARNESS = SEEDED | TRANSFORM | {"--test-graph", "--classifier", "--metric"}
     FLAGS = {
-        "generate": COMMON | {"--params", "--p", "--q", "--sizes", "--dim", "--means",
+        "generate": SEEDED | {"--params", "--p", "--q", "--sizes", "--dim", "--means",
                               "--mean-distance"},
-        "train": COMMON | {"--train-graph", "--val-graph", "--target", "--kind",
+        "train": SEEDED | {"--train-graph", "--val-graph", "--target", "--kind",
                            "--predictor-kind", "--hidden", "--layers", "--lr", "--epochs",
                            "--patience", "--loss"},
         "transform": COMMON | TRANSFORM | {"--test-graph"},
@@ -808,7 +899,7 @@ class TestCliSurface:
         "sweep-delta": HARNESS | {"--delta-grid"},
         "noise-robustness": HARNESS | {"--noise-levels"},
         "random-drop": HARNESS,
-        "theory-validate": COMMON | {"--p", "--q", "--p2", "--q2", "--n1", "--n2",
+        "theory-validate": SEEDED | {"--p", "--q", "--p2", "--q2", "--n1", "--n2",
                                      "--mean-distance", "--dim", "--trials", "--samples",
                                      "--lemma-nodes", "--suite"},
     }
@@ -846,13 +937,18 @@ class TestCliSurface:
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    # threshold_semantics was the score-threshold filter switch: a config file
-    # that still sets it, on or off, is refused before its value is read
-    @pytest.mark.parametrize("name", TRANSFORM_SUBCOMMANDS)
-    @pytest.mark.parametrize("value", [False, True])
-    def test_removed_threshold_semantics_key_rejected(self, tmp_path, capsys, name, value):
+    # threshold_semantics was the score-threshold filter switch, train_graph
+    # resolved --mode auto, and transform takes no seed: a config file that
+    # still sets one is refused before its value is read
+    @pytest.mark.parametrize("name, key, value", [
+        *[(name, key, value) for name in TRANSFORM_SUBCOMMANDS
+          for key, value in [("threshold_semantics", False), ("threshold_semantics", True),
+                             ("train_graph", "train.json")]],
+        ("transform", "seed", "5"),
+    ])
+    def test_removed_key_rejected(self, tmp_path, capsys, name, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"threshold_semantics": value}))
+        cfg.write_text(json.dumps({key: value}))
         assert run([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "unknown config key 'threshold_semantics'" in capsys.readouterr().err
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphost.fixtures import make_fixture
 from graphost.graphs import LabeledGraph, WeightedGraph, edge_homophily_degree
 from graphost.models import (
     ArchitectureSpec,
     Checkpoint,
     EdgeScoreTable,
+    build_edge_training_set,
     edge_homophily_scores,
     init_params,
 )
@@ -253,34 +256,53 @@ class TestTransformConfig:
 
 
 class TestResolveMode:
-    def test_majority_homophilic(self):
-        g = LabeledGraph(
-            num_nodes=4,
-            edges=np.array([[0, 1], [1, 2], [2, 3]]),
-            labels=np.array([0, 0, 0, 1]),
-        )
-        assert resolve_mode(g) == "homophilic"  # HD = 2/3
+    """The regime is read off the predictor's alpha, the heterophilic edge
+    fraction of its training graph (HD = 1 - alpha): alpha <= 0.5 is
+    homophilic, the old HD >= 0.5 rule on the same edge counts."""
 
-    def test_minority_heterophilic(self):
-        g = LabeledGraph(
-            num_nodes=4,
-            edges=np.array([[0, 1], [1, 2], [2, 3]]),
-            labels=np.array([0, 1, 0, 1]),
-        )
-        assert resolve_mode(g) == "heterophilic"  # HD = 0
+    @staticmethod
+    def predictor(metadata: dict) -> Checkpoint:
+        spec = ArchitectureSpec.default("gcn", 2, 2, 2, 2)
+        return Checkpoint(spec=spec, params=init_params(spec, 0), metadata=metadata)
 
-    def test_exact_half_is_homophilic(self):
-        g = LabeledGraph(
-            num_nodes=4,
-            edges=np.array([[0, 1], [2, 3]]),
-            labels=np.array([0, 0, 0, 1]),
-        )
-        assert resolve_mode(g) == "homophilic"  # HD = 0.5 boundary
+    @pytest.mark.parametrize("labels, edges, alpha, mode", [
+        ([0, 0, 0, 1], [[0, 1], [1, 2], [2, 3]], 1 / 3, "homophilic"),  # HD = 2/3
+        ([0, 0, 0, 1], [[0, 1], [2, 3]], 0.5, "homophilic"),  # HD = 0.5 boundary
+        ([0, 1, 0, 1], [[0, 1], [1, 2], [2, 3]], 1.0, "heterophilic"),  # HD = 0
+    ])
+    def test_training_graph_alpha_picks_regime(self, labels, edges, alpha, mode):
+        g = LabeledGraph(num_nodes=4, edges=np.array(edges), labels=np.array(labels))
+        assert build_edge_training_set(g)[2] == alpha
+        assert resolve_mode(self.predictor({"alpha": alpha})) == mode
+        assert (edge_homophily_degree(g) >= 0.5) == (mode == "homophilic")
 
-    def test_unlabeled_rejected(self):
-        g = LabeledGraph(num_nodes=2, edges=np.array([[0, 1]]))
-        with pytest.raises(ValueError, match="labeled"):
-            resolve_mode(g)
+    @pytest.mark.parametrize("metadata, message", [
+        ({}, "missing required key 'alpha' in metadata"),
+        ({"alpha": True}, '"alpha" in metadata must be a finite number'),
+        ({"alpha": "0.3"}, '"alpha" in metadata must be a finite number'),
+        ({"alpha": float("nan")}, '"alpha" in metadata must be a finite number'),
+        ({"alpha": 1.5}, "alpha 1.5 lies outside"),
+        ({"alpha": -0.1}, "alpha -0.1 lies outside"),
+    ])
+    def test_unusable_alpha_rejected(self, metadata, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            resolve_mode(self.predictor(metadata))
+
+    @pytest.mark.parametrize("intra, inter, alpha, mode", [
+        (0.05, 0.02, 0.2910, "homophilic"),
+        (0.02, 0.05, 0.7189, "heterophilic"),
+    ])
+    def test_bench_fixtures_match_training_graph_rule(self, intra, inter, alpha, mode):
+        # scripts/run_benchmark.py's two fixtures; alpha is read off the
+        # training graph before training, so one epoch gives the same one
+        fx = make_fixture(intra_prob=intra, inter_prob=inter, seed=0, num_layers=4,
+                          predictor_hidden=64, max_epochs=1, patience=1)
+        assert fx.predictor.metadata["alpha"] == pytest.approx(alpha, abs=5e-5)
+        assert 1.0 - fx.predictor.metadata["alpha"] == edge_homophily_degree(fx.train_graph)
+        assert fx.mode == resolve_mode(fx.predictor) == mode
+        assert (resolve_mode(fx.predictor) == "homophilic") == (
+            edge_homophily_degree(fx.train_graph) >= 0.5
+        )
 
 
 class TestPipelineAlgebra:
