@@ -11,7 +11,9 @@ Rows (times in seconds, each with its raw samples):
 The rows are stored under LABEL (default: `git describe --always --dirty`)
 in the JSON object at OUT, which is created or updated in place, so one file
 can hold a parent's rows beside a change's. Every child runs with BLAS
-pinned to one thread.
+pinned to one thread. Beside the rows, `machine.workers` records what a
+child sees: its usable cores, its BLAS threads per call and the worker
+threads graphost.workers gives a run_benchmark.py experiment (10 seeds).
 
 Usage: python3 scripts/bench.py OUT [--label LABEL]
 """
@@ -40,6 +42,9 @@ ENV = {
 }
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import graphost; "
                 "print(time.perf_counter() - t)")
+WORKERS_PROBE = ("import json, graphost.workers as w; print(json.dumps({"
+                 "'usable_cores': w._usable_cores(), 'blas_threads': w._blas_threads(), "
+                 "'workers': w.worker_count(10)}))")
 
 
 def _run(argv: list[str]) -> tuple[float, str]:
@@ -85,7 +90,8 @@ def main() -> int:
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[label] = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": numpy.__version__, "scipy": scipy.__version__},
+                    "numpy": numpy.__version__, "scipy": scipy.__version__,
+                    "workers": json.loads(_run([sys.executable, "-c", WORKERS_PROBE])[1])},
         "rows": measure(),
     }
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -61,6 +61,7 @@ from .theory import (
     separation_check,  # unused: kept bound for perfbench's trace of the theory lab
 )
 from .transform import MODES, TransformConfig, graphost_transform, resolve_mode
+from .workers import map_in_order
 
 PINNED_TIMESTAMP = "pinned"
 
@@ -288,6 +289,16 @@ def _require_file(options: dict, key: str, load: Callable[[Path], object]):
     return load(path)
 
 
+def _graph(options: dict, key: str, labeled: bool = False) -> LabeledGraph:
+    """The graph option `key` names; one without features, or without labels
+    where `labeled`, is a usage error naming the flag and the file."""
+    graph = _require_file(options, key, load_graph)
+    for part, needed in (("features", True), ("labels", labeled)):
+        if needed and getattr(graph, part) is None:
+            raise CliError(f"{_flag(key)} {options[key]} has no {part}")
+    return graph
+
+
 def _checkpoint(options: dict, role: str, test_graph: LabeledGraph) -> Checkpoint:
     """The checkpoint option `role` names; a role, input width or class count
     that does not fit `role` and `test_graph` is a usage error."""
@@ -355,29 +366,30 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    train_graph = _require_file(options, "train_graph", load_graph)
-    val_graph = _require_file(options, "val_graph", load_graph)
-    if train_graph.labels is None:
-        raise CliError("training graph must carry labels")
+    train_graph = _graph(options, "train_graph", labeled=True)
+    val_graph = _graph(options, "val_graph", labeled=True)
+    if val_graph.feature_dim != train_graph.feature_dim:
+        raise CliError(f"--val-graph {options['val_graph']} has feature dim "
+                       f"{val_graph.feature_dim}, but --train-graph "
+                       f"{options['train_graph']} has {train_graph.feature_dim}")
     seed = _single_seed(options)
     optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
                                 patience=options["patience"])
     ts = _timestamp(options["pin_timestamp"])
-    hidden, layers = options["hidden"], options["layers"]
-    checkpoints = {}
-    if options["target"] in ("classifier", "both"):
-        spec = ArchitectureSpec.default(
-            options["kind"], train_graph.feature_dim, train_graph.num_classes,
-            hidden, layers,
-        )
-        checkpoints["classifier"] = train_classifier(train_graph, val_graph, spec, optimizer, seed)
-    if options["target"] in ("predictor", "both"):
-        spec = ArchitectureSpec.default(
-            options["predictor_kind"], train_graph.feature_dim, hidden, hidden, layers
-        )
-        checkpoints["predictor"] = train_homophily_predictor(
-            train_graph, val_graph, spec, optimizer, seed, loss=options["loss"]
-        )
+    hidden, layers, dim = options["hidden"], options["layers"], train_graph.feature_dim
+
+    def train(network: str) -> Checkpoint:
+        if network == "classifier":
+            spec = ArchitectureSpec.default(options["kind"], dim, train_graph.num_classes,
+                                            hidden, layers)
+            return train_classifier(train_graph, val_graph, spec, optimizer, seed)
+        spec = ArchitectureSpec.default(options["predictor_kind"], dim, hidden, hidden, layers)
+        return train_homophily_predictor(train_graph, val_graph, spec, optimizer, seed,
+                                         loss=options["loss"])
+
+    # With --target both the two trainings are independent: they may run side by side.
+    networks = ("classifier", "predictor") if options["target"] == "both" else (options["target"],)
+    checkpoints = dict(zip(networks, map_in_order(train, networks)))
     out = _out_dir(options)
     logline: dict = {"timestamp": ts, "seed": seed, "optimizer": optimizer.to_dict()}
     for name, ckpt in checkpoints.items():
@@ -411,7 +423,7 @@ def _transform_config(options: dict, predictor: Checkpoint) -> TransformConfig:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     options = _merge_options(args)
-    test_graph = _require_file(options, "test_graph", load_graph)
+    test_graph = _graph(options, "test_graph")
     predictor = _checkpoint(options, "predictor", test_graph)
     config = _transform_config(options, predictor)
     ts = _timestamp(options["pin_timestamp"])
@@ -442,9 +454,7 @@ def _format_hd(value: float | None) -> str:
 def _evaluation_inputs(options: dict):
     """What evaluate and the harness runs share: the labeled test graph,
     classifier and predictor checkpoints, transform config and seeds."""
-    test_graph = _require_file(options, "test_graph", load_graph)
-    if test_graph.labels is None:
-        raise CliError("evaluation needs a labeled test graph")
+    test_graph = _graph(options, "test_graph", labeled=True)
     classifier = _checkpoint(options, "classifier", test_graph)
     predictor = _checkpoint(options, "predictor", test_graph)
     config = _transform_config(options, predictor)

@@ -22,6 +22,7 @@ from .jsonfile import write_json
 from .metrics import accuracy, f1_macro, hd_delta_report
 from .models import Checkpoint, edge_homophily_scores, predict_labels
 from .transform import TransformConfig, graphost_transform
+from .workers import map_in_order
 
 __all__ = [
     "METRICS",
@@ -150,23 +151,34 @@ def _grid_arms(prefix: str, grid: tuple[float, ...]) -> list[str]:
 def _run_arms(
     experiment: str, classifier: Checkpoint, test_graphs: LabeledGraph | GraphProvider,
     config: TransformConfig, seeds: tuple[int, ...], metric: str,
-    arms: Callable[[int, LabeledGraph], Iterator[tuple[str, LabeledGraph | WeightedGraph]]],
-    grid: dict | None = None, extras: dict | None = None,
+    arms: Callable[[int, LabeledGraph, dict], Iterator[tuple[str, LabeledGraph | WeightedGraph]]],
+    grid: dict | None = None, extras: tuple[str, ...] = (),
 ) -> ExperimentReport:
-    """The seed x arm loop: arms(seed, graph) yields (arm, graph) in report
-    order for each seed's test graph, and each yielded graph is evaluated
-    before the next is made. `grid` joins the report's config block."""
+    """The seed x arm loop: arms(seed, graph, found) yields (arm, graph) in
+    report order for each seed's test graph, each yielded graph evaluated
+    before the next is made, and sets that seed's `extras` keys in `found`.
+    Seeds are independent, so they may run side by side (map_in_order);
+    values and extras are assembled in seed order, the bits of a plain loop.
+    `grid` joins the report's config block."""
     provider = test_graphs if callable(test_graphs) else lambda _seed: test_graphs
+
+    def one_seed(seed: int) -> tuple[list[tuple[str, float]], dict]:
+        found: dict = {}
+        values = [(arm, evaluate_graph(classifier, graph, metric))
+                  for arm, graph in arms(seed, provider(seed), found)]
+        return values, found
+
+    per_seed = map_in_order(one_seed, seeds)
     values: dict[str, list[float]] = {}
-    for seed in seeds:
-        for arm, graph in arms(seed, provider(seed)):
-            values.setdefault(arm, []).append(evaluate_graph(classifier, graph, metric))
+    for seed_values, _ in per_seed:
+        for arm, value in seed_values:
+            values.setdefault(arm, []).append(value)
     return ExperimentReport(
         experiment=experiment,
         seeds=tuple(seeds),
         arm_values={a: tuple(v) for a, v in values.items()},
         config=asdict(config) | {"metric": metric} | (grid or {}),
-        extras={} if extras is None else extras,
+        extras={key: [found[key] for _, found in per_seed] for key in extras},
     )
 
 
@@ -185,22 +197,19 @@ def run_ablation(
         "wo_filter": replace(config, enable_weighting=True, enable_filtering=False),
         "full": replace(config, enable_weighting=True, enable_filtering=True),
     }
-    hd_before: list[float | None] = []
-    hd_after_full: list[float | None] = []
 
-    def arms(seed, graph):
-        yield "base", graph
+    def arms(seed, graph, found):
+        yield "base", graph  # evaluating it checked that graph has labels
         scores = edge_homophily_scores(predictor, graph)
         for arm, arm_cfg in arm_configs.items():
             transformed = graphost_transform(graph, scores, arm_cfg)
             yield arm, transformed
-            if arm == "full" and graph.labels is not None:
-                before, after, _ = hd_delta_report(graph, transformed, graph.labels)
-                hd_before.append(before)
-                hd_after_full.append(after)
+        # the loop ends on the full arm
+        found["hd_before"], found["hd_after_full"], _ = hd_delta_report(
+            graph, transformed, graph.labels)
 
     return _run_arms("ablation", classifier, test_graphs, config, seeds, metric, arms,
-                     extras={"hd_before": hd_before, "hd_after_full": hd_after_full})
+                     extras=("hd_before", "hd_after_full"))
 
 
 def run_noise_robustness(
@@ -215,7 +224,7 @@ def run_noise_robustness(
     """Full pipeline under injected structural noise vs. the clean base."""
     level_arms = _grid_arms("graphost_noise", noise_levels)
 
-    def arms(seed, graph):
+    def arms(seed, graph, found):
         yield "base", graph
         for idx, (arm, level) in enumerate(zip(level_arms, noise_levels)):
             noisy = inject_structural_noise(graph, level, derive_seed(seed, idx))
@@ -237,7 +246,7 @@ def run_delta_sweep(
     """One arm per filtering ratio on the grid."""
     delta_arms = _grid_arms("delta=", delta_grid)
 
-    def arms(seed, graph):
+    def arms(seed, graph, found):
         scores = edge_homophily_scores(predictor, graph)
         for arm, d in zip(delta_arms, delta_grid):
             yield arm, graphost_transform(graph, scores, replace(config, delta=d))
@@ -256,18 +265,16 @@ def run_random_drop_comparison(
 ) -> ExperimentReport:
     """Base vs. random edge-dropping (count matched to the filter) vs. the
     full pipeline."""
-    dropped: list[int] = []
 
-    def arms(seed, graph):
+    def arms(seed, graph, found):
         yield "base", graph
         transformed = graphost_transform(graph, predictor, config)
-        k = graph.num_edges - transformed.num_edges
+        k = found["dropped_edges"] = graph.num_edges - transformed.num_edges
         randomly_dropped = random_edge_drop(graph, k, derive_seed(seed, 7))
         if randomly_dropped.num_edges != transformed.num_edges:
             raise AssertionError("random-drop arm is not count-matched")
-        dropped.append(k)
         yield "random_drop", randomly_dropped
         yield "graphost", transformed
 
     return _run_arms("random-drop", classifier, test_graphs, config, seeds, metric, arms,
-                     extras={"dropped_edges": dropped})
+                     extras=("dropped_edges",))

@@ -24,6 +24,7 @@ from .models import (
     train_homophily_predictor,
 )
 from .transform import TransformConfig, resolve_mode
+from .workers import map_in_order
 
 __all__ = ["TrainedFixture", "make_fixture"]
 
@@ -80,24 +81,30 @@ def make_fixture(
     optimizer = OptimizerConfig(
         learning_rate=LEARNING_RATE, max_epochs=max_epochs, patience=patience
     )
-    classifier = train_classifier(
-        train_graph,
-        val_graph,
-        ArchitectureSpec.default("gcn", feature_dim, 2, HIDDEN, num_layers),
-        optimizer,
-        seed=derive_seed(seed, 2),
-    )
     p_hidden = HIDDEN if predictor_hidden is None else predictor_hidden
-    predictor = train_homophily_predictor(
-        train_graph,
-        val_graph,
-        ArchitectureSpec.default(
-            PREDICTOR_KIND, feature_dim, p_hidden, p_hidden, PREDICTOR_LAYERS
-        ),
-        optimizer,
-        seed=derive_seed(seed, 3),
-        loss=PREDICTOR_LOSS,
-    )
+
+    def train(network: str) -> Checkpoint:
+        if network == "classifier":
+            return train_classifier(
+                train_graph,
+                val_graph,
+                ArchitectureSpec.default("gcn", feature_dim, 2, HIDDEN, num_layers),
+                optimizer,
+                seed=derive_seed(seed, 2),
+            )
+        return train_homophily_predictor(
+            train_graph,
+            val_graph,
+            ArchitectureSpec.default(
+                PREDICTOR_KIND, feature_dim, p_hidden, p_hidden, PREDICTOR_LAYERS
+            ),
+            optimizer,
+            seed=derive_seed(seed, 3),
+            loss=PREDICTOR_LOSS,
+        )
+
+    # The two trainings are independent, so they may run side by side.
+    classifier, predictor = map_in_order(train, ("classifier", "predictor"))
     mode = resolve_mode(predictor)
     return TrainedFixture(
         params=params,

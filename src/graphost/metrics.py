@@ -48,8 +48,10 @@ def f1_macro(predicted, true, num_classes: int) -> float:
 
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks of x; each run of tied values shares the mean of its
-    first and last rank. Ranks are integers or halves, so they are exact."""
-    order = np.argsort(x, kind="stable")
+    first and last rank. Ranks are integers or halves, so they are exact.
+    A run's mean rank does not depend on the order inside it, so the sort
+    need not be stable."""
+    order = np.argsort(x)
     sorted_x = x[order]
     starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
     ends = np.r_[starts[1:], x.size]

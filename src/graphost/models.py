@@ -286,7 +286,8 @@ def _fit(
         params = adam_step(params, grads, adam)
         loss_tail = (loss_tail + [loss])[-10:]
         metric = val_metric(params)
-        log.debug("epoch %d: loss %.6g, %s %.6g", epoch, loss, metric_name, metric)
+        log.debug("%s epoch %d: loss %.6g, %s %.6g",
+                  metadata["trained_as"], epoch, loss, metric_name, metric)
         if metric > best_metric:
             best_metric, best_params, best_epoch = metric, _copy_params(params), epoch
             bad_epochs = 0

@@ -531,6 +531,77 @@ class TestMismatchedInputs:
         assert not out.exists()
 
 
+class TestGraphInputs:
+    """A graph file a subcommand cannot use is a usage error naming the flag
+    and the file, raised before any training or scoring."""
+
+    @staticmethod
+    def edited(workspace, tmp_path, split, edit):
+        doc = json.loads((workspace / "data" / f"{split}.json").read_text())
+        edit(doc)
+        path = tmp_path / f"{split}-edited.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.fixture
+    def no_training(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained on an unusable graph")
+
+        monkeypatch.setattr(models, "train_classifier", refuse)
+        monkeypatch.setattr(models, "train_homophily_predictor", refuse)
+        monkeypatch.setattr(cli, "train_classifier", refuse)
+        monkeypatch.setattr(cli, "train_homophily_predictor", refuse)
+
+    @pytest.mark.parametrize("split, part", [
+        ("val", "features"), ("val", "labels"), ("train", "features"),
+    ])
+    def test_train_graph_without_part_exits_2(self, workspace, tmp_path, capsys, no_training,
+                                              split, part):
+        data = workspace / "data"
+        graphs = {"--train-graph": data / "train.json", "--val-graph": data / "val.json"}
+        flag = f"--{split}-graph"
+        graphs[flag] = self.edited(workspace, tmp_path, split, lambda doc: doc.pop(part))
+        out = tmp_path / "o"
+        argv = ["train", "--out", str(out)] + [str(a) for kv in graphs.items() for a in kv]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"{flag} {graphs[flag]} has no {part}" in err
+        assert not out.exists()
+
+    def test_narrower_val_features_exit_2(self, workspace, tmp_path, capsys, no_training):
+        def narrow(doc):
+            doc["features"] = [row[:4] for row in doc["features"]]
+
+        val = self.edited(workspace, tmp_path, "val", narrow)
+        train = workspace / "data" / "train.json"
+        out = tmp_path / "o"
+        assert run(["train", "--train-graph", str(train), "--val-graph", str(val),
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"--val-graph {val} has feature dim 4, but --train-graph {train} has 8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "evaluate", "ablate"])
+    def test_test_graph_without_features_exits_2(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scored an unusable graph")
+
+        monkeypatch.setattr(models, "network_forward", refuse)
+        graph = self.edited(workspace, tmp_path, "test", lambda doc: doc.pop("features"))
+        checkpoints = {role: workspace / "ckpt" / f"{role}.json"
+                       for role in ("classifier", "predictor")}
+        out = tmp_path / "o"
+        assert run(checkpoint_argv(command, graph, checkpoints, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"--test-graph {graph} has no features" in err
+        assert not out.exists()
+
+
 class TestTheoryValidate:
     def test_full_suite_passes(self, tmp_path):
         assert run([

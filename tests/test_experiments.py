@@ -293,11 +293,15 @@ class TestRunnersLabelFree:
 
     @pytest.mark.parametrize("mode", ["homophilic", "heterophilic"])
     def test_transformed_arms_ignore_test_labels(self, fixture, monkeypatch, mode):
-        outputs: list = []
+        # Seeds may run concurrently, so calls are paired by their input
+        # (edges, config), not by position. One key's calls come from one
+        # seed of one runner, which makes them in arm order.
+        outputs: dict = {}
 
         def recorded(*args):
             out = graphost_transform(*args)
-            outputs.append(out)
+            graph, _, config = args
+            outputs.setdefault((graph.edges.tobytes(), config), []).append(out)
             return out
 
         def permuted(seed):
@@ -316,10 +320,13 @@ class TestRunnersLabelFree:
             run_delta_sweep(*args, delta_grid=DELTA_GRID)
             run_noise_robustness(*args, noise_levels=NOISE_LEVELS)
             run_random_drop_comparison(*args)
-            runs.append(list(outputs))
+            runs.append(dict(outputs))
         labeled, relabeled = runs
-        assert len(labeled) == len(relabeled) == len(SEEDS) * (
-            3 + len(DELTA_GRID) + len(NOISE_LEVELS) + 1)
-        for want, got in zip(labeled, relabeled):
-            assert got.base.edges.tobytes() == want.base.edges.tobytes()
-            assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
+        assert labeled.keys() == relabeled.keys()
+        calls = [sum(len(outs) for outs in run.values()) for run in runs]
+        assert calls == [len(SEEDS) * (3 + len(DELTA_GRID) + len(NOISE_LEVELS) + 1)] * 2
+        for key, wants in labeled.items():
+            assert len(relabeled[key]) == len(wants)
+            for want, got in zip(wants, relabeled[key]):
+                assert got.base.edges.tobytes() == want.base.edges.tobytes()
+                assert got.edge_weights.tobytes() == want.edge_weights.tobytes()

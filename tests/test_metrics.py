@@ -11,7 +11,7 @@ from scipy.stats import rankdata
 
 import graphost
 from graphost.graphs import LabeledGraph, WeightedGraph
-from graphost.metrics import accuracy, f1_macro, hd_delta_report, roc_auc
+from graphost.metrics import _midranks, accuracy, f1_macro, hd_delta_report, roc_auc
 
 
 def auc_pair_counting(scores, labels):
@@ -124,6 +124,25 @@ class TestRocAuc:
         rank_sum = float(rankdata(scores)[labels == 1].sum())
         expected = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         assert roc_auc(scores, labels) == expected
+
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5 + 2**-53, 1.0]), min_size=1,
+                 max_size=600)
+        | st.integers(1, 4).flatmap(
+            lambda k: st.lists(st.integers(0, k).map(float), min_size=17, max_size=3000))
+    )
+    @settings(max_examples=150)
+    def test_midranks_equal_stable_sort_ranks(self, values):
+        # Every run of ties gets its mean rank whatever the order inside it,
+        # so the default (unstable) sort gives the stable sort's ranks exactly.
+        x = np.array(values)
+        order = np.argsort(x, kind="stable")
+        sorted_x = x[order]
+        starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+        ends = np.r_[starts[1:], x.size]
+        want = np.empty(x.size)
+        want[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+        assert _midranks(x).tobytes() == want.tobytes()
 
     def test_import_leaves_scipy_stats_unloaded(self):
         env = dict(os.environ)

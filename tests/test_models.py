@@ -336,7 +336,7 @@ class TestTrainingLog:
         epochs = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
         summary = [r.getMessage() for r in records if r.levelno == logging.INFO]
         assert len(epochs) == meta["epochs_run"]
-        assert all(f"epoch {i}: loss " in line and metric in line
+        assert all(line.startswith(f"{trained_as} epoch {i}: loss ") and metric in line
                    for i, line in enumerate(epochs, start=1))
         assert summary == [
             f"trained {trained_as}: {meta['epochs_run']} epochs, best epoch "
