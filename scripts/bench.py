@@ -7,6 +7,13 @@ Rows (times in seconds, each with its raw samples):
   import_s              `import graphost` in a fresh interpreter, median of 5
                         (timed inside the child, so interpreter start-up is out)
   src_lines             lines of src/**/*.py
+  pipeline_peak_mb      per rung (n = 20k and 200k), one fresh child each: the
+                        run_benchmark.py fixture's predictor and classifier on a
+                        2 x n/2-node CSBM of mean degree ~21, p/q = 2.5, 16-dim
+                        features; the process high-water mark (VmHWM, read from
+                        /proc/self/status) and the seconds of each stage:
+                        setup (fixture training), generate + perturb, transform
+                        (delta = 0.3) and classify (base and transformed graph)
 
 The rows are stored under LABEL (default: `git describe --always --dirty`)
 in the JSON object at OUT, which is created or updated in place, so one file
@@ -16,10 +23,13 @@ child sees: its usable cores, its BLAS threads per call and the worker
 threads graphost.workers gives a run_benchmark.py experiment (10 seeds).
 
 Usage: python3 scripts/bench.py OUT [--label LABEL]
+       python3 scripts/bench.py --pipeline-rung NODES_PER_CLASS
+           (one pipeline_peak_mb child: prints its rung as JSON)
 """
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -62,6 +72,46 @@ def _median_row(samples: list[float]) -> dict:
     return {"median": statistics.median(samples), "samples": samples, "unit": "s"}
 
 
+PIPELINE_RUNGS = (10_000, 100_000)  # nodes per class
+
+
+def _vmhwm_mb() -> float:
+    with open("/proc/self/status") as fh:
+        kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    return kb / 1024
+
+
+def pipeline_rung(nodes_per_class: int) -> dict:
+    """One pipeline_peak_mb rung in this process. Every graph and result
+    stays alive to the end, as in a caller that holds its inputs and
+    outputs."""
+    from graphost import csbm, experiments, fixtures, models, transform
+
+    stages: dict = {}
+    start = time.perf_counter()
+
+    def stage(name: str) -> None:
+        nonlocal start
+        stages[name] = {"seconds": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
+        start = time.perf_counter()
+
+    fx = fixtures.make_fixture(intra_prob=0.05, inter_prob=0.02, seed=0, num_layers=4,
+                               predictor_hidden=64)
+    stage("setup")
+    m = nodes_per_class
+    q = (0.05 * 299 + 0.02 * 300) / (2.5 * (m - 1) + m)  # the fixture's mean degree
+    params = csbm.symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q)
+    clean = csbm.generate_csbm(params, experiments.derive_seed(0, 100))
+    noisy = csbm.perturb_features(clean, math.sqrt(0.5), experiments.derive_seed(0, 7_000_000))
+    stage("generate_perturb")
+    out = transform.graphost_transform(noisy, fx.predictor, fx.config)
+    stage("transform")
+    base = models.predict_labels(fx.classifier, noisy)
+    full = models.predict_labels(fx.classifier, out.base, out.edge_weights)
+    stage("classify")
+    return {"nodes": 2 * m, "edges": noisy.num_edges, "stages": stages}
+
+
 def measure() -> dict:
     with tempfile.TemporaryDirectory() as out:
         walls = [_run([sys.executable, "scripts/run_benchmark.py", "--out", out])[0]
@@ -70,20 +120,30 @@ def measure() -> dict:
                        "--continue-on-collection-errors", "-p", "no:cacheprovider"])
     imports = [float(_run([sys.executable, "-c", IMPORT_PROBE])[1]) for _ in range(5)]
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    rungs = {f"n={2 * m}": json.loads(_run([sys.executable, "scripts/bench.py",
+                                            "--pipeline-rung", str(m)])[1])
+             for m in PIPELINE_RUNGS}
     return {
         "run_benchmark_wall_s": _median_row(walls),
         "tier1_s": {"seconds": tier1, "summary": log.strip().splitlines()[-1], "unit": "s"},
         "import_s": _median_row(imports),
         "src_lines": {"value": lines, "unit": "lines"},
+        "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
     }
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("out", type=Path)
+    parser.add_argument("out", type=Path, nargs="?")
     parser.add_argument("--label", default=None)
+    parser.add_argument("--pipeline-rung", type=int, default=None, metavar="NODES_PER_CLASS")
     args = parser.parse_args()
+    if args.pipeline_rung is not None:
+        print(json.dumps(pipeline_rung(args.pipeline_rung)))
+        return 0
+    if args.out is None:
+        parser.error("OUT is required")
     label = args.label or subprocess.run(
         ["git", "describe", "--always", "--dirty"], cwd=ROOT,
         capture_output=True, text=True).stdout.strip() or "unknown"

@@ -372,6 +372,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliError(f"--val-graph {options['val_graph']} has feature dim "
                        f"{val_graph.feature_dim}, but --train-graph "
                        f"{options['train_graph']} has {train_graph.feature_dim}")
+    if options["target"] != "predictor" and val_graph.num_classes != train_graph.num_classes:
+        # the classifier predicts the training graph's classes only
+        raise CliError(f"--val-graph {options['val_graph']} has {val_graph.num_classes} "
+                       f"classes, but --train-graph {options['train_graph']} has "
+                       f"{train_graph.num_classes}")
     seed = _single_seed(options)
     optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
                                 patience=options["patience"])

@@ -239,4 +239,5 @@ def perturb_features(graph: LabeledGraph, noise_std: float, seed: int) -> Labele
         return graph
     noise = _stream(seed, _STREAM_NOISE).standard_normal(graph.features.shape)
     noise *= noise_std
-    return graph.with_features(graph.features + noise)
+    noise += graph.features  # the same bits as features + noise: IEEE addition commutes
+    return graph.with_features(noise)

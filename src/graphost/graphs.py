@@ -2,11 +2,19 @@
 
 Graphs are undirected: every edge is stored once in canonical (u < v)
 order, sorted lexicographically. Graphs are immutable after construction --
-every mutating operation returns a new graph.
+every mutating operation returns a new graph, and the arrays of a graph are
+read-only.
+
+A graph derived from another shares the arrays it does not replace:
+`with_features` keeps the parent's edges and labels, and `random_edge_drop`
+(like a filtered transform) keeps a row subset of the parent's canonical
+edges as it is, with no second canonicalization. User input always goes
+through the constructor, which checks it and never aliases given edges.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -88,6 +96,20 @@ def _freeze(a: np.ndarray | None) -> np.ndarray | None:
     return a
 
 
+def _checked_features(features, num_nodes: int) -> np.ndarray:
+    """features as a frozen C-order (num_nodes, dim) float64 array of finite
+    values; an array that already is one is frozen in place, not copied."""
+    feats = np.ascontiguousarray(features, dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != num_nodes:
+        raise ValueError(
+            f"features must be (num_nodes, dim), got {feats.shape} for {num_nodes} nodes"
+        )
+    if not np.isfinite(feats).all():
+        row = int(np.flatnonzero(~np.isfinite(feats).all(axis=1))[0])
+        raise ValueError(f"features of node {row} are not finite")
+    return _freeze(feats)
+
+
 @dataclass(frozen=True)
 class LabeledGraph:
     """Node set with edges, optional features (n x l) and optional labels.
@@ -107,16 +129,7 @@ class LabeledGraph:
         edges = canonicalize_edges(self.edges, self.num_nodes)
         object.__setattr__(self, "edges", _freeze(edges))
         if self.features is not None:
-            feats = np.ascontiguousarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != self.num_nodes:
-                raise ValueError(
-                    f"features must be (num_nodes, dim), got {feats.shape} for "
-                    f"{self.num_nodes} nodes"
-                )
-            if not np.isfinite(feats).all():
-                row = int(np.flatnonzero(~np.isfinite(feats).all(axis=1))[0])
-                raise ValueError(f"features of node {row} are not finite")
-            object.__setattr__(self, "features", _freeze(feats))
+            object.__setattr__(self, "features", _checked_features(self.features, self.num_nodes))
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)
             if labels.ndim != 1 or labels.shape[0] != self.num_nodes:
@@ -151,7 +164,20 @@ class LabeledGraph:
         return replace(self, edges=edges)
 
     def with_features(self, features: np.ndarray) -> "LabeledGraph":
-        return replace(self, features=features)
+        """New graph sharing this one's edges and labels, with the features
+        checked as the constructor checks them."""
+        return self._derived(features=_checked_features(features, self.num_nodes))
+
+    def _derived(self, **arrays: np.ndarray) -> "LabeledGraph":
+        """The trusted path for graphs derived inside the package: a copy
+        sharing this graph's frozen arrays, with `arrays` frozen and set as
+        given, unchecked. Each must already hold what the constructor would
+        make of it, e.g. a row subset of this graph's canonical edges, which
+        is canonical."""
+        graph = copy.copy(self)
+        for name, value in arrays.items():
+            object.__setattr__(graph, name, _freeze(value))
+        return graph
 
 
 @dataclass(frozen=True)
@@ -291,7 +317,7 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
     if drop_count == 0:
         return graph
     keep = _keep_mask(graph.num_edges, drop_count, np.random.default_rng(seed))
-    return graph.with_edges(graph.edges[keep])
+    return graph._derived(edges=graph.edges[keep])
 
 
 # ---------------------------------------------------------------------------

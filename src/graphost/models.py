@@ -13,7 +13,13 @@ O(n d + E) and every cosine equals the one-shot row sum bit for bit. Its
 backward pass sums each node's cosine gradients in closed form: with G =
 A @ unit, A the symmetric n x n matrix of per-edge gradients, a node's
 gradient is the part of G_u tangent to its unit vector, divided by |z_u|
--- one sparse product plus O(n d) work.
+-- one sparse product plus O(n d) work. A's pattern is built once per fit.
+
+Inference holds no copy it does not need, with the same bits as the
+straightforward pass: bias and activation work in place, a square GCN
+layer writes its product into its dead input, and edge scoring drops the
+aggregator before the head, which normalizes the embeddings in place.
+Training keeps every array its backward pass reads.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from .jsonfile import FileFormatError, JsonObject, read_json, write_json
 from .metrics import accuracy, roc_auc
 from .nn import (
     AdamState,
+    EdgeAdjacency,
     MeanAggregator,
     _ACTIVATIONS,
-    csr_matrix,
     adam_step,
     bce_loss,
     cross_entropy_loss,
@@ -212,15 +218,22 @@ def network_forward(
     cache: list[dict] = []
     for layer, act_name in enumerate(_layer_activations(spec)):
         act, _ = _ACTIVATIONS[act_name]
+        weight = params[f"W{layer}"]
         agg_in = aggregator.apply(h) if spec.kind == "gcn" else h
-        pre = agg_in @ params[f"W{layer}"]
+        # In inference a GCN layer's input h is dead once aggregated, and past
+        # layer 0 (the caller's features) it is our own buffer: a square
+        # layer writes its product into it.
+        reuse = (not with_cache and layer > 0 and agg_in is not h
+                 and weight.shape[0] == weight.shape[1])
+        pre = np.matmul(agg_in, weight, out=h if reuse else None)
         pre += params[f"b{layer}"]
         if with_cache:
             cache.append({"agg_in": agg_in, "pre": pre, "act": act_name})
             h = act(pre)
         else:
             # inference frees the aggregate before an in-place activation:
-            # at most three n x d arrays alive at once, not five
+            # at most two n x d arrays alive at once in a square GCN layer,
+            # three otherwise, not five
             del agg_in
             h = act(pre, out=pre)
     return (h, cache) if with_cache else h
@@ -390,8 +403,10 @@ def build_edge_training_set(
     return train_graph.edges, edge_labels, alpha
 
 
-def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray):
+def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool = False):
     """sigmoid(cosine) per edge plus everything needed for the backward pass.
+    With overwrite_z the unit rows are written over z, which the caller
+    gives up.
 
     Cosines are taken a block of edges at a time; each row's sum is the
     same as in one whole-array product. A block has at most _EDGE_BLOCK
@@ -402,7 +417,7 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray):
     """
     norms = np.linalg.norm(z, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
-    unit = z / safe[:, None]
+    unit = np.divide(z, safe[:, None], out=z if overwrite_z else None)
     cos = np.empty(len(edges), dtype=np.float64)
     block = max(1, min(_EDGE_BLOCK, len(z)))
     for start in range(0, len(edges), block):
@@ -414,23 +429,25 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray):
 
 
 def _edge_scores_backward(
-    grad_scores: np.ndarray, edges: np.ndarray, scores: np.ndarray, ctx: dict, n: int, dim: int
+    grad_scores: np.ndarray, edges: np.ndarray, scores: np.ndarray, ctx: dict, n: int,
+    dim: int, adjacency: EdgeAdjacency | None = None,
 ) -> np.ndarray:
     """Accumulate d(loss)/dZ from per-edge score gradients.
 
     With g_e = d(loss)/d(cos_e), the sum over a node's edges is the tangent
     projection (G_u - (G_u . u_u) u_u) / |z_u| of G = A @ unit, where A is
     the symmetric n x n matrix holding g_e at (src, dst) and (dst, src): one
-    sparse product instead of per-edge (E, d) gradients. Zero-norm
-    embeddings use the documented cosine := 0 convention: their unit row is
-    0, so they add nothing to their neighbours, and their own row is zeroed.
+    sparse product instead of per-edge (E, d) gradients. A training loop
+    passes `adjacency`, A's pattern for `edges` built once per fit, and only
+    its values are written here. Zero-norm embeddings use the documented
+    cosine := 0 convention: their unit row is 0, so they add nothing to
+    their neighbours, and their own row is zeroed.
     """
     grad_cos = grad_scores * scores * (1.0 - scores)
-    src, dst = edges[:, 0], edges[:, 1]
-    adjacency = csr_matrix(np.concatenate([grad_cos, grad_cos]),
-                           np.concatenate([src, dst]), np.concatenate([dst, src]), n)
     unit = ctx["unit"]
-    grad_z = adjacency @ unit
+    if adjacency is None:
+        adjacency = EdgeAdjacency(edges, n)
+    grad_z = adjacency.fill(grad_cos) @ unit
     grad_z -= np.einsum("ij,ij->i", grad_z, unit)[:, None] * unit
     grad_z /= ctx["safe"][:, None]
     grad_z[ctx["norms"] == 0.0] = 0.0
@@ -493,6 +510,7 @@ def train_homophily_predictor(
         val_edges, val_labels = edges[held_idx], edge_labels[held_idx]
         val_agg, val_feats = train_agg, train_graph.features
     n, out_dim = train_graph.num_nodes, spec.output_dim
+    adjacency = EdgeAdjacency(fit_edges, n)
 
     def training_passes():
         p = yield
@@ -506,7 +524,8 @@ def train_homophily_predictor(
             else:
                 loss_value, grad_scores = bce_loss(scores, fit_labels)
             yield loss_value
-            grad_z = _edge_scores_backward(grad_scores, fit_edges, scores, ctx, n, out_dim)
+            grad_z = _edge_scores_backward(grad_scores, fit_edges, scores, ctx, n, out_dim,
+                                           adjacency)
             grads = network_backward(spec, p, cache, grad_z, train_agg)
             p = yield grads
 
@@ -522,11 +541,12 @@ def train_homophily_predictor(
 def edge_homophily_scores(
     predictor: Checkpoint, graph: LabeledGraph
 ) -> EdgeScoreTable:
-    """One sigmoid(cosine) confidence per canonical edge; label-free."""
+    """One sigmoid(cosine) confidence per canonical edge; label-free. The
+    aggregator is dropped before the head, which normalizes the embeddings
+    in place."""
     spec = predictor.spec
-    agg = _aggregator(spec, graph)
-    z = network_forward(spec, predictor.params, graph.features, agg)
-    scores, _ = _edge_scores_with_cache(z, graph.edges)
+    z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
+    scores, _ = _edge_scores_with_cache(z, graph.edges, overwrite_z=True)
     return EdgeScoreTable(scores=scores)
 
 

@@ -8,10 +8,13 @@ must be finite and non-negative. It comes in two kinds, one function each:
 `MeanAggregator` is the GCN layers' operator, a sparse row-normalised matrix
 with sorted columns that counts each node as its own neighbour with weight 1;
 `mean_aggregate`, the theory lab's strict-neighbour mean used once per graph,
-scatters over the edges directly.
+scatters over the edges directly. `EdgeAdjacency` is the predictor
+backward's symmetric per-edge matrix, whose pattern a fit builds once.
 
 `csr_matrix` is the package's one sparse builder and the only place that
-imports scipy.sparse, which it does on its first call.
+imports scipy.sparse, which it does on its first call. Both operators write
+their entries once into arrays scipy adopts without a copy: int32 indices
+where scipy would pick int32 anyway, in an order whose rows come out sorted.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .graphs import LabeledGraph
 
 __all__ = [
     "csr_matrix",
+    "EdgeAdjacency",
     "MeanAggregator",
     "mean_aggregate",
     "relu",
@@ -38,6 +42,7 @@ __all__ = [
 ]
 
 PROB_EPS = 1e-7  # log-loss probability clamp
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -45,30 +50,41 @@ def _require_finite(name: str, a: np.ndarray) -> None:
         raise ValueError(f"{name} contains NaN or Inf")
 
 
-def _directed_entries(
-    graph: LabeledGraph, edge_weights: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dst, src, weight) for both directions of every canonical edge (u, v),
-    u < v: first (v <- u) for each edge, then (u <- v). Within a node's
-    entries the neighbours come out ascending -- lower ones from the first
-    half, upper ones from the second -- since the edges are sorted."""
+def _checked_weights(graph: LabeledGraph, edge_weights: np.ndarray | None) -> np.ndarray | None:
+    """edge_weights as one finite, non-negative float64 per edge; None stays
+    None (every weight 1)."""
     if edge_weights is None:
-        w = np.ones(graph.num_edges, dtype=np.float64)
-    else:
-        w = np.asarray(edge_weights, dtype=np.float64).reshape(-1)
-        if w.shape[0] != graph.num_edges:
-            raise ValueError(f"{w.shape[0]} edge weights for {graph.num_edges} edges")
-        _require_finite("edge_weights", w)
-        negative = np.flatnonzero(w < 0.0)
-        if negative.size:
-            i = negative[0]
-            u, v = graph.edges[i]
-            raise ValueError(
-                f"edge_weights[{i}] = {float(w[i])} on edge ({u}, {v}) is negative"
-            )
-    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
-    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    return dst, src, np.concatenate([w, w])
+        return None
+    w = np.asarray(edge_weights, dtype=np.float64).reshape(-1)
+    if w.shape[0] != graph.num_edges:
+        raise ValueError(f"{w.shape[0]} edge weights for {graph.num_edges} edges")
+    _require_finite("edge_weights", w)
+    negative = np.flatnonzero(w < 0.0)
+    if negative.size:
+        i = negative[0]
+        u, v = graph.edges[i]
+        raise ValueError(
+            f"edge_weights[{i}] = {float(w[i])} on edge ({u}, {v}) is negative"
+        )
+    return w
+
+
+def _entry_indices(edges: np.ndarray, n: int, self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the directed entries of canonical edges (u, v), u < v:
+    first (v, u) for each edge, then each node's (i, i) loop if asked, then
+    (u, v) for each edge. In this order every row's columns already ascend
+    (lower neighbours, itself, upper neighbours, since the edges are
+    sorted), so scipy's COO -> CSR pass lays them out with no sort. The
+    indices are int32 wherever scipy would pick int32 for the matrix, so it
+    keeps these arrays instead of converting them."""
+    e, loops = len(edges), n if self_loops else 0
+    nnz = 2 * e + loops
+    dtype = np.int32 if max(nnz, n) <= _INT32_MAX else np.int64
+    rows, cols = np.empty(nnz, dtype=dtype), np.empty(nnz, dtype=dtype)
+    rows[:e], cols[:e] = edges[:, 1], edges[:, 0]
+    rows[e:e + loops] = cols[e:e + loops] = np.arange(loops)
+    rows[e + loops:], cols[e + loops:] = edges[:, 0], edges[:, 1]
+    return rows, cols
 
 
 def csr_matrix(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int):
@@ -90,6 +106,10 @@ class MeanAggregator:
     weighted mean of its neighbours and itself, its own weight 1. self_loops
     must be passed as True: strict-neighbour means are `mean_aggregate`'s,
     and False, the old default, raises rather than silently gain self loops.
+
+    The build holds the matrix's (row, col, coefficient) entries once, in
+    preallocated arrays that scipy adopts as they are, and divides the
+    coefficients in place: its peak is about 2.3 times the finished matrix.
     """
 
     def __init__(
@@ -102,14 +122,22 @@ class MeanAggregator:
         if not self_loops:
             raise ValueError("MeanAggregator needs self_loops=True; strict-neighbour "
                              "means are mean_aggregate's")
-        n = graph.num_nodes
-        dst, src, weights = _directed_entries(graph, edge_weights)
-        loop = np.arange(n, dtype=np.int64)
-        dst = np.concatenate([dst, loop])
-        src = np.concatenate([src, loop])
-        weights = np.concatenate([weights, np.ones(n)])
-        totals = np.bincount(dst, weights=weights, minlength=n)
-        self._mat = csr_matrix(weights / totals[dst], dst, src, n)
+        n, e, edges = graph.num_nodes, graph.num_edges, graph.edges
+        w = _checked_weights(graph, edge_weights)
+        # Each node's total sums its lower neighbours' weights, then its upper
+        # neighbours', then its own 1: the canonical edges list a node's lower
+        # edges before its upper ones, so bincount over them in edge order adds
+        # in exactly that order. Unweighted, the integer counts are exact.
+        totals = np.bincount(edges.ravel(), minlength=n,
+                             weights=None if w is None else np.repeat(w, 2)) + 1.0
+        rows, cols = _entry_indices(edges, n, self_loops=True)
+        coef = np.empty(len(rows))
+        coef[:e] = coef[e + n:] = 1.0 if w is None else w
+        coef[e:e + n] = 1.0
+        np.divide(coef[:e], totals[edges[:, 1]], out=coef[:e])
+        np.divide(coef[e:e + n], totals, out=coef[e:e + n])
+        np.divide(coef[e + n:], totals[edges[:, 0]], out=coef[e + n:])
+        self._mat = csr_matrix(coef, rows, cols, n)
         self.num_nodes = n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -121,6 +149,27 @@ class MeanAggregator:
         # The CSC view of the transpose sums each output row over ascending
         # source rows, the order a sorted CSR transpose would use.
         return self._mat.T @ g
+
+
+class EdgeAdjacency:
+    """The symmetric n x n CSR matrix holding one value per canonical edge
+    (u, v) at both (u, v) and (v, u). Its pattern is built once; `fill`
+    writes a new value per edge into it in place, so a training loop builds
+    no matrix per epoch."""
+
+    def __init__(self, edges: np.ndarray, n: int):
+        rows, cols = _entry_indices(edges, n, self_loops=False)
+        # Built with each entry holding its edge's index (exact in float64):
+        # once scipy has laid the entries out, the data names each stored
+        # entry's edge.
+        edge_ids = np.arange(len(edges), dtype=np.float64)
+        self.matrix = csr_matrix(np.concatenate([edge_ids, edge_ids]), rows, cols, n)
+        self._edge_of_entry = self.matrix.data.astype(np.intp)
+
+    def fill(self, values: np.ndarray):
+        """The matrix with values[k] at both entries of edge k."""
+        np.take(values, self._edge_of_entry, out=self.matrix.data)
+        return self.matrix
 
 
 def mean_aggregate(
@@ -140,7 +189,13 @@ def mean_aggregate(
     n = graph.num_nodes
     if x.shape[0] != n:
         raise ValueError(f"expected {n} rows, got {x.shape[0]}")
-    dst, src, weights = _directed_entries(graph, edge_weights)
+    w = _checked_weights(graph, edge_weights)
+    w = np.ones(graph.num_edges) if w is None else w
+    # (v <- u) for each edge, then (u <- v); int64 indices, which the
+    # per-column gathers and bincounts use without a conversion
+    dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
+    src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
+    weights = np.concatenate([w, w])
     totals = np.bincount(dst, weights=weights, minlength=n)
     fallback = totals == 0.0
     totals[fallback] = 1.0

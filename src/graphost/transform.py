@@ -82,7 +82,7 @@ def graphost_transform(
         return WeightedGraph(base=test_graph, edge_weights=weights)
     keep = _keep_mask(1.0 - s if homophilic else s, config.delta)
     return WeightedGraph(
-        base=test_graph.with_edges(test_graph.edges[keep]),
+        base=test_graph._derived(edges=test_graph.edges[keep]),
         edge_weights=None if weights is None else weights[keep],
     )
 

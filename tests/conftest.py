@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphost.csbm import generate_csbm, symmetric_binary_params
 from graphost.graphs import LabeledGraph
 
 
@@ -25,6 +28,28 @@ def finite_difference_grads(loss_fn, params, step=1e-5):
             g[i] = (plus - minus) / (2.0 * step)
         grads[name] = g.reshape(work[name].shape)
     return grads
+
+
+def csbm_20k(seed=0):
+    """2 x 10k nodes at the benchmark fixture's mean degree (~21, p/q = 2.5),
+    16-dim features: the scale at which the memory bounds are stated."""
+    m = 10_000
+    q = (0.05 * 299 + 0.02 * 300) / (2.5 * (m - 1) + m)
+    return generate_csbm(symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q), seed=seed)
+
+
+def traced_peak(call):
+    """(call(), the tracemalloc peak in bytes of that call alone)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(mat):
+    return mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
 
 
 def assert_same_csr(got, want):

@@ -584,6 +584,45 @@ class TestGraphInputs:
         assert f"--val-graph {val} has feature dim 4, but --train-graph {train} has 8" in err
         assert not out.exists()
 
+    @staticmethod
+    def third_class(doc):
+        doc["labels"][0], doc["num_classes"] = 2, 3
+
+    @pytest.mark.parametrize("target", ["classifier", "both"])
+    def test_val_graph_with_more_classes_exits_2(self, workspace, tmp_path, capsys,
+                                                 no_training, target):
+        val = self.edited(workspace, tmp_path, "val", self.third_class)
+        train = workspace / "data" / "train.json"
+        out = tmp_path / "o"
+        assert run(["train", "--train-graph", str(train), "--val-graph", str(val),
+                    "--target", target, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"--val-graph {val} has 3 classes, but --train-graph {train} has 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["classifier", "both"])
+    def test_train_graph_with_more_classes_exits_2(self, workspace, tmp_path, capsys,
+                                                   no_training, target):
+        train = self.edited(workspace, tmp_path, "train", self.third_class)
+        val = workspace / "data" / "val.json"
+        out = tmp_path / "o"
+        assert run(["train", "--train-graph", str(train), "--val-graph", str(val),
+                    "--target", target, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert f"--val-graph {val} has 2 classes, but --train-graph {train} has 3" in err
+        assert not out.exists()
+
+    def test_predictor_alone_reads_no_class_count(self, workspace, tmp_path):
+        # the predictor learns same-class edges, whatever the number of classes
+        val = self.edited(workspace, tmp_path, "val", self.third_class)
+        out = tmp_path / "o"
+        assert run(["train", "--train-graph", str(workspace / "data" / "train.json"),
+                    "--val-graph", str(val), "--target", "predictor", "--epochs", "2",
+                    "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["predictor.json", "train-log.json"]
+
     @pytest.mark.parametrize("command", ["transform", "evaluate", "ablate"])
     def test_test_graph_without_features_exits_2(self, workspace, tmp_path, capsys,
                                                  monkeypatch, command):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from graphost.csbm import (
+    _STREAM_NOISE,
     CsbmParams,
     _sample_edges,
+    _stream,
     _unrank_triu,
     generate_csbm,
     perturb_features,
@@ -227,6 +229,19 @@ class TestPerturbFeatures:
         delta_small = perturb_features(small, 0.5, seed=1).features - small.features
         delta_large = perturb_features(large, 0.5, seed=1).features - large.features
         assert np.array_equal(delta_small[:5], delta_large[:5])
+
+    def test_shares_the_parents_frozen_structure(self):
+        g = generate_csbm(binary_params(0.5, 0.1, n=50, dim=4), seed=0)
+        noisy = perturb_features(g, 0.5, seed=1)
+        assert np.shares_memory(noisy.edges, g.edges)
+        assert np.shares_memory(noisy.labels, g.labels)
+        assert not np.shares_memory(noisy.features, g.features)
+        for a in (noisy.edges, noisy.labels, noisy.features):
+            assert not a.flags.writeable
+        # features + noise as it was computed before the sum reused the noise
+        noise = _stream(1, _STREAM_NOISE).standard_normal(g.features.shape)
+        noise *= 0.5
+        assert np.array_equal(noisy.features, g.features + noise)
 
     def test_noise_scale(self):
         g = generate_csbm(binary_params(0.5, 0.1, n=400, dim=8), seed=0)

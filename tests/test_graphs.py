@@ -20,6 +20,8 @@ from graphost.graphs import (
     save_graph,
 )
 
+from conftest import random_labeled_graph
+
 
 def triangle(labels=(0, 0, 1)):
     return LabeledGraph(
@@ -332,6 +334,35 @@ class TestNonEdgeSampler:
             want = sample_non_edges_loop(g, count, np.random.default_rng(seed))
             got = graphs_module._sample_non_edges(g, count, np.random.default_rng(seed))
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+class TestDerivedGraphs:
+    """Graphs derived inside the package share the arrays they keep, frozen;
+    what a caller passes in is still checked."""
+
+    def test_with_features_shares_edges_and_labels(self):
+        g = triangle()
+        h = g.with_features(np.ones((3, 2)))
+        assert np.shares_memory(h.edges, g.edges) and np.shares_memory(h.labels, g.labels)
+        assert not h.features.flags.writeable
+        assert np.array_equal(g.features, np.eye(3))
+
+    @pytest.mark.parametrize("features, message", [
+        (np.ones((2, 2)), "features must be"),
+        (np.full((3, 1), np.nan), "node 0 are not finite"),
+    ])
+    def test_with_features_checks_what_it_is_given(self, features, message):
+        with pytest.raises(ValueError, match=message):
+            triangle().with_features(features)
+
+    def test_random_edge_drop_keeps_a_frozen_canonical_subset(self, rng):
+        g = random_labeled_graph(rng, 30, 0.3)
+        dropped = random_edge_drop(g, g.num_edges // 3, seed=2)
+        assert not dropped.edges.flags.writeable
+        assert np.array_equal(dropped.edges, canonicalize_edges(dropped.edges, 30))
+        assert dropped.edge_pairs() <= g.edge_pairs()
+        assert np.shares_memory(dropped.features, g.features)
+        assert np.shares_memory(dropped.labels, g.labels)
 
 
 class TestRandomEdgeDrop:

@@ -30,9 +30,9 @@ from graphost.models import (
     _edge_scores_with_cache,
     network_forward,
 )
-from graphost.nn import _ACTIVATIONS, MeanAggregator, csr_matrix
+from graphost.nn import _ACTIVATIONS, EdgeAdjacency, MeanAggregator
 
-from conftest import assert_same_csr
+from conftest import assert_same_csr, csbm_20k, csr_bytes, traced_peak
 
 SIGMOID_1 = 0.7310585786300049
 SIGMOID_M1 = 0.2689414213699951
@@ -446,6 +446,19 @@ class TestBlockedEdgeCosine:
             tracemalloc.stop()
         assert peak < 48 * 2**20
 
+    def test_scoring_peak_two_hidden_arrays_over_the_operator(self):
+        # 2 x 10k nodes, hidden 64: the hidden layer's product goes into its
+        # dead input, and the head normalizes the embeddings in place once
+        # the operator is gone (36.1 MB here with three hidden arrays and a
+        # second unit copy).
+        graph = csbm_20k()
+        spec = ArchitectureSpec.default("gcn", 16, 64, hidden=64)
+        ckpt = Checkpoint(spec=spec, params=init_params(spec, seed=0))
+        operator = csr_bytes(MeanAggregator(graph, self_loops=True)._mat)
+        table, peak = traced_peak(lambda: edge_homophily_scores(ckpt, graph))
+        assert len(table) == graph.num_edges
+        assert peak <= operator + 2 * graph.num_nodes * 64 * 8 + 2**20
+
 
 def edge_scores_backward_add_at(grad_scores, edges, scores, ctx, n, dim):
     """Per-edge gradients scattered with np.add.at, kept as oracle."""
@@ -480,31 +493,27 @@ class TestEdgeScoreBackward:
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
         assert np.all(got[0] == 0.0)
 
-    def test_adjacency_arrays_unchanged(self, rng, monkeypatch):
-        # the backward's A as it was built before nn.csr_matrix was the one
-        # builder, kept as oracle: COO entries into csr_matrix, no re-sort
-        built = []
-
-        def capture(*args):
-            built.append(csr_matrix(*args))
-            return built[-1]
-
-        monkeypatch.setattr("graphost.models.csr_matrix", capture)
+    def test_adjacency_arrays_unchanged(self, rng):
+        # the backward's A as it was built every epoch before its pattern was
+        # built once per fit, kept as oracle: COO entries into scipy's CSR
         n = 200
         pairs = rng.integers(0, n, size=(1500, 2))
         g = LabeledGraph(num_nodes=n, edges=pairs[pairs[:, 0] != pairs[:, 1]])
+        adjacency = EdgeAdjacency(g.edges, n)
         scores, ctx = _edge_scores_with_cache(rng.standard_normal((n, 8)), g.edges)
-        grad = rng.standard_normal(g.num_edges)
-        _edge_scores_backward(grad, g.edges, scores, ctx, n, 8)
-        grad_cos = grad * scores * (1.0 - scores)
-        src, dst = g.edges[:, 0], g.edges[:, 1]
-        want = scipy.sparse.csr_matrix(
-            (np.concatenate([grad_cos, grad_cos]),
-             (np.concatenate([src, dst]), np.concatenate([dst, src]))),
-            shape=(n, n),
-        )
-        (got,) = built
-        assert_same_csr(got, want)
+        for _ in range(2):  # a second fill leaves nothing of the first
+            grad = rng.standard_normal(g.num_edges)
+            grad[::3] = -0.0
+            _edge_scores_backward(grad, g.edges, scores, ctx, n, 8, adjacency)
+            grad_cos = grad * scores * (1.0 - scores)
+            src, dst = g.edges[:, 0], g.edges[:, 1]
+            want = scipy.sparse.csr_matrix(
+                (np.concatenate([grad_cos, grad_cos]),
+                 (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+                shape=(n, n),
+            )
+            want.sort_indices()
+            assert_same_csr(adjacency.matrix, want)
 
 
 class TestCheckpointIO:

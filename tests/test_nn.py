@@ -17,6 +17,7 @@ from graphost.nn import (
     PROB_EPS,
     AdamState,
     MeanAggregator,
+    _entry_indices,
     adam_step,
     bce_loss,
     csr_matrix,
@@ -37,7 +38,14 @@ from graphost.models import (
     predict_labels,
 )
 
-from conftest import assert_same_csr, finite_difference_grads, gradient_relative_error
+from conftest import (
+    assert_same_csr,
+    csbm_20k,
+    csr_bytes,
+    finite_difference_grads,
+    gradient_relative_error,
+    traced_peak,
+)
 
 
 def star_graph():
@@ -233,6 +241,32 @@ class TestCsrMatrix:
         dense = np.zeros((n, n))
         np.add.at(dense, (rows, cols), values)
         assert np.allclose(got.toarray(), dense, rtol=1e-12, atol=1e-12)
+
+
+class TestBuildMemory:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_peak_within_two_and_a_half_matrices(self, weighted):
+        # The build used to hold its entries two and three times over (a
+        # concatenation per direction, then with the self loops, int64
+        # indices that scipy converted): 4.3x the finished matrix at this size.
+        graph = csbm_20k()
+        weights = np.random.default_rng(0).random(graph.num_edges) if weighted else None
+        MeanAggregator(graph, weights, self_loops=True)  # scipy.sparse imported
+        agg, peak = traced_peak(lambda: MeanAggregator(graph, weights, self_loops=True))
+        assert peak <= 2.5 * csr_bytes(agg._mat)
+
+    def test_int64_indices_where_scipy_needs_them(self, monkeypatch):
+        # past int32's range the entries keep int64, as scipy would pick
+        monkeypatch.setattr("graphost.nn._INT32_MAX", 6)
+        graph = LabeledGraph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]))
+        rows, cols = _entry_indices(graph.edges, 3, self_loops=True)
+        assert rows.dtype == cols.dtype == np.int64
+        assert rows.tolist() == [1, 2, 0, 1, 2, 0, 1]
+        assert cols.tolist() == [0, 1, 0, 1, 2, 1, 2]
+        assert_same_csr(MeanAggregator(graph, self_loops=True)._mat,
+                        mean_operator_coo(graph, None))
+        monkeypatch.setattr("graphost.nn._INT32_MAX", 7)
+        assert _entry_indices(graph.edges, 3, self_loops=True)[0].dtype == np.int32
 
 
 class TestNegativeWeights:

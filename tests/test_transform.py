@@ -19,6 +19,7 @@ from graphost.models import (
 from graphost.transform import (
     MODES,
     TransformConfig,
+    _keep_mask,
     filter_edges,
     graphost_transform,
     resolve_mode,
@@ -136,6 +137,18 @@ class TestWeightedConstruction:
 
 
 class TestFilterEdges:
+    @pytest.mark.parametrize("weighting", [True, False])
+    def test_filtered_arm_shares_the_parents_frozen_arrays(self, rng, weighting):
+        g = random_labeled_graph(rng, 30, 0.3)
+        scores = EdgeScoreTable(scores=rng.uniform(size=g.num_edges))
+        config = TransformConfig(mode="homophilic", delta=0.3, enable_weighting=weighting)
+        out = graphost_transform(g, scores, config).base
+        assert np.shares_memory(out.features, g.features)
+        assert np.shares_memory(out.labels, g.labels)
+        assert not out.edges.flags.writeable
+        # the kept rows of the canonical edges, as they are
+        assert np.array_equal(out.edges, g.edges[_keep_mask(1.0 - scores.scores, 0.3)])
+
     def test_delta_zero_identity(self, rng):
         g = random_labeled_graph(rng, 8, 0.5)
         scores = EdgeScoreTable(scores=rng.uniform(size=g.num_edges))
