@@ -7,6 +7,11 @@ Rows (times in seconds, each with its raw samples):
   import_s              `import graphost` in a fresh interpreter, median of 5
                         (timed inside the child, so interpreter start-up is out)
   src_lines             lines of src/**/*.py
+  theory_validate_s     per feature width (--dim 2 and 16): `theory-validate
+                        --suite theorem` at the homophilic point of
+                        scripts/run_theory_suite.py (seed 1), one call of
+                        cli.main per fresh child, median of 5 (timed inside the
+                        child, so interpreter start-up and import are out)
   pipeline_peak_mb      per rung (n = 20k and 200k), one fresh child each: the
                         run_benchmark.py fixture's predictor and classifier on a
                         2 x n/2-node CSBM of mean degree ~21, p/q = 2.5, 16-dim
@@ -52,6 +57,20 @@ ENV = {
 }
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import graphost; "
                 "print(time.perf_counter() - t)")
+THEORY_PROBE = """
+import contextlib, io, sys, tempfile, time
+from graphost.cli import main
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    start = time.perf_counter()
+    code = main(sys.argv[1:] + ["--out", out])
+    wall = time.perf_counter() - start
+if code not in (0, 1):  # 1: a sampled check failed by chance; the time still counts
+    sys.exit(code)
+print(wall)
+"""
+THEORY_FLAGS = ["theory-validate", "--suite", "theorem", "--p", "0.02", "--q", "0.01",
+                "--p2", "0.03", "--q2", "0.005", "--n1", "500", "--n2", "500",
+                "--mean-distance", "2", "--trials", "20", "--seed", "1"]
 WORKERS_PROBE = ("import json, graphost.workers as w; print(json.dumps({"
                  "'usable_cores': w._usable_cores(), 'blas_threads': w._blas_threads(), "
                  "'workers': w.worker_count(10)}))")
@@ -120,6 +139,9 @@ def measure() -> dict:
                        "--continue-on-collection-errors", "-p", "no:cacheprovider"])
     imports = [float(_run([sys.executable, "-c", IMPORT_PROBE])[1]) for _ in range(5)]
     lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    theory = {f"dim={dim}": _median_row([
+        float(_run([sys.executable, "-c", THEORY_PROBE, *THEORY_FLAGS, "--dim", dim])[1])
+        for _ in range(5)]) for dim in ("2", "16")}
     rungs = {f"n={2 * m}": json.loads(_run([sys.executable, "scripts/bench.py",
                                             "--pipeline-rung", str(m)])[1])
              for m in PIPELINE_RUNGS}
@@ -128,6 +150,7 @@ def measure() -> dict:
         "tier1_s": {"seconds": tier1, "summary": log.strip().splitlines()[-1], "unit": "s"},
         "import_s": _median_row(imports),
         "src_lines": {"value": lines, "unit": "lines"},
+        "theory_validate_s": theory,
         "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
     }
 

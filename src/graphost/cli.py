@@ -10,6 +10,7 @@ Verbosity comes from GRAPHOST_LOG (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -761,7 +762,10 @@ def _add_flag(parser: argparse.ArgumentParser, name: str) -> None:
     parser.add_argument(_flag(name), dest=name, help=opt.help, **kind)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process, built on first use: parse_args reads it
+    and keeps nothing between calls, and building it takes milliseconds."""
     parser = argparse.ArgumentParser(
         prog="graphost",
         description="Homophily-guided test-time graph transformation toolkit",
@@ -782,8 +786,7 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("GRAPHOST_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

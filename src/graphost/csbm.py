@@ -233,6 +233,8 @@ def perturb_features(graph: LabeledGraph, noise_std: float, seed: int) -> Labele
     """Add N(0, noise_std^2 I) feature noise; structure and labels unchanged."""
     if graph.features is None:
         raise ValueError("graph has no features to perturb")
+    if not np.isfinite(noise_std):
+        raise ValueError(f"noise_std must be finite, got {noise_std}")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
     if noise_std == 0:

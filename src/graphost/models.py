@@ -158,6 +158,9 @@ class EdgeScoreTable:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise ValueError(f"scores[{bad[0]}] = {scores[bad[0]]} is not finite")
         if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
             raise ValueError("scores must lie in [0, 1]")
         scores.setflags(write=False)

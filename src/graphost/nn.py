@@ -182,28 +182,36 @@ def mean_aggregate(
     its own feature.
 
     One gather-scatter per feature column over the 2E directed entries, with
-    no n x n operator: O(E + n d) memory. Each row sums its neighbours'
-    weight / total products in ascending neighbour order, starting from +0.0.
+    no n x n operator: O(E + n d) memory, and time linear in the columns
+    passed, so a caller that reads only some columns passes only those. Each
+    row sums its neighbours' weight / total products in ascending neighbour
+    order, starting from +0.0. Unweighted, the totals are integer degrees and
+    the coefficients 1 / degree, the same bits as unit weights give.
     """
     x = np.asarray(features, dtype=np.float64)
     n = graph.num_nodes
     if x.shape[0] != n:
         raise ValueError(f"expected {n} rows, got {x.shape[0]}")
     w = _checked_weights(graph, edge_weights)
-    w = np.ones(graph.num_edges) if w is None else w
     # (v <- u) for each edge, then (u <- v); int64 indices, which the
     # per-column gathers and bincounts use without a conversion
     dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    weights = np.concatenate([w, w])
-    totals = np.bincount(dst, weights=weights, minlength=n)
-    fallback = totals == 0.0
-    totals[fallback] = 1.0
-    coef = weights / totals[dst]
+    if w is None:
+        totals = np.bincount(dst, minlength=n)
+        fallback = totals == 0
+        coef = 1.0 / totals[dst]  # every destination has degree >= 1
+    else:
+        weights = np.concatenate([w, w])
+        totals = np.bincount(dst, weights=weights, minlength=n)
+        fallback = totals == 0.0
+        totals[fallback] = 1.0
+        coef = weights / totals[dst]
     cols = x[:, None] if x.ndim == 1 else x
+    by_column = np.ascontiguousarray(cols.T)  # each column's gather reads one run
     out = np.empty(cols.shape)  # float64 even with no edges, where bincount gives int64
     for j in range(cols.shape[1]):
-        out[:, j] = np.bincount(dst, weights=coef * cols[src, j], minlength=n)
+        out[:, j] = np.bincount(dst, weights=coef * by_column[j][src], minlength=n)
     # added onto the +0.0 sum of zero-weight terms, so a -0.0 feature reads +0.0
     out[fallback] += cols[fallback]
     return out.reshape(x.shape)

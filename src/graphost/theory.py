@@ -6,7 +6,11 @@ separation formula.
 
 ``lemma_check`` is the one Monte Carlo report on a single sampled binary
 graph: the empirical midpoint, direction and class-mean distance against
-their closed forms. ``separation_check`` returns its distance keys.
+their closed forms. ``separation_check`` returns its distance keys. It
+aggregates every feature column, because the midpoint and direction read all
+of them; ``monte_carlo_theorem_check`` aggregates only the columns where the
+fixed boundary's direction is nonzero, so its cost follows those columns, not
+the feature width.
 
 All of this deliberately uses strict-neighbour mean aggregation (no self
 loop), unlike the practical model layer, because that is the operation the
@@ -285,19 +289,31 @@ class TheoremCheckReport:
         return rows
 
 
-def _strict_mean(graph: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Strict-neighbour mean embeddings, and which nodes have a neighbour."""
+def _strict_mean(
+    graph: LabeledGraph, columns: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strict-neighbour mean embeddings of the given feature columns (all by
+    default), and which nodes have a neighbour."""
     degree = np.bincount(graph.edges.ravel(), minlength=graph.num_nodes)
-    return mean_aggregate(graph, graph.features), degree > 0
+    x = graph.features if columns is None else graph.features[:, columns]
+    return mean_aggregate(graph, x), degree > 0
 
 
 def _misclassification_rate(
     graph: LabeledGraph, boundary: BoundarySpec, orientation: float
 ) -> tuple[float, int]:
     """Error rate of the fixed boundary on strict-mean aggregated embeddings,
-    excluding degree-0 nodes; returns (rate, excluded_count)."""
-    h, include = _strict_mean(graph)
-    signed = boundary_signed_value(h[include], boundary)
+    excluding degree-0 nodes; returns (rate, excluded_count).
+
+    Only the columns where the boundary's direction is nonzero are
+    aggregated; the others stay 0 in h. They added h_j * 0 = +-0 to o . h
+    before, and still do at the same positions, so every signed value keeps
+    its bits up to the sign of a zero, which `> 0` reads the same."""
+    read = np.flatnonzero(boundary.direction)
+    partial, include = _strict_mean(graph, read)
+    h = np.zeros((np.count_nonzero(include), graph.features.shape[1]))
+    h[:, read] = partial[include]
+    signed = boundary_signed_value(h, boundary)
     predicted_c0 = orientation * signed > 0.0
     true_c0 = graph.labels[include] == 0
     rate = float(np.count_nonzero(predicted_c0 != true_c0)) / max(1, include.sum())
@@ -318,7 +334,10 @@ def monte_carlo_theorem_check(
     with the fixed boundary built from the original parameters. Both
     parameter sets must share class means and sizes and sit in the same
     regime; the degree-relaxation constraint is evaluated and recorded.
+    Only the feature columns the boundary reads are aggregated.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if params.class_means != params_new.class_means:
         raise ValueError("class means must stay fixed across the transformation")
     if params.class_sizes != params_new.class_sizes:
@@ -379,7 +398,8 @@ def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
     """Both classes' mean aggregated embedding over their non-isolated nodes
     in one sampled binary CSBM graph, against the closed forms: the lemmas'
     midpoint and direction, and the distance between the classes,
-    |p - q| / (p + q) * ||mu_1 - mu_2||."""
+    |p - q| / (p + q) * ||mu_1 - mu_2||. Every feature column is
+    aggregated: the midpoint and direction read all of them."""
     if params.num_classes != 2:
         raise ValueError("lemma checks are binary; use two-class parameters")
     graph = _generate(params, seed)
@@ -437,6 +457,8 @@ def phi_vs_simulation(
 
     The tolerance band is three standard errors of the closed-form rate.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     closed_form = misclassification_prob(p, q, n1, n2, mean_distance)
     a = mean_distance
     means = np.array([[a / 2.0, 0.0], [-a / 2.0, 0.0]])

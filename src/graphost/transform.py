@@ -46,12 +46,19 @@ class TransformConfig:
 
 
 def _keep_mask(harm: np.ndarray, delta: float) -> np.ndarray:
-    """Edges that survive filtering: exactly min(ceil(delta * E), E) edges
-    go, ranked by harm descending (ties -> ascending edge index)."""
-    k = min(int(np.ceil(delta * len(harm))), len(harm))
-    keep = np.ones(len(harm), dtype=bool)
-    if k > 0:
-        keep[np.argsort(-harm, kind="stable")[:k]] = False
+    """Edges that survive filtering: exactly k = min(ceil(delta * E), E)
+    edges go, ranked by harm descending (ties -> ascending edge index).
+
+    O(E), no sort: with `cut` the k-th largest harm, every edge above it
+    goes, and so do the lowest-indexed edges at it until k are gone."""
+    e = len(harm)
+    k = min(int(np.ceil(delta * e)), e)
+    if k == 0:
+        return np.ones(e, dtype=bool)
+    cut = np.partition(harm, e - k)[e - k]
+    keep = harm <= cut
+    removed_above = e - np.count_nonzero(keep)
+    keep[np.flatnonzero(harm == cut)[:k - removed_above]] = False
     return keep
 
 

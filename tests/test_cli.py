@@ -641,6 +641,31 @@ class TestGraphInputs:
         assert not out.exists()
 
 
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_main_calls_do_not_share_values(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run([
+            "theory-validate", "--suite", "multiclass", "--p", "0.1", "--q", "0.02",
+            "--dim", "3", "--samples", "10", "--seed", "4",
+            "--out", str(first), "--pin-timestamp",
+        ]) == 0
+        assert run([
+            "theory-validate", "--suite", "multiclass", "--p", "0.2", "--q", "0.05",
+            "--out", str(second),
+        ]) == 0
+        options = [json.loads(next(out.glob("theory-report-*.json")).read_text())["options"]
+                   for out in (first, second)]
+        picked = ("p", "q", "dim", "samples", "seed", "pin_timestamp")
+        assert [{k: o[k] for k in picked} for o in options] == [
+            {"p": 0.1, "q": 0.02, "dim": 3, "samples": 10, "seed": "4", "pin_timestamp": True},
+            {"p": 0.2, "q": 0.05, "dim": 2, "samples": 100000, "seed": "0",
+             "pin_timestamp": False},
+        ]
+
+
 class TestTheoryValidate:
     def test_full_suite_passes(self, tmp_path):
         assert run([

@@ -243,6 +243,12 @@ class TestPerturbFeatures:
         noise *= 0.5
         assert np.array_equal(noisy.features, g.features + noise)
 
+    @pytest.mark.parametrize("noise_std", [float("nan"), float("inf")])
+    def test_non_finite_noise_std_named(self, noise_std):
+        g = generate_csbm(binary_params(0.5, 0.1, n=5), seed=0)
+        with pytest.raises(ValueError, match=f"noise_std must be finite, got {noise_std}"):
+            perturb_features(g, noise_std, seed=1)
+
     def test_noise_scale(self):
         g = generate_csbm(binary_params(0.5, 0.1, n=400, dim=8), seed=0)
         noisy = perturb_features(g, 0.7, seed=1)

@@ -408,6 +408,11 @@ class TestEdgeScores:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             EdgeScoreTable(scores=np.array([0.5, 1.5]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_table_rejects_non_finite_naming_the_first(self, bad):
+        with pytest.raises(ValueError, match=rf"scores\[1\] = {bad} is not finite"):
+            EdgeScoreTable(scores=np.array([0.5, bad, np.nan]))
+
 
 def edge_cosines_unblocked(z, edges):
     """The whole-array cosine the row-blocked head replaced, kept as oracle."""

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graphost
@@ -126,6 +126,13 @@ def aggregation_cases(draw):
     return graph, features, weights
 
 
+EDGELESS_CASE = (
+    LabeledGraph(num_nodes=4, edges=np.empty((0, 2), dtype=np.int64)),
+    np.array([[1.5, -0.0, 2.0], [-0.0, 0.0, -1.0], [3.0, 4.0, -0.0], [-2.0, 0.5, 1.0]]),
+    None,
+)
+
+
 def strict_mean_rows(graph, features, weights):
     """The strict-neighbour mean one row at a time in Python floats: a
     node's total and each column's sum start at +0.0 and take its
@@ -165,6 +172,21 @@ class TestMeanAggregateOracle:
         assert got.dtype == np.float64 and got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @given(aggregation_cases(), st.booleans())
+    @example(EDGELESS_CASE, False)
+    @example(EDGELESS_CASE, True)
+    @settings(max_examples=150, deadline=None)
+    def test_unweighted_equals_unit_weights(self, case, one_dimensional):
+        # unweighted totals are integer degrees, unit weights go through the
+        # weighted path's float totals: the two must agree bit for bit
+        graph, features, _ = case
+        x = features[:, 0] if one_dimensional else features
+        plain = mean_aggregate(graph, x)
+        unit = mean_aggregate(graph, x, np.ones(graph.num_edges))
+        assert plain.dtype == unit.dtype == np.float64
+        assert plain.shape == unit.shape == x.shape
+        assert plain.tobytes() == unit.tobytes()
 
     def test_sums_in_ascending_neighbour_order(self):
         # node 2 sums 1e16/3 - 1e16/3 + 1/3 = 1/3 in ascending order (0, 1,

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphost.csbm import CsbmParams
+from graphost.graphs import LabeledGraph
 from graphost.theory import (
     BoundarySpec,
+    _misclassification_rate,
+    _strict_mean,
     boundary_from_means,
     boundary_signed_value,
     class_separation_distance,
@@ -273,6 +276,69 @@ class TestMonteCarloTheoremCheck:
         rows = report.to_csv_rows()
         assert rows[0][0] == "trial"
         assert len(rows) == 4
+
+
+def full_width_rate(graph, boundary, orientation):
+    """_misclassification_rate as it was before it aggregated only the
+    boundary's columns: every column through _strict_mean, kept as oracle."""
+    h, include = _strict_mean(graph)
+    predicted_c0 = orientation * boundary_signed_value(h[include], boundary) > 0.0
+    wrong = np.count_nonzero(predicted_c0 != (graph.labels[include] == 0))
+    return float(wrong) / max(1, include.sum()), int(np.count_nonzero(~include))
+
+
+@st.composite
+def boundary_cases(draw):
+    """A small labeled graph with isolated nodes and small-integer features
+    (so many signed values are exactly 0), and class means whose
+    components mix zeros and nonzeros."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=30))
+    edges = np.array([(u, v) for u, v in pairs if u != v], dtype=np.int64).reshape(-1, 2)
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]) | st.floats(-3, 3)
+    features = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    graph = LabeledGraph(num_nodes=n, edges=edges, features=features, labels=labels,
+                         num_classes=2)
+    component = st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.0])
+    means = np.array(draw(st.lists(component, min_size=2 * d, max_size=2 * d))).reshape(2, d)
+    assume(not np.array_equal(means[0], means[1]))
+    return graph, boundary_from_means(means), draw(st.sampled_from([1.0, -1.0]))
+
+
+class TestMisclassificationRate:
+    @given(boundary_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_full_width_reference(self, case):
+        graph, boundary, orientation = case
+        assert _misclassification_rate(graph, boundary, orientation) == full_width_rate(
+            graph, boundary, orientation)
+
+    def test_aggregates_only_the_boundary_columns(self, monkeypatch):
+        import graphost.theory as theory
+
+        widths = []
+        real = theory.mean_aggregate
+        monkeypatch.setattr(theory, "mean_aggregate",
+                            lambda g, x, *a: widths.append(x.shape[1]) or real(g, x, *a))
+        params = CsbmParams(class_means=((1.0,) + (0.0,) * 15, (-1.0,) + (0.0,) * 15),
+                            class_sizes=(50, 50), intra_prob=0.1, inter_prob=0.05)
+        monte_carlo_theorem_check(params, params, trials=2, seed=0)
+        assert widths == [1] * 4
+        lemma_check(params, seed=0)
+        assert widths[-1] == 16
+
+
+class TestSampleCounts:
+    def test_theorem_check_needs_a_trial(self):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+            monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005),
+                                      trials=0)
+
+    def test_phi_vs_simulation_needs_a_sample(self):
+        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+            phi_vs_simulation(0.02, 0.01, 500, 500, 2.0, samples=0)
 
 
 class TestEmpiricalChecks:

@@ -136,6 +136,29 @@ class TestWeightedConstruction:
             TransformConfig(mode="auto")
 
 
+def argsort_keep_mask(harm, delta):
+    """_keep_mask as it was before it partitioned: a full stable argsort of
+    -harm, kept as oracle."""
+    k = min(int(np.ceil(delta * len(harm))), len(harm))
+    keep = np.ones(len(harm), dtype=bool)
+    keep[np.argsort(-harm, kind="stable")[:k]] = False
+    return keep
+
+
+class TestKeepMask:
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.269, 0.5, 0.731, 1.0]) | st.floats(0, 1),
+                    max_size=60).map(np.array),
+           st.sampled_from([0.0, 0.1, 0.3, 0.9]) | st.floats(0.0, 0.999))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_argsort(self, harm, delta):
+        assert np.array_equal(_keep_mask(harm, delta), argsort_keep_mask(harm, delta))
+
+    def test_ties_go_in_index_order(self):
+        harm = np.array([0.5, 0.9, 0.5, 0.5, 0.1, 0.5])
+        # k = ceil(0.5 * 6) = 3: the 0.9 edge, then the two lowest-indexed 0.5 edges
+        assert _keep_mask(harm, 0.5).tolist() == [False, False, False, True, True, True]
+
+
 class TestFilterEdges:
     @pytest.mark.parametrize("weighting", [True, False])
     def test_filtered_arm_shares_the_parents_frozen_arrays(self, rng, weighting):
