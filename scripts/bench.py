@@ -19,6 +19,13 @@ Rows (times in seconds, each with its raw samples):
                         /proc/self/status) and the seconds of each stage:
                         setup (fixture training), generate + perturb, transform
                         (delta = 0.3) and classify (base and transformed graph)
+  pinned_outputs        one fresh child: PINNED_SEQUENCE (generate, train --target
+                        both, transform, evaluate, the four harness runs and
+                        theory-validate in both regimes, each --pin-timestamp)
+                        through cli.main in an empty directory; each command's
+                        exit code and stdout, and the sha256 of every file
+                        written, by relative path. Two labels' rows are equal
+                        exactly when the two checkouts write the same bytes.
 
 The rows are stored under LABEL (default: `git describe --always --dirty`)
 in the JSON object at OUT, which is created or updated in place, so one file
@@ -30,9 +37,15 @@ threads graphost.workers gives a run_benchmark.py experiment (10 seeds).
 Usage: python3 scripts/bench.py OUT [--label LABEL]
        python3 scripts/bench.py --pipeline-rung NODES_PER_CLASS
            (one pipeline_peak_mb child: prints its rung as JSON)
+       python3 scripts/bench.py --pinned-outputs
+           (one pinned_outputs child, at the caller's BLAS threads: prints
+           the row as JSON)
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 import os
@@ -71,6 +84,23 @@ print(wall)
 THEORY_FLAGS = ["theory-validate", "--suite", "theorem", "--p", "0.02", "--q", "0.01",
                 "--p2", "0.03", "--q2", "0.005", "--n1", "500", "--n2", "500",
                 "--mean-distance", "2", "--trials", "20", "--seed", "1"]
+EVALUATION_INPUTS = ["--test-graph", "data/test.json", "--classifier", "ckpt/classifier.json",
+                     "--predictor", "ckpt/predictor.json"]
+PINNED_SEQUENCE = [
+    ["generate", "--p", "0.06", "--q", "0.02", "--sizes", "120,120", "--dim", "8",
+     "--mean-distance", "2.5", "--seed", "3", "--out", "data"],
+    ["train", "--train-graph", "data/train.json", "--val-graph", "data/val.json",
+     "--target", "both", "--epochs", "80", "--patience", "20", "--seed", "3", "--out", "ckpt"],
+    ["transform", "--test-graph", "data/test.json", "--predictor", "ckpt/predictor.json",
+     "--out", "out"],
+    *[[name, *EVALUATION_INPUTS, "--out", "out"]
+      for name in ("evaluate", "ablate", "sweep-delta", "noise-robustness", "random-drop")],
+    *[["theory-validate", "--p", p, "--q", q, "--p2", p2, "--q2", q2, "--n1", "500",
+       "--n2", "500", "--mean-distance", "2", "--trials", "20", "--seed", "1",
+       "--out", f"theory-{regime}"]
+      for regime, (p, q, p2, q2) in (("homophilic", ("0.02", "0.01", "0.03", "0.005")),
+                                     ("heterophilic", ("0.01", "0.02", "0.005", "0.03")))],
+]
 WORKERS_PROBE = ("import json, graphost.workers as w; print(json.dumps({"
                  "'usable_cores': w._usable_cores(), 'blas_threads': w._blas_threads(), "
                  "'workers': w.worker_count(10)}))")
@@ -131,6 +161,26 @@ def pipeline_rung(nodes_per_class: int) -> dict:
     return {"nodes": 2 * m, "edges": noisy.num_edges, "stages": stages}
 
 
+def pinned_outputs() -> dict:
+    """The pinned_outputs row, run in this process."""
+    from graphost.cli import main
+
+    commands = []
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # relative --out paths keep the temporary name out of stdout
+        try:
+            for argv in PINNED_SEQUENCE:
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = main([*argv, "--pin-timestamp"])
+                commands.append({"argv": argv, "exit": code, "stdout": stdout.getvalue()})
+        finally:
+            os.chdir(ROOT)
+        files = {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(Path(work).rglob("*")) if path.is_file()}
+    return {"commands": commands, "files": files}
+
+
 def measure() -> dict:
     with tempfile.TemporaryDirectory() as out:
         walls = [_run([sys.executable, "scripts/run_benchmark.py", "--out", out])[0]
@@ -152,6 +202,8 @@ def measure() -> dict:
         "src_lines": {"value": lines, "unit": "lines"},
         "theory_validate_s": theory,
         "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
+        "pinned_outputs": json.loads(_run([sys.executable, "scripts/bench.py",
+                                           "--pinned-outputs"])[1]),
     }
 
 
@@ -161,9 +213,13 @@ def main() -> int:
     parser.add_argument("out", type=Path, nargs="?")
     parser.add_argument("--label", default=None)
     parser.add_argument("--pipeline-rung", type=int, default=None, metavar="NODES_PER_CLASS")
+    parser.add_argument("--pinned-outputs", action="store_true")
     args = parser.parse_args()
     if args.pipeline_rung is not None:
         print(json.dumps(pipeline_rung(args.pipeline_rung)))
+        return 0
+    if args.pinned_outputs:
+        print(json.dumps(pinned_outputs()))
         return 0
     if args.out is None:
         parser.error("OUT is required")

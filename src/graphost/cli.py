@@ -3,7 +3,8 @@
 Subcommands: generate | train | transform | evaluate | ablate | sweep-delta
 | noise-robustness | random-drop | theory-validate. Flag values override the
 --config JSON file, which overrides built-in defaults; each option's parser
-reads all three alike, and the effective config is echoed into every report.
+reads all three alike, main merges them once, and every subcommand runs on
+the merged options. One writer stamps, names and writes every report.
 Verbosity comes from GRAPHOST_LOG (DEBUG/INFO/WARNING/ERROR).
 """
 
@@ -14,7 +15,7 @@ import functools
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -29,7 +30,6 @@ from .csbm import (
 )
 from .experiments import (
     METRICS,
-    ExperimentReport,
     RepeatedArmError,
     derive_seed,
     evaluate_graph,
@@ -214,12 +214,6 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _timestamp(pinned: bool) -> str:
-    if pinned:
-        return PINNED_TIMESTAMP
-    return datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-
-
 def _single_seed(options: dict) -> int:
     """The one seed of a subcommand that makes a single run."""
     seeds = _parse_seeds(options["seed"])
@@ -231,12 +225,12 @@ def _single_seed(options: dict) -> int:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    if not Path(path).exists():
-        raise CliError(f"config file not found: {path}")
     try:
         return read_json(path).raw
     except FileFormatError as exc:
         raise CliError(f"bad config file {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CliError(f"cannot read --config file {path}: {exc.strerror or exc}") from exc
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -270,10 +264,21 @@ def _out_dir(options: dict) -> Path:
     return out
 
 
-def _report_paths(out: Path, experiment: str, ts: str, seeds: tuple[int, ...]) -> tuple[Path, Path]:
-    seed_str = "-".join(str(s) for s in seeds)
-    stem = f"{experiment}-{ts}-{seed_str}"
-    return out / f"{stem}.json", out / f"{stem}.csv"
+def _write_report(options: dict, name: str, doc: dict, seeds: tuple[int, ...] = (),
+                  csv_rows: list[list] | None = None) -> str:
+    """The one report writer. Stamps `doc` with "pinned" under
+    --pin-timestamp, else the UTC time to the microsecond (two runs in one
+    second keep both reports), and writes it to <name>.json, or to
+    <name>-<stamp>-<seeds>.json given seeds, with `csv_rows` as a CSV of the
+    same stem. Returns the stamp."""
+    stamp = (PINNED_TIMESTAMP if options["pin_timestamp"]
+             else datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ"))
+    stem = f"{name}-{stamp}-{'-'.join(map(str, seeds))}" if seeds else name
+    out = _out_dir(options)
+    write_json(out / f"{stem}.json", doc | {"timestamp": stamp})
+    if csv_rows is not None:
+        write_csv(out / f"{stem}.csv", csv_rows)
+    return stamp
 
 
 # ---------------------------------------------------------------------------
@@ -281,13 +286,15 @@ def _report_paths(out: Path, experiment: str, ts: str, seeds: tuple[int, ...]) -
 # ---------------------------------------------------------------------------
 
 def _require_file(options: dict, key: str, load: Callable[[Path], object]):
-    """`load` of the file option `key` names; unset or missing is a usage error."""
+    """`load` of the file option `key` names; unset, missing or unreadable
+    is a usage error."""
     if options[key] is None:
         raise CliError(f"{_flag(key)} is required")
-    path = Path(options[key])
-    if not path.exists():
-        raise CliError(f"{_flag(key)} file not found: {path}")
-    return load(path)
+    try:
+        return load(Path(options[key]))
+    except OSError as exc:  # missing, a directory, unreadable
+        raise CliError(f"cannot read {_flag(key)} file {options[key]}: "
+                       f"{exc.strerror or exc}") from exc
 
 
 def _graph(options: dict, key: str, labeled: bool = False) -> LabeledGraph:
@@ -335,15 +342,12 @@ def _params_from_options(options: dict) -> CsbmParams:
     return symmetric_binary_params(options["mean_distance"], options["dim"], sizes, p, q)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    options = _merge_options(args)
+def cmd_generate(options: dict) -> int:
     params = _params_from_options(options)
     seed = _single_seed(options)
-    ts = _timestamp(options["pin_timestamp"])
     splits = {split: generate_csbm(params, derive_seed(seed, idx))
               for idx, split in enumerate(("train", "val", "test"))}
     manifest = {
-        "timestamp": ts,
         "seed": seed,
         "sampler_version": SAMPLER_VERSION,
         "params": params.to_dict(),
@@ -356,7 +360,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         save_graph(graph, path)
         manifest["files"][split] = path.name
         manifest["edge_homophily_degree"][split] = edge_homophily_or_none(graph, graph.labels)
-    write_json(out / "generate-manifest.json", manifest)
+    _write_report(options, "generate-manifest", manifest)
     print(f"generated train/val/test under {out} (seed {seed})")
     return 0
 
@@ -365,8 +369,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(args: argparse.Namespace) -> int:
-    options = _merge_options(args)
+def cmd_train(options: dict) -> int:
     train_graph = _graph(options, "train_graph", labeled=True)
     val_graph = _graph(options, "val_graph", labeled=True)
     if val_graph.feature_dim != train_graph.feature_dim:
@@ -381,7 +384,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     seed = _single_seed(options)
     optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
                                 patience=options["patience"])
-    ts = _timestamp(options["pin_timestamp"])
     hidden, layers, dim = options["hidden"], options["layers"], train_graph.feature_dim
 
     def train(network: str) -> Checkpoint:
@@ -397,11 +399,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     networks = ("classifier", "predictor") if options["target"] == "both" else (options["target"],)
     checkpoints = dict(zip(networks, map_in_order(train, networks)))
     out = _out_dir(options)
-    logline: dict = {"timestamp": ts, "seed": seed, "optimizer": optimizer.to_dict()}
+    logline: dict = {"seed": seed, "optimizer": optimizer.to_dict()}
     for name, ckpt in checkpoints.items():
         save_checkpoint(ckpt, out / f"{name}.json")
         logline[name] = ckpt.metadata
-    write_json(out / "train-log.json", logline)
+    _write_report(options, "train-log", logline)
     written = ", ".join(f"{name}.json" for name in checkpoints)
     print(f"trained {options['target']} -> {written} under {out}")
     return 0
@@ -427,15 +429,12 @@ def _transform_config(options: dict, predictor: Checkpoint) -> TransformConfig:
     )
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
-    options = _merge_options(args)
+def cmd_transform(options: dict) -> int:
     test_graph = _graph(options, "test_graph")
     predictor = _checkpoint(options, "predictor", test_graph)
     config = _transform_config(options, predictor)
-    ts = _timestamp(options["pin_timestamp"])
     transformed = graphost_transform(test_graph, predictor, config)
     report: dict = {
-        "timestamp": ts,
         "config": asdict(config),
         "edges_before": test_graph.num_edges,
         "edges_after": transformed.num_edges,
@@ -446,9 +445,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
         before, after, delta = hd_delta_report(test_graph, transformed, test_graph.labels)
         report["hd"] = {"before": before, "after": after, "delta": delta}
         summary += f", HD {_format_hd(before)} -> {_format_hd(after)}"
-    out = _out_dir(options)
-    save_graph(transformed, out / "transformed.json")
-    write_json(out / "transform-report.json", report)
+    save_graph(transformed, _out_dir(options) / "transformed.json")
+    _write_report(options, "transform-report", report)
     print(summary)
     return 0
 
@@ -467,28 +465,24 @@ def _evaluation_inputs(options: dict):
     return test_graph, classifier, predictor, config, _parse_seeds(options["seed"])
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(options: dict) -> int:
     """Evaluate base and transformed test graph once.
 
     Nothing here draws at random, so repeating it per seed would report a
     spread of 0 as if it were variance across seeds. The seed list only
     names the report, and each arm holds one value.
     """
-    options = _merge_options(args)
     test_graph, classifier, predictor, config, seeds = _evaluation_inputs(options)
     metric = options["metric"]
-    ts = _timestamp(options["pin_timestamp"])
     base = evaluate_graph(classifier, test_graph, metric)
     transformed = graphost_transform(test_graph, predictor, config)
     after = evaluate_graph(classifier, transformed, metric)
-    json_path, _ = _report_paths(_out_dir(options), "evaluate", ts, seeds)
-    write_json(json_path, {
+    _write_report(options, "evaluate", {
         "experiment": "evaluate",
-        "timestamp": ts,
         "seeds": list(seeds),
         "config": asdict(config) | {"metric": metric},
         "arms": {"base": {"value": base}, "graphost": {"value": after}},
-    })
+    }, seeds)
     print(f"{metric}: base {base:.4f} -> graphost {after:.4f}")
     return 0
 
@@ -497,28 +491,18 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # experiment harness subcommands
 # ---------------------------------------------------------------------------
 
-# experiment -> (runner, option holding the runner's grid)
-_HARNESS_RUNNERS: dict[str, tuple[Callable[..., ExperimentReport], str | None]] = {
-    "ablate": (run_ablation, None),
-    "sweep-delta": (run_delta_sweep, "delta_grid"),
-    "noise-robustness": (run_noise_robustness, "noise_levels"),
-    "random-drop": (run_random_drop_comparison, None),
-}
-
-
-def cmd_harness(args: argparse.Namespace) -> int:
-    options = _merge_options(args)
+def cmd_harness(runner: Callable, grid_key: str | None, options: dict) -> int:
+    """One harness run: `runner` over the evaluation inputs, and over the
+    grid option `grid_key` where the runner takes a grid."""
     test_graph, classifier, predictor, config, seeds = _evaluation_inputs(options)
-    runner, grid_key = _HARNESS_RUNNERS[args.command]
     grid = () if grid_key is None else (options[grid_key],)
-    ts = _timestamp(options["pin_timestamp"])
     try:
         report = runner(classifier, predictor, test_graph, config, seeds, *grid,
                         options["metric"])
     except RepeatedArmError as exc:
         raise CliError(f"{_flag(grid_key)}: {exc}") from exc
-    paths = _report_paths(_out_dir(options), report.experiment, ts, report.seeds)
-    replace(report, timestamp=ts).save(*paths)
+    _write_report(options, report.experiment, report.to_dict(), report.seeds,
+                  report.to_csv_rows())
     for arm in report.arm_values:
         print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
     return 0
@@ -641,8 +625,7 @@ _NEEDS_TRANSFORM = ("theorem", "constraint")
 _OPTIONS["suite"] = _Option("all", choices=("all", *_THEORY_SUITES))
 
 
-def cmd_theory_validate(args: argparse.Namespace) -> int:
-    options = _merge_options(args)
+def cmd_theory_validate(options: dict) -> int:
     suites = list(_THEORY_SUITES) if options["suite"] == "all" else [options["suite"]]
     seed = _single_seed(options)
     skipped: list[str] = []
@@ -651,7 +634,6 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
             raise CliError("--p2 and --q2 are required for the theorem/constraint suites")
         skipped = [s for s in suites if s in _NEEDS_TRANSFORM]
         suites = [s for s in suites if s not in skipped]
-    ts = _timestamp(options["pin_timestamp"])
 
     checks: list[dict] = []
     found: dict = {}
@@ -661,7 +643,6 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
             print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
     doc = {
-        "timestamp": ts,
         "seed": seed,
         "options": {k: options[k] for k in sorted(options) if k not in ("out",)},
         "checks": checks,
@@ -669,11 +650,12 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
     if skipped:
         doc["skipped"] = skipped
         print(f"SKIP {', '.join(skipped)}: need --p2 and --q2")
-    out = _out_dir(options)
     if "theorem" in found:
         doc["theorem_report"] = found["theorem"].to_dict()
-        write_csv(out / f"theory-theorem-{ts}-{seed}.csv", found["theorem"].to_csv_rows())
-    write_json(out / f"theory-report-{ts}-{seed}.json", doc)
+    stamp = _write_report(options, "theory-report", doc, (seed,))
+    if "theorem" in found:
+        write_csv(Path(options["out"]) / f"theory-theorem-{stamp}-{seed}.csv",
+                  found["theorem"].to_csv_rows())
     failed = [c for c in checks if not c["passed"]]
     print(f"{len(checks) - len(failed)}/{len(checks)} theory checks passed")
     return 1 if failed else 0
@@ -686,11 +668,12 @@ def cmd_theory_validate(args: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class _Subcommand:
-    """A subcommand's handler, its flags in help order, and the config keys
-    it accepts without a flag. Every subcommand also takes --config and the
-    _COMMON options."""
+    """A subcommand's handler, which takes the merged options and returns
+    the exit code, its flags in help order, and the config keys it accepts
+    without a flag. Every subcommand also takes --config and the _COMMON
+    options."""
 
-    run: Callable[[argparse.Namespace], int]
+    run: Callable[[dict], int]
     help: str
     flags: tuple[str, ...]
     config_only: tuple[str, ...] = ()
@@ -707,9 +690,9 @@ _EVALUATE_FLAGS = ("test_graph", "classifier", "metric", *_TRANSFORM_FLAGS, "see
 _GRIDS = ("delta_grid", "noise_levels")
 
 
-def _harness(help_text: str, grid: str | None = None) -> _Subcommand:
+def _harness(help_text: str, runner: Callable, grid: str | None = None) -> _Subcommand:
     return _Subcommand(
-        cmd_harness,
+        functools.partial(cmd_harness, runner, grid),
         help_text,
         _EVALUATE_FLAGS + ((grid,) if grid else ()),
         config_only=tuple(k for k in _GRIDS if k != grid),
@@ -739,10 +722,13 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         "base vs transformed metric report",
         _EVALUATE_FLAGS,
     ),
-    "ablate": _harness("base / w-o weight / w-o filter / full arms"),
-    "sweep-delta": _harness("metric across the filtering-ratio grid", "delta_grid"),
-    "noise-robustness": _harness("pipeline under injected structural noise", "noise_levels"),
-    "random-drop": _harness("pipeline vs count-matched random edge dropping"),
+    "ablate": _harness("base / w-o weight / w-o filter / full arms", run_ablation),
+    "sweep-delta": _harness("metric across the filtering-ratio grid", run_delta_sweep,
+                            "delta_grid"),
+    "noise-robustness": _harness("pipeline under injected structural noise",
+                                 run_noise_robustness, "noise_levels"),
+    "random-drop": _harness("pipeline vs count-matched random edge dropping",
+                            run_random_drop_comparison),
     "theory-validate": _Subcommand(
         cmd_theory_validate,
         "closed-form and Monte Carlo checks",
@@ -778,7 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with defaults for this subcommand")
         for flag in _COMMON:
             _add_flag(p, flag)
-        p.set_defaults(func=spec.run)
     return parser
 
 
@@ -788,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _SUBCOMMANDS[args.command].run(_merge_options(args))
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

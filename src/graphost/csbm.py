@@ -212,7 +212,9 @@ def _sample_edges(params: CsbmParams, seed: int) -> np.ndarray:
     return np.concatenate(chunks, axis=0)
 
 
-def _generate(params: CsbmParams, seed: int) -> LabeledGraph:
+def generate_csbm(params: CsbmParams, seed: int) -> LabeledGraph:
+    """Sample an s-class CSBM graph: features N(mu_k, I), same-class pairs
+    connected with intra_prob, cross-class pairs with inter_prob."""
     labels = np.repeat(np.arange(params.num_classes), params.class_sizes)
     return LabeledGraph(
         num_nodes=params.num_nodes,
@@ -221,12 +223,6 @@ def _generate(params: CsbmParams, seed: int) -> LabeledGraph:
         labels=labels,
         num_classes=params.num_classes,
     )
-
-
-def generate_csbm(params: CsbmParams, seed: int) -> LabeledGraph:
-    """Sample an s-class CSBM graph: features N(mu_k, I), same-class pairs
-    connected with intra_prob, cross-class pairs with inter_prob."""
-    return _generate(params, seed)
 
 
 def perturb_features(graph: LabeledGraph, noise_std: float, seed: int) -> LabeledGraph:

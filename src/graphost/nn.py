@@ -7,8 +7,8 @@ ascending neighbour order, which keeps results bit-reproducible. Edge weights
 must be finite and non-negative. It comes in two kinds, one function each:
 `MeanAggregator` is the GCN layers' operator, a sparse row-normalised matrix
 with sorted columns that counts each node as its own neighbour with weight 1;
-`mean_aggregate`, the theory lab's strict-neighbour mean used once per graph,
-scatters over the edges directly. `EdgeAdjacency` is the predictor
+`mean_aggregate`, the theory lab's unweighted strict-neighbour mean used once
+per graph, scatters over the edges directly. `EdgeAdjacency` is the predictor
 backward's symmetric per-edge matrix, whose pattern a fit builds once.
 
 `csr_matrix` is the package's one sparse builder and the only place that
@@ -172,48 +172,34 @@ class EdgeAdjacency:
         return self.matrix
 
 
-def mean_aggregate(
-    graph: LabeledGraph,
-    features: np.ndarray,
-    edge_weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Strict-neighbour weighted mean, the theory lab's aggregation; a node
-    with zero total incident weight (isolated, or all its weights 0) copies
-    its own feature.
+def mean_aggregate(graph: LabeledGraph, features: np.ndarray) -> np.ndarray:
+    """Strict-neighbour mean, the theory lab's aggregation; an isolated node
+    copies its own feature.
 
     One gather-scatter per feature column over the 2E directed entries, with
     no n x n operator: O(E + n d) memory, and time linear in the columns
     passed, so a caller that reads only some columns passes only those. Each
-    row sums its neighbours' weight / total products in ascending neighbour
-    order, starting from +0.0. Unweighted, the totals are integer degrees and
-    the coefficients 1 / degree, the same bits as unit weights give.
+    row sums its neighbours' 1 / degree products in ascending neighbour
+    order, starting from +0.0.
     """
     x = np.asarray(features, dtype=np.float64)
     n = graph.num_nodes
     if x.shape[0] != n:
         raise ValueError(f"expected {n} rows, got {x.shape[0]}")
-    w = _checked_weights(graph, edge_weights)
     # (v <- u) for each edge, then (u <- v); int64 indices, which the
     # per-column gathers and bincounts use without a conversion
     dst = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]])
     src = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]])
-    if w is None:
-        totals = np.bincount(dst, minlength=n)
-        fallback = totals == 0
-        coef = 1.0 / totals[dst]  # every destination has degree >= 1
-    else:
-        weights = np.concatenate([w, w])
-        totals = np.bincount(dst, weights=weights, minlength=n)
-        fallback = totals == 0.0
-        totals[fallback] = 1.0
-        coef = weights / totals[dst]
+    degree = np.bincount(dst, minlength=n)
+    isolated = degree == 0
+    coef = 1.0 / degree[dst]  # every destination has degree >= 1
     cols = x[:, None] if x.ndim == 1 else x
     by_column = np.ascontiguousarray(cols.T)  # each column's gather reads one run
     out = np.empty(cols.shape)  # float64 even with no edges, where bincount gives int64
     for j in range(cols.shape[1]):
         out[:, j] = np.bincount(dst, weights=coef * by_column[j][src], minlength=n)
-    # added onto the +0.0 sum of zero-weight terms, so a -0.0 feature reads +0.0
-    out[fallback] += cols[fallback]
+    # added onto the empty +0.0 sum, so a -0.0 feature reads +0.0
+    out[isolated] += cols[isolated]
     return out.reshape(x.shape)
 
 

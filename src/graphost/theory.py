@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csbm import CsbmParams, _generate, _sample_edges
+# generate_csbm under the theory lab's own name, which perfbench's trace patches
+from .csbm import CsbmParams, _sample_edges, generate_csbm as _generate
 from .graphs import LabeledGraph
 from .nn import mean_aggregate
 

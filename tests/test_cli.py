@@ -1,5 +1,6 @@
 import json
 import re
+from datetime import datetime, timezone
 
 import pytest
 
@@ -666,6 +667,29 @@ class TestParserBuiltOnce:
         ]
 
 
+class TestReportStamps:
+    def test_unpinned_runs_in_one_second_keep_both_reports(self, tmp_path, monkeypatch):
+        instants = iter(datetime(2026, 1, 2, 3, 4, 5, micro, tzinfo=timezone.utc)
+                        for micro in (100, 200))
+
+        class Clock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return next(instants)
+
+        monkeypatch.setattr(cli, "datetime", Clock)
+        for p in ("0.1", "0.3"):
+            assert run(["theory-validate", "--suite", "multiclass", "--p", p, "--q", "0.02",
+                        "--out", str(tmp_path)]) == 0
+        reports = sorted(tmp_path.glob("theory-report-*.json"))
+        assert [r.name for r in reports] == ["theory-report-20260102T030405000100Z-0.json",
+                                             "theory-report-20260102T030405000200Z-0.json"]
+        docs = [json.loads(r.read_text()) for r in reports]
+        assert [d["options"]["p"] for d in docs] == [0.1, 0.3]
+        assert [d["timestamp"] for d in docs] == ["20260102T030405000100Z",
+                                                  "20260102T030405000200Z"]
+
+
 class TestTheoryValidate:
     def test_full_suite_passes(self, tmp_path):
         assert run([
@@ -782,6 +806,19 @@ class TestUsageErrors:
     def test_missing_required_inputs(self, tmp_path):
         assert run(["evaluate", "--out", str(tmp_path / "y")]) == 2
         assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("name, flag", [
+        ("theory-validate", "--config"), ("generate", "--params"), ("transform", "--test-graph"),
+    ])
+    def test_unreadable_file_is_usage_error_naming_flag_and_file(self, tmp_path, capsys,
+                                                                 name, flag):
+        folder = tmp_path / "dirx"
+        folder.mkdir()
+        out = tmp_path / "never"
+        assert run([name, flag, str(folder), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"{flag} file {folder}" in err
+        assert not out.exists()
 
     def test_bad_seed_list(self, workspace, tmp_path):
         data, ckpt = workspace / "data", workspace / "ckpt"

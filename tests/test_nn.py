@@ -64,12 +64,6 @@ class TestMeanAggregate:
         assert np.allclose(h[0], [1.0, 1.0])
         assert np.allclose(h[1], [9.0, 9.0])  # leaf sees only the hub
 
-    def test_unit_weights_bitwise_equal_unweighted(self):
-        g = star_graph()
-        plain = mean_aggregate(g, g.features)
-        weighted = mean_aggregate(g, g.features, np.ones(2))
-        assert np.array_equal(plain, weighted)
-
     def test_isolated_node_copies_feature(self):
         g = LabeledGraph(
             num_nodes=3,
@@ -79,23 +73,21 @@ class TestMeanAggregate:
         h = mean_aggregate(g, g.features)
         assert np.array_equal(h[2], [5.0, 5.0])
 
-    def test_zero_incident_weight_treated_as_isolated(self):
-        g = LabeledGraph(
-            num_nodes=2,
-            edges=np.array([[0, 1]]),
-            features=np.array([[3.0], [7.0]]),
-        )
-        h = mean_aggregate(g, g.features, np.array([0.0]))
-        assert np.array_equal(h, g.features)
+    def test_rejects_wrong_row_count(self):
+        g = star_graph()
+        with pytest.raises(ValueError, match="expected 3 rows, got 2"):
+            mean_aggregate(g, g.features[:2])
 
     def test_weighted_mean_hand_value(self):
+        # the weighted operator: node 0 averages itself (weight 1) with its
+        # neighbours at weights 1 and 3
         g = LabeledGraph(
             num_nodes=3,
             edges=np.array([[0, 1], [0, 2]]),
             features=np.array([[0.0], [1.0], [3.0]]),
         )
-        h = mean_aggregate(g, g.features, np.array([1.0, 3.0]))
-        assert h[0, 0] == pytest.approx((1.0 * 1.0 + 3.0 * 3.0) / 4.0)
+        h = MeanAggregator(g, np.array([1.0, 3.0]), self_loops=True).apply(g.features)
+        assert h[0, 0] == pytest.approx((1.0 * 0.0 + 1.0 * 1.0 + 3.0 * 3.0) / 5.0)
 
     def test_adjoint_matches_transpose(self, rng):
         g = LabeledGraph(num_nodes=4, edges=np.array([[0, 1], [1, 2], [2, 3]]))
@@ -133,29 +125,25 @@ EDGELESS_CASE = (
 )
 
 
-def strict_mean_rows(graph, features, weights):
-    """The strict-neighbour mean one row at a time in Python floats: a
-    node's total and each column's sum start at +0.0 and take its
-    neighbours in ascending order; a node with total 0 adds its own feature
-    onto that sum."""
+def strict_mean_rows(graph, features):
+    """The strict-neighbour mean one row at a time in Python floats: each
+    column's sum starts at +0.0 and adds 1 / degree times each neighbour's
+    value in ascending neighbour order; an isolated node adds its own
+    feature onto that sum."""
     x = np.asarray(features, dtype=np.float64)
     cols = x.reshape(len(x), -1)
-    w = [1.0] * graph.num_edges if weights is None else [float(v) for v in weights]
     neighbours = [[] for _ in range(graph.num_nodes)]
-    for (u, v), wi in zip(graph.edges.tolist(), w):
-        neighbours[u].append((v, wi))
-        neighbours[v].append((u, wi))
+    for u, v in graph.edges.tolist():
+        neighbours[u].append(v)
+        neighbours[v].append(u)
     out = np.empty(cols.shape)
     for i, nbrs in enumerate(neighbours):
         nbrs.sort()
-        total = 0.0
-        for _, wi in nbrs:
-            total += wi
         for j in range(cols.shape[1]):
             row_sum = 0.0
-            for k, wi in nbrs:
-                row_sum += wi / (total or 1.0) * float(cols[k, j])
-            out[i, j] = row_sum + float(cols[i, j]) if total == 0.0 else row_sum
+            for k in nbrs:
+                row_sum += 1.0 / len(nbrs) * float(cols[k, j])
+            out[i, j] = row_sum if nbrs else row_sum + float(cols[i, j])
     return out.reshape(x.shape)
 
 
@@ -163,13 +151,16 @@ class TestMeanAggregateOracle:
     """mean_aggregate scatters over the edges; a per-row loop is its
     reference, bit for bit, sign of zero included."""
 
-    @given(aggregation_cases())
+    @given(aggregation_cases(), st.booleans())
+    @example(EDGELESS_CASE, False)
+    @example(EDGELESS_CASE, True)
     @settings(max_examples=150, deadline=None)
-    def test_equals_row_loop_reference(self, case):
-        graph, features, weights = case
-        got = mean_aggregate(graph, features, weights)
-        want = strict_mean_rows(graph, features, weights)
-        assert got.dtype == np.float64 and got.shape == want.shape
+    def test_equals_row_loop_reference(self, case, one_dimensional):
+        graph, features, _ = case
+        x = features[:, 0] if one_dimensional else features
+        got = mean_aggregate(graph, x)
+        want = strict_mean_rows(graph, x)
+        assert got.dtype == np.float64 and got.shape == want.shape == x.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -178,12 +169,12 @@ class TestMeanAggregateOracle:
     @example(EDGELESS_CASE, True)
     @settings(max_examples=150, deadline=None)
     def test_unweighted_equals_unit_weights(self, case, one_dimensional):
-        # unweighted totals are integer degrees, unit weights go through the
-        # weighted path's float totals: the two must agree bit for bit
+        # the weighted operator: unweighted totals are integer degrees, unit
+        # weights go through float totals; the two must agree bit for bit
         graph, features, _ = case
         x = features[:, 0] if one_dimensional else features
-        plain = mean_aggregate(graph, x)
-        unit = mean_aggregate(graph, x, np.ones(graph.num_edges))
+        plain = MeanAggregator(graph, self_loops=True).apply(x)
+        unit = MeanAggregator(graph, np.ones(graph.num_edges), self_loops=True).apply(x)
         assert plain.dtype == unit.dtype == np.float64
         assert plain.shape == unit.shape == x.shape
         assert plain.tobytes() == unit.tobytes()
@@ -195,7 +186,7 @@ class TestMeanAggregateOracle:
         x = np.array([[1e16], [-1e16], [0.0], [1.0]])
         h = mean_aggregate(g, x)
         assert h[2, 0] == 1.0 / 3.0
-        assert np.array_equal(h, strict_mean_rows(g, x, None))
+        assert np.array_equal(h, strict_mean_rows(g, x))
 
 
 def mean_operator_coo(graph, weights):
@@ -293,7 +284,7 @@ class TestBuildMemory:
 
 class TestNegativeWeights:
     """A negative weight would put a mean outside its neighbours' convex
-    hull; both aggregation paths refuse it, naming the first such edge."""
+    hull; the weighted operator refuses it, naming the first such edge."""
 
     @staticmethod
     def star():
@@ -308,11 +299,6 @@ class TestNegativeWeights:
         with pytest.raises(ValueError, match=self.MESSAGE):
             MeanAggregator(g, w, self_loops=True)
 
-    def test_mean_aggregate_rejects(self):
-        g, w = self.star()
-        with pytest.raises(ValueError, match=self.MESSAGE):
-            mean_aggregate(g, g.features, w)
-
     def test_predict_labels_rejects_raw_weights(self):
         g, w = self.star()
         spec = ArchitectureSpec.default("gcn", 1, 2)
@@ -323,8 +309,6 @@ class TestNegativeWeights:
     def test_zero_and_above_one_stay_legal(self):
         g, _ = self.star()
         w = np.array([0.0, -0.0, 5.0])
-        assert np.array_equal(mean_aggregate(g, g.features, w),
-                              strict_mean_rows(g, g.features, w))
         h = MeanAggregator(g, w, self_loops=True).apply(g.features)
         assert np.allclose(h[:, 0], [(1.0 + 5.0 * 4.0) / 6.0, 2.0, 3.0, (5.0 * 1.0 + 4.0) / 6.0])
 
