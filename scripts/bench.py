@@ -19,6 +19,13 @@ Rows (times in seconds, each with its raw samples):
                         /proc/self/status) and the seconds of each stage:
                         setup (fixture training), generate + perturb, transform
                         (delta = 0.3) and classify (base and transformed graph)
+  cli_start_s           per command (transform and evaluate): spawn to exit
+                        of a fresh `python -m graphost` child on a generated
+                        600-node workspace (CLI_WORKSPACE: the run_benchmark.py
+                        fixture's graph sizes, a classifier and predictor
+                        trained by the CLI), median of 5; plus one more child
+                        under `-X importtime` that records whether the
+                        command imported scipy.sparse
   pinned_outputs        one fresh child: PINNED_SEQUENCE (generate, train --target
                         both, transform, evaluate, the four harness runs and
                         theory-validate in both regimes, each --pin-timestamp)
@@ -101,6 +108,17 @@ PINNED_SEQUENCE = [
       for regime, (p, q, p2, q2) in (("homophilic", ("0.02", "0.01", "0.03", "0.005")),
                                      ("heterophilic", ("0.01", "0.02", "0.005", "0.03")))],
 ]
+CLI_WORKSPACE = [
+    ["generate", "--p", "0.05", "--q", "0.02", "--sizes", "300,300", "--seed", "0",
+     "--out", "data"],
+    ["train", "--train-graph", "data/train.json", "--val-graph", "data/val.json",
+     "--target", "both", "--epochs", "80", "--patience", "20", "--seed", "0", "--out", "ckpt"],
+]
+CLI_START_COMMANDS = {
+    "transform": ["transform", "--test-graph", "data/test.json",
+                  "--predictor", "ckpt/predictor.json", "--out", "out"],
+    "evaluate": ["evaluate", *EVALUATION_INPUTS, "--out", "out"],
+}
 WORKERS_PROBE = ("import json, graphost.workers as w; print(json.dumps({"
                  "'usable_cores': w._usable_cores(), 'blas_threads': w._blas_threads(), "
                  "'workers': w.worker_count(10)}))")
@@ -128,6 +146,31 @@ def _vmhwm_mb() -> float:
     with open("/proc/self/status") as fh:
         kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
     return kb / 1024
+
+
+def cli_start() -> dict:
+    """The cli_start_s rows: each command in fresh children, in a workspace
+    that CLI_WORKSPACE builds in a temporary directory."""
+    with tempfile.TemporaryDirectory() as work:
+        def child(flags: list[str], argv: list[str]) -> tuple[float, str]:
+            start = time.perf_counter()
+            done = subprocess.run([sys.executable, *flags, "-m", "graphost", *argv], cwd=work,
+                                  env=ENV, capture_output=True, text=True)
+            wall = time.perf_counter() - start
+            if done.returncode != 0:
+                sys.exit(f"graphost {' '.join(argv)} exited {done.returncode}:\n{done.stderr}")
+            return wall, done.stderr
+
+        for argv in CLI_WORKSPACE:
+            child([], argv)
+        rows = {}
+        for name, argv in CLI_START_COMMANDS.items():
+            samples = [child([], argv)[0] for _ in range(5)]
+            imports = child(["-X", "importtime"], argv)[1]
+            loaded = any(line.rsplit("|", 1)[-1].strip() == "scipy.sparse"
+                         for line in imports.splitlines() if line.startswith("import time:"))
+            rows[name] = _median_row(samples) | {"scipy_sparse_loaded": loaded}
+    return rows
 
 
 def pipeline_rung(nodes_per_class: int) -> dict:
@@ -202,6 +245,7 @@ def measure() -> dict:
         "src_lines": {"value": lines, "unit": "lines"},
         "theory_validate_s": theory,
         "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
+        "cli_start_s": cli_start(),
         "pinned_outputs": json.loads(_run([sys.executable, "scripts/bench.py",
                                            "--pinned-outputs"])[1]),
     }

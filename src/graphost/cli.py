@@ -117,9 +117,16 @@ def _split(item: Callable, sep: str = ",") -> Callable[[object], tuple]:
 
 
 def _parse_seeds(value) -> tuple[int, ...]:
-    seeds = tuple(int(tok) for tok in str(value).split(",") if tok.strip() != "")
-    if not seeds:
-        raise ValueError("seed list must not be empty")
+    """The seeds of a comma-separated list. An empty item or a repeated seed
+    is refused: a repeat would report copies of one run as spread across
+    seeds."""
+    items = str(value).split(",")
+    if any(item.strip() == "" for item in items):
+        raise ValueError("seed list has an empty item")
+    seeds = tuple(int(item) for item in items)
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"seed list repeats {', '.join(map(str, repeated))}")
     return seeds
 
 

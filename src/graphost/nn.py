@@ -11,15 +11,20 @@ with sorted columns that counts each node as its own neighbour with weight 1;
 per graph, scatters over the edges directly. `EdgeAdjacency` is the predictor
 backward's symmetric per-edge matrix, whose pattern a fit builds once.
 
-`csr_matrix` is the package's one sparse builder and the only place that
-imports scipy.sparse, which it does on its first call. Both operators write
-their entries once into arrays scipy adopts without a copy: int32 indices
-where scipy would pick int32 anyway, in an order whose rows come out sorted.
+`csr_matrix` is the package's one sparse builder; it returns a `CsrMatrix`,
+whose products run scipy's compiled kernels (scipy/sparse/_sparsetools),
+loaded on the first build without importing the scipy.sparse package. Both
+operators write their entries once, with int32 indices wherever
+max(nnz, n) fits, in an order whose rows come out sorted.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import threading
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .graphs import LabeledGraph
 
 __all__ = [
     "csr_matrix",
+    "CsrMatrix",
     "EdgeAdjacency",
     "MeanAggregator",
     "mean_aggregate",
@@ -69,17 +75,22 @@ def _checked_weights(graph: LabeledGraph, edge_weights: np.ndarray | None) -> np
     return w
 
 
+def _index_dtype(nnz: int, n: int) -> type:
+    """The index dtype of an n x n matrix of nnz entries: int32 wherever it
+    holds max(nnz, n)."""
+    return np.int32 if max(nnz, n) <= _INT32_MAX else np.int64
+
+
 def _entry_indices(edges: np.ndarray, n: int, self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) of the directed entries of canonical edges (u, v), u < v:
     first (v, u) for each edge, then each node's (i, i) loop if asked, then
     (u, v) for each edge. In this order every row's columns already ascend
     (lower neighbours, itself, upper neighbours, since the edges are
-    sorted), so scipy's COO -> CSR pass lays them out with no sort. The
-    indices are int32 wherever scipy would pick int32 for the matrix, so it
-    keeps these arrays instead of converting them."""
+    sorted), so the COO -> CSR pass lays them out with no sort. The indices
+    take the matrix's index dtype, so `csr_matrix` uses them unconverted."""
     e, loops = len(edges), n if self_loops else 0
     nnz = 2 * e + loops
-    dtype = np.int32 if max(nnz, n) <= _INT32_MAX else np.int64
+    dtype = _index_dtype(nnz, n)
     rows, cols = np.empty(nnz, dtype=dtype), np.empty(nnz, dtype=dtype)
     rows[:e], cols[:e] = edges[:, 1], edges[:, 0]
     rows[e:e + loops] = cols[e:e + loops] = np.arange(loops)
@@ -87,18 +98,99 @@ def _entry_indices(edges: np.ndarray, n: int, self_loops: bool) -> tuple[np.ndar
     return rows, cols
 
 
-def csr_matrix(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int):
-    """The n x n scipy CSR matrix holding values[k] at (rows[k], cols[k]),
-    with each row's columns ascending and repeated positions summed."""
-    # Imported here, not at module level: loading scipy.sparse takes about
-    # 0.2 s (it pulls in numpy.f2py, numpy.ma and unittest), as long as a
-    # whole theory-validate run, and sampling, graph file I/O and the theory
-    # checks never build a matrix.
-    import scipy.sparse
+_kernels = None
+_kernels_lock = threading.Lock()
 
-    mat = scipy.sparse.csr_matrix((values, (rows, cols)), shape=(n, n))
-    mat.sort_indices()
-    return mat
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, the extension module scipy.sparse
+    wraps, loaded from scipy's sparse directory on their own: importing the
+    scipy.sparse package would take 0.13-0.19 s and about 22 MB (its
+    array-API layer pulls in numpy.f2py, numpy.testing, numpy.ma and
+    numpy.random) to reach three kernels."""
+    name = "scipy.sparse._sparsetools"
+    scipy_spec = importlib.util.find_spec("scipy")  # finds; runs no scipy code
+    for location in (scipy_spec and scipy_spec.submodule_search_locations) or ():
+        finder = FileFinder(str(Path(location, "sparse")),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled sparse kernels {name} were not found", name=name)
+
+
+def _sparsetools():
+    """The kernels, loaded once per process on first use, also when two
+    threads build their first matrices at once."""
+    global _kernels
+    if _kernels is None:
+        with _kernels_lock:
+            if _kernels is None:
+                _kernels = _load_sparsetools()
+    return _kernels
+
+
+class CsrMatrix:
+    """An n x n matrix in CSR form: row i holds data[indptr[i]:indptr[i + 1]]
+    at columns indices[indptr[i]:indptr[i + 1]], ascending. Products run
+    scipy's compiled kernels on these arrays, which check no bounds, so every
+    operand is checked first."""
+
+    __slots__ = ("indptr", "indices", "data", "n")
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int):
+        self.indptr, self.indices, self.data, self.n = indptr, indices, data, n
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._product("csr", x)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """The transpose times x: the CSC kernel reads the same arrays as the
+        transpose's columns, and sums each output row over ascending source
+        rows, the order a sorted CSR transpose would use."""
+        return self._product("csc", x)
+
+    def _product(self, layout: str, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.dtype.kind != "f" or x.ndim not in (1, 2):
+            raise ValueError(f"expected a 1-D or 2-D float array, got {x.ndim}-D {x.dtype}")
+        if x.shape[0] != self.n:
+            raise ValueError(f"expected {self.n} rows, got {x.shape[0]}")
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        out = np.zeros(x.shape)
+        width = 1 if x.ndim == 1 else x.shape[1]
+        getattr(_sparsetools(), layout + "_matvecs")(
+            self.n, self.n, width, self.indptr, self.indices, self.data,
+            x.reshape(-1), out.reshape(-1))
+        return out
+
+
+def csr_matrix(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> CsrMatrix:
+    """The n x n CSR matrix holding values[k] at (rows[k], cols[k]), with
+    each row's columns ascending and repeated positions summed."""
+    values, rows, cols = np.asarray(values, dtype=np.float64), np.asarray(rows), np.asarray(cols)
+    nnz = len(values)
+    if rows.shape != (nnz,) or cols.shape != (nnz,):
+        raise ValueError(f"{nnz} values need {nnz} rows and columns, "
+                         f"got {rows.shape} and {cols.shape}")
+    if nnz and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < n):
+        raise ValueError(f"an entry lies outside the {n} x {n} matrix")
+    dtype = _index_dtype(nnz, n)
+    rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
+    kernels = _sparsetools()
+    indptr, indices, data = np.empty(n + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
+    kernels.coo_tocsr(n, n, nnz, rows, cols, values, indptr, indices, data)
+    # The kernel keeps each row's entries in input order. Both operators
+    # write theirs with columns ascending and no repeats, so the check
+    # passes and nothing is sorted; otherwise sort and sum as scipy does.
+    if not kernels.csr_has_canonical_format(n, indptr, indices):
+        if not kernels.csr_has_sorted_indices(n, indptr, indices):
+            kernels.csr_sort_indices(n, indptr, indices, data)
+        kernels.csr_sum_duplicates(n, n, indptr, indices, data)
+        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+    return CsrMatrix(indptr, indices, data, n)
 
 
 class MeanAggregator:
@@ -108,8 +200,9 @@ class MeanAggregator:
     and False, the old default, raises rather than silently gain self loops.
 
     The build holds the matrix's (row, col, coefficient) entries once, in
-    preallocated arrays that scipy adopts as they are, and divides the
-    coefficients in place: its peak is about 2.3 times the finished matrix.
+    preallocated arrays that the COO -> CSR kernel reads as they are, and
+    divides the coefficients in place: its peak is about 2.3 times the
+    finished matrix.
     """
 
     def __init__(
@@ -138,17 +231,12 @@ class MeanAggregator:
         np.divide(coef[e:e + n], totals, out=coef[e:e + n])
         np.divide(coef[e + n:], totals[edges[:, 0]], out=coef[e + n:])
         self._mat = csr_matrix(coef, rows, cols, n)
-        self.num_nodes = n
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[0] != self.num_nodes:
-            raise ValueError(f"expected {self.num_nodes} rows, got {x.shape[0]}")
         return self._mat @ x
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        # The CSC view of the transpose sums each output row over ascending
-        # source rows, the order a sorted CSR transpose would use.
-        return self._mat.T @ g
+        return self._mat.adjoint(g)
 
 
 class EdgeAdjacency:
@@ -160,13 +248,13 @@ class EdgeAdjacency:
     def __init__(self, edges: np.ndarray, n: int):
         rows, cols = _entry_indices(edges, n, self_loops=False)
         # Built with each entry holding its edge's index (exact in float64):
-        # once scipy has laid the entries out, the data names each stored
-        # entry's edge.
+        # once the build has laid the entries out, the data names each
+        # stored entry's edge.
         edge_ids = np.arange(len(edges), dtype=np.float64)
         self.matrix = csr_matrix(np.concatenate([edge_ids, edge_ids]), rows, cols, n)
         self._edge_of_entry = self.matrix.data.astype(np.intp)
 
-    def fill(self, values: np.ndarray):
+    def fill(self, values: np.ndarray) -> CsrMatrix:
         """The matrix with values[k] at both entries of edge k."""
         np.take(values, self._edge_of_entry, out=self.matrix.data)
         return self.matrix

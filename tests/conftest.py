@@ -53,7 +53,8 @@ def csr_bytes(mat):
 
 
 def assert_same_csr(got, want):
-    """Two scipy CSR matrices hold equal arrays, dtypes and zero signs."""
+    """Two CSR matrices (`nn.CsrMatrix` or scipy's) hold equal arrays, dtypes and
+    zero signs."""
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name

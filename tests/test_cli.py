@@ -830,6 +830,30 @@ class TestUsageErrors:
             "--out", str(tmp_path),
         ]) == 2
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("seeds, problem", [
+        ("3,3,,3", "empty item"), ("3,4,3", "repeats 3"), ("5,", "empty item"),
+    ], ids=["empty-item", "repeat", "trailing-comma"])
+    def test_seed_list_with_repeat_or_empty_item_is_usage_error(self, workspace, tmp_path,
+                                                                capsys, via, seeds, problem):
+        # a repeat would report copies of one run as spread across seeds
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        out = tmp_path / "never"
+        args = ["ablate", "--test-graph", str(data / "test.json"),
+                "--classifier", str(ckpt / "classifier.json"),
+                "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+                "--out", str(out)]
+        if via == "flag":
+            args += ["--seed", seeds]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": seeds}))
+            args += ["--config", str(cfg)]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert f"bad --seed value {seeds!r}" in err and problem in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, args", [
         ("generate", ["--p", "0.06", "--q", "0.02", "--sizes", "20,20"]),
         ("train", ["--train-graph", "{data}/train.json", "--val-graph", "{data}/val.json",

@@ -1,21 +1,28 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import graphost
+from graphost import nn
 from graphost.graphs import LabeledGraph
 from graphost.nn import (
     PROB_EPS,
     AdamState,
+    EdgeAdjacency,
     MeanAggregator,
     _entry_indices,
     adam_step,
@@ -205,10 +212,15 @@ def mean_operator_coo(graph, weights):
     return mat
 
 
+def as_scipy(mat):
+    """scipy's CSR matrix over a CsrMatrix's own arrays."""
+    return scipy.sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=(mat.n, mat.n))
+
+
 def sorted_transpose_adjoint(mat, g):
     """MeanAggregator.adjoint as it was before it used the transpose view:
     the transpose built as a second CSR with sorted columns, kept as oracle."""
-    adj = mat.T.tocsr()
+    adj = as_scipy(mat).T.tocsr()
     adj.sort_indices()
     return adj @ g
 
@@ -250,10 +262,121 @@ class TestCsrMatrix:
         rows, cols = rng.integers(0, n, size=(2, nnz))
         values = rng.standard_normal(nnz)
         got = csr_matrix(values, rows, cols, n)
-        assert got.shape == (n, n) and got.has_sorted_indices
+        assert got.n == n and len(got.indptr) == n + 1 and got.indptr[-1] == len(got.data)
+        row_of = np.repeat(np.arange(n), np.diff(got.indptr))
+        # within each row the columns strictly ascend: sorted, no repeats
+        assert np.all((np.diff(row_of) > 0) | (np.diff(got.indices) > 0))
         dense = np.zeros((n, n))
         np.add.at(dense, (rows, cols), values)
-        assert np.allclose(got.toarray(), dense, rtol=1e-12, atol=1e-12)
+        stored = np.zeros((n, n))
+        stored[row_of, got.indices] = got.data
+        assert np.allclose(stored, dense, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, cols, message", [
+        ([0, 3], [1, 0], "outside the 3 x 3 matrix"),
+        ([0, 1], [-1, 0], "outside the 3 x 3 matrix"),
+        ([0], [1, 0], "2 values need 2 rows and columns"),
+    ], ids=["row-past-n", "negative-column", "short-rows"])
+    def test_entries_checked_before_the_kernel(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
+            csr_matrix(np.ones(2), np.array(rows), np.array(cols), 3)
+
+
+@st.composite
+def product_cases(draw):
+    """An aggregation case, an operand of width 1-64 or a 1-D vector over its
+    nodes, one value per edge for the edge adjacency, and whether the
+    matrices take int64 indices."""
+    graph, _, weights = draw(aggregation_cases())
+    width = draw(st.none() | st.integers(1, 64))
+    shape = (graph.num_nodes,) if width is None else (graph.num_nodes, width)
+    value = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 0.1, 1e-3, 1e16, -1e16])
+    x = draw(arrays(np.float64, shape, elements=value))
+    edge_values = draw(arrays(np.float64, graph.num_edges, elements=value))
+    return graph, weights, x, edge_values, draw(st.booleans())
+
+
+ONE_NODE_CASE = (LabeledGraph(num_nodes=1, edges=np.empty((0, 2), dtype=np.int64)), None,
+                 np.array([[-0.0, 2.5]]), np.empty(0), True)
+
+
+class TestKernelsAgainstScipy:
+    """Every product runs scipy's compiled kernels directly; scipy.sparse
+    over the same arrays is the oracle, bit for bit, signs of zero included."""
+
+    @given(product_cases())
+    @example((EDGELESS_CASE[0], None, EDGELESS_CASE[1], np.empty(0), False))
+    @example(ONE_NODE_CASE)
+    @settings(max_examples=150, deadline=None)
+    def test_products_equal_scipy(self, case):
+        graph, weights, x, edge_values, int64 = case
+        with mock.patch("graphost.nn._INT32_MAX", 0 if int64 else np.iinfo(np.int32).max):
+            agg = MeanAggregator(graph, weights, self_loops=True)
+            adjacency = EdgeAdjacency(graph.edges, graph.num_nodes)
+        index_dtype = np.int64 if int64 else np.int32
+        assert agg._mat.indices.dtype == adjacency.matrix.indices.dtype == index_dtype
+        filled = adjacency.fill(edge_values)
+        for got, want in [(agg.apply(x), as_scipy(agg._mat) @ x),
+                          (agg.adjoint(x), as_scipy(agg._mat).T @ x),
+                          (filled @ x, as_scipy(filled) @ x)]:
+            assert got.dtype == np.float64 and got.shape == want.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+
+    PRODUCTS = {
+        "apply": lambda g: MeanAggregator(g, self_loops=True).apply,
+        "adjoint": lambda g: MeanAggregator(g, self_loops=True).adjoint,
+        "edge-adjacency": lambda g: EdgeAdjacency(g.edges, 3).fill(np.ones(2)).__matmul__,
+    }
+
+    @pytest.mark.parametrize("product", PRODUCTS)
+    @pytest.mark.parametrize("operand, message", [
+        (np.ones((4, 2)), "expected 3 rows, got 4"),
+        (np.ones(2), "expected 3 rows, got 2"),
+        (np.ones((3, 2), dtype=np.int64), "float array, got 2-D int64"),
+        (np.ones(3, dtype=bool), "float array, got 1-D bool"),
+        (np.ones((3, 2, 1)), "1-D or 2-D float array, got 3-D"),
+    ], ids=["too-many-rows", "too-few-rows", "integer", "bool", "3-D"])
+    def test_bad_operand_rejected(self, product, operand, message):
+        with pytest.raises(ValueError, match=message):
+            self.PRODUCTS[product](star_graph())(operand)
+
+    @pytest.mark.parametrize("product", PRODUCTS)
+    def test_operand_converted_to_contiguous_float64(self, product, rng):
+        run = self.PRODUCTS[product](star_graph())
+        x = rng.standard_normal((2, 3)).T  # a strided view
+        assert run(x).tobytes() == run(np.ascontiguousarray(x)).tobytes()
+        single = x.astype(np.float32)
+        assert run(single).tobytes() == run(single.astype(np.float64)).tobytes()
+
+
+class TestKernelLoader:
+    def test_loads_once_under_concurrent_first_builds(self, monkeypatch):
+        loads, load = [], nn._load_sparsetools
+
+        def slow_load():
+            loads.append(1)
+            time.sleep(0.05)
+            return load()
+
+        monkeypatch.setattr(nn, "_kernels", None)
+        monkeypatch.setattr(nn, "_load_sparsetools", slow_load)
+        barrier, got = threading.Barrier(2), []
+
+        def first_build():
+            barrier.wait()
+            got.append(nn._sparsetools())
+
+        threads = [threading.Thread(target=first_build) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(loads) == 1 and len(got) == 2 and got[0] is got[1]
+
+    def test_missing_extension_is_named(self, monkeypatch):
+        monkeypatch.setattr(nn, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(ImportError, match=r"scipy\.sparse\._sparsetools"):
+            nn._load_sparsetools()
 
 
 class TestBuildMemory:
@@ -264,22 +387,26 @@ class TestBuildMemory:
         # indices that scipy converted): 4.3x the finished matrix at this size.
         graph = csbm_20k()
         weights = np.random.default_rng(0).random(graph.num_edges) if weighted else None
-        MeanAggregator(graph, weights, self_loops=True)  # scipy.sparse imported
+        MeanAggregator(graph, weights, self_loops=True)  # sparse kernels loaded
         agg, peak = traced_peak(lambda: MeanAggregator(graph, weights, self_loops=True))
         assert peak <= 2.5 * csr_bytes(agg._mat)
 
-    def test_int64_indices_where_scipy_needs_them(self, monkeypatch):
-        # past int32's range the entries keep int64, as scipy would pick
+    def test_int64_indices_past_int32_range(self, monkeypatch):
+        # where max(nnz, n) passes int32's range the matrix takes int64 indices
         monkeypatch.setattr("graphost.nn._INT32_MAX", 6)
         graph = LabeledGraph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]))
         rows, cols = _entry_indices(graph.edges, 3, self_loops=True)
         assert rows.dtype == cols.dtype == np.int64
         assert rows.tolist() == [1, 2, 0, 1, 2, 0, 1]
         assert cols.tolist() == [0, 1, 0, 1, 2, 1, 2]
-        assert_same_csr(MeanAggregator(graph, self_loops=True)._mat,
-                        mean_operator_coo(graph, None))
+        got = MeanAggregator(graph, self_loops=True)._mat
+        assert got.indptr.dtype == got.indices.dtype == np.int64
+        want = mean_operator_coo(graph, None)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
         monkeypatch.setattr("graphost.nn._INT32_MAX", 7)
         assert _entry_indices(graph.edges, 3, self_loops=True)[0].dtype == np.int32
+        assert MeanAggregator(graph, self_loops=True)._mat.indptr.dtype == np.int32
 
 
 class TestNegativeWeights:
@@ -317,9 +444,19 @@ SRC = Path(graphost.__file__).parent
 GENERATE = ["generate", "--p", "0.06", "--q", "0.02", "--sizes", "40,40", "--out", "g"]
 
 
-def scipy_sparse_loaded(tmp_path, argvs):
-    """Whether a fresh interpreter has scipy.sparse loaded after importing
-    graphost and running each argv through the CLI, all with exit code 0."""
+TRAIN = ["train", "--train-graph", "g/train.json", "--val-graph", "g/val.json",
+         "--epochs", "3", "--out", "t"]
+INPUTS = ["--test-graph", "g/test.json", "--classifier", "t/classifier.json",
+          "--predictor", "t/predictor.json"]
+FIXTURE_AND_SCORING = ("from graphost import fixtures, models\n"
+                       "fx = fixtures.make_fixture(nodes_per_class=40, max_epochs=3)\n"
+                       "models.edge_homophily_scores(fx.predictor, fx.test_graph(0))\n")
+
+
+def loaded_after(tmp_path, argvs, then=""):
+    """(scipy.sparse loaded, the sparse kernels loaded) in a fresh
+    interpreter after importing graphost, running each argv through the CLI,
+    all with exit code 0, and then the code `then`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = ("import json, sys\n"
@@ -328,49 +465,61 @@ def scipy_sparse_loaded(tmp_path, argvs):
             "if argvs:\n"
             "    from graphost.cli import main\n"
             "    assert [main(a) for a in argvs] == [0] * len(argvs)\n"
-            "print('scipy.sparse' in sys.modules)")
+            f"{then}"
+            "nn = sys.modules.get('graphost.nn')\n"
+            "print('scipy.sparse' in sys.modules, nn is not None and nn._kernels is not None)")
     result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                             cwd=tmp_path, capture_output=True, text=True, check=True)
-    return result.stdout.strip().splitlines()[-1] == "True"
+    scipy_sparse, kernels = result.stdout.strip().splitlines()[-1].split()
+    return scipy_sparse == "True", kernels == "True"
 
 
-def scipy_import_scopes(node, scope):
-    """The enclosing module.function of every scipy import under node."""
+def scipy_scopes(node, scope):
+    """The enclosing module.function of every scipy import under node, and
+    of every string naming a scipy module."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from scipy_import_scopes(child, f"{scope}.{child.name}")
+            yield from scipy_scopes(child, f"{scope}.{child.name}")
             continue
         if isinstance(child, ast.Import):
             modules = [alias.name for alias in child.names]
         elif isinstance(child, ast.ImportFrom):
             modules = [child.module or ""]
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            modules = [child.value]
         else:
             modules = []
-        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+        if any(re.fullmatch(r"scipy(\.\w+)*", m) for m in modules):
             yield scope
-        yield from scipy_import_scopes(child, scope)
+        yield from scipy_scopes(child, scope)
 
 
-class TestScipySparseLoadsAtFirstBuild:
-    def test_import_leaves_it_unloaded(self, tmp_path):
-        assert not scipy_sparse_loaded(tmp_path, [])
+class TestScipySparseNeverLoaded:
+    def test_import_loads_nothing(self, tmp_path):
+        assert loaded_after(tmp_path, []) == (False, False)
 
     @pytest.mark.parametrize("argvs", [
         [GENERATE],
         [["theory-validate", "--suite", "all", "--seed", "1", "--out", "th"]],
     ], ids=["generate", "theory-validate"])
-    def test_commands_without_a_matrix_leave_it_unloaded(self, tmp_path, argvs):
-        assert not scipy_sparse_loaded(tmp_path, argvs)
+    def test_commands_without_a_matrix_load_nothing(self, tmp_path, argvs):
+        assert loaded_after(tmp_path, argvs) == (False, False)
 
-    def test_train_loads_it(self, tmp_path):
-        train = ["train", "--train-graph", "g/train.json", "--val-graph", "g/val.json",
-                 "--target", "classifier", "--epochs", "3", "--out", "t"]
-        assert scipy_sparse_loaded(tmp_path, [GENERATE, train])
+    def test_commands_with_matrices_load_only_the_kernels(self, tmp_path):
+        argvs = [GENERATE, TRAIN,
+                 ["transform", "--test-graph", "g/test.json", "--predictor", "t/predictor.json",
+                  "--out", "o"],
+                 ["evaluate", *INPUTS, "--out", "o"],
+                 ["ablate", *INPUTS, "--seed", "0,1", "--out", "o"]]
+        assert loaded_after(tmp_path, argvs) == (False, True)
 
-    def test_one_function_imports_scipy(self):
-        scopes = [scope for path in sorted(SRC.glob("*.py"))
-                  for scope in scipy_import_scopes(ast.parse(path.read_text()), path.stem)]
-        assert scopes == ["nn.csr_matrix"]
+    def test_fixture_and_scoring_load_only_the_kernels(self, tmp_path):
+        assert loaded_after(tmp_path, [], then=FIXTURE_AND_SCORING) == (False, True)
+
+    def test_only_the_loader_names_scipy(self):
+        scopes = {scope for path in sorted(SRC.glob("*.py"))
+                  for scope in scipy_scopes(ast.parse(path.read_text()), path.stem)}
+        assert scopes == {"nn._load_sparsetools"}
 
 
 def identity_gcn(dim: int) -> tuple[ArchitectureSpec, dict]:
