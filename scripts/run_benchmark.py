@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from graphost.experiments import (
+    parse_seeds,
     run_ablation,
     run_delta_sweep,
     run_noise_robustness,
@@ -31,7 +32,10 @@ def main() -> int:
         help="swap intra/inter probabilities and run in heterophilic mode",
     )
     args = parser.parse_args()
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

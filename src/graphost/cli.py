@@ -33,6 +33,7 @@ from .experiments import (
     RepeatedArmError,
     derive_seed,
     evaluate_graph,
+    parse_seeds,
     run_ablation,
     run_delta_sweep,
     run_noise_robustness,
@@ -51,16 +52,9 @@ from .models import (
     train_classifier,
     train_homophily_predictor,
 )
-from .theory import (
-    class_separation_distance,
-    degree_relaxation_constraint,
-    lemma_check,
-    misclassification_prob,
-    monte_carlo_theorem_check,
-    multiclass_separation,
-    phi_vs_simulation,
-    separation_check,  # unused: kept bound for perfbench's trace of the theory lab
-)
+from .theory import SUITES as THEORY_SUITES, validate
+# unused: kept bound for perfbench's trace of the theory lab
+from .theory import lemma_check, monte_carlo_theorem_check, phi_vs_simulation, separation_check
 from .transform import MODES, TransformConfig, graphost_transform, resolve_mode
 from .workers import map_in_order
 
@@ -116,20 +110,6 @@ def _split(item: Callable, sep: str = ",") -> Callable[[object], tuple]:
     return lambda value: tuple(item(piece) for piece in _text(value).split(sep))
 
 
-def _parse_seeds(value) -> tuple[int, ...]:
-    """The seeds of a comma-separated list. An empty item or a repeated seed
-    is refused: a repeat would report copies of one run as spread across
-    seeds."""
-    items = str(value).split(",")
-    if any(item.strip() == "" for item in items):
-        raise ValueError("seed list has an empty item")
-    seeds = tuple(int(item) for item in items)
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ValueError(f"seed list repeats {', '.join(map(str, repeated))}")
-    return seeds
-
-
 @dataclass(frozen=True)
 class _Option:
     """One settable value: built-in default, parser, choices, help. `parse`
@@ -155,7 +135,7 @@ _RATIO = _ranged(lambda v: 0 <= v < 1, "[0, 1)")
 
 _OPTIONS: dict[str, _Option] = {
     # all but transform; a seed list is checked but kept as given: reports echo it
-    "seed": _Option("0", lambda v: _parse_seeds(v) and v,
+    "seed": _Option("0", lambda v: parse_seeds(v) and v,
                     help="seed or comma-separated seed list"),
     "out": _Option(".", help="output directory"),
     "pin_timestamp": _Option(
@@ -213,7 +193,7 @@ _OPTIONS: dict[str, _Option] = {
     "midpoint_tol": _Option(0.05, _float),
     "cosine_tol": _Option(0.999, _float),
     "separation_tol": _Option(0.05, _float),
-    # "suite" is added beside _THEORY_SUITES, whose keys are its choices.
+    "suite": _Option("all", choices=("all", *THEORY_SUITES)),
 }
 
 
@@ -223,7 +203,7 @@ def _flag(key: str) -> str:
 
 def _single_seed(options: dict) -> int:
     """The one seed of a subcommand that makes a single run."""
-    seeds = _parse_seeds(options["seed"])
+    seeds = parse_seeds(options["seed"])
     if len(seeds) > 1:
         raise CliError(f"--seed takes one seed here, got {options['seed']!r}")
     return seeds[0]
@@ -272,20 +252,19 @@ def _out_dir(options: dict) -> Path:
 
 
 def _write_report(options: dict, name: str, doc: dict, seeds: tuple[int, ...] = (),
-                  csv_rows: list[list] | None = None) -> str:
+                  csv_rows: list[list] | None = None, csv_name: str | None = None) -> None:
     """The one report writer. Stamps `doc` with "pinned" under
     --pin-timestamp, else the UTC time to the microsecond (two runs in one
     second keep both reports), and writes it to <name>.json, or to
-    <name>-<stamp>-<seeds>.json given seeds, with `csv_rows` as a CSV of the
-    same stem. Returns the stamp."""
+    <name>-<stamp>-<seeds>.json given seeds, with `csv_rows` as a CSV named
+    alike after `csv_name` (default `name`)."""
     stamp = (PINNED_TIMESTAMP if options["pin_timestamp"]
              else datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ"))
-    stem = f"{name}-{stamp}-{'-'.join(map(str, seeds))}" if seeds else name
+    suffix = f"-{stamp}-{'-'.join(map(str, seeds))}" if seeds else ""
     out = _out_dir(options)
-    write_json(out / f"{stem}.json", doc | {"timestamp": stamp})
+    write_json(out / f"{name}{suffix}.json", doc | {"timestamp": stamp})
     if csv_rows is not None:
-        write_csv(out / f"{stem}.csv", csv_rows)
-    return stamp
+        write_csv(out / f"{csv_name or name}{suffix}.csv", csv_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +448,7 @@ def _evaluation_inputs(options: dict):
     classifier = _checkpoint(options, "classifier", test_graph)
     predictor = _checkpoint(options, "predictor", test_graph)
     config = _transform_config(options, predictor)
-    return test_graph, classifier, predictor, config, _parse_seeds(options["seed"])
+    return test_graph, classifier, predictor, config, parse_seeds(options["seed"])
 
 
 def cmd_evaluate(options: dict) -> int:
@@ -519,136 +498,20 @@ def cmd_harness(runner: Callable, grid_key: str | None, options: dict) -> int:
 # theory-validate
 # ---------------------------------------------------------------------------
 
-def _axis_params(mean_distance: float, dim: int, n1: int, n2: int, p: float, q: float) -> CsbmParams:
-    mu = np.zeros(dim)
-    mu[0] = mean_distance / 2.0
-    return CsbmParams(
-        class_means=(tuple(mu), tuple(-mu)),
-        class_sizes=(n1, n2),
-        intra_prob=p,
-        inter_prob=q,
-    )
-
-
-def _lemma_report(options: dict, seed: int, found: dict) -> dict:
-    """lemma_check's report on the lemma graph (lemma_nodes nodes per class),
-    drawn once per run: the lemma and separation suites both read it from
-    found["lemma"]."""
-    if "lemma" not in found:
-        nodes = options["lemma_nodes"]
-        params = _axis_params(options["mean_distance"], options["dim"], nodes, nodes,
-                              options["p"], options["q"])
-        found["lemma"] = lemma_check(params, seed)
-    return found["lemma"]
-
-
-def _lemma_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    lc = _lemma_report(options, seed, found)
-    midpoint, cosine = lc["midpoint_error"], abs(lc["direction_cosine"])
-    midpoint_tol, cosine_tol = options["midpoint_tol"], options["cosine_tol"]
-    return [
-        ("lemma-midpoint", midpoint <= midpoint_tol,
-         f"midpoint error {midpoint:.5f} (tol {midpoint_tol})"),
-        ("lemma-direction", cosine >= cosine_tol,
-         f"|cosine| {cosine:.6f} (tol {cosine_tol})"),
-    ]
-
-
-def _separation_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    sc = _lemma_report(options, seed, found)
-    detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
-              f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
-    return [("separation-closed-form", sc["relative_error"] <= options["separation_tol"], detail)]
-
-
-def _phi_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    r = phi_vs_simulation(options["p"], options["q"], options["n1"], options["n2"],
-                          options["mean_distance"], options["samples"], seed)
-    detail = (f"closed form {r['closed_form']:.6f} vs simulated {r['simulated']:.6f} "
-              f"(3se {3 * r['std_error']:.6f})")
-    return [("phi-vs-simulation", r["within_3_std_errors"], detail)]
-
-
-def _theorem_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    """Also leaves the Monte Carlo report in found["theorem"]."""
-    a, dim, n1, n2 = options["mean_distance"], options["dim"], options["n1"], options["n2"]
-    params = _axis_params(a, dim, n1, n2, options["p"], options["q"])
-    params2 = _axis_params(a, dim, n1, n2, options["p2"], options["q2"])
-    report = found["theorem"] = monte_carlo_theorem_check(
-        params, params2, trials=options["trials"], seed=seed
-    )
-    need = int(np.ceil(0.9 * options["trials"]))
-    detail = (f"{report.improved_trials}/{options['trials']} trials improved, mean "
-              f"difference {report.mean_difference:+.5f} "
-              f"(constraint {'holds' if report.constraint_satisfied else 'violated'})")
-    passed = report.improved_trials >= need and report.mean_difference > 0
-    return [("theorem-improvement", passed, detail)]
-
-
-def _constraint_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    p, q, p2, q2 = options["p"], options["q"], options["p2"], options["q2"]
-    n1, n2, a = options["n1"], options["n2"], options["mean_distance"]
-    regime = "homophilic" if p > q else "heterophilic"
-    holds = degree_relaxation_constraint(p, q, p2, q2, n1, n2, regime)
-    diff = misclassification_prob(p, q, n1, n2, a) - misclassification_prob(p2, q2, n1, n2, a)
-    detail = f"constraint {holds}, closed-form error change {diff:+.6f}"
-    return [("constraint-vs-phi", holds == (diff > 0), detail)]
-
-
-def _multiclass_checks(options: dict, seed: int, found: dict) -> list[tuple[str, bool, str]]:
-    p, q, a = options["p"], options["q"], options["mean_distance"]
-    grid_ok = True
-    worst = 0.0
-    rng = np.random.default_rng(seed)
-    for _ in range(100):
-        gp = rng.uniform(0.01, 0.99)
-        gq = rng.uniform(0.01, 0.99)
-        ga = rng.uniform(0.1, 5.0)
-        lhs = multiclass_separation(gp, gq, 2, ga)
-        rhs = 2.0 * class_separation_distance(gp, gq, ga)
-        worst = max(worst, abs(lhs - rhs))
-        grid_ok = grid_ok and abs(lhs - rhs) <= 1e-12
-    mono = all(
-        multiclass_separation(p, q, s, a) > multiclass_separation(p, q, s + 1, a)
-        for s in range(2, 10)
-    ) if p != q and q > 0 else True
-    return [
-        ("multiclass-reduction", grid_ok, f"max |s=2 formula - binary formula| = {worst:.2e}"),
-        ("multiclass-monotone", mono, "separation strictly decreases in the class count"),
-    ]
-
-
-# suite -> its checks as (name, passed, detail) rows, in report order;
-# "all" runs every suite in this order.
-_THEORY_SUITES: dict[str, Callable[[dict, int, dict], list[tuple[str, bool, str]]]] = {
-    "lemmas": _lemma_checks,
-    "separation": _separation_checks,
-    "phi": _phi_checks,
-    "theorem": _theorem_checks,
-    "constraint": _constraint_checks,
-    "multiclass": _multiclass_checks,
-}
-_NEEDS_TRANSFORM = ("theorem", "constraint")
-_OPTIONS["suite"] = _Option("all", choices=("all", *_THEORY_SUITES))
-
-
 def cmd_theory_validate(options: dict) -> int:
-    suites = list(_THEORY_SUITES) if options["suite"] == "all" else [options["suite"]]
+    suites = list(THEORY_SUITES) if options["suite"] == "all" else [options["suite"]]
     seed = _single_seed(options)
     skipped: list[str] = []
     if options["p2"] is None or options["q2"] is None:
-        if options["suite"] in _NEEDS_TRANSFORM:
+        skipped = [s for s in suites if THEORY_SUITES[s].needs_transform]
+        if options["suite"] in skipped:
             raise CliError("--p2 and --q2 are required for the theorem/constraint suites")
-        skipped = [s for s in suites if s in _NEEDS_TRANSFORM]
         suites = [s for s in suites if s not in skipped]
 
-    checks: list[dict] = []
-    found: dict = {}
-    for suite in suites:
-        for name, passed, detail in _THEORY_SUITES[suite](options, seed, found):
-            checks.append({"name": name, "passed": bool(passed), "detail": detail})
-            print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
+    rows, theorem = validate(options, suites, seed)
+    checks = [{"name": name, "passed": passed, "detail": detail} for name, passed, detail in rows]
+    for name, passed, detail in rows:
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     doc = {
         "seed": seed,
         "options": {k: options[k] for k in sorted(options) if k not in ("out",)},
@@ -657,12 +520,10 @@ def cmd_theory_validate(options: dict) -> int:
     if skipped:
         doc["skipped"] = skipped
         print(f"SKIP {', '.join(skipped)}: need --p2 and --q2")
-    if "theorem" in found:
-        doc["theorem_report"] = found["theorem"].to_dict()
-    stamp = _write_report(options, "theory-report", doc, (seed,))
-    if "theorem" in found:
-        write_csv(Path(options["out"]) / f"theory-theorem-{stamp}-{seed}.csv",
-                  found["theorem"].to_csv_rows())
+    if theorem is not None:
+        doc["theorem_report"] = theorem.to_dict()
+    _write_report(options, "theory-report", doc, (seed,),
+                  None if theorem is None else theorem.to_csv_rows(), "theory-theorem")
     failed = [c for c in checks if not c["passed"]]
     print(f"{len(checks) - len(failed)}/{len(checks)} theory checks passed")
     return 1 if failed else 0

@@ -30,6 +30,7 @@ __all__ = [
     "RepeatedArmError",
     "derive_seed",
     "evaluate_graph",
+    "parse_seeds",
     "run_ablation",
     "run_noise_robustness",
     "run_delta_sweep",
@@ -41,6 +42,24 @@ __all__ = [
 def derive_seed(seed: int, tag: int) -> int:
     """Disjoint child seeds for sub-draws of one experiment seed."""
     return seed * 1_000_003 + tag
+
+
+def _distinct(seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """`seeds`, refused if one repeats: a repeat would report copies of one
+    run as spread across seeds."""
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"seed list repeats {', '.join(map(str, repeated))}")
+    return seeds
+
+
+def parse_seeds(value) -> tuple[int, ...]:
+    """The seeds of a comma-separated list; an empty item or a repeated seed
+    is refused."""
+    items = str(value).split(",")
+    if any(item.strip() == "" for item in items):
+        raise ValueError("seed list has an empty item")
+    return _distinct(tuple(int(item) for item in items))
 
 
 @dataclass(frozen=True)
@@ -159,7 +178,9 @@ def _run_arms(
     before the next is made, and sets that seed's `extras` keys in `found`.
     Seeds are independent, so they may run side by side (map_in_order);
     values and extras are assembled in seed order, the bits of a plain loop.
-    `grid` joins the report's config block."""
+    `grid` joins the report's config block. A repeated seed is refused
+    before any seed runs."""
+    seeds = _distinct(tuple(seeds))
     provider = test_graphs if callable(test_graphs) else lambda _seed: test_graphs
 
     def one_seed(seed: int) -> tuple[list[tuple[str, float]], dict]:
@@ -175,7 +196,7 @@ def _run_arms(
             values.setdefault(arm, []).append(value)
     return ExperimentReport(
         experiment=experiment,
-        seeds=tuple(seeds),
+        seeds=seeds,
         arm_values={a: tuple(v) for a, v in values.items()},
         config=asdict(config) | {"metric": metric} | (grid or {}),
         extras={key: [found[key] for _, found in per_seed] for key in extras},

@@ -502,7 +502,7 @@ def train_homophily_predictor(
     train_agg = _aggregator(spec, train_graph)
     if val_graph is not None:
         val_edges, val_labels, _ = build_edge_training_set(val_graph)
-        if len(np.unique(val_labels)) < 2:
+        if val_labels.min() == val_labels.max():
             raise ValueError("validation graph has a single edge class")
         fit_edges, fit_labels = edges, edge_labels
         val_agg = _aggregator(spec, val_graph)

@@ -4,6 +4,9 @@ optimal linear boundary, misclassification probabilities, the degree
 relaxation constraint, the imbalanced-class boundary, and the multi-class
 separation formula.
 
+``SUITES`` is the table of ``graphost theory-validate``'s check suites, with
+their tolerances and pass rules; ``validate`` runs some of them on one seed.
+
 ``lemma_check`` is the one Monte Carlo report on a single sampled binary
 graph: the empirical midpoint, direction and class-mean distance against
 their closed forms. ``separation_check`` returns its distance keys. It
@@ -20,8 +23,10 @@ and reported separately.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,6 +53,9 @@ __all__ = [
     "lemma_check",
     "separation_check",
     "phi_vs_simulation",
+    "Suite",
+    "SUITES",
+    "validate",
 ]
 
 
@@ -175,24 +183,17 @@ def degree_relaxation_constraint(
     for name, value in (("p", p), ("q", q), ("p_new", p_new), ("q_new", q_new)):
         if not 0.0 < value <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {value}")
-    if regime == "homophilic":
-        if not (p > q and p_new > q_new):
-            raise ValueError(
-                "homophilic regime needs p > q and p_new > q_new; "
-                f"got ({p}, {q}) -> ({p_new}, {q_new})"
-            )
-        lhs = (p_new - q_new) * (p + q) * math.sqrt(p_new * n1 + q_new * n2)
-        rhs = (p - q) * (p_new + q_new) * math.sqrt(p * n1 + q * n2)
-    elif regime == "heterophilic":
-        if not (p < q and p_new < q_new):
-            raise ValueError(
-                "heterophilic regime needs p < q and p_new < q_new; "
-                f"got ({p}, {q}) -> ({p_new}, {q_new})"
-            )
-        lhs = (q_new - p_new) * (p + q) * math.sqrt(p_new * n1 + q_new * n2)
-        rhs = (q - p) * (p_new + q_new) * math.sqrt(p * n1 + q * n2)
-    else:
+    if regime not in ("homophilic", "heterophilic"):
         raise ValueError(f"regime must be 'homophilic' or 'heterophilic', got {regime!r}")
+    # q - p is -(p - q) exactly, so one formula with the regime's sign serves both
+    sign, order = (1.0, ">") if regime == "homophilic" else (-1.0, "<")
+    if not (sign * (p - q) > 0.0 and sign * (p_new - q_new) > 0.0):
+        raise ValueError(
+            f"{regime} regime needs p {order} q and p_new {order} q_new; "
+            f"got ({p}, {q}) -> ({p_new}, {q_new})"
+        )
+    lhs = sign * (p_new - q_new) * (p + q) * math.sqrt(p_new * n1 + q_new * n2)
+    rhs = sign * (p - q) * (p_new + q_new) * math.sqrt(p * n1 + q * n2)
     return lhs > rhs
 
 
@@ -274,20 +275,10 @@ class TheoremCheckReport:
         }
 
     def to_csv_rows(self) -> list[list]:
-        rows: list[list] = [
-            ["trial", "rate_before", "rate_after", "excluded_before", "excluded_after"]
-        ]
-        for t in range(self.trials):
-            rows.append(
-                [
-                    t,
-                    self.rates_before[t],
-                    self.rates_after[t],
-                    self.excluded_before[t],
-                    self.excluded_after[t],
-                ]
-            )
-        return rows
+        header = ["trial", "rate_before", "rate_after", "excluded_before", "excluded_after"]
+        columns = zip(self.rates_before, self.rates_after, self.excluded_before,
+                      self.excluded_after)
+        return [header] + [[t, *row] for t, row in enumerate(columns)]
 
 
 def _strict_mean(
@@ -350,45 +341,33 @@ def monte_carlo_theorem_check(
     if p == q:
         raise ValueError("original parameters need p != q to define a regime")
     regime = "homophilic" if p > q else "heterophilic"
+    orientation, order = (1.0, ">") if p > q else (-1.0, "<")
     same_transform = (p2, q2) == (p, q)
-    if not same_transform:
-        if regime == "homophilic" and not p2 > q2:
-            raise ValueError("regime-inconsistent parameters: expected p' > q'")
-        if regime == "heterophilic" and not p2 < q2:
-            raise ValueError("regime-inconsistent parameters: expected p' < q'")
-    constraint = (
-        False
-        if same_transform
-        else degree_relaxation_constraint(
-            p, q, p2, q2, params.class_sizes[0], params.class_sizes[1], regime
-        )
-    )
+    if not same_transform and not orientation * (p2 - q2) > 0.0:
+        raise ValueError(f"regime-inconsistent parameters: expected p' {order} q'")
+    n1, n2 = params.class_sizes
+    constraint = not same_transform and degree_relaxation_constraint(p, q, p2, q2, n1, n2, regime)
     boundary = boundary_from_means(params.class_means)
-    orientation = 1.0 if p > q else -1.0
 
-    rates_before: list[float] = []
-    rates_after: list[float] = []
-    excluded_before: list[int] = []
-    excluded_after: list[int] = []
+    before: list[tuple[float, int]] = []  # (rate, excluded) per trial
+    after: list[tuple[float, int]] = []
     for t in range(trials):
         trial_seed = seed * 1_000_003 + 2 * t
         original = _generate(params, trial_seed)
         transformed = original.with_edges(_sample_edges(params_new, trial_seed + 1))
-        rate_b, excl_b = _misclassification_rate(original, boundary, orientation)
-        rate_a, excl_a = _misclassification_rate(transformed, boundary, orientation)
-        rates_before.append(rate_b)
-        rates_after.append(rate_a)
-        excluded_before.append(excl_b)
-        excluded_after.append(excl_a)
+        before.append(_misclassification_rate(original, boundary, orientation))
+        after.append(_misclassification_rate(transformed, boundary, orientation))
+    rates_before, excluded_before = zip(*before)
+    rates_after, excluded_after = zip(*after)
 
     return TheoremCheckReport(
         regime=regime,
         constraint_satisfied=constraint,
         trials=trials,
-        rates_before=tuple(rates_before),
-        rates_after=tuple(rates_after),
-        excluded_before=tuple(excluded_before),
-        excluded_after=tuple(excluded_after),
+        rates_before=rates_before,
+        rates_after=rates_after,
+        excluded_before=excluded_before,
+        excluded_after=excluded_after,
         seed=seed,
         params=params.to_dict(),
         params_new=params_new.to_dict(),
@@ -478,3 +457,142 @@ def phi_vs_simulation(
         "std_error": std_error,
         "within_3_std_errors": abs(simulated - closed_form) <= 3.0 * std_error,
     }
+
+
+Check = tuple[str, bool, str]  # (name, passed, detail)
+
+
+def _axis_params(settings: dict, sizes: tuple[int, int], p: float, q: float) -> CsbmParams:
+    """Two classes with means +-mean_distance/2 on the first of dim axes."""
+    mu = np.zeros(settings["dim"])
+    mu[0] = settings["mean_distance"] / 2.0
+    return CsbmParams(class_means=(tuple(mu), tuple(-mu)), class_sizes=sizes,
+                      intra_prob=p, inter_prob=q)
+
+
+@dataclass
+class _Draws:
+    """One validate call's settings and seed, and its sampled reports, each
+    made on first read: the lemma graph is drawn at most once per call."""
+
+    settings: dict
+    seed: int
+
+    @functools.cached_property
+    def lemma(self) -> dict:
+        s, nodes = self.settings, self.settings["lemma_nodes"]
+        return lemma_check(_axis_params(s, (nodes, nodes), s["p"], s["q"]), self.seed)
+
+    @functools.cached_property
+    def theorem(self) -> TheoremCheckReport:
+        s = self.settings
+        sizes = (s["n1"], s["n2"])
+        return monte_carlo_theorem_check(_axis_params(s, sizes, s["p"], s["q"]),
+                                         _axis_params(s, sizes, s["p2"], s["q2"]),
+                                         trials=s["trials"], seed=self.seed)
+
+
+def _lemma_checks(draws: _Draws) -> list[Check]:
+    s, lc = draws.settings, draws.lemma
+    midpoint, cosine = lc["midpoint_error"], abs(lc["direction_cosine"])
+    midpoint_tol, cosine_tol = s["midpoint_tol"], s["cosine_tol"]
+    return [
+        ("lemma-midpoint", midpoint <= midpoint_tol,
+         f"midpoint error {midpoint:.5f} (tol {midpoint_tol})"),
+        ("lemma-direction", cosine >= cosine_tol,
+         f"|cosine| {cosine:.6f} (tol {cosine_tol})"),
+    ]
+
+
+def _separation_checks(draws: _Draws) -> list[Check]:
+    sc = draws.lemma
+    detail = (f"empirical {sc['empirical_distance']:.5f} vs closed form "
+              f"{sc['closed_form_distance']:.5f} (rel err {sc['relative_error']:.5f})")
+    return [("separation-closed-form",
+             sc["relative_error"] <= draws.settings["separation_tol"], detail)]
+
+
+def _phi_checks(draws: _Draws) -> list[Check]:
+    s = draws.settings
+    r = phi_vs_simulation(s["p"], s["q"], s["n1"], s["n2"], s["mean_distance"],
+                          s["samples"], draws.seed)
+    detail = (f"closed form {r['closed_form']:.6f} vs simulated {r['simulated']:.6f} "
+              f"(3se {3 * r['std_error']:.6f})")
+    return [("phi-vs-simulation", r["within_3_std_errors"], detail)]
+
+
+def _theorem_checks(draws: _Draws) -> list[Check]:
+    """Passes when at least 90 % of the trials improved and the mean error fell."""
+    report, trials = draws.theorem, draws.settings["trials"]
+    need = int(np.ceil(0.9 * trials))
+    detail = (f"{report.improved_trials}/{trials} trials improved, mean "
+              f"difference {report.mean_difference:+.5f} "
+              f"(constraint {'holds' if report.constraint_satisfied else 'violated'})")
+    passed = report.improved_trials >= need and report.mean_difference > 0
+    return [("theorem-improvement", passed, detail)]
+
+
+def _constraint_checks(draws: _Draws) -> list[Check]:
+    s = draws.settings
+    p, q, p2, q2 = s["p"], s["q"], s["p2"], s["q2"]
+    n1, n2, a = s["n1"], s["n2"], s["mean_distance"]
+    regime = "homophilic" if p > q else "heterophilic"
+    holds = degree_relaxation_constraint(p, q, p2, q2, n1, n2, regime)
+    diff = misclassification_prob(p, q, n1, n2, a) - misclassification_prob(p2, q2, n1, n2, a)
+    detail = f"constraint {holds}, closed-form error change {diff:+.6f}"
+    return [("constraint-vs-phi", holds == (diff > 0), detail)]
+
+
+def _multiclass_checks(draws: _Draws) -> list[Check]:
+    p, q, a = draws.settings["p"], draws.settings["q"], draws.settings["mean_distance"]
+    grid_ok = True
+    worst = 0.0
+    rng = np.random.default_rng(draws.seed)
+    for _ in range(100):
+        gp = rng.uniform(0.01, 0.99)
+        gq = rng.uniform(0.01, 0.99)
+        ga = rng.uniform(0.1, 5.0)
+        lhs = multiclass_separation(gp, gq, 2, ga)
+        rhs = 2.0 * class_separation_distance(gp, gq, ga)
+        worst = max(worst, abs(lhs - rhs))
+        grid_ok = grid_ok and abs(lhs - rhs) <= 1e-12
+    mono = all(
+        multiclass_separation(p, q, s, a) > multiclass_separation(p, q, s + 1, a)
+        for s in range(2, 10)
+    ) if p != q and q > 0 else True
+    return [
+        ("multiclass-reduction", grid_ok, f"max |s=2 formula - binary formula| = {worst:.2e}"),
+        ("multiclass-monotone", mono, "separation strictly decreases in the class count"),
+    ]
+
+
+class Suite(NamedTuple):
+    """A suite's checks in report order, and whether it reads p2 and q2."""
+
+    checks: Callable[[_Draws], list[Check]]
+    needs_transform: bool = False
+
+
+# The --suite choices; "all" runs every suite in this order.
+SUITES: dict[str, Suite] = {
+    "lemmas": Suite(_lemma_checks),
+    "separation": Suite(_separation_checks),
+    "phi": Suite(_phi_checks),
+    "theorem": Suite(_theorem_checks, needs_transform=True),
+    "constraint": Suite(_constraint_checks, needs_transform=True),
+    "multiclass": Suite(_multiclass_checks),
+}
+
+
+def validate(
+    settings: dict, suites, seed: int
+) -> tuple[list[Check], TheoremCheckReport | None]:
+    """The (name, passed, detail) rows of `suites` (SUITES keys, in the order
+    given) on one seed, and the theorem suite's Monte Carlo report if it
+    ran. `settings` maps theory-validate's option names to values."""
+    for suite in suites:
+        if SUITES[suite].needs_transform and None in (settings.get("p2"), settings.get("q2")):
+            raise ValueError(f"suite {suite!r} needs p2 and q2")
+    draws = _Draws(settings, seed)
+    rows = [row for suite in suites for row in SUITES[suite].checks(draws)]
+    return rows, draws.theorem if "theorem" in suites else None

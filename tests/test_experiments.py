@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from graphost.experiments import (
     RepeatedArmError,
     derive_seed,
     evaluate_graph,
+    parse_seeds,
     run_ablation,
     run_delta_sweep,
     run_noise_robustness,
@@ -330,3 +335,46 @@ class TestRunnersLabelFree:
             for want, got in zip(wants, relabeled[key]):
                 assert got.base.edges.tobytes() == want.base.edges.tobytes()
                 assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
+
+
+RUNNERS = [run_ablation, run_delta_sweep, run_noise_robustness, run_random_drop_comparison]
+
+
+class TestRepeatedSeeds:
+    """A repeated seed would report copies of one run as spread across
+    seeds: the runners and scripts/run_benchmark.py refuse it, as the CLI's
+    --seed does, before any seed runs."""
+
+    @pytest.mark.parametrize("runner", RUNNERS, ids=lambda r: r.__name__)
+    def test_runner_refuses_before_any_seed_runs(self, runner):
+        drawn = []
+        with pytest.raises(ValueError, match="seed list repeats 3"):
+            runner(None, None, drawn.append, TransformConfig(mode="homophilic"), (3, 3))
+        assert drawn == []
+
+    @pytest.mark.parametrize("text, seeds", [("0", (0,)), ("2,0,1", (2, 0, 1)), (7, (7,))])
+    def test_parse_seeds(self, text, seeds):
+        assert parse_seeds(text) == seeds
+
+    @pytest.mark.parametrize("text, problem", [
+        ("3,3", "repeats 3"), ("1,2,1,2", "repeats 1, 2"), ("3,,4", "empty item"),
+        ("", "empty item"), ("x", "invalid literal"),
+    ])
+    def test_parse_seeds_refuses(self, text, problem):
+        with pytest.raises(ValueError, match=problem):
+            parse_seeds(text)
+
+    def test_run_benchmark_script_exits_2(self, tmp_path):
+        # refused while reading its arguments, so before any training
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                          env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_benchmark.py"), "--seeds", "3,3,3",
+             "--out", str(tmp_path / "never")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2
+        assert "--seeds: seed list repeats 3" in result.stderr
+        assert result.stdout == "" and not (tmp_path / "never").exists()

@@ -281,6 +281,20 @@ class TestPredictorTraining:
         with pytest.raises(ValueError, match="degenerate edge classes"):
             train_homophily_predictor(g, None, ArchitectureSpec.default("gcn", 4, 8))
 
+    @pytest.mark.parametrize("labels, edges", [
+        ([0, 0, 1, 1], [[0, 1], [2, 3]]),
+        ([0, 1, 0, 1], [[0, 1], [1, 2], [2, 3]]),
+    ], ids=["all-homophilic", "all-heterophilic"])
+    def test_single_edge_class_validation_graph_aborts(self, small_csbm, labels, edges):
+        # two node classes, but every validation edge has the same edge label
+        train, _ = small_csbm
+        val = LabeledGraph(num_nodes=4, edges=np.array(edges), features=np.eye(4, 8),
+                           labels=np.array(labels), num_classes=2)
+        _, val_labels, _ = build_edge_training_set(val)
+        assert val_labels.min() == val_labels.max()
+        with pytest.raises(ValueError, match="validation graph has a single edge class"):
+            train_homophily_predictor(train, val, ArchitectureSpec.default("gcn", 8, 8))
+
     def test_heldout_auc_on_separable_fixture(self):
         params = symmetric_binary_params(2.0, 16, (300, 300), 0.05, 0.02)
         train = generate_csbm(params, seed=10)

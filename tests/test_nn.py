@@ -454,9 +454,9 @@ FIXTURE_AND_SCORING = ("from graphost import fixtures, models\n"
 
 
 def loaded_after(tmp_path, argvs, then=""):
-    """(scipy.sparse loaded, the sparse kernels loaded) in a fresh
-    interpreter after importing graphost, running each argv through the CLI,
-    all with exit code 0, and then the code `then`."""
+    """(scipy.sparse loaded, the sparse kernels loaded, numpy.ma loaded) in a
+    fresh interpreter after importing graphost, running each argv through
+    the CLI, all with exit code 0, and then the code `then`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = ("import json, sys\n"
@@ -467,11 +467,11 @@ def loaded_after(tmp_path, argvs, then=""):
             "    assert [main(a) for a in argvs] == [0] * len(argvs)\n"
             f"{then}"
             "nn = sys.modules.get('graphost.nn')\n"
-            "print('scipy.sparse' in sys.modules, nn is not None and nn._kernels is not None)")
+            "print('scipy.sparse' in sys.modules, nn is not None and nn._kernels is not None,\n"
+            "      'numpy.ma' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
                             cwd=tmp_path, capture_output=True, text=True, check=True)
-    scipy_sparse, kernels = result.stdout.strip().splitlines()[-1].split()
-    return scipy_sparse == "True", kernels == "True"
+    return tuple(word == "True" for word in result.stdout.strip().splitlines()[-1].split())
 
 
 def scipy_scopes(node, scope):
@@ -496,25 +496,27 @@ def scipy_scopes(node, scope):
 
 class TestScipySparseNeverLoaded:
     def test_import_loads_nothing(self, tmp_path):
-        assert loaded_after(tmp_path, []) == (False, False)
+        assert loaded_after(tmp_path, []) == (False, False, False)
 
     @pytest.mark.parametrize("argvs", [
         [GENERATE],
         [["theory-validate", "--suite", "all", "--seed", "1", "--out", "th"]],
     ], ids=["generate", "theory-validate"])
     def test_commands_without_a_matrix_load_nothing(self, tmp_path, argvs):
-        assert loaded_after(tmp_path, argvs) == (False, False)
+        assert loaded_after(tmp_path, argvs) == (False, False, False)
 
     def test_commands_with_matrices_load_only_the_kernels(self, tmp_path):
+        # TRAIN is train --target both; checking that a validation graph has
+        # both edge classes must not import numpy.ma, as np.unique does
         argvs = [GENERATE, TRAIN,
                  ["transform", "--test-graph", "g/test.json", "--predictor", "t/predictor.json",
                   "--out", "o"],
                  ["evaluate", *INPUTS, "--out", "o"],
                  ["ablate", *INPUTS, "--seed", "0,1", "--out", "o"]]
-        assert loaded_after(tmp_path, argvs) == (False, True)
+        assert loaded_after(tmp_path, argvs) == (False, True, False)
 
     def test_fixture_and_scoring_load_only_the_kernels(self, tmp_path):
-        assert loaded_after(tmp_path, [], then=FIXTURE_AND_SCORING) == (False, True)
+        assert loaded_after(tmp_path, [], then=FIXTURE_AND_SCORING) == (False, True, False)
 
     def test_only_the_loader_names_scipy(self):
         scopes = {scope for path in sorted(SRC.glob("*.py"))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from graphost.cli import main as cli_main
 from graphost.csbm import CsbmParams
 from graphost.graphs import LabeledGraph
 from graphost.theory import (
+    SUITES,
     BoundarySpec,
     _misclassification_rate,
     _strict_mean,
@@ -26,6 +29,7 @@ from graphost.theory import (
     phi_vs_simulation,
     separation_check,
     std_normal_cdf,
+    validate,
 )
 
 SYMMETRIC = np.array([[1.0, 0.0], [-1.0, 0.0]])
@@ -364,3 +368,43 @@ class TestEmpiricalChecks:
     def test_phi_simulation_heterophilic(self):
         result = phi_vs_simulation(0.01, 0.02, 500, 500, 2.0, samples=50_000, seed=8)
         assert result["within_3_std_errors"]
+
+
+# theory-validate's settings as the merged options name them, small enough to run quickly
+SETTINGS = {"p": 0.02, "q": 0.01, "p2": 0.03, "q2": 0.005, "n1": 120, "n2": 100,
+            "mean_distance": 2.0, "dim": 3, "trials": 3, "samples": 3000, "lemma_nodes": 250,
+            "midpoint_tol": 0.05, "cosine_tol": 0.999, "separation_tol": 0.05}
+
+
+class TestValidate:
+    """theory.validate called with a plain settings dict, without the CLI."""
+
+    @pytest.mark.parametrize("suite", ["all", "theorem"])
+    def test_matches_the_cli_report(self, tmp_path, suite):
+        seed = 4
+        argv = ["theory-validate", "--suite", suite, "--seed", str(seed),
+                "--out", str(tmp_path), "--pin-timestamp"]
+        for key in ("p", "q", "p2", "q2", "n1", "n2", "mean_distance", "dim", "trials",
+                    "samples", "lemma_nodes"):
+            argv += ["--" + key.replace("_", "-"), str(SETTINGS[key])]
+        cfg = tmp_path / "tolerances.json"
+        cfg.write_text(json.dumps({k: SETTINGS[k] for k in SETTINGS if k.endswith("_tol")}))
+        assert cli_main(argv + ["--config", str(cfg)]) in (0, 1)
+        doc = json.loads((tmp_path / f"theory-report-pinned-{seed}.json").read_text())
+
+        suites = list(SUITES) if suite == "all" else [suite]
+        rows, report = validate(SETTINGS, suites, seed)
+        assert [list(row) for row in rows] == [
+            [c["name"], c["passed"], c["detail"]] for c in doc["checks"]]
+        assert all(type(passed) is bool for _, passed, _ in rows)
+        assert json.loads(json.dumps(report.to_dict())) == doc["theorem_report"]
+        # nothing is kept from one call to the next
+        assert validate(SETTINGS, suites, seed) == (rows, report)
+
+    def test_no_report_without_the_theorem_suite(self):
+        assert validate(SETTINGS, ["phi", "multiclass"], 0)[1] is None
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if SUITES[s].needs_transform])
+    def test_transform_suites_need_p2_and_q2(self, suite):
+        with pytest.raises(ValueError, match=f"suite '{suite}' needs p2 and q2"):
+            validate({**SETTINGS, "q2": None}, ["lemmas", suite], 0)
