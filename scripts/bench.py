@@ -29,10 +29,13 @@ Rows (times in seconds, each with its raw samples):
   pinned_outputs        one fresh child: PINNED_SEQUENCE (generate, train --target
                         both, transform, evaluate, the four harness runs and
                         theory-validate in both regimes, each --pin-timestamp)
-                        through cli.main in an empty directory; each command's
-                        exit code and stdout, and the sha256 of every file
-                        written, by relative path. Two labels' rows are equal
-                        exactly when the two checkouts write the same bytes.
+                        through cli.main in an empty directory, then
+                        RUN_BENCHMARK_SEQUENCE (scripts/run_benchmark.py at
+                        seeds 0,1 in both regimes, one child each) in the same
+                        directory; each command's exit code and stdout, and
+                        the sha256 of every file written, by relative path.
+                        Two labels' rows are equal exactly when the two
+                        checkouts write the same bytes.
 
 The rows are stored under LABEL (default: `git describe --always --dirty`)
 in the JSON object at OUT, which is created or updated in place, so one file
@@ -107,6 +110,10 @@ PINNED_SEQUENCE = [
        "--out", f"theory-{regime}"]
       for regime, (p, q, p2, q2) in (("homophilic", ("0.02", "0.01", "0.03", "0.005")),
                                      ("heterophilic", ("0.01", "0.02", "0.005", "0.03")))],
+]
+RUN_BENCHMARK_SEQUENCE = [
+    ["--seeds", "0,1", "--out", "run-benchmark-homophilic"],
+    ["--seeds", "0,1", "--heterophilic", "--out", "run-benchmark-heterophilic"],
 ]
 CLI_WORKSPACE = [
     ["generate", "--p", "0.05", "--q", "0.02", "--sizes", "300,300", "--seed", "0",
@@ -217,6 +224,13 @@ def pinned_outputs() -> dict:
                 with contextlib.redirect_stdout(stdout):
                     code = main([*argv, "--pin-timestamp"])
                 commands.append({"argv": argv, "exit": code, "stdout": stdout.getvalue()})
+            for argv in RUN_BENCHMARK_SEQUENCE:
+                done = subprocess.run(
+                    [sys.executable, str(ROOT / "scripts" / "run_benchmark.py"), *argv],
+                    env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                    capture_output=True, text=True)
+                commands.append({"argv": ["run_benchmark.py", *argv], "exit": done.returncode,
+                                 "stdout": done.stdout})
         finally:
             os.chdir(ROOT)
         files = {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

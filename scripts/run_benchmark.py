@@ -18,6 +18,7 @@ from graphost.experiments import (
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
+    write_report,
 )
 from graphost.fixtures import make_fixture
 
@@ -56,7 +57,7 @@ def main() -> int:
     }
     for name, runner in runs.items():
         report = runner(fx.classifier, fx.predictor, fx.test_graph, fx.config, seeds)
-        report.save(out / f"{name}.json", out / f"{name}.csv")
+        write_report(out, name, report.to_dict(), "", csv_rows=report.to_csv_rows())
         print(f"\n== {name}")
         for arm in report.arm_values:
             print(f"  {arm:20s} {report.mean(arm):.4f} +- {report.std(arm):.4f}")

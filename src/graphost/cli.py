@@ -4,7 +4,7 @@ Subcommands: generate | train | transform | evaluate | ablate | sweep-delta
 | noise-robustness | random-drop | theory-validate. Flag values override the
 --config JSON file, which overrides built-in defaults; each option's parser
 reads all three alike, main merges them once, and every subcommand runs on
-the merged options. One writer stamps, names and writes every report.
+the merged options; experiments.write_report writes every report.
 Verbosity comes from GRAPHOST_LOG (DEBUG/INFO/WARNING/ERROR).
 """
 
@@ -38,10 +38,10 @@ from .experiments import (
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
-    write_csv,
+    write_report,
 )
 from .graphs import LabeledGraph, edge_homophily_or_none, load_graph, save_graph
-from .jsonfile import FileFormatError, read_json, write_json
+from .jsonfile import FileFormatError, read_json
 from .metrics import hd_delta_report
 from .models import (
     ArchitectureSpec,
@@ -149,7 +149,8 @@ _OPTIONS: dict[str, _Option] = {
     "dim": _Option(16, _COUNT, help="feature dimension"),
     "means": _Option(parse=_split(_split(_float), ";"),
                      help="class means, ';'-separated comma vectors"),
-    "mean_distance": _Option(2.0, _float, help="||mu1 - mu2|| for symmetric binary means"),
+    "mean_distance": _Option(2.0, _ranged(lambda v: v > 0, "(0, inf)"),
+                             help="||mu1 - mu2|| > 0 for symmetric binary means"),
     # training
     "train_graph": _Option(help="labeled training graph"),
     "val_graph": _Option(),
@@ -229,7 +230,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
     given = {key: (value, "") for key, value in defaults.items()}
     for key, value in _load_config_file(args.config).items():
         if key not in given:
-            raise CliError(f"unknown config key {key!r}")
+            raise CliError(f"unknown config key {key!r} in config file {args.config}")
         given[key] = (value, f" in config file {args.config}")
     merged = {}
     for key, (value, source) in given.items():
@@ -251,20 +252,11 @@ def _out_dir(options: dict) -> Path:
     return out
 
 
-def _write_report(options: dict, name: str, doc: dict, seeds: tuple[int, ...] = (),
-                  csv_rows: list[list] | None = None, csv_name: str | None = None) -> None:
-    """The one report writer. Stamps `doc` with "pinned" under
-    --pin-timestamp, else the UTC time to the microsecond (two runs in one
-    second keep both reports), and writes it to <name>.json, or to
-    <name>-<stamp>-<seeds>.json given seeds, with `csv_rows` as a CSV named
-    alike after `csv_name` (default `name`)."""
-    stamp = (PINNED_TIMESTAMP if options["pin_timestamp"]
-             else datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ"))
-    suffix = f"-{stamp}-{'-'.join(map(str, seeds))}" if seeds else ""
-    out = _out_dir(options)
-    write_json(out / f"{name}{suffix}.json", doc | {"timestamp": stamp})
-    if csv_rows is not None:
-        write_csv(out / f"{csv_name or name}{suffix}.csv", csv_rows)
+def _stamp(options: dict) -> str:
+    """A report's timestamp: "pinned" under --pin-timestamp, else the UTC
+    time to the microsecond, so two runs in one second keep both reports."""
+    return (PINNED_TIMESTAMP if options["pin_timestamp"]
+            else datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ"))
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +313,11 @@ def _params_from_options(options: dict) -> CsbmParams:
     if p is None or q is None:
         raise CliError("need --params FILE or inline --p and --q")
     if options["means"] is not None:
-        return CsbmParams(class_means=options["means"], class_sizes=sizes,
-                          intra_prob=p, inter_prob=q)
+        try:
+            return CsbmParams(class_means=options["means"], class_sizes=sizes,
+                              intra_prob=p, inter_prob=q)
+        except ValueError as exc:
+            raise CliError(f"--means with --sizes makes no CSBM params: {exc}") from exc
     if len(sizes) != 2:
         raise CliError("--mean-distance only builds binary params; pass --means for s > 2")
     return symmetric_binary_params(options["mean_distance"], options["dim"], sizes, p, q)
@@ -346,7 +341,7 @@ def cmd_generate(options: dict) -> int:
         save_graph(graph, path)
         manifest["files"][split] = path.name
         manifest["edge_homophily_degree"][split] = edge_homophily_or_none(graph, graph.labels)
-    _write_report(options, "generate-manifest", manifest)
+    write_report(out, "generate-manifest", manifest, _stamp(options))
     print(f"generated train/val/test under {out} (seed {seed})")
     return 0
 
@@ -389,7 +384,7 @@ def cmd_train(options: dict) -> int:
     for name, ckpt in checkpoints.items():
         save_checkpoint(ckpt, out / f"{name}.json")
         logline[name] = ckpt.metadata
-    _write_report(options, "train-log", logline)
+    write_report(out, "train-log", logline, _stamp(options))
     written = ", ".join(f"{name}.json" for name in checkpoints)
     print(f"trained {options['target']} -> {written} under {out}")
     return 0
@@ -432,7 +427,7 @@ def cmd_transform(options: dict) -> int:
         report["hd"] = {"before": before, "after": after, "delta": delta}
         summary += f", HD {_format_hd(before)} -> {_format_hd(after)}"
     save_graph(transformed, _out_dir(options) / "transformed.json")
-    _write_report(options, "transform-report", report)
+    write_report(_out_dir(options), "transform-report", report, _stamp(options))
     print(summary)
     return 0
 
@@ -463,12 +458,12 @@ def cmd_evaluate(options: dict) -> int:
     base = evaluate_graph(classifier, test_graph, metric)
     transformed = graphost_transform(test_graph, predictor, config)
     after = evaluate_graph(classifier, transformed, metric)
-    _write_report(options, "evaluate", {
+    write_report(_out_dir(options), "evaluate", {
         "experiment": "evaluate",
         "seeds": list(seeds),
         "config": asdict(config) | {"metric": metric},
         "arms": {"base": {"value": base}, "graphost": {"value": after}},
-    }, seeds)
+    }, _stamp(options), seeds)
     print(f"{metric}: base {base:.4f} -> graphost {after:.4f}")
     return 0
 
@@ -487,8 +482,8 @@ def cmd_harness(runner: Callable, grid_key: str | None, options: dict) -> int:
                         options["metric"])
     except RepeatedArmError as exc:
         raise CliError(f"{_flag(grid_key)}: {exc}") from exc
-    _write_report(options, report.experiment, report.to_dict(), report.seeds,
-                  report.to_csv_rows())
+    write_report(_out_dir(options), report.experiment, report.to_dict(), _stamp(options),
+                 report.seeds, report.to_csv_rows())
     for arm in report.arm_values:
         print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
     return 0
@@ -522,8 +517,8 @@ def cmd_theory_validate(options: dict) -> int:
         print(f"SKIP {', '.join(skipped)}: need --p2 and --q2")
     if theorem is not None:
         doc["theorem_report"] = theorem.to_dict()
-    _write_report(options, "theory-report", doc, (seed,),
-                  None if theorem is None else theorem.to_csv_rows(), "theory-theorem")
+    write_report(_out_dir(options), "theory-report", doc, _stamp(options), (seed,),
+                 None if theorem is None else theorem.to_csv_rows(), "theory-theorem")
     failed = [c for c in checks if not c["passed"]]
     print(f"{len(checks) - len(failed)}/{len(checks)} theory checks passed")
     return 1 if failed else 0

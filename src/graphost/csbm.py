@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import LabeledGraph
-from .jsonfile import JsonObject, read_json, write_json
+from .jsonfile import JsonObject, read_json, typed, write_json
 
 __all__ = [
     "SAMPLER_VERSION",
@@ -52,9 +52,11 @@ class CsbmParams:
     inter_prob: float
 
     def __post_init__(self):
-        means = tuple(tuple(float(x) for x in m) for m in self.class_means)
+        means = tuple(tuple(float(typed(f"class_means[{k}][{i}]", x, "a number"))
+                            for i, x in enumerate(m)) for k, m in enumerate(self.class_means))
         object.__setattr__(self, "class_means", means)
-        object.__setattr__(self, "class_sizes", tuple(int(n) for n in self.class_sizes))
+        object.__setattr__(self, "class_sizes", tuple(
+            typed(f"class_sizes[{k}]", n, "an integer") for k, n in enumerate(self.class_sizes)))
         s = len(self.class_means)
         if s < 2:
             raise ValueError("need at least two classes")
@@ -71,8 +73,9 @@ class CsbmParams:
                     raise ValueError(f"class means {a} and {b} coincide")
         if any(n < 1 for n in self.class_sizes):
             raise ValueError("every class needs at least one node")
-        if not (0.0 <= self.intra_prob <= 1.0 and 0.0 <= self.inter_prob <= 1.0):
-            raise ValueError("edge probabilities must lie in [0, 1]")
+        for name in ("intra_prob", "inter_prob"):
+            if not 0.0 <= typed(name, getattr(self, name), "a number") <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
     @property
     def num_classes(self) -> int:
@@ -126,7 +129,10 @@ def symmetric_binary_params(
     inter_prob: float,
 ) -> CsbmParams:
     """Two classes with means +-u where u is spread evenly over all
-    dimensions and ||mu_1 - mu_2|| equals `mean_distance`."""
+    dimensions and ||mu_1 - mu_2|| equals `mean_distance`, which must be > 0."""
+    if not mean_distance > 0:
+        # 0 makes the means coincide, and a negative distance swaps them
+        raise ValueError(f"mean_distance must be positive, got {mean_distance}")
     u = np.full(feature_dim, mean_distance / (2.0 * np.sqrt(feature_dim)))
     return CsbmParams(
         class_means=(tuple(u), tuple(-u)),

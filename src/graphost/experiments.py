@@ -35,7 +35,7 @@ __all__ = [
     "run_noise_robustness",
     "run_delta_sweep",
     "run_random_drop_comparison",
-    "write_csv",
+    "write_report",
 ]
 
 
@@ -71,7 +71,6 @@ class ExperimentReport:
     arm_values: dict[str, tuple[float, ...]]
     config: dict
     extras: dict = field(default_factory=dict)
-    timestamp: str = ""
 
     def __post_init__(self):
         if not self.seeds:
@@ -93,7 +92,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "timestamp": self.timestamp,
             "seeds": list(self.seeds),
             "config": self.config,
             "arms": {
@@ -115,14 +113,18 @@ class ExperimentReport:
                              self.mean(arm), self.std(arm)])
         return rows
 
-    def save(self, json_path: str | Path, csv_path: str | Path) -> None:
-        write_json(json_path, self.to_dict())
-        write_csv(csv_path, self.to_csv_rows())
 
-
-def write_csv(path: str | Path, rows: list[list]) -> None:
-    """The one CSV writer: str() of each cell, comma-joined, a newline per row."""
-    Path(path).write_text("\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n")
+def write_report(out_dir: Path, name: str, doc: dict, stamp: str, seeds: tuple[int, ...] = (),
+                 csv_rows: list[list] | None = None, csv_name: str | None = None) -> None:
+    """The one report writer. Writes `doc`, stamped with "timestamp": `stamp`,
+    to <name>.json in `out_dir`, or to <name>-<stamp>-<seeds>.json given
+    seeds, and `csv_rows` as a CSV named alike after `csv_name` (default
+    `name`): str() of each cell, comma-joined, a newline per row."""
+    suffix = f"-{stamp}-{'-'.join(map(str, seeds))}" if seeds else ""
+    write_json(out_dir / f"{name}{suffix}.json", doc | {"timestamp": stamp})
+    if csv_rows is not None:
+        text = "\n".join(",".join(str(cell) for cell in row) for row in csv_rows) + "\n"
+        (out_dir / f"{csv_name or name}{suffix}.csv").write_text(text)
 
 
 GraphProvider = Callable[[int], LabeledGraph]

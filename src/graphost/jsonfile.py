@@ -12,7 +12,8 @@ every field of every file:
 - a missing required field is named, and no object repeats a key.
 
 Any breach raises the file's `FileFormatError` subclass, whose message
-names the path once, as its prefix.
+names the path once, as its prefix. `typed` holds the config types built in
+code (params, specs, optimizer and transform configs) to the same rule.
 
 Graph files hold arrays of millions of numbers, which neither direction
 builds as one nested Python list. `write_json` writes a top-level numpy
@@ -37,11 +38,12 @@ import os
 import re
 import sys
 from itertools import chain
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["FileFormatError", "JsonObject", "read_json", "write_json"]
+__all__ = ["FileFormatError", "JsonObject", "read_json", "typed", "write_json"]
 
 log = logging.getLogger(__name__)
 
@@ -217,6 +219,16 @@ def _pack(items: list, rows: bool) -> np.ndarray:
 def _is_number(value) -> bool:
     # abs() <= max also rejects NaN, and integers no float can hold
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def typed(name: str, value, shown: str):
+    """`value` if it is `shown` ("an integer", "a number" or "true or
+    false"), numpy scalars included and an integer returned as an int;
+    else a ValueError naming the field `name`. Only a switch is a bool."""
+    kind = {"an integer": Integral, "a number": Real, "true or false": bool}[shown]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {shown}, got {value!r}")
+    return int(value) if kind is Integral else value
 
 
 class JsonObject:

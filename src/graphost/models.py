@@ -25,16 +25,15 @@ Training keeps every array its backward pass reads.
 from __future__ import annotations
 
 import base64
-import binascii
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Generator
+from typing import Callable
 
 import numpy as np
 
 from .graphs import LabeledGraph
-from .jsonfile import FileFormatError, JsonObject, read_json, write_json
+from .jsonfile import FileFormatError, JsonObject, read_json, typed, write_json
 from .metrics import accuracy, roc_auc
 from .nn import (
     AdamState,
@@ -92,7 +91,8 @@ class ArchitectureSpec:
     def __post_init__(self):
         if self.kind not in ("gcn", "mlp"):
             raise ValueError(f"kind must be 'gcn' or 'mlp', got {self.kind!r}")
-        dims = tuple(int(d) for d in self.layer_dims)
+        dims = tuple(typed(f"layer_dims[{i}]", d, "an integer")
+                     for i, d in enumerate(self.layer_dims))
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 3:
             raise ValueError("need at least two layers (three dimension entries)")
@@ -135,12 +135,13 @@ class OptimizerConfig:
 
     def __post_init__(self):
         # A learning rate of 0 is legal: it keeps the initial parameters.
-        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be at least 1, got {self.max_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be at least 1, got {self.patience}")
+        rate = typed("learning_rate", self.learning_rate, "a number")
+        if not (np.isfinite(rate) and rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {rate}")
+        for name in ("max_epochs", "patience"):
+            object.__setattr__(self, name, typed(name, getattr(self, name), "an integer"))
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {
@@ -196,10 +197,6 @@ def _aggregator(
     return MeanAggregator(graph, edge_weights, self_loops=True) if spec.kind == "gcn" else None
 
 
-def _layer_activations(spec: ArchitectureSpec) -> list[str]:
-    return [spec.activation] * (spec.num_layers - 1) + ["identity"]
-
-
 def network_forward(
     spec: ArchitectureSpec,
     params: dict[str, np.ndarray],
@@ -219,7 +216,8 @@ def network_forward(
             f"feature dim {h.shape[1]} does not match spec input {spec.input_dim}"
         )
     cache: list[dict] = []
-    for layer, act_name in enumerate(_layer_activations(spec)):
+    for layer in range(spec.num_layers):
+        act_name = spec.activation if layer < spec.num_layers - 1 else "identity"
         act, _ = _ACTIVATIONS[act_name]
         weight = params[f"W{layer}"]
         agg_in = aggregator.apply(h) if spec.kind == "gcn" else h
@@ -272,19 +270,14 @@ def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def _fit(
-    spec: ArchitectureSpec, optimizer: OptimizerConfig, seed: int, passes: Generator,
+    spec: ArchitectureSpec, optimizer: OptimizerConfig, seed: int, features: np.ndarray,
+    aggregator: MeanAggregator | None, head: Callable[[np.ndarray], tuple[float, Callable]],
     val_metric: Callable[[dict], float], metric_name: str, metadata: dict,
 ) -> Checkpoint:
     """Adam from init_params(spec, seed), early-stopped when val_metric has
-    not improved for `patience` epochs; keeps the best parameters.
-
-    `passes` is the trainer's generator of training passes. Each epoch it
-    is sent the parameters and yields the forward pass's loss, then on
-    next() that pass's gradients, so a non-finite loss stops before backprop.
-    Its locals live until the next epoch overwrites them, as a plain loop's
-    would: freeing each pass's arrays sooner tripled the page faults of
-    predictor training.
-    """
+    not improved for `patience` epochs; keeps the best parameters. `head`
+    maps the output on `features` to the loss and a backward() giving
+    d(loss)/d(output), which runs only if the loss is finite."""
     params = init_params(spec, seed)
     adam = AdamState.for_params(params, optimizer.learning_rate)
     best_params = _copy_params(params)
@@ -293,12 +286,15 @@ def _fit(
     bad_epochs = 0
     loss_tail: list[float] = []
     stop = "max_epochs"
-    next(passes)
+    # Each epoch's arrays live until the next epoch overwrites them: freeing
+    # them sooner tripled the page faults of predictor training.
     for epoch in range(1, optimizer.max_epochs + 1):
-        loss = passes.send(params)
+        out, cache = network_forward(spec, params, features, aggregator, with_cache=True)
+        loss, backward = head(out)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
-        grads = next(passes)
+        grad_out = backward()
+        grads = network_backward(spec, params, cache, grad_out, aggregator)
         params = adam_step(params, grads, adam)
         loss_tail = (loss_tail + [loss])[-10:]
         metric = val_metric(params)
@@ -344,23 +340,16 @@ def train_classifier(
     train_agg = _aggregator(spec, train_graph)
     val_agg = _aggregator(spec, val_graph)
 
-    def training_passes():
-        p = yield
-        while True:
-            logits, cache = network_forward(
-                spec, p, train_graph.features, train_agg, with_cache=True
-            )
-            loss, grad_logits = cross_entropy_loss(logits, train_graph.labels)
-            yield loss
-            grads = network_backward(spec, p, cache, grad_logits, train_agg)
-            p = yield grads
+    def cross_entropy(logits):
+        loss, grad_logits = cross_entropy_loss(logits, train_graph.labels)
+        return loss, lambda: grad_logits
 
     def val_accuracy(p):
         logits = network_forward(spec, p, val_graph.features, val_agg)
         return accuracy(np.argmax(logits, axis=1), val_graph.labels)
 
-    return _fit(spec, optimizer, seed, training_passes(), val_accuracy, "val_accuracy",
-                {"trained_as": "classifier"})
+    return _fit(spec, optimizer, seed, train_graph.features, train_agg, cross_entropy,
+                val_accuracy, "val_accuracy", {"trained_as": "classifier"})
 
 
 def classifier_logits(
@@ -515,30 +504,22 @@ def train_homophily_predictor(
     n, out_dim = train_graph.num_nodes, spec.output_dim
     adjacency = EdgeAdjacency(fit_edges, n)
 
-    def training_passes():
-        p = yield
-        while True:
-            z, cache = network_forward(
-                spec, p, train_graph.features, train_agg, with_cache=True
-            )
-            scores, ctx = _edge_scores_with_cache(z, fit_edges)
-            if loss == "wbce":
-                loss_value, grad_scores = wbce_loss(scores, fit_labels, alpha)
-            else:
-                loss_value, grad_scores = bce_loss(scores, fit_labels)
-            yield loss_value
-            grad_z = _edge_scores_backward(grad_scores, fit_edges, scores, ctx, n, out_dim,
-                                           adjacency)
-            grads = network_backward(spec, p, cache, grad_z, train_agg)
-            p = yield grads
+    def edge_bce(z):
+        scores, ctx = _edge_scores_with_cache(z, fit_edges)
+        if loss == "wbce":
+            loss_value, grad_scores = wbce_loss(scores, fit_labels, alpha)
+        else:
+            loss_value, grad_scores = bce_loss(scores, fit_labels)
+        return loss_value, lambda: _edge_scores_backward(grad_scores, fit_edges, scores, ctx,
+                                                         n, out_dim, adjacency)
 
     def val_auc(p):
         z = network_forward(spec, p, val_feats, val_agg)
         scores, _ = _edge_scores_with_cache(z, val_edges)
         return roc_auc(scores, val_labels.astype(np.int64))
 
-    return _fit(spec, optimizer, seed, training_passes(), val_auc, "val_roc_auc",
-                {"trained_as": "predictor", "alpha": alpha, "loss": loss})
+    return _fit(spec, optimizer, seed, train_graph.features, train_agg, edge_bce, val_auc,
+                "val_roc_auc", {"trained_as": "predictor", "alpha": alpha, "loss": loss})
 
 
 def edge_homophily_scores(
@@ -571,9 +552,10 @@ def _decode_tensor(tensors: JsonObject, name: str, shape: tuple[int, ...]) -> np
     declared = tuple(tensor.array("shape", (None,), "integer", "a list of integers").tolist())
     if declared != shape:
         tensors.fail(f"{name} has shape {declared}, spec wants {shape}")
+    text = tensor.text("data_b64")
     try:
-        raw = base64.b64decode(tensor.text("data_b64"), validate=True)
-    except binascii.Error as exc:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
         tensors.fail(f"tensor {name!r}: data_b64 is not base64 ({exc})")
     if len(raw) != 8 * int(np.prod(shape)):
         tensors.fail(f"tensor {name!r}: {len(raw)} bytes for shape {shape}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import LabeledGraph, WeightedGraph
-from .jsonfile import JsonObject
+from .jsonfile import JsonObject, typed
 from .models import Checkpoint, EdgeScoreTable, edge_homophily_scores
 
 __all__ = [
@@ -41,7 +41,9 @@ class TransformConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 <= self.delta < 1.0:
+        for name in ("enable_weighting", "enable_filtering"):
+            typed(name, getattr(self, name), "true or false")
+        if not 0.0 <= typed("delta", self.delta, "a number") < 1.0:
             raise ValueError(f"delta must lie in [0, 1), got {self.delta}")
 
 

@@ -940,6 +940,25 @@ class TestUsageErrors:
             assert f"bad params file {path}" in err and field in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("name, args, shown", [
+        ("generate", ["--mean-distance", "-2"], "--mean-distance"),
+        ("generate", ["--mean-distance", "0"], "--mean-distance"),
+        ("generate", ["--means", "1,0;1,0"], "--means"),
+        ("generate", ["--means", "1,0;0"], "--means"),
+        ("generate", ["--sizes", "300,300,300", "--means", "1,0;0,1"], "--means"),
+        ("generate", ["--sizes", "300,300,300"], "--mean-distance"),
+        ("theory-validate", ["--mean-distance", "-1", "--suite", "multiclass"],
+         "--mean-distance"),
+    ])
+    def test_inline_csbm_flags_that_make_no_params_are_usage_errors(self, tmp_path, capsys,
+                                                                    name, args, shown):
+        # a negative distance used to write graphs with the class means swapped
+        out = tmp_path / "never"
+        assert run([name, "--p", "0.1", "--q", "0.05", *args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and shown in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--epochs", "0"), ("--patience", "0"), ("--lr", "-1"), ("--lr", "inf"),
     ])
@@ -993,6 +1012,7 @@ BAD_CONFIG_VALUES = [
     ({"lr"}, [-1e-3]),  # at least 0
     (PROBABILITY_OPTIONS, [1.5, -0.1]),
     ({"delta"}, [1.0, -0.1]),  # in [0, 1)
+    ({"mean_distance"}, [0, -2]),  # in (0, inf): 0 makes the means coincide, < 0 swaps them
     (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
     (SWITCH_OPTIONS, [1, "true"]),
     (PATH_OPTIONS, [5, ["a"]]),

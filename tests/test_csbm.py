@@ -60,6 +60,38 @@ class TestParams:
         with pytest.raises(ValueError, match=field):
             CsbmParams.from_dict(doc)
 
+    @pytest.mark.parametrize("field, value, shown", [
+        ("class_means", ((1.0, True), (-1.0, 0.0)), r"class_means\[0\]\[1\]"),
+        ("class_means", ((1.0, 0.0), ("-1", 0.0)), r"class_means\[1\]\[0\]"),
+        ("class_sizes", (300.7, 300), r"class_sizes\[0\]"),
+        ("class_sizes", (300, 300.0), r"class_sizes\[1\]"),
+        ("class_sizes", ("3", 300), r"class_sizes\[0\]"),
+        ("class_sizes", (True, 300), r"class_sizes\[0\]"),
+        ("intra_prob", True, "intra_prob"),
+        ("intra_prob", "0.1", "intra_prob"),
+        ("inter_prob", False, "inter_prob"),
+        ("inter_prob", 1.5, "inter_prob"),
+    ])
+    def test_fields_are_not_cast(self, field, value, shown):
+        # no field is silently reinterpreted: a float or bool count, a bool
+        # or string number is refused by name
+        fields = {"class_means": ((1.0, 0.0), (-1.0, 0.0)), "class_sizes": (3, 3),
+                  "intra_prob": 0.2, "inter_prob": 0.05}
+        with pytest.raises(ValueError, match=shown):
+            CsbmParams(**fields | {field: value})
+
+    def test_numpy_scalars_are_numbers(self):
+        params = CsbmParams(((np.float64(1.0), np.int64(0)), (-1.0, 0.0)),
+                            (np.int64(3), np.int32(4)), np.float64(0.2), 0.05)
+        assert params.class_sizes == (3, 4) and type(params.class_sizes[0]) is int
+        assert json.dumps(params.to_dict())
+
+    @pytest.mark.parametrize("distance", [0.0, -2.0, -1e-300, float("nan")])
+    def test_symmetric_params_refuse_non_positive_distance(self, distance):
+        # 0 would make the means coincide and a negative distance swap them
+        with pytest.raises(ValueError, match="mean_distance must be positive"):
+            symmetric_binary_params(distance, 4, (10, 10), 0.5, 0.1)
+
     def test_symmetric_means_distance(self):
         params = symmetric_binary_params(2.0, 16, (10, 10), 0.5, 0.1)
         mu = np.asarray(params.class_means)

@@ -21,6 +21,7 @@ from graphost.experiments import (
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
+    write_report,
 )
 from graphost.fixtures import make_fixture
 from graphost.graphs import inject_structural_noise, random_edge_drop
@@ -49,16 +50,24 @@ class TestExperimentReport:
             seeds=(0, 1),
             arm_values={"base": (0.5, 0.7)},
             config={"metric": "accuracy"},
-            timestamp="pinned",
         )
         assert report.mean("base") == pytest.approx(0.6)
         assert report.std("base") == pytest.approx(np.std([0.5, 0.7], ddof=1))
-        report.save(tmp_path / "r.json", tmp_path / "r.csv")
+        write_report(tmp_path, "r", report.to_dict(), "", csv_rows=report.to_csv_rows())
         doc = json.loads((tmp_path / "r.json").read_text())
         assert doc["arms"]["base"]["values"] == [0.5, 0.7]
+        assert doc["timestamp"] == ""
         lines = (tmp_path / "r.csv").read_text().splitlines()
         assert lines[0].startswith("experiment,arm,seed,value")
         assert len(lines) == 3
+
+    def test_writer_names_files_by_stamp_and_seeds(self, tmp_path):
+        write_report(tmp_path, "r", {"a": 1}, "pinned", (3, 4), [["x", 0.5], [1, None]], "c")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c-pinned-3-4.csv",
+                                                             "r-pinned-3-4.json"]
+        doc = (tmp_path / "r-pinned-3-4.json").read_text()
+        assert doc == '{"a": 1, "timestamp": "pinned"}'
+        assert (tmp_path / "c-pinned-3-4.csv").read_text() == "x,0.5\n1,None\n"
 
     def test_single_seed_std_zero(self):
         report = ExperimentReport(

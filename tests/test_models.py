@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+import graphost.models as models
 from graphost.csbm import generate_csbm, symmetric_binary_params
 from graphost.graphs import LabeledGraph
 from graphost.metrics import accuracy, roc_auc
@@ -28,9 +29,20 @@ from graphost.models import (
     _EDGE_BLOCK,
     _edge_scores_backward,
     _edge_scores_with_cache,
+    _holdout_split,
+    network_backward,
     network_forward,
 )
-from graphost.nn import _ACTIVATIONS, EdgeAdjacency, MeanAggregator
+from graphost.nn import (
+    _ACTIVATIONS,
+    AdamState,
+    EdgeAdjacency,
+    MeanAggregator,
+    adam_step,
+    bce_loss,
+    cross_entropy_loss,
+    wbce_loss,
+)
 
 from conftest import assert_same_csr, csbm_20k, csr_bytes, traced_peak
 
@@ -63,6 +75,18 @@ class TestArchitectureSpec:
         with pytest.raises(ValueError, match="positive"):
             ArchitectureSpec(kind="gcn", layer_dims=(4, 0, 2))
 
+    @pytest.mark.parametrize("dims, shown", [
+        ((16, 2.5, 2), r"layer_dims\[1\]"), ((16, True, 2), r"layer_dims\[1\]"),
+        (("16", 8, 2), r"layer_dims\[0\]"), ((16, 8, 2.0), r"layer_dims\[2\]"),
+    ])
+    def test_layer_dims_are_not_cast(self, dims, shown):
+        with pytest.raises(ValueError, match=shown + " must be an integer"):
+            ArchitectureSpec("gcn", dims)
+
+    def test_numpy_integer_dims_are_ints(self):
+        spec = ArchitectureSpec("gcn", (np.int64(16), np.int32(8), 2))
+        assert spec.layer_dims == (16, 8, 2) and type(spec.layer_dims[0]) is int
+
     def test_default_builder(self):
         spec = ArchitectureSpec.default("gcn", 16, 3, hidden=32, num_layers=4)
         assert spec.layer_dims == (16, 32, 32, 32, 3)
@@ -82,10 +106,24 @@ class TestOptimizerConfig:
         ({"learning_rate": -1.0}, "learning_rate"),
         ({"learning_rate": float("nan")}, "learning_rate"),
         ({"learning_rate": float("inf")}, "learning_rate"),
+        # mistyped: no field is silently reinterpreted or fails later in training
+        ({"max_epochs": 2.5}, "max_epochs"),
+        ({"max_epochs": True}, "max_epochs"),
+        ({"max_epochs": "10"}, "max_epochs"),
+        ({"patience": 1.5}, "patience"),
+        ({"patience": True}, "patience"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"learning_rate": "0.01"}, "learning_rate"),
     ])
     def test_out_of_range_field_raises(self, fields, name):
         with pytest.raises(ValueError, match=name):
             OptimizerConfig(**fields)
+
+    def test_numpy_counts_are_ints(self):
+        config = OptimizerConfig(learning_rate=np.float64(0.1), max_epochs=np.int64(3),
+                                 patience=np.int32(2))
+        assert config.to_dict() == {"learning_rate": 0.1, "max_epochs": 3, "patience": 2}
+        assert type(config.max_epochs) is int and type(config.patience) is int
 
     def test_zero_learning_rate_is_legal(self):
         assert OptimizerConfig(learning_rate=0.0, max_epochs=1, patience=1).learning_rate == 0.0
@@ -358,6 +396,145 @@ class TestTrainingLog:
         ]
         assert meta["epochs_run"] == (5 if stop == "max_epochs" else 3)
         assert "stop" not in meta
+
+
+def reference_fit(spec, optimizer, seed, graph, loss_and_grad, val_metric, metric_name,
+                  metadata):
+    """Training as a plain loop over the public pieces, kept as oracle:
+    forward, loss and its output gradient, backward, one Adam step, then the
+    validation metric, the best parameters kept, patience and max-epochs
+    stopping."""
+    agg = MeanAggregator(graph, self_loops=True) if spec.kind == "gcn" else None
+    params = init_params(spec, seed)
+    adam = AdamState.for_params(params, optimizer.learning_rate)
+    best_params, best_metric, best_epoch = dict(params), val_metric(params), 0
+    losses, bad_epochs = [], 0
+    for epoch in range(1, optimizer.max_epochs + 1):
+        out, cache = network_forward(spec, params, graph.features, agg, with_cache=True)
+        loss, grad_out = loss_and_grad(out)
+        params = adam_step(params, network_backward(spec, params, cache, grad_out, agg), adam)
+        losses.append(loss)
+        metric = val_metric(params)
+        if metric > best_metric:
+            best_params, best_metric, best_epoch, bad_epochs = dict(params), metric, epoch, 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= optimizer.patience:
+                break
+    return Checkpoint(spec=spec, params=best_params, metadata=metadata | {
+        "seed": seed, "epochs_run": epoch, "best_epoch": best_epoch, metric_name: best_metric,
+        "loss_tail": losses[-10:], "optimizer": optimizer.to_dict()})
+
+
+def reference_classifier(train, val, spec, optimizer, seed):
+    val_agg = MeanAggregator(val, self_loops=True) if spec.kind == "gcn" else None
+
+    def val_accuracy(params):
+        logits = network_forward(spec, params, val.features, val_agg)
+        return accuracy(np.argmax(logits, axis=1), val.labels)
+
+    return reference_fit(spec, optimizer, seed, train,
+                         lambda logits: cross_entropy_loss(logits, train.labels),
+                         val_accuracy, "val_accuracy", {"trained_as": "classifier"})
+
+
+def reference_predictor(train, val, spec, optimizer, seed, loss):
+    edges, labels, alpha = build_edge_training_set(train)
+    if val is None:
+        fit_idx, held_idx = _holdout_split(labels, 0.1, seed)
+        fit_edges, fit_labels = edges[fit_idx], labels[fit_idx]
+        val, (val_edges, val_labels) = train, (edges[held_idx], labels[held_idx])
+    else:
+        fit_edges, fit_labels = edges, labels
+        val_edges, val_labels, _ = build_edge_training_set(val)
+    val_agg = MeanAggregator(val, self_loops=True) if spec.kind == "gcn" else None
+
+    def loss_and_grad(z):
+        scores, ctx = _edge_scores_with_cache(z, fit_edges)
+        value, grad_scores = (wbce_loss(scores, fit_labels, alpha) if loss == "wbce"
+                              else bce_loss(scores, fit_labels))
+        return value, _edge_scores_backward(grad_scores, fit_edges, scores, ctx,
+                                            train.num_nodes, spec.output_dim)
+
+    def val_auc(params):
+        z = network_forward(spec, params, val.features, val_agg)
+        return roc_auc(_edge_scores_with_cache(z, val_edges)[0], val_labels.astype(np.int64))
+
+    return reference_fit(spec, optimizer, seed, train, loss_and_grad, val_auc, "val_roc_auc",
+                         {"trained_as": "predictor", "alpha": alpha, "loss": loss})
+
+
+def assert_same_checkpoint(got, want):
+    assert got.spec == want.spec
+    assert got.params.keys() == want.params.keys()
+    for name in want.params:
+        assert got.params[name].tobytes() == want.params[name].tobytes(), name
+    assert got.metadata == want.metadata
+    assert repr(got.metadata) == repr(want.metadata)  # floats bit for bit, types alike
+
+
+# (optimizer, how it stops): the loop must end both ways
+OPTIMIZERS = [(OptimizerConfig(max_epochs=12, patience=50), "max_epochs"),
+              (OptimizerConfig(learning_rate=0.05, max_epochs=300, patience=4), "patience")]
+
+
+class TestTrainingLoopOracle:
+    """The trainers equal the plain reference loop checkpoint for checkpoint,
+    bit for bit, metadata included."""
+
+    @pytest.mark.parametrize("optimizer, stop", OPTIMIZERS, ids=["max-epochs", "patience"])
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    def test_classifier(self, small_csbm, kind, optimizer, stop):
+        train, val = small_csbm
+        spec = ArchitectureSpec.default(kind, 8, 2, hidden=16)
+        got = train_classifier(train, val, spec, optimizer, seed=3)
+        assert_same_checkpoint(got, reference_classifier(train, val, spec, optimizer, 3))
+        assert (got.metadata["epochs_run"] < optimizer.max_epochs) == (stop == "patience")
+
+    @pytest.mark.parametrize("optimizer, stop", OPTIMIZERS, ids=["max-epochs", "patience"])
+    @pytest.mark.parametrize("validation", ["graph", "holdout"])
+    @pytest.mark.parametrize("loss", ["wbce", "bce"])
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    def test_predictor(self, small_csbm, kind, loss, validation, optimizer, stop):
+        train, val = small_csbm
+        val = val if validation == "graph" else None
+        spec = ArchitectureSpec.default(kind, 8, 16, hidden=16)
+        got = train_homophily_predictor(train, val, spec, optimizer, seed=3, loss=loss)
+        want = reference_predictor(train, val, spec, optimizer, 3, loss)
+        assert_same_checkpoint(got, want)
+        assert (got.metadata["epochs_run"] < optimizer.max_epochs) == (stop == "patience")
+
+    @pytest.mark.parametrize("loss", [None, "wbce", "bce"], ids=["classifier", "wbce", "bce"])
+    def test_non_finite_loss_raises_before_backward(self, small_csbm, monkeypatch, loss):
+        train, val = small_csbm
+        calls = []
+
+        def record(name, poison_at=None):
+            fn = getattr(models, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                result = fn(*args, **kwargs)
+                return (float("nan"), result[1]) if calls.count(name) == poison_at else result
+
+            monkeypatch.setattr(models, name, wrapper)
+
+        loss_name = "cross_entropy_loss" if loss is None else f"{loss}_loss"
+        record(loss_name, poison_at=3)
+        record("network_backward")
+        record("_edge_scores_backward")
+        optimizer = OptimizerConfig(max_epochs=10, patience=50)
+        with pytest.raises(RuntimeError,
+                           match=r"^training diverged: loss is not finite at epoch 3$"):
+            if loss is None:
+                train_classifier(train, val, ArchitectureSpec.default("gcn", 8, 2), optimizer)
+            else:
+                train_homophily_predictor(train, val, ArchitectureSpec.default("gcn", 8, 8),
+                                          optimizer, loss=loss)
+        # epochs 1 and 2 ran their backward passes; epoch 3 stopped at its loss
+        assert calls[-1] == loss_name and calls.count(loss_name) == 3
+        assert calls.count("network_backward") == 2
+        assert calls.count("_edge_scores_backward") == (0 if loss is None else 2)
 
 
 class TestEdgeScores:

@@ -284,6 +284,16 @@ class TestTransformConfig:
             "enable_filtering": True,
         }
 
+    @pytest.mark.parametrize("field, value", [
+        ("enable_weighting", "no"), ("enable_weighting", 1), ("enable_weighting", None),
+        ("enable_filtering", 0), ("enable_filtering", np.bool_(False)),
+        ("delta", False), ("delta", "0.3"), ("delta", None),
+    ])
+    def test_fields_are_not_cast(self, field, value):
+        # a switch takes a bool only, and a bool is never a number
+        with pytest.raises(ValueError, match=field):
+            TransformConfig(mode="homophilic", **{field: value})
+
     def test_mode_is_required_and_resolved(self):
         with pytest.raises(TypeError, match="mode"):
             TransformConfig()
