@@ -7,6 +7,9 @@ Rows (times in seconds, each with its raw samples):
   import_s              `import graphost` in a fresh interpreter, median of 5
                         (timed inside the child, so interpreter start-up is out)
   src_lines             lines of src/**/*.py
+  src_code_lines        lines of src/**/*.py that are not blank, not
+                        comment-only and not inside a module, class or
+                        function docstring (found with ast)
   theory_validate_s     per feature width (--dim 2 and 16): `theory-validate
                         --suite theorem` at the homophilic point of
                         scripts/run_theory_suite.py (seed 1), one call of
@@ -15,8 +18,10 @@ Rows (times in seconds, each with its raw samples):
   pipeline_peak_mb      per rung (n = 20k and 200k), one fresh child each: the
                         run_benchmark.py fixture's predictor and classifier on a
                         2 x n/2-node CSBM of mean degree ~21, p/q = 2.5, 16-dim
-                        features; the process high-water mark (VmHWM, read from
-                        /proc/self/status) and the seconds of each stage:
+                        features, drawn as the fixture's test graph of seed 0
+                        with those CSBM params; the process high-water mark
+                        (VmHWM, read from /proc/self/status) and the seconds
+                        of each stage:
                         setup (fixture training), generate + perturb, transform
                         (delta = 0.3) and classify (base and transformed graph)
   cli_start_s           per command (transform and evaluate): spawn to exit
@@ -53,11 +58,12 @@ Usage: python3 scripts/bench.py OUT [--label LABEL]
 """
 
 import argparse
+import ast
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
-import math
 import os
 import platform
 import statistics
@@ -182,9 +188,9 @@ def cli_start() -> dict:
 
 def pipeline_rung(nodes_per_class: int) -> dict:
     """One pipeline_peak_mb rung in this process. Every graph and result
-    stays alive to the end, as in a caller that holds its inputs and
-    outputs."""
-    from graphost import csbm, experiments, fixtures, models, transform
+    it is handed stays alive to the end, as in a caller that holds its
+    inputs and outputs."""
+    from graphost import csbm, fixtures, models, transform
 
     stages: dict = {}
     start = time.perf_counter()
@@ -200,8 +206,7 @@ def pipeline_rung(nodes_per_class: int) -> dict:
     m = nodes_per_class
     q = (0.05 * 299 + 0.02 * 300) / (2.5 * (m - 1) + m)  # the fixture's mean degree
     params = csbm.symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q)
-    clean = csbm.generate_csbm(params, experiments.derive_seed(0, 100))
-    noisy = csbm.perturb_features(clean, math.sqrt(0.5), experiments.derive_seed(0, 7_000_000))
+    noisy = dataclasses.replace(fx, params=params).test_graph(0)
     stage("generate_perturb")
     out = transform.graphost_transform(noisy, fx.predictor, fx.config)
     stage("transform")
@@ -209,6 +214,22 @@ def pipeline_rung(nodes_per_class: int) -> dict:
     full = models.predict_labels(fx.classifier, out.base, out.edge_weights)
     stage("classify")
     return {"nodes": 2 * m, "edges": noisy.num_edges, "stages": stages}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of `path` that are not blank, not comment-only and not inside a
+    module, class or function docstring."""
+    source = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#")
+               and number not in docstrings)
 
 
 def pinned_outputs() -> dict:
@@ -245,7 +266,8 @@ def measure() -> dict:
     tier1, log = _run([sys.executable, "-m", "pytest", "-q",
                        "--continue-on-collection-errors", "-p", "no:cacheprovider"])
     imports = [float(_run([sys.executable, "-c", IMPORT_PROBE])[1]) for _ in range(5)]
-    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src").rglob("*.py"))
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    lines = sum(len(p.read_text().splitlines()) for p in sources)
     theory = {f"dim={dim}": _median_row([
         float(_run([sys.executable, "-c", THEORY_PROBE, *THEORY_FLAGS, "--dim", dim])[1])
         for _ in range(5)]) for dim in ("2", "16")}
@@ -257,6 +279,7 @@ def measure() -> dict:
         "tier1_s": {"seconds": tier1, "summary": log.strip().splitlines()[-1], "unit": "s"},
         "import_s": _median_row(imports),
         "src_lines": {"value": lines, "unit": "lines"},
+        "src_code_lines": {"value": sum(map(code_lines, sources)), "unit": "lines"},
         "theory_validate_s": theory,
         "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
         "cli_start_s": cli_start(),

@@ -72,10 +72,13 @@ def _text(value) -> str:
 
 
 def _int(value) -> int:
-    """Integer text, or a JSON integer (not a bool)."""
+    """Integer text, or a JSON integer (not a bool), within int64."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError("expected an integer")
-    return int(value)
+    number = int(value)
+    if not -2**63 <= number < 2**63:
+        raise ValueError("lies outside int64")
+    return number
 
 
 def _float(value) -> float:
@@ -642,6 +645,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a count that fits int64 but not in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

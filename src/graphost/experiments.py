@@ -1,19 +1,19 @@
 """Seeded experiment harness: ablation arms, structural-noise robustness,
 filtering-ratio sweeps, and the random-drop comparison.
 
-Every arm within an experiment reuses the same per-seed streams, so arm
-differences are attributable to the method rather than sampling. Arms that
-transform the same graph share one EdgeScoreTable: the graph is scored once
-and each arm's config is applied to those scores. Test
-graphs are supplied either as a single labeled graph or as a callable
-seed -> graph, which lets each seed evaluate a fresh test sample.
+Each runner is a per-seed function one_seed(seed, graph, score) returning
+({arm: metric}, extras), run for every seed by _run_arms. Arms reuse the
+seed's streams, so arm differences come from the method, not sampling; arms
+that transform one graph share one EdgeScoreTable, scored once, and apply
+their configs to those scores. Test graphs are a single labeled graph or a
+callable seed -> graph, which lets each seed evaluate a fresh test sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -172,37 +172,28 @@ def _grid_arms(prefix: str, grid: tuple[float, ...]) -> list[str]:
 def _run_arms(
     experiment: str, classifier: Checkpoint, test_graphs: LabeledGraph | GraphProvider,
     config: TransformConfig, seeds: tuple[int, ...], metric: str,
-    arms: Callable[[int, LabeledGraph, dict], Iterator[tuple[str, LabeledGraph | WeightedGraph]]],
-    grid: dict | None = None, extras: tuple[str, ...] = (),
+    one_seed: Callable[[int, LabeledGraph, Callable], tuple[dict, dict]], grid: dict | None = None,
 ) -> ExperimentReport:
-    """The seed x arm loop: arms(seed, graph, found) yields (arm, graph) in
-    report order for each seed's test graph, each yielded graph evaluated
-    before the next is made, and sets that seed's `extras` keys in `found`.
-    Seeds are independent, so they may run side by side (map_in_order);
-    values and extras are assembled in seed order, the bits of a plain loop.
-    `grid` joins the report's config block. A repeated seed is refused
-    before any seed runs."""
+    """The seed x arm loop; a repeated seed is refused before any seed runs.
+    one_seed(seed, graph, score) returns the seed's {arm: metric} in report
+    order and its extras, scoring each arm's graph by score(graph) =
+    evaluate_graph(classifier, graph, metric) before it builds the next.
+    Seeds are independent and may run side by side (map_in_order); values and
+    extras join in seed order, the bits of a plain loop; `grid` joins config."""
     seeds = _distinct(tuple(seeds))
-    provider = test_graphs if callable(test_graphs) else lambda _seed: test_graphs
 
-    def one_seed(seed: int) -> tuple[list[tuple[str, float]], dict]:
-        found: dict = {}
-        values = [(arm, evaluate_graph(classifier, graph, metric))
-                  for arm, graph in arms(seed, provider(seed), found)]
-        return values, found
+    def run(seed: int) -> tuple[dict, dict]:
+        graph = test_graphs(seed) if callable(test_graphs) else test_graphs
+        return one_seed(seed, graph, lambda g: evaluate_graph(classifier, g, metric))
 
-    per_seed = map_in_order(one_seed, seeds)
     values: dict[str, list[float]] = {}
-    for seed_values, _ in per_seed:
-        for arm, value in seed_values:
-            values.setdefault(arm, []).append(value)
-    return ExperimentReport(
-        experiment=experiment,
-        seeds=seeds,
-        arm_values={a: tuple(v) for a, v in values.items()},
-        config=asdict(config) | {"metric": metric} | (grid or {}),
-        extras={key: [found[key] for _, found in per_seed] for key in extras},
-    )
+    extras: dict[str, list] = {}
+    for seed_dicts in map_in_order(run, seeds):
+        for column, seed_dict in zip((values, extras), seed_dicts):
+            for key, value in seed_dict.items():
+                column.setdefault(key, []).append(value)
+    return ExperimentReport(experiment, seeds, {a: tuple(v) for a, v in values.items()},
+                            asdict(config) | {"metric": metric} | (grid or {}), extras)
 
 
 def run_ablation(
@@ -221,18 +212,16 @@ def run_ablation(
         "full": replace(config, enable_weighting=True, enable_filtering=True),
     }
 
-    def arms(seed, graph, found):
-        yield "base", graph  # evaluating it checked that graph has labels
+    def one_seed(seed, graph, score):
+        values = {"base": score(graph)}  # scoring it checked that graph has labels
         scores = edge_homophily_scores(predictor, graph)
         for arm, arm_cfg in arm_configs.items():
             transformed = graphost_transform(graph, scores, arm_cfg)
-            yield arm, transformed
-        # the loop ends on the full arm
-        found["hd_before"], found["hd_after_full"], _ = hd_delta_report(
-            graph, transformed, graph.labels)
+            values[arm] = score(transformed)
+        before, after, _ = hd_delta_report(graph, transformed, graph.labels)
+        return values, {"hd_before": before, "hd_after_full": after}
 
-    return _run_arms("ablation", classifier, test_graphs, config, seeds, metric, arms,
-                     extras=("hd_before", "hd_after_full"))
+    return _run_arms("ablation", classifier, test_graphs, config, seeds, metric, one_seed)
 
 
 def run_noise_robustness(
@@ -247,14 +236,15 @@ def run_noise_robustness(
     """Full pipeline under injected structural noise vs. the clean base."""
     level_arms = _grid_arms("graphost_noise", noise_levels)
 
-    def arms(seed, graph, found):
-        yield "base", graph
+    def one_seed(seed, graph, score):
+        values = {"base": score(graph)}
         for idx, (arm, level) in enumerate(zip(level_arms, noise_levels)):
             noisy = inject_structural_noise(graph, level, derive_seed(seed, idx))
-            yield arm, graphost_transform(noisy, predictor, config)
+            values[arm] = score(graphost_transform(noisy, predictor, config))
+        return values, {}
 
-    return _run_arms("noise-robustness", classifier, test_graphs, config, seeds, metric, arms,
-                     {"noise_levels": list(noise_levels)})
+    return _run_arms("noise-robustness", classifier, test_graphs, config, seeds, metric,
+                     one_seed, {"noise_levels": list(noise_levels)})
 
 
 def run_delta_sweep(
@@ -269,12 +259,12 @@ def run_delta_sweep(
     """One arm per filtering ratio on the grid."""
     delta_arms = _grid_arms("delta=", delta_grid)
 
-    def arms(seed, graph, found):
+    def one_seed(seed, graph, score):
         scores = edge_homophily_scores(predictor, graph)
-        for arm, d in zip(delta_arms, delta_grid):
-            yield arm, graphost_transform(graph, scores, replace(config, delta=d))
+        return {arm: score(graphost_transform(graph, scores, replace(config, delta=d)))
+                for arm, d in zip(delta_arms, delta_grid)}, {}
 
-    return _run_arms("delta-sweep", classifier, test_graphs, config, seeds, metric, arms,
+    return _run_arms("delta-sweep", classifier, test_graphs, config, seeds, metric, one_seed,
                      {"delta_grid": list(delta_grid)})
 
 
@@ -289,15 +279,14 @@ def run_random_drop_comparison(
     """Base vs. random edge-dropping (count matched to the filter) vs. the
     full pipeline."""
 
-    def arms(seed, graph, found):
-        yield "base", graph
+    def one_seed(seed, graph, score):
+        base = score(graph)
         transformed = graphost_transform(graph, predictor, config)
-        k = found["dropped_edges"] = graph.num_edges - transformed.num_edges
+        k = graph.num_edges - transformed.num_edges
         randomly_dropped = random_edge_drop(graph, k, derive_seed(seed, 7))
         if randomly_dropped.num_edges != transformed.num_edges:
             raise AssertionError("random-drop arm is not count-matched")
-        yield "random_drop", randomly_dropped
-        yield "graphost", transformed
+        return ({"base": base, "random_drop": score(randomly_dropped),
+                 "graphost": score(transformed)}, {"dropped_edges": k})
 
-    return _run_arms("random-drop", classifier, test_graphs, config, seeds, metric, arms,
-                     extras=("dropped_edges",))
+    return _run_arms("random-drop", classifier, test_graphs, config, seeds, metric, one_seed)

@@ -1007,7 +1007,7 @@ COUNT_OPTIONS = {"dim", "n1", "n2", "trials", "samples", "lemma_nodes", "hidden"
 PROBABILITY_OPTIONS = {"p", "q", "p2", "q2"}  # each in [0, 1]
 BAD_CONFIG_VALUES = [
     (INT_OPTIONS, [3.9, True, "ten", None]),
-    (COUNT_OPTIONS, [0, -5]),
+    (COUNT_OPTIONS, [0, -5, 2**63]),
     ({"layers"}, [1, 0, -2]),  # at least two layers
     ({"lr"}, [-1e-3]),  # at least 0
     (PROBABILITY_OPTIONS, [1.5, -0.1]),
@@ -1086,12 +1086,32 @@ class TestOptionParsing:
         ("theory-validate", "--q", "-0.1"), ("theory-validate", "--p2", "2"),
         ("theory-validate", "--q2", "1.01"), ("generate", "--p", "1.5"),
         ("train", "--hidden", "0"), ("train", "--layers", "1"),
+        # beyond int64: refused while reading, before numpy sees the count
+        ("generate --p 0.1 --q 0.05", "--dim", "99999999999999999999999"),
+        ("generate --p 0.1 --q 0.05 --means 1,0;0,1", "--sizes", "99999999999999999999999,3"),
+        ("theory-validate --suite lemmas", "--lemma-nodes", "99999999999999999999999"),
     ])
     def test_bad_flag_text_is_usage_error(self, tmp_path, capsys, name, flag, text):
+        # `name` is the subcommand and any flags given before `flag`
         out = tmp_path / "never"
-        assert run([name, flag, text, "--out", str(out)]) == 2
+        assert run([*name.split(), flag, text, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert f"bad {flag} value {text!r}" in captured.err and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_out_of_memory_is_error_without_traceback(self, tmp_path, capsys, monkeypatch):
+        # a count within int64 that cannot be allocated; nothing is allocated here
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli, "symmetric_binary_params", no_memory)
+        out = tmp_path / "never"
+        code = run(["generate", "--p", "0.1", "--q", "0.05", "--dim", "10000000000000",
+                    "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
         assert not out.exists()
 
 

@@ -361,6 +361,13 @@ class TestRepeatedSeeds:
             runner(None, None, drawn.append, TransformConfig(mode="homophilic"), (3, 3))
         assert drawn == []
 
+    @pytest.mark.parametrize("runner", RUNNERS, ids=lambda r: r.__name__)
+    def test_runner_refuses_no_seeds_before_any_draw(self, runner):
+        drawn = []
+        with pytest.raises(ValueError, match="an experiment needs at least one seed"):
+            runner(None, None, drawn.append, TransformConfig(mode="homophilic"), ())
+        assert drawn == []
+
     @pytest.mark.parametrize("text, seeds", [("0", (0,)), ("2,0,1", (2, 0, 1)), (7, (7,))])
     def test_parse_seeds(self, text, seeds):
         assert parse_seeds(text) == seeds

@@ -242,10 +242,10 @@ def test_json_is_decoded_and_encoded_in_one_module():
     assert users == {"jsonfile.py"}
 
 
-# Fuzzed files: random edits of a checkpoint and of a --config file, at any
-# depth of the JSON document or in its bytes. Integers stay small: a count
-# that asks for more memory than the box has is ROADMAP item 8's, not a
-# format question.
+# Fuzzed files: random edits of a checkpoint, a graph, a --params file and
+# a --config file, at any depth of the JSON document or in its bytes.
+# Integers stay small: a count that asks for more memory than the box has
+# is ROADMAP item 8's, not a format question.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-1000, 1000) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
@@ -302,45 +302,48 @@ def _cli(argv: list[str]) -> tuple[int, str]:
 def fuzz_dir(tmp_path_factory):
     folder = tmp_path_factory.mktemp("fuzz")
     save_graph(GRAPH, folder / "graph.json")
+    save_checkpoint(CHECKPOINT, folder / "predictor.json")
     return folder
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fuzzed_checkpoint_loads_or_is_refused_by_name(fuzz_dir, data):
-    path = fuzz_dir / "ckpt.json"
-    _fuzzed(data, path, lambda p: save_checkpoint(CHECKPOINT, p))
-    try:
-        load_checkpoint(path)
-        refused = False
-    except CheckpointError as exc:
-        assert exc.path == str(path) and str(exc).count(str(path)) == 1
-        refused = True
-    code, err = _cli(["transform", "--test-graph", str(fuzz_dir / "graph.json"),
-                      "--predictor", str(path), "--mode", "homophilic",
-                      "--out", str(fuzz_dir / "out")])
-    assert "Traceback" not in err
-    if refused:
-        assert code == 1 and err.count(str(path)) == 1
-    else:
-        assert code in (0, 2) and (code == 0 or str(path) in err)
+# kind -> the CLI command that reads the fuzzed file at `path`, beside the
+# good graph and predictor in `folder`
+FUZZ_COMMANDS = {
+    "checkpoint": lambda path, folder: [
+        "transform", "--test-graph", str(folder / "graph.json"), "--predictor", str(path),
+        "--mode", "homophilic"],
+    "graph": lambda path, folder: [
+        "transform", "--test-graph", str(path), "--predictor", str(folder / "predictor.json"),
+        "--mode", "homophilic"],
+    "params": lambda path, folder: ["generate", "--params", str(path)],
+    "config": lambda path, folder: ["generate", "--config", str(path)],
+}
 
 
+@pytest.mark.parametrize("kind", FUZZ_COMMANDS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_fuzzed_config_loads_or_is_refused_by_name(fuzz_dir, data):
-    path = fuzz_dir / "config.json"
-    _fuzzed(data, path, lambda p: p.write_text(json.dumps(CONFIG)))
-    argv = ["generate", "--config", str(path), "--out", str(fuzz_dir / "out")]
+def test_fuzzed_file_loads_or_is_refused_by_name(fuzz_dir, kind, data):
+    write, load, error, refused_code, _ = KINDS[kind]
+    path = fuzz_dir / f"fuzzed-{kind}.json"
+    _fuzzed(data, path, write)
+    argv = FUZZ_COMMANDS[kind](path, fuzz_dir) + ["--out", str(fuzz_dir / "out")]
     try:
-        cli._merge_options(cli.build_parser().parse_args(argv))
+        if kind == "config":  # the CLI's option merge types a config file's values
+            cli._merge_options(cli.build_parser().parse_args(argv))
+        else:
+            load(path)
         refused = False
-    except cli.CliError as exc:
-        assert str(path) in str(exc)
+    except (cli.CliError, error) as exc:
+        assert str(exc).count(str(path)) == 1
+        assert kind == "config" or exc.path == str(path)
         refused = True
     # the sampler is not under test: any params the options make draw GRAPH
     with mock.patch.object(cli, "generate_csbm", lambda params, seed: GRAPH):
         code, err = _cli(argv)
     assert "Traceback" not in err
-    assert code in ((2,) if refused else (0, 2))
-    assert not refused or err.count(str(path)) == 1
+    if refused:
+        assert code == refused_code and err.count(str(path)) == 1
+    else:
+        # a config that merges may still lack --p and --q, which no file names
+        assert code in (0, 2) and (code == 0 or kind == "config" or str(path) in err)
