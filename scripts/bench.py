@@ -24,6 +24,15 @@ Rows (times in seconds, each with its raw samples):
                         of each stage:
                         setup (fixture training), generate + perturb, transform
                         (delta = 0.3) and classify (base and transformed graph)
+  train_epoch           per rung (n = 20k and 200k), one fresh child each: a
+                        hidden-64, 2-layer GCN predictor fit (WBCE, patience
+                        50) on a CSBM training graph of the pipeline rung's
+                        params (seed 0) with a validation graph (seed 1),
+                        once for 1 epoch and once for 3; each fit's seconds
+                        and the VmHWM after it, the seconds per epoch (the
+                        difference over 2) and the fit setup seconds (the
+                        1-epoch fit less one epoch: operator builds, edge
+                        matrix and the first validation)
   cli_start_s           per command (transform and evaluate): spawn to exit
                         of a fresh `python -m graphost` child on a generated
                         600-node workspace (CLI_WORKSPACE: the run_benchmark.py
@@ -52,6 +61,8 @@ threads graphost.workers gives a run_benchmark.py experiment (10 seeds).
 Usage: python3 scripts/bench.py OUT [--label LABEL]
        python3 scripts/bench.py --pipeline-rung NODES_PER_CLASS
            (one pipeline_peak_mb child: prints its rung as JSON)
+       python3 scripts/bench.py --train-epoch NODES_PER_CLASS
+           (one train_epoch child: prints its rung as JSON)
        python3 scripts/bench.py --pinned-outputs
            (one pinned_outputs child, at the caller's BLAS threads: prints
            the row as JSON)
@@ -190,7 +201,7 @@ def pipeline_rung(nodes_per_class: int) -> dict:
     """One pipeline_peak_mb rung in this process. Every graph and result
     it is handed stays alive to the end, as in a caller that holds its
     inputs and outputs."""
-    from graphost import csbm, fixtures, models, transform
+    from graphost import fixtures, models, transform
 
     stages: dict = {}
     start = time.perf_counter()
@@ -203,17 +214,43 @@ def pipeline_rung(nodes_per_class: int) -> dict:
     fx = fixtures.make_fixture(intra_prob=0.05, inter_prob=0.02, seed=0, num_layers=4,
                                predictor_hidden=64)
     stage("setup")
-    m = nodes_per_class
-    q = (0.05 * 299 + 0.02 * 300) / (2.5 * (m - 1) + m)  # the fixture's mean degree
-    params = csbm.symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q)
-    noisy = dataclasses.replace(fx, params=params).test_graph(0)
+    noisy = dataclasses.replace(fx, params=rung_params(nodes_per_class)).test_graph(0)
     stage("generate_perturb")
     out = transform.graphost_transform(noisy, fx.predictor, fx.config)
     stage("transform")
     base = models.predict_labels(fx.classifier, noisy)
     full = models.predict_labels(fx.classifier, out.base, out.edge_weights)
     stage("classify")
-    return {"nodes": 2 * m, "edges": noisy.num_edges, "stages": stages}
+    return {"nodes": 2 * nodes_per_class, "edges": noisy.num_edges, "stages": stages}
+
+
+def rung_params(nodes_per_class: int):
+    """The pipeline rungs' CSBM: 2 x m nodes at the fixture's mean degree
+    (~21), p/q = 2.5, 16-dim features."""
+    from graphost import csbm
+
+    m = nodes_per_class
+    q = (0.05 * 299 + 0.02 * 300) / (2.5 * (m - 1) + m)  # the fixture's mean degree
+    return csbm.symmetric_binary_params(2.0, 16, (m, m), 2.5 * q, q)
+
+
+def train_epoch(nodes_per_class: int) -> dict:
+    """One train_epoch rung in this process: the 1-epoch fit, then the
+    3-epoch fit, on the same two graphs."""
+    from graphost import csbm, models
+
+    params = rung_params(nodes_per_class)
+    train, val = csbm.generate_csbm(params, seed=0), csbm.generate_csbm(params, seed=1)
+    spec = models.ArchitectureSpec.default("gcn", 16, 64, hidden=64, num_layers=2)
+    fits = {}
+    for epochs in (1, 3):
+        start = time.perf_counter()
+        models.train_homophily_predictor(train, val, spec,
+                                         models.OptimizerConfig(max_epochs=epochs), seed=0)
+        fits[str(epochs)] = {"seconds": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
+    epoch_s = (fits["3"]["seconds"] - fits["1"]["seconds"]) / 2
+    return {"nodes": train.num_nodes, "edges": train.num_edges, "fits": fits,
+            "epoch_s": epoch_s, "setup_s": fits["1"]["seconds"] - epoch_s}
 
 
 def code_lines(path: Path) -> int:
@@ -282,6 +319,10 @@ def measure() -> dict:
         "src_code_lines": {"value": sum(map(code_lines, sources)), "unit": "lines"},
         "theory_validate_s": theory,
         "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
+        "train_epoch": {"rungs": {
+            f"n={2 * m}": json.loads(_run([sys.executable, "scripts/bench.py",
+                                           "--train-epoch", str(m)])[1])
+            for m in PIPELINE_RUNGS}, "unit": "s, MB"},
         "cli_start_s": cli_start(),
         "pinned_outputs": json.loads(_run([sys.executable, "scripts/bench.py",
                                            "--pinned-outputs"])[1]),
@@ -294,10 +335,14 @@ def main() -> int:
     parser.add_argument("out", type=Path, nargs="?")
     parser.add_argument("--label", default=None)
     parser.add_argument("--pipeline-rung", type=int, default=None, metavar="NODES_PER_CLASS")
+    parser.add_argument("--train-epoch", type=int, default=None, metavar="NODES_PER_CLASS")
     parser.add_argument("--pinned-outputs", action="store_true")
     args = parser.parse_args()
     if args.pipeline_rung is not None:
         print(json.dumps(pipeline_rung(args.pipeline_rung)))
+        return 0
+    if args.train_epoch is not None:
+        print(json.dumps(train_epoch(args.train_epoch)))
         return 0
     if args.pinned_outputs:
         print(json.dumps(pinned_outputs()))

@@ -46,6 +46,7 @@ from .metrics import hd_delta_report
 from .models import (
     ArchitectureSpec,
     Checkpoint,
+    NonFiniteError,
     OptimizerConfig,
     load_checkpoint,
     save_checkpoint,
@@ -639,11 +640,15 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return _SUBCOMMANDS[args.command].run(_merge_options(args))
+        options = _merge_options(args)
+        return _SUBCOMMANDS[args.command].run(options)
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
+        if isinstance(exc, NonFiniteError) and options.get("predictor"):
+            # only the edge head raises it, on the predictor's embeddings
+            exc = f"--predictor {options['predictor']}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a count that fits int64 but not in memory

@@ -9,17 +9,21 @@ are the encoder's.
 
 The head never builds an (E, d) array. Its forward pass takes the cosines
 as row dots of unit embeddings over fixed blocks of edges, so memory stays
-O(n d + E) and every cosine equals the one-shot row sum bit for bit. Its
+O(n d + E) and every cosine equals the one-shot row sum bit for bit. It
+refuses embeddings whose norms are not finite with `NonFiniteError`. Its
 backward pass sums each node's cosine gradients in closed form: with G =
 A @ unit, A the symmetric n x n matrix of per-edge gradients, a node's
 gradient is the part of G_u tangent to its unit vector, divided by |z_u|
--- one sparse product plus O(n d) work. A's pattern is built once per fit.
+-- one sparse product plus O(n d) work. A is the training graph's
+`nn.EdgeMatrix`: a GCN's on its aggregator's pattern, so a fit builds one
+pattern per graph.
 
 Inference holds no copy it does not need, with the same bits as the
 straightforward pass: bias and activation work in place, a square GCN
 layer writes its product into its dead input, and edge scoring drops the
 aggregator before the head, which normalizes the embeddings in place.
-Training keeps every array its backward pass reads.
+Training keeps every array its backward pass reads; its per-epoch validation
+scores through the inference pass and head.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .jsonfile import FileFormatError, JsonObject, read_json, typed, write_json
 from .metrics import accuracy, roc_auc
 from .nn import (
     AdamState,
-    EdgeAdjacency,
+    EdgeMatrix,
     MeanAggregator,
     _ACTIVATIONS,
     adam_step,
@@ -54,6 +58,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "EdgeScoreTable",
+    "NonFiniteError",
     "init_params",
     "network_forward",
     "train_classifier",
@@ -77,6 +82,11 @@ _EDGE_BLOCK = 1024
 
 class CheckpointError(FileFormatError):
     """Malformed checkpoint file; carries the offending path."""
+
+
+class NonFiniteError(ValueError):
+    """A network computed a value that is not finite from finite inputs, as
+    an overflowing checkpoint does; the message names the quantity."""
 
 
 @dataclass(frozen=True)
@@ -407,7 +417,11 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool 
     600-node graph grew the heap top on every call, glibc handed that memory
     back at once, and a predictor fit took about 4x the page faults.
     """
-    norms = np.linalg.norm(z, axis=1)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        norms = np.linalg.norm(z, axis=1)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:  # finite norms keep the unit rows, and so the cosines, finite
+        raise NonFiniteError(f"the embedding norm of node {bad[0]} is {norms[bad[0]]}, not finite")
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = np.divide(z, safe[:, None], out=z if overwrite_z else None)
     cos = np.empty(len(edges), dtype=np.float64)
@@ -422,7 +436,7 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool 
 
 def _edge_scores_backward(
     grad_scores: np.ndarray, edges: np.ndarray, scores: np.ndarray, ctx: dict, n: int,
-    dim: int, adjacency: EdgeAdjacency | None = None,
+    dim: int, adjacency: EdgeMatrix | None = None,
 ) -> np.ndarray:
     """Accumulate d(loss)/dZ from per-edge score gradients.
 
@@ -430,15 +444,15 @@ def _edge_scores_backward(
     projection (G_u - (G_u . u_u) u_u) / |z_u| of G = A @ unit, where A is
     the symmetric n x n matrix holding g_e at (src, dst) and (dst, src): one
     sparse product instead of per-edge (E, d) gradients. A training loop
-    passes `adjacency`, A's pattern for `edges` built once per fit, and only
-    its values are written here. Zero-norm embeddings use the documented
+    passes `adjacency`, A for `edges` built once per fit, and only its
+    values are written here. Zero-norm embeddings use the documented
     cosine := 0 convention: their unit row is 0, so they add nothing to
     their neighbours, and their own row is zeroed.
     """
     grad_cos = grad_scores * scores * (1.0 - scores)
     unit = ctx["unit"]
     if adjacency is None:
-        adjacency = EdgeAdjacency(edges, n)
+        adjacency = EdgeMatrix(edges, n)
     grad_z = adjacency.fill(grad_cos) @ unit
     grad_z -= np.einsum("ij,ij->i", grad_z, unit)[:, None] * unit
     grad_z /= ctx["safe"][:, None]
@@ -493,16 +507,16 @@ def train_homophily_predictor(
         val_edges, val_labels, _ = build_edge_training_set(val_graph)
         if val_labels.min() == val_labels.max():
             raise ValueError("validation graph has a single edge class")
-        fit_edges, fit_labels = edges, edge_labels
+        fit_idx = slice(None)
         val_agg = _aggregator(spec, val_graph)
         val_feats = val_graph.features
     else:
         fit_idx, held_idx = _holdout_split(edge_labels, 0.1, seed)
-        fit_edges, fit_labels = edges[fit_idx], edge_labels[fit_idx]
         val_edges, val_labels = edges[held_idx], edge_labels[held_idx]
         val_agg, val_feats = train_agg, train_graph.features
+    fit_edges, fit_labels = edges[fit_idx], edge_labels[fit_idx]
     n, out_dim = train_graph.num_nodes, spec.output_dim
-    adjacency = EdgeAdjacency(fit_edges, n)
+    adjacency = EdgeMatrix(edges, n, fit_idx, train_agg)
 
     def edge_bce(z):
         scores, ctx = _edge_scores_with_cache(z, fit_edges)
@@ -514,8 +528,10 @@ def train_homophily_predictor(
                                                          n, out_dim, adjacency)
 
     def val_auc(p):
-        z = network_forward(spec, p, val_feats, val_agg)
-        scores, _ = _edge_scores_with_cache(z, val_edges)
+        # the inference pass and head, as edge_homophily_scores runs them; no
+        # name holds the embeddings, so they are freed before the ranking
+        scores = _edge_scores_with_cache(network_forward(spec, p, val_feats, val_agg),
+                                         val_edges, overwrite_z=True)[0]
         return roc_auc(scores, val_labels.astype(np.int64))
 
     return _fit(spec, optimizer, seed, train_graph.features, train_agg, edge_bce, val_auc,
@@ -530,8 +546,7 @@ def edge_homophily_scores(
     in place."""
     spec = predictor.spec
     z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
-    scores, _ = _edge_scores_with_cache(z, graph.edges, overwrite_z=True)
-    return EdgeScoreTable(scores=scores)
+    return EdgeScoreTable(scores=_edge_scores_with_cache(z, graph.edges, overwrite_z=True)[0])
 
 
 # --------------------------------------------------------------------------

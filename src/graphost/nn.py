@@ -8,14 +8,16 @@ must be finite and non-negative. It comes in two kinds, one function each:
 `MeanAggregator` is the GCN layers' operator, a sparse row-normalised matrix
 with sorted columns that counts each node as its own neighbour with weight 1;
 `mean_aggregate`, the theory lab's unweighted strict-neighbour mean used once
-per graph, scatters over the edges directly. `EdgeAdjacency` is the predictor
-backward's symmetric per-edge matrix, whose pattern a fit builds once.
+per graph, scatters over the edges directly.
 
-`csr_matrix` is the package's one sparse builder; it returns a `CsrMatrix`,
-whose products run scipy's compiled kernels (scipy/sparse/_sparsetools),
-loaded on the first build without importing the scipy.sparse package. Both
-operators write their entries once, with int32 indices wherever
-max(nnz, n) fits, in an order whose rows come out sorted.
+`MeanAggregator` is the one sparse operator of a graph: its self-looped
+pattern serves the forward product, the adjoint (a product with the
+transpose's data on the same pattern, which is symmetric) and the predictor
+backward's per-edge `EdgeMatrix`. `csr_matrix` is the package's one sparse
+builder; it returns a `CsrMatrix`, whose products run scipy's compiled
+`csr_matvecs` (scipy/sparse/_sparsetools), loaded on the first build without
+importing the scipy.sparse package. A pattern's entries are written once,
+with int32 indices wherever nnz fits, in an order whose rows come out sorted.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .graphs import LabeledGraph
 __all__ = [
     "csr_matrix",
     "CsrMatrix",
-    "EdgeAdjacency",
+    "EdgeMatrix",
     "MeanAggregator",
     "mean_aggregate",
     "relu",
@@ -75,26 +77,21 @@ def _checked_weights(graph: LabeledGraph, edge_weights: np.ndarray | None) -> np
     return w
 
 
-def _index_dtype(nnz: int, n: int) -> type:
-    """The index dtype of an n x n matrix of nnz entries: int32 wherever it
-    holds max(nnz, n)."""
-    return np.int32 if max(nnz, n) <= _INT32_MAX else np.int64
-
-
-def _entry_indices(edges: np.ndarray, n: int, self_loops: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) of the directed entries of canonical edges (u, v), u < v:
-    first (v, u) for each edge, then each node's (i, i) loop if asked, then
-    (u, v) for each edge. In this order every row's columns already ascend
-    (lower neighbours, itself, upper neighbours, since the edges are
-    sorted), so the COO -> CSR pass lays them out with no sort. The indices
-    take the matrix's index dtype, so `csr_matrix` uses them unconverted."""
-    e, loops = len(edges), n if self_loops else 0
-    nnz = 2 * e + loops
-    dtype = _index_dtype(nnz, n)
+def _entry_indices(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of the self-looped entries of canonical edges (u, v), u < v:
+    first (v, u) for each edge, then each node's (i, i) loop, then (u, v) for
+    each edge. In this order every row's columns already ascend (lower
+    neighbours, itself, upper neighbours, since the edges are sorted), so the
+    COO -> CSR pass lays them out with no sort. The indices take the
+    matrix's index dtype, int32 wherever it holds nnz (>= n, with the
+    loops), which the kernel reads unconverted."""
+    e = len(edges)
+    nnz = 2 * e + n
+    dtype = np.int32 if nnz <= _INT32_MAX else np.int64
     rows, cols = np.empty(nnz, dtype=dtype), np.empty(nnz, dtype=dtype)
     rows[:e], cols[:e] = edges[:, 1], edges[:, 0]
-    rows[e:e + loops] = cols[e:e + loops] = np.arange(loops)
-    rows[e + loops:], cols[e + loops:] = edges[:, 0], edges[:, 1]
+    rows[e:e + n] = cols[e:e + n] = np.arange(n)
+    rows[e + n:], cols[e + n:] = edges[:, 0], edges[:, 1]
     return rows, cols
 
 
@@ -144,15 +141,6 @@ class CsrMatrix:
         self.indptr, self.indices, self.data, self.n = indptr, indices, data, n
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self._product("csr", x)
-
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """The transpose times x: the CSC kernel reads the same arrays as the
-        transpose's columns, and sums each output row over ascending source
-        rows, the order a sorted CSR transpose would use."""
-        return self._product("csc", x)
-
-    def _product(self, layout: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.dtype.kind != "f" or x.ndim not in (1, 2):
             raise ValueError(f"expected a 1-D or 2-D float array, got {x.ndim}-D {x.dtype}")
@@ -161,35 +149,39 @@ class CsrMatrix:
         x = np.ascontiguousarray(x, dtype=np.float64)
         out = np.zeros(x.shape)
         width = 1 if x.ndim == 1 else x.shape[1]
-        getattr(_sparsetools(), layout + "_matvecs")(
-            self.n, self.n, width, self.indptr, self.indices, self.data,
-            x.reshape(-1), out.reshape(-1))
+        _sparsetools().csr_matvecs(self.n, self.n, width, self.indptr, self.indices,
+                                   self.data, x.reshape(-1), out.reshape(-1))
         return out
 
+    def transposed(self) -> "CsrMatrix":
+        """The transpose of a matrix whose pattern is symmetric: it keeps
+        indptr and indices, and entry (i, j) takes the value at (j, i),
+        copied exactly."""
+        out = np.empty(len(self.indices))
+        _sparsetools().csr_tocsc(self.n, self.n, self.indptr, self.indices, self.data,
+                                 np.empty_like(self.indptr), np.empty_like(self.indices), out)
+        return CsrMatrix(self.indptr, self.indices, out, self.n)
 
-def csr_matrix(values: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> CsrMatrix:
-    """The n x n CSR matrix holding values[k] at (rows[k], cols[k]), with
-    each row's columns ascending and repeated positions summed."""
-    values, rows, cols = np.asarray(values, dtype=np.float64), np.asarray(rows), np.asarray(cols)
-    nnz = len(values)
-    if rows.shape != (nnz,) or cols.shape != (nnz,):
-        raise ValueError(f"{nnz} values need {nnz} rows and columns, "
-                         f"got {rows.shape} and {cols.shape}")
-    if nnz and not (0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < n):
-        raise ValueError(f"an entry lies outside the {n} x {n} matrix")
-    dtype = _index_dtype(nnz, n)
-    rows, cols = rows.astype(dtype, copy=False), cols.astype(dtype, copy=False)
+
+def csr_matrix(values: np.ndarray, edges: np.ndarray, n: int) -> CsrMatrix:
+    """The n x n matrix on the self-looped pattern of edges (u, v), u < v,
+    distinct and sorted: values[k] at the k-th entry `_entry_indices`
+    writes. Edges outside the matrix are refused before the kernel runs,
+    and edges whose rows come out unsorted or repeated after it; nothing is
+    sorted here."""
+    values, edges = np.asarray(values, dtype=np.float64), np.asarray(edges)
+    if edges.ndim != 2 or edges.shape[1] != 2 or values.shape != (2 * len(edges) + n,):
+        raise ValueError(f"{values.shape} values for edges of shape {edges.shape} on {n} nodes")
+    if len(edges) and not 0 <= edges.min() <= edges.max() < n:
+        raise ValueError(f"an edge lies outside the {n} x {n} matrix")
+    rows, cols = _entry_indices(edges, n)
     kernels = _sparsetools()
-    indptr, indices, data = np.empty(n + 1, dtype), np.empty(nnz, dtype), np.empty(nnz)
-    kernels.coo_tocsr(n, n, nnz, rows, cols, values, indptr, indices, data)
-    # The kernel keeps each row's entries in input order. Both operators
-    # write theirs with columns ascending and no repeats, so the check
-    # passes and nothing is sorted; otherwise sort and sum as scipy does.
+    indptr, indices, data = np.empty(n + 1, rows.dtype), np.empty_like(rows), np.empty(len(rows))
+    # the kernel keeps each row's entries in input order
+    kernels.coo_tocsr(n, n, len(rows), rows, cols, values, indptr, indices, data)
     if not kernels.csr_has_canonical_format(n, indptr, indices):
-        if not kernels.csr_has_sorted_indices(n, indptr, indices):
-            kernels.csr_sort_indices(n, indptr, indices, data)
-        kernels.csr_sum_duplicates(n, n, indptr, indices, data)
-        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+        raise ValueError("the edges are not canonical: each (u, v) needs u < v, "
+                         "in sorted order, with no repeats")
     return CsrMatrix(indptr, indices, data, n)
 
 
@@ -201,8 +193,10 @@ class MeanAggregator:
 
     The build holds the matrix's (row, col, coefficient) entries once, in
     preallocated arrays that the COO -> CSR kernel reads as they are, and
-    divides the coefficients in place: its peak is about 2.3 times the
-    finished matrix.
+    writes each coefficient's quotient in place: its peak is about 2.3 times
+    the finished matrix. An inference operator holds nothing more; training
+    adds the transpose's data on the first `adjoint` call, and an
+    `EdgeMatrix` shares the pattern.
     """
 
     def __init__(
@@ -223,40 +217,57 @@ class MeanAggregator:
         # in exactly that order. Unweighted, the integer counts are exact.
         totals = np.bincount(edges.ravel(), minlength=n,
                              weights=None if w is None else np.repeat(w, 2)) + 1.0
-        rows, cols = _entry_indices(edges, n, self_loops=True)
-        coef = np.empty(len(rows))
-        coef[:e] = coef[e + n:] = 1.0 if w is None else w
-        coef[e:e + n] = 1.0
-        np.divide(coef[:e], totals[edges[:, 1]], out=coef[:e])
-        np.divide(coef[e:e + n], totals, out=coef[e:e + n])
-        np.divide(coef[e + n:], totals[edges[:, 0]], out=coef[e + n:])
-        self._mat = csr_matrix(coef, rows, cols, n)
+        coef, w = np.empty(2 * e + n), 1.0 if w is None else w
+        np.divide(w, totals[edges[:, 1]], out=coef[:e])
+        np.divide(1.0, totals, out=coef[e:e + n])
+        np.divide(w, totals[edges[:, 0]], out=coef[e + n:])
+        self._mat = csr_matrix(coef, edges, n)
+        self._transpose: CsrMatrix | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self._mat @ x
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        return self._mat.adjoint(g)
+        """The transpose times g, on the same kernel as `apply`: each output
+        row sums over ascending source rows, as a sorted CSR transpose
+        would."""
+        if self._transpose is None:
+            self._transpose = self._mat.transposed()
+        return self._transpose @ g
 
 
-class EdgeAdjacency:
-    """The symmetric n x n CSR matrix holding one value per canonical edge
-    (u, v) at both (u, v) and (v, u). Its pattern is built once; `fill`
-    writes a new value per edge into it in place, so a training loop builds
-    no matrix per epoch."""
+class EdgeMatrix:
+    """The predictor backward's per-edge matrix: the symmetric n x n matrix
+    holding one value per chosen canonical edge (u, v), edges[edge_ids], at
+    both (u, v) and (v, u), on the graph's self-looped pattern. That is the
+    `aggregator`'s pattern, shared, where the graph has one; otherwise (an
+    MLP's graph) it is built here, once. Self loops and the edges not chosen
+    hold 0, which changes no product: a row's sum starts at +0.0, and
+    adding +-0.0 to it gives the same bits. `fill` writes new values in
+    place, so a training loop builds no matrix per epoch."""
 
-    def __init__(self, edges: np.ndarray, n: int):
-        rows, cols = _entry_indices(edges, n, self_loops=False)
-        # Built with each entry holding its edge's index (exact in float64):
-        # once the build has laid the entries out, the data names each
-        # stored entry's edge.
-        edge_ids = np.arange(len(edges), dtype=np.float64)
-        self.matrix = csr_matrix(np.concatenate([edge_ids, edge_ids]), rows, cols, n)
-        self._edge_of_entry = self.matrix.data.astype(np.intp)
+    def __init__(self, edges: np.ndarray, n: int, edge_ids: np.ndarray | slice = slice(None),
+                 aggregator: MeanAggregator | None = None):
+        # with each row's columns ascending and distinct (`csr_matrix` refuses
+        # others), edges whose first nodes never fall are sorted
+        if not np.all(edges[:-1, 0] <= edges[1:, 0]):
+            raise ValueError("the edges are not canonical: they must come in sorted order")
+        pattern = (csr_matrix(np.zeros(2 * len(edges) + n), edges, n) if aggregator is None
+                   else aggregator._mat)
+        nnz, dtype = len(pattern.indices), pattern.indices.dtype
+        # Each entry's mirror comes after it exactly where the entry is an
+        # upper (u, v) one, and those are the sorted edges in order. The ids
+        # die with the expression: held to the end of this build, they
+        # raised a 200k predictor fit's VmHWM by 24 MB.
+        mirror = CsrMatrix(pattern.indptr, pattern.indices, np.arange(nnz, dtype=np.float64),
+                           n).transposed().data.astype(dtype)
+        upper = np.flatnonzero(mirror > np.arange(nnz, dtype=dtype)).astype(dtype)[edge_ids]
+        self._entries = np.stack([upper, mirror[upper]])
+        self.matrix = CsrMatrix(pattern.indptr, pattern.indices, np.zeros(nnz), n)
 
     def fill(self, values: np.ndarray) -> CsrMatrix:
-        """The matrix with values[k] at both entries of edge k."""
-        np.take(values, self._edge_of_entry, out=self.matrix.data)
+        """The matrix with values[k] at both entries of the k-th chosen edge."""
+        self.matrix.data[self._entries] = values
         return self.matrix
 
 

@@ -1,9 +1,21 @@
+import base64
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import graphost
 import graphost.cli as cli
 import graphost.experiments as experiments
 import graphost.models as models
@@ -11,6 +23,7 @@ import graphost.theory as theory
 import graphost.transform as transform
 from graphost.cli import main
 from graphost.csbm import SAMPLER_VERSION
+from graphost.graphs import load_weighted_graph
 
 
 def run(args):
@@ -434,6 +447,78 @@ def checkpoint_argv(command, graph, checkpoints, out):
         if command != "transform" or role == "predictor":
             argv += [f"--{role}", str(path)]
     return argv
+
+
+def scaled_predictor(workspace, path, name, index, power):
+    """A copy of the workspace predictor, which the CLI wrote, with one weight
+    of tensor `name` times 10**power (inf where that overflows)."""
+    doc = json.loads((workspace / "ckpt" / "predictor.json").read_text())
+    tensor = doc["params"][name]
+    values = np.frombuffer(base64.b64decode(tensor["data_b64"]), "<f8").copy()
+    with np.errstate(over="ignore"):
+        values[index % len(values)] *= 10.0 ** power
+    tensor["data_b64"] = base64.b64encode(values.tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestOverflowingPredictor:
+    """A finite predictor checkpoint whose embeddings overflow is a run error
+    (exit 1) naming --predictor and its file, with no numpy warning and no
+    traceback; it used to filter edges on NaN scores and exit 0."""
+
+    def test_transform_probe_exits_1_without_traceback(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        doc = json.loads((workspace / "ckpt" / "predictor.json").read_text())
+        w0 = np.frombuffer(base64.b64decode(doc["params"]["W0"]["data_b64"]), "<f8").copy()
+        w0[0] = 1e300
+        doc["params"]["W0"]["data_b64"] = base64.b64encode(w0.tobytes()).decode("ascii")
+        bad.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=str(Path(graphost.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphost", "transform",
+             "--test-graph", str(workspace / "data" / "test.json"), "--predictor", str(bad),
+             "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert re.fullmatch(rf"error: --predictor {re.escape(str(bad))}: the embedding norm "
+                            r"of node \d+ is inf, not finite\n", done.stderr), done.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS[1:])
+    def test_every_scoring_command_exits_1_naming_the_file(self, workspace, tmp_path, capsys,
+                                                            command):
+        bad = scaled_predictor(workspace, tmp_path / "bad.json", "W0", 0, 300)
+        checkpoints = {"classifier": workspace / "ckpt" / "classifier.json", "predictor": bad}
+        assert run(checkpoint_argv(command, workspace / "data" / "test.json", checkpoints,
+                                   tmp_path / "o")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --predictor {bad}: the embedding norm of node ")
+        assert captured.err.endswith(", not finite\n") and captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @given(st.sampled_from(["W0", "b0", "W1", "b1"]), st.integers(0, 2**16),
+           st.integers(0, 308))
+    @example("W0", 0, 0)
+    @example("W0", 0, 300)
+    @example("b1", 3, 308)
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_weight_scores_or_is_refused(self, workspace, name, index, power):
+        # tier-1 turns any numpy RuntimeWarning into a failure
+        with tempfile.TemporaryDirectory() as work:
+            bad = scaled_predictor(workspace, Path(work) / "scaled.json", name, index, power)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(["transform", "--test-graph", str(workspace / "data" / "test.json"),
+                            "--predictor", str(bad), "--out", str(Path(work) / "o")])
+            if code == 0:
+                load_weighted_graph(Path(work) / "o" / "transformed.json")  # finite weights
+            else:
+                assert code == 1
+                text = err.getvalue()
+                refused = (f"error: --predictor {bad}: the embedding norm of node ",
+                           f"error: {bad}: tensor {name!r} contains NaN or Inf")
+                assert text.startswith(refused) and text.count("\n") == 1, text
 
 
 class TestCheckpointRoles:

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse
 
 import graphost.models as models
+import graphost.nn as nn
 from graphost.csbm import generate_csbm, symmetric_binary_params
 from graphost.graphs import LabeledGraph
 from graphost.metrics import accuracy, roc_auc
@@ -14,6 +15,7 @@ from graphost.models import (
     Checkpoint,
     CheckpointError,
     EdgeScoreTable,
+    NonFiniteError,
     OptimizerConfig,
     build_edge_training_set,
     classifier_logits,
@@ -36,7 +38,7 @@ from graphost.models import (
 from graphost.nn import (
     _ACTIVATIONS,
     AdamState,
-    EdgeAdjacency,
+    EdgeMatrix,
     MeanAggregator,
     adam_step,
     bce_loss,
@@ -689,27 +691,95 @@ class TestEdgeScoreBackward:
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
         assert np.all(got[0] == 0.0)
 
-    def test_adjacency_arrays_unchanged(self, rng):
-        # the backward's A as it was built every epoch before its pattern was
-        # built once per fit, kept as oracle: COO entries into scipy's CSR
+    @pytest.mark.parametrize("held_out", [False, True], ids=["all-edges", "holdout"])
+    def test_shared_pattern_gives_the_old_adjacency_bits(self, rng, held_out):
+        # the backward's A as nn.EdgeAdjacency built it, kept as oracle:
+        # scipy's CSR over the fit edges alone, with no self loops. The
+        # aggregator's pattern adds zeros there and at held-out edges, which
+        # change no bit of the gradient.
         n = 200
         pairs = rng.integers(0, n, size=(1500, 2))
         g = LabeledGraph(num_nodes=n, edges=pairs[pairs[:, 0] != pairs[:, 1]])
-        adjacency = EdgeAdjacency(g.edges, n)
-        scores, ctx = _edge_scores_with_cache(rng.standard_normal((n, 8)), g.edges)
+        fit_idx = (np.sort(rng.choice(g.num_edges, g.num_edges * 9 // 10, replace=False))
+                   if held_out else slice(None))
+        fit_edges = g.edges[fit_idx]
+        adjacency = EdgeMatrix(g.edges, n, fit_idx, MeanAggregator(g, self_loops=True))
+        z = rng.standard_normal((n, 8))
+        z[5] = 0.0  # the zero-norm convention
+        scores, ctx = _edge_scores_with_cache(z, fit_edges)
         for _ in range(2):  # a second fill leaves nothing of the first
-            grad = rng.standard_normal(g.num_edges)
+            grad = rng.standard_normal(len(fit_edges))
             grad[::3] = -0.0
-            _edge_scores_backward(grad, g.edges, scores, ctx, n, 8, adjacency)
+            got = _edge_scores_backward(grad, fit_edges, scores, ctx, n, 8, adjacency)
             grad_cos = grad * scores * (1.0 - scores)
-            src, dst = g.edges[:, 0], g.edges[:, 1]
-            want = scipy.sparse.csr_matrix(
+            src, dst = fit_edges[:, 0], fit_edges[:, 1]
+            oracle = scipy.sparse.csr_matrix(
                 (np.concatenate([grad_cos, grad_cos]),
                  (np.concatenate([src, dst]), np.concatenate([dst, src]))),
                 shape=(n, n),
             )
-            want.sort_indices()
-            assert_same_csr(adjacency.matrix, want)
+            oracle.sort_indices()
+            filled = adjacency.matrix
+            dense = scipy.sparse.csr_matrix((filled.data, filled.indices, filled.indptr),
+                                            shape=(n, n)).toarray()
+            assert np.array_equal(dense, oracle.toarray())
+            want = oracle @ ctx["unit"]
+            want -= np.einsum("ij,ij->i", want, ctx["unit"])[:, None] * ctx["unit"]
+            want /= ctx["safe"][:, None]
+            want[ctx["norms"] == 0.0] = 0.0
+            assert got.tobytes() == want.tobytes()
+
+
+class TestOnePatternPerGraph:
+    """A predictor fit runs the COO -> CSR build once per graph it needs a
+    pattern of: a GCN's aggregators serve the forward product, the adjoint
+    and the edge matrix; an MLP builds its training graph's pattern for the
+    edge matrix alone, and aggregates nothing on its validation graph."""
+
+    @pytest.mark.parametrize("validation, builds", [
+        ("graph", {"gcn": 2, "mlp": 1}),
+        ("holdout", {"gcn": 1, "mlp": 1}),
+    ])
+    @pytest.mark.parametrize("kind", ["gcn", "mlp"])
+    def test_coo_tocsr_calls_per_fit(self, small_csbm, monkeypatch, kind, validation, builds):
+        kernels, calls = nn._sparsetools(), []
+
+        class Counting:
+            def __getattr__(self, name):
+                if name == "coo_tocsr":
+                    calls.append(name)
+                return getattr(kernels, name)
+
+        monkeypatch.setattr(nn, "_kernels", Counting())
+        train, val = small_csbm
+        spec = ArchitectureSpec.default(kind, 8, 16, hidden=16)
+        train_homophily_predictor(train, val if validation == "graph" else None, spec,
+                                  OptimizerConfig(max_epochs=3))
+        assert len(calls) == builds[kind]
+
+
+class TestNonFiniteEmbeddings:
+    """An overflowing embedding is refused by the edge head with one typed
+    error naming the quantity, and no numpy warning (tier-1 turns warnings
+    into errors)."""
+
+    @pytest.mark.parametrize("row", [[1e300, 1.0], [np.inf, 0.0], [np.nan, 1.0]],
+                             ids=["overflowing-norm", "inf", "nan"])
+    def test_head_refuses_naming_the_node(self, row):
+        z = np.ones((4, 2))
+        z[2] = row
+        with pytest.raises(NonFiniteError, match=r"^the embedding norm of node 2 is \S+, "
+                                                 r"not finite$"):
+            _edge_scores_with_cache(z, np.array([[0, 1], [1, 2]]))
+        assert issubclass(NonFiniteError, ValueError)
+
+    def test_overflowing_checkpoint_refused_by_scoring(self, small_csbm):
+        train, _ = small_csbm
+        spec = ArchitectureSpec.default("gcn", 8, 16)
+        params = init_params(spec, seed=0)
+        params["W0"][0, 0] = 1e300
+        with pytest.raises(NonFiniteError, match="embedding norm"):
+            edge_homophily_scores(Checkpoint(spec=spec, params=params), train)
 
 
 class TestCheckpointIO:

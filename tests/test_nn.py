@@ -22,7 +22,7 @@ from graphost.graphs import LabeledGraph
 from graphost.nn import (
     PROB_EPS,
     AdamState,
-    EdgeAdjacency,
+    EdgeMatrix,
     MeanAggregator,
     _entry_indices,
     adam_step,
@@ -257,47 +257,85 @@ class TestCsrMatrix:
         got = MeanAggregator(graph, weights, self_loops=True)._mat
         assert_same_csr(got, mean_operator_coo(graph, weights))
 
-    @pytest.mark.parametrize("n, nnz", [(1, 0), (5, 30), (200, 3000)])
-    def test_rows_ascending_repeats_summed(self, rng, n, nnz):
-        rows, cols = rng.integers(0, n, size=(2, nnz))
-        values = rng.standard_normal(nnz)
-        got = csr_matrix(values, rows, cols, n)
+    @pytest.mark.parametrize("n, pairs", [(1, 0), (5, 30), (200, 3000)])
+    def test_canonical_edges_kept_others_refused(self, rng, n, pairs):
+        raw = rng.integers(0, n, size=(pairs, 2))
+        edges = LabeledGraph(num_nodes=n, edges=raw[raw[:, 0] != raw[:, 1]]).edges
+        values = rng.standard_normal(2 * len(edges) + n)
+        got = csr_matrix(values, edges, n)
         assert got.n == n and len(got.indptr) == n + 1 and got.indptr[-1] == len(got.data)
         row_of = np.repeat(np.arange(n), np.diff(got.indptr))
         # within each row the columns strictly ascend: sorted, no repeats
         assert np.all((np.diff(row_of) > 0) | (np.diff(got.indices) > 0))
-        dense = np.zeros((n, n))
-        np.add.at(dense, (rows, cols), values)
-        stored = np.zeros((n, n))
+        rows, cols = _entry_indices(edges, n)
+        dense, stored = np.zeros((n, n)), np.zeros((n, n))
+        dense[rows, cols] = values
         stored[row_of, got.indices] = got.data
-        assert np.allclose(stored, dense, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(stored, dense)
+        # a reversed, repeated or self-looped edge is refused rather than
+        # sorted and summed
+        bad_edges = [np.array([[1, 0]]), np.array([[0, 1], [0, 1]]), np.array([[1, 1]])]
+        for bad in bad_edges if n > 1 else []:
+            with pytest.raises(ValueError, match="the edges are not canonical"):
+                csr_matrix(np.ones(2 * len(bad) + n), bad, n)
 
-    @pytest.mark.parametrize("rows, cols, message", [
-        ([0, 3], [1, 0], "outside the 3 x 3 matrix"),
-        ([0, 1], [-1, 0], "outside the 3 x 3 matrix"),
-        ([0], [1, 0], "2 values need 2 rows and columns"),
-    ], ids=["row-past-n", "negative-column", "short-rows"])
-    def test_entries_checked_before_the_kernel(self, rows, cols, message):
+    @pytest.mark.parametrize("edges, values, message", [
+        ([[0, 3]], 5, "an edge lies outside the 3 x 3 matrix"),
+        ([[-1, 0]], 5, "an edge lies outside the 3 x 3 matrix"),
+        ([[0, 1]], 4, r"\(4,\) values for edges of shape \(1, 2\) on 3 nodes"),
+    ], ids=["edge-past-n", "negative-node", "short-values"])
+    def test_edges_checked_before_the_kernel(self, edges, values, message):
         with pytest.raises(ValueError, match=message):
-            csr_matrix(np.ones(2), np.array(rows), np.array(cols), 3)
+            csr_matrix(np.ones(values), np.array(edges), 3)
+
+    def test_edge_matrix_refuses_unsorted_edges(self):
+        # each row comes out sorted, but edge k would get another edge's entries
+        edges = np.array([[2, 3], [0, 1]])
+        with pytest.raises(ValueError, match="they must come in sorted order"):
+            EdgeMatrix(edges, 4)
 
 
 @st.composite
 def product_cases(draw):
     """An aggregation case, an operand of width 1-64 or a 1-D vector over its
-    nodes, one value per edge for the edge adjacency, and whether the
+    nodes, the edges the edge matrix holds (all, or a sorted subset as a
+    holdout fit leaves them), one value per held edge, and whether the
     matrices take int64 indices."""
     graph, _, weights = draw(aggregation_cases())
     width = draw(st.none() | st.integers(1, 64))
     shape = (graph.num_nodes,) if width is None else (graph.num_nodes, width)
     value = st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 0.1, 1e-3, 1e16, -1e16])
     x = draw(arrays(np.float64, shape, elements=value))
-    edge_values = draw(arrays(np.float64, graph.num_edges, elements=value))
-    return graph, weights, x, edge_values, draw(st.booleans())
+    edge_ids = draw(st.none() | st.sets(st.integers(0, max(graph.num_edges - 1, 0)))
+                    .map(lambda ids: np.array(sorted(i for i in ids if i < graph.num_edges),
+                                              dtype=np.int64)))
+    held = graph.num_edges if edge_ids is None else len(edge_ids)
+    edge_values = draw(arrays(np.float64, held, elements=value))
+    return graph, weights, x, edge_ids, edge_values, draw(st.booleans())
 
 
 ONE_NODE_CASE = (LabeledGraph(num_nodes=1, edges=np.empty((0, 2), dtype=np.int64)), None,
-                 np.array([[-0.0, 2.5]]), np.empty(0), True)
+                 np.array([[-0.0, 2.5]]), None, np.empty(0), True)
+# node 3's edges (1, 3) and (3, 4) are both held out; -0.0 operands and values
+HELD_OUT_NODE_CASE = (
+    LabeledGraph(num_nodes=5, edges=np.array([[0, 1], [0, 2], [1, 3], [2, 4], [3, 4]])),
+    np.array([1.0, 0.0, 2.0, 0.5, 3.0]),
+    np.array([[-0.0, 1.0], [-0.0, -0.0], [2.0, -0.0], [-0.0, -1.0], [0.0, -0.0]]),
+    np.array([0, 1, 3]), np.array([-0.0, 2.0, -0.0]), False,
+)
+
+
+def edge_matrix_oracle(graph, edge_ids, values):
+    """The predictor backward's per-edge matrix as nn.EdgeAdjacency built it
+    before it shared the aggregator's pattern, kept as oracle: scipy's CSR
+    over the held edges alone, no self loops and no zero entries."""
+    edges = graph.edges if edge_ids is None else graph.edges[edge_ids]
+    src, dst = edges[:, 0], edges[:, 1]
+    mat = scipy.sparse.csr_matrix(
+        (np.concatenate([values, values]), (np.concatenate([src, dst]), np.concatenate([dst, src]))),
+        shape=(graph.num_nodes, graph.num_nodes))
+    mat.sort_indices()
+    return mat
 
 
 class TestKernelsAgainstScipy:
@@ -305,27 +343,41 @@ class TestKernelsAgainstScipy:
     over the same arrays is the oracle, bit for bit, signs of zero included."""
 
     @given(product_cases())
-    @example((EDGELESS_CASE[0], None, EDGELESS_CASE[1], np.empty(0), False))
+    @example((EDGELESS_CASE[0], None, EDGELESS_CASE[1], None, np.empty(0), False))
     @example(ONE_NODE_CASE)
+    @example(HELD_OUT_NODE_CASE)
+    @example(HELD_OUT_NODE_CASE[:3] + (None, np.array([-0.0, 1.0, 0.0, -0.0, 0.0]), True))
     @settings(max_examples=150, deadline=None)
     def test_products_equal_scipy(self, case):
-        graph, weights, x, edge_values, int64 = case
+        # the adjoint's oracle is scipy's transpose product, which runs the
+        # CSC kernel over the operator's own arrays
+        graph, weights, x, edge_ids, edge_values, int64 = case
         with mock.patch("graphost.nn._INT32_MAX", 0 if int64 else np.iinfo(np.int32).max):
             agg = MeanAggregator(graph, weights, self_loops=True)
-            adjacency = EdgeAdjacency(graph.edges, graph.num_nodes)
+            ids = slice(None) if edge_ids is None else edge_ids
+            shared = EdgeMatrix(graph.edges, graph.num_nodes, ids, agg)
+            built = EdgeMatrix(graph.edges, graph.num_nodes, ids)
         index_dtype = np.int64 if int64 else np.int32
-        assert agg._mat.indices.dtype == adjacency.matrix.indices.dtype == index_dtype
-        filled = adjacency.fill(edge_values)
-        for got, want in [(agg.apply(x), as_scipy(agg._mat) @ x),
-                          (agg.adjoint(x), as_scipy(agg._mat).T @ x),
-                          (filled @ x, as_scipy(filled) @ x)]:
-            assert got.dtype == np.float64 and got.shape == want.shape == x.shape
-            assert got.tobytes() == want.tobytes()
+        assert agg._mat.indices.dtype == shared.matrix.indices.dtype == index_dtype
+        assert shared.matrix.indices is agg._mat.indices  # one pattern, not a copy
+        oracle = edge_matrix_oracle(graph, edge_ids, edge_values)
+        for _ in range(2):  # a second fill leaves nothing of the first
+            products = [(agg.apply(x), as_scipy(agg._mat) @ x),
+                        (agg.adjoint(x), as_scipy(agg._mat).T @ x),
+                        (shared.fill(edge_values) @ x, oracle @ x),
+                        (built.fill(edge_values) @ x, oracle @ x)]
+            for got, want in products:
+                assert got.dtype == np.float64 and got.shape == want.shape == x.shape
+                assert got.tobytes() == want.tobytes()
+            shared.fill(np.full(len(edge_values), 7.0))
+            built.fill(np.full(len(edge_values), 7.0))
+        assert np.array_equal(as_scipy(built.fill(edge_values)).toarray(), oracle.toarray())
 
     PRODUCTS = {
         "apply": lambda g: MeanAggregator(g, self_loops=True).apply,
         "adjoint": lambda g: MeanAggregator(g, self_loops=True).adjoint,
-        "edge-adjacency": lambda g: EdgeAdjacency(g.edges, 3).fill(np.ones(2)).__matmul__,
+        "edge-adjacency": lambda g: EdgeMatrix(g.edges, 3, aggregator=MeanAggregator(
+            g, self_loops=True)).fill(np.ones(2)).__matmul__,
     }
 
     @pytest.mark.parametrize("product", PRODUCTS)
@@ -395,7 +447,7 @@ class TestBuildMemory:
         # where max(nnz, n) passes int32's range the matrix takes int64 indices
         monkeypatch.setattr("graphost.nn._INT32_MAX", 6)
         graph = LabeledGraph(num_nodes=3, edges=np.array([[0, 1], [1, 2]]))
-        rows, cols = _entry_indices(graph.edges, 3, self_loops=True)
+        rows, cols = _entry_indices(graph.edges, 3)
         assert rows.dtype == cols.dtype == np.int64
         assert rows.tolist() == [1, 2, 0, 1, 2, 0, 1]
         assert cols.tolist() == [0, 1, 0, 1, 2, 1, 2]
@@ -405,7 +457,7 @@ class TestBuildMemory:
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         monkeypatch.setattr("graphost.nn._INT32_MAX", 7)
-        assert _entry_indices(graph.edges, 3, self_loops=True)[0].dtype == np.int32
+        assert _entry_indices(graph.edges, 3)[0].dtype == np.int32
         assert MeanAggregator(graph, self_loops=True)._mat.indptr.dtype == np.int32
 
 
