@@ -12,14 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from graphost.experiments import (
-    parse_seeds,
-    run_ablation,
-    run_delta_sweep,
-    run_noise_robustness,
-    run_random_drop_comparison,
-    write_report,
-)
+from graphost.experiments import parse_seeds, run_study, write_report
 from graphost.fixtures import make_fixture
 
 
@@ -49,14 +42,8 @@ def main() -> int:
     print(f"mode={fx.mode}  predictor val AUC="
           f"{fx.predictor.metadata['val_roc_auc']:.4f}")
 
-    runs = {
-        "ablation": run_ablation,
-        "delta-sweep": run_delta_sweep,
-        "noise-robustness": run_noise_robustness,
-        "random-drop": run_random_drop_comparison,
-    }
-    for name, runner in runs.items():
-        report = runner(fx.classifier, fx.predictor, fx.test_graph, fx.config, seeds)
+    reports = run_study(fx.classifier, fx.predictor, fx.test_graph, fx.config, seeds)
+    for name, report in reports.items():
         write_report(out, name, report.to_dict(), "", csv_rows=report.to_csv_rows())
         print(f"\n== {name}")
         for arm in report.arm_values:

@@ -13,6 +13,7 @@ from .experiments import (
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
+    run_study,
 )
 from .graphs import (
     GraphFormatError,

@@ -34,10 +34,7 @@ from .experiments import (
     derive_seed,
     evaluate_graph,
     parse_seeds,
-    run_ablation,
-    run_delta_sweep,
-    run_noise_robustness,
-    run_random_drop_comparison,
+    run_study,
     write_report,
 )
 from .graphs import LabeledGraph, edge_homophily_or_none, load_graph, save_graph
@@ -476,14 +473,14 @@ def cmd_evaluate(options: dict) -> int:
 # experiment harness subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_harness(runner: Callable, grid_key: str | None, options: dict) -> int:
-    """One harness run: `runner` over the evaluation inputs, and over the
-    grid option `grid_key` where the runner takes a grid."""
+def cmd_harness(experiment: str, grid_key: str | None, options: dict) -> int:
+    """One harness run: run_study's `experiment` over the evaluation inputs;
+    only that experiment's grid option, `grid_key`, is read."""
     test_graph, classifier, predictor, config, seeds = _evaluation_inputs(options)
-    grid = () if grid_key is None else (options[grid_key],)
     try:
-        report = runner(classifier, predictor, test_graph, config, seeds, *grid,
-                        options["metric"])
+        report = run_study(classifier, predictor, test_graph, config, seeds, (experiment,),
+                           options["metric"], options["noise_levels"],
+                           options["delta_grid"])[experiment]
     except RepeatedArmError as exc:
         raise CliError(f"{_flag(grid_key)}: {exc}") from exc
     write_report(_out_dir(options), report.experiment, report.to_dict(), _stamp(options),
@@ -557,9 +554,9 @@ _EVALUATE_FLAGS = ("test_graph", "classifier", "metric", *_TRANSFORM_FLAGS, "see
 _GRIDS = ("delta_grid", "noise_levels")
 
 
-def _harness(help_text: str, runner: Callable, grid: str | None = None) -> _Subcommand:
+def _harness(help_text: str, experiment: str, grid: str | None = None) -> _Subcommand:
     return _Subcommand(
-        functools.partial(cmd_harness, runner, grid),
+        functools.partial(cmd_harness, experiment, grid),
         help_text,
         _EVALUATE_FLAGS + ((grid,) if grid else ()),
         config_only=tuple(k for k in _GRIDS if k != grid),
@@ -589,13 +586,13 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         "base vs transformed metric report",
         _EVALUATE_FLAGS,
     ),
-    "ablate": _harness("base / w-o weight / w-o filter / full arms", run_ablation),
-    "sweep-delta": _harness("metric across the filtering-ratio grid", run_delta_sweep,
+    "ablate": _harness("base / w-o weight / w-o filter / full arms", "ablation"),
+    "sweep-delta": _harness("metric across the filtering-ratio grid", "delta-sweep",
                             "delta_grid"),
     "noise-robustness": _harness("pipeline under injected structural noise",
-                                 run_noise_robustness, "noise_levels"),
+                                 "noise-robustness", "noise_levels"),
     "random-drop": _harness("pipeline vs count-matched random edge dropping",
-                            run_random_drop_comparison),
+                            "random-drop"),
     "theory-validate": _Subcommand(
         cmd_theory_validate,
         "closed-form and Monte Carlo checks",
@@ -646,9 +643,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
-        if isinstance(exc, NonFiniteError) and options.get("predictor"):
-            # only the edge head raises it, on the predictor's embeddings
-            exc = f"--predictor {options['predictor']}: {exc}"
+        # Name the flag behind a NonFiniteError: the theory lab raises it on class
+        # means too far apart, the edge head on the predictor's embeddings.
+        key = "mean_distance" if args.command == "theory-validate" else "predictor"
+        if isinstance(exc, NonFiniteError) and options.get(key):
+            exc = f"{_flag(key)} {options[key]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a count that fits int64 but not in memory

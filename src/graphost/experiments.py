@@ -1,19 +1,26 @@
 """Seeded experiment harness: ablation arms, structural-noise robustness,
 filtering-ratio sweeps, and the random-drop comparison.
 
-Each runner is a per-seed function one_seed(seed, graph, score) returning
-({arm: metric}, extras), run for every seed by _run_arms. Arms reuse the
-seed's streams, so arm differences come from the method, not sampling; arms
-that transform one graph share one EdgeScoreTable, scored once, and apply
-their configs to those scores. Test graphs are a single labeled graph or a
-callable seed -> graph, which lets each seed evaluate a fresh test sample.
+The four experiments are one study run four ways on the same per-seed test
+graphs, and run_study runs any of them together. An arm is named by its
+recipe: the seed's test graph, with structural noise injected or not, then
+transformed by a TransformConfig, dropped at random or left as it is. Each
+seed draws its graph once, builds and evaluates each distinct recipe once
+(experiments share an arm only where their recipes are equal, never because
+their values match) and scores each source graph once, into one
+EdgeScoreTable for every transform of it. Arms reuse the seed's streams, so
+arm differences come from the method, not sampling. run_ablation,
+run_delta_sweep, run_noise_robustness and run_random_drop_comparison are
+views of run_study that run one experiment. Test graphs are a single labeled
+graph or a callable seed -> graph, which lets each seed evaluate a fresh
+test sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,6 +32,7 @@ from .transform import TransformConfig, graphost_transform
 from .workers import map_in_order
 
 __all__ = [
+    "EXPERIMENTS",
     "METRICS",
     "ExperimentReport",
     "RepeatedArmError",
@@ -35,6 +43,7 @@ __all__ = [
     "run_noise_robustness",
     "run_delta_sweep",
     "run_random_drop_comparison",
+    "run_study",
     "write_report",
 ]
 
@@ -141,10 +150,8 @@ def evaluate_graph(
     """Classifier metric on a labeled (possibly weighted) graph."""
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {list(METRICS)}, got {metric!r}")
-    if isinstance(graph, WeightedGraph):
-        base, weights = graph.base, graph.edge_weights
-    else:
-        base, weights = graph, None
+    base = graph.base if isinstance(graph, WeightedGraph) else graph
+    weights = graph.edge_weights if isinstance(graph, WeightedGraph) else None
     if base.labels is None:
         raise ValueError("evaluation needs a labeled graph")
     predicted, _ = predict_labels(classifier, base, weights)
@@ -157,136 +164,151 @@ class RepeatedArmError(ValueError):
     """Two grid values give one arm label, so their values would merge."""
 
 
-def _grid_arms(prefix: str, grid: tuple[float, ...]) -> list[str]:
-    """One arm label per grid value, the value printed with :g."""
-    arms = [f"{prefix}{value:g}" for value in grid]
-    for i, arm in enumerate(arms):
-        first = arms.index(arm)
-        if first < i:
-            raise RepeatedArmError(
-                f"grid values {grid[first]!r} and {grid[i]!r} both give arm {arm!r}"
-            )
+def _grid_arms(prefix: str, grid: tuple[float, ...]) -> dict[str, float]:
+    """{arm label: grid value}, the label the value printed with :g."""
+    arms = {}
+    for value in grid:
+        arm = f"{prefix}{value:g}"
+        if arm in arms:
+            raise RepeatedArmError(f"grid values {arms[arm]!r} and {value!r} both give arm {arm!r}")
+        arms[arm] = value
     return arms
 
 
-def _run_arms(
-    experiment: str, classifier: Checkpoint, test_graphs: LabeledGraph | GraphProvider,
-    config: TransformConfig, seeds: tuple[int, ...], metric: str,
-    one_seed: Callable[[int, LabeledGraph, Callable], tuple[dict, dict]], grid: dict | None = None,
-) -> ExperimentReport:
-    """The seed x arm loop; a repeated seed is refused before any seed runs.
-    one_seed(seed, graph, score) returns the seed's {arm: metric} in report
-    order and its extras, scoring each arm's graph by score(graph) =
-    evaluate_graph(classifier, graph, metric) before it builds the next.
-    Seeds are independent and may run side by side (map_in_order); values and
-    extras join in seed order, the bits of a plain loop; `grid` joins config."""
+EXPERIMENTS = ("ablation", "delta-sweep", "noise-robustness", "random-drop")
+NOISE_LEVELS = (0.0, 0.1, 0.3, 0.5)
+DELTA_GRID = tuple(i / 10.0 for i in range(10))
+# The step that drops, at random, as many edges as the study config's transform removes.
+_RANDOM_DROP = "random_drop"
+
+
+def _plan(name: str, config: TransformConfig, noise_levels: tuple[float, ...],
+          delta_grid: tuple[float, ...]) -> tuple[dict[str, tuple], dict, dict, tuple]:
+    """Experiment `name`'s {arm: recipe} in report order, the grid its report
+    config records, its extras, {key: value from one seed's {arm: _Arm}}, and
+    the arms whose HD the extras read. Only the experiment's own grid is read,
+    so a repeated value in another grid is not refused."""
+    base = {"base": (None, None)}
+    if name == "ablation":
+        return (base | {arm: (None, replace(config, enable_weighting=w, enable_filtering=f))
+                        for arm, w, f in (("wo_weight", False, True), ("wo_filter", True, False),
+                                          ("full", True, True))}, {},
+                {"hd_before": lambda arms: arms["full"].hd[0],
+                 "hd_after_full": lambda arms: arms["full"].hd[1]}, ("full",))
+    if name == "delta-sweep":
+        return ({arm: (None, replace(config, delta=d))
+                 for arm, d in _grid_arms("delta=", delta_grid).items()},
+                {"delta_grid": list(delta_grid)}, {}, ())
+    if name == "noise-robustness":
+        return (base | {arm: ((level, tag), config) for tag, (arm, level)
+                        in enumerate(_grid_arms("graphost_noise", noise_levels).items())},
+                {"noise_levels": list(noise_levels)}, {}, ())
+    if name == "random-drop":
+        return (base | {"random_drop": (None, _RANDOM_DROP), "graphost": (None, config)}, {},
+                {"dropped_edges": lambda arms: arms["base"].edges - arms["graphost"].edges}, ())
+    raise ValueError(f"unknown experiment {name!r}; choose from {list(EXPERIMENTS)}")
+
+
+class _Arm(NamedTuple):
+    """What a seed keeps of an arm's graph: its metric, edge count and, for an
+    arm whose HD an extra reads, the (before, after) of hd_delta_report."""
+
+    value: float
+    edges: int
+    hd: tuple[float | None, float | None] | None
+
+
+def run_study(classifier: Checkpoint, predictor: Checkpoint,
+              test_graphs: LabeledGraph | GraphProvider, config: TransformConfig,
+              seeds: tuple[int, ...], experiments: tuple[str, ...] = EXPERIMENTS,
+              metric: str = "accuracy", noise_levels: tuple[float, ...] = NOISE_LEVELS,
+              delta_grid: tuple[float, ...] = DELTA_GRID) -> dict[str, ExperimentReport]:
+    """{experiment: report} for each of `experiments`, in the order given.
+
+    An unknown experiment, a repeated grid arm of an asked experiment, a
+    repeated seed and an empty seed list are refused before any graph is
+    drawn. Each seed then draws its test graph once and builds each distinct
+    recipe (noise, step) once: the graph, with structural noise injected if
+    noise is a (level, seed tag), then transformed by step, a
+    TransformConfig, or dropped at random as far as config's transform
+    filters (_RANDOM_DROP), or left as it is (None). Each source graph is
+    scored once, for every transform of it. A seed keeps each arm's metric,
+    edge count and, where an extra reads it, HD, not its graph. Seeds are
+    independent and may run side by side (map_in_order); values and extras
+    join in seed order, the bits of a plain loop."""
     seeds = _distinct(tuple(seeds))
+    if not seeds:
+        raise ValueError("an experiment needs at least one seed")
+    plans = {name: _plan(name, config, noise_levels, delta_grid) for name in experiments}
+    recipes = list(dict.fromkeys(r for plan in plans.values() for r in plan[0].values()))
+    hd_recipes = {plan[0][arm] for plan in plans.values() for arm in plan[3]}
+    # One source at a time, the clean graph first; a random drop reads config's arm.
+    recipes.sort(key=lambda recipe: (recipe[0] is not None, recipe[1] == _RANDOM_DROP))
 
-    def run(seed: int) -> tuple[dict, dict]:
+    def one_seed(seed: int) -> dict[tuple, _Arm]:
         graph = test_graphs(seed) if callable(test_graphs) else test_graphs
-        return one_seed(seed, graph, lambda g: evaluate_graph(classifier, g, metric))
+        arms, scores = {}, {}  # scores: the current source's only
+        for noise, step in recipes:
+            # No plan gives one noise two steps, so a noisy source is built per recipe.
+            arm = graph if noise is None else inject_structural_noise(
+                graph, noise[0], derive_seed(seed, noise[1]))
+            if step == _RANDOM_DROP:
+                arm = random_edge_drop(graph, graph.num_edges - arms[None, config].edges,
+                                       derive_seed(seed, 7))
+            elif step is not None:
+                if noise not in scores:
+                    scores = {noise: edge_homophily_scores(predictor, arm)}
+                arm = graphost_transform(arm, scores[noise], step)
+            # Evaluating the arm first checks that it has labels. Only `arm` holds
+            # its graph, until the next recipe rebinds it, before any transform.
+            arms[noise, step] = _Arm(evaluate_graph(classifier, arm, metric), arm.num_edges,
+                                     hd_delta_report(graph, arm, graph.labels)[:2]
+                                     if (noise, step) in hd_recipes else None)
+        return arms
 
-    values: dict[str, list[float]] = {}
-    extras: dict[str, list] = {}
-    for seed_dicts in map_in_order(run, seeds):
-        for column, seed_dict in zip((values, extras), seed_dicts):
-            for key, value in seed_dict.items():
-                column.setdefault(key, []).append(value)
-    return ExperimentReport(experiment, seeds, {a: tuple(v) for a, v in values.items()},
-                            asdict(config) | {"metric": metric} | (grid or {}), extras)
+    per_seed = map_in_order(one_seed, seeds)
+    reports = {}
+    for name, (plan, grid, extras, _) in plans.items():
+        seed_arms = [{arm: arms[recipe] for arm, recipe in plan.items()} for arms in per_seed]
+        reports[name] = ExperimentReport(
+            name, seeds, {arm: tuple(arms[arm].value for arms in seed_arms) for arm in plan},
+            asdict(config) | {"metric": metric} | grid,
+            {key: [extra(arms) for arms in seed_arms] for key, extra in extras.items()})
+    return reports
 
 
-def run_ablation(
-    classifier: Checkpoint,
-    predictor: Checkpoint,
-    test_graphs: LabeledGraph | GraphProvider,
-    config: TransformConfig,
-    seeds: tuple[int, ...],
-    metric: str = "accuracy",
-) -> ExperimentReport:
+def run_ablation(classifier: Checkpoint, predictor: Checkpoint,
+                 test_graphs: LabeledGraph | GraphProvider, config: TransformConfig,
+                 seeds: tuple[int, ...], metric: str = "accuracy") -> ExperimentReport:
     """Arms per seed: base (untransformed), w/o-weight, w/o-filter, full. extras
     hold each seed's HD before and after full, None on a side with no edges."""
-    arm_configs = {
-        "wo_weight": replace(config, enable_weighting=False, enable_filtering=True),
-        "wo_filter": replace(config, enable_weighting=True, enable_filtering=False),
-        "full": replace(config, enable_weighting=True, enable_filtering=True),
-    }
-
-    def one_seed(seed, graph, score):
-        values = {"base": score(graph)}  # scoring it checked that graph has labels
-        scores = edge_homophily_scores(predictor, graph)
-        for arm, arm_cfg in arm_configs.items():
-            transformed = graphost_transform(graph, scores, arm_cfg)
-            values[arm] = score(transformed)
-        before, after, _ = hd_delta_report(graph, transformed, graph.labels)
-        return values, {"hd_before": before, "hd_after_full": after}
-
-    return _run_arms("ablation", classifier, test_graphs, config, seeds, metric, one_seed)
+    return run_study(classifier, predictor, test_graphs, config, seeds, ("ablation",),
+                     metric)["ablation"]
 
 
-def run_noise_robustness(
-    classifier: Checkpoint,
-    predictor: Checkpoint,
-    test_graphs: LabeledGraph | GraphProvider,
-    config: TransformConfig,
-    seeds: tuple[int, ...],
-    noise_levels: tuple[float, ...] = (0.0, 0.1, 0.3, 0.5),
-    metric: str = "accuracy",
-) -> ExperimentReport:
+def run_noise_robustness(classifier: Checkpoint, predictor: Checkpoint,
+                         test_graphs: LabeledGraph | GraphProvider, config: TransformConfig,
+                         seeds: tuple[int, ...], noise_levels: tuple[float, ...] = NOISE_LEVELS,
+                         metric: str = "accuracy") -> ExperimentReport:
     """Full pipeline under injected structural noise vs. the clean base."""
-    level_arms = _grid_arms("graphost_noise", noise_levels)
-
-    def one_seed(seed, graph, score):
-        values = {"base": score(graph)}
-        for idx, (arm, level) in enumerate(zip(level_arms, noise_levels)):
-            noisy = inject_structural_noise(graph, level, derive_seed(seed, idx))
-            values[arm] = score(graphost_transform(noisy, predictor, config))
-        return values, {}
-
-    return _run_arms("noise-robustness", classifier, test_graphs, config, seeds, metric,
-                     one_seed, {"noise_levels": list(noise_levels)})
+    return run_study(classifier, predictor, test_graphs, config, seeds, ("noise-robustness",),
+                     metric, noise_levels)["noise-robustness"]
 
 
-def run_delta_sweep(
-    classifier: Checkpoint,
-    predictor: Checkpoint,
-    test_graphs: LabeledGraph | GraphProvider,
-    config: TransformConfig,
-    seeds: tuple[int, ...],
-    delta_grid: tuple[float, ...] = tuple(i / 10.0 for i in range(10)),
-    metric: str = "accuracy",
-) -> ExperimentReport:
+def run_delta_sweep(classifier: Checkpoint, predictor: Checkpoint,
+                    test_graphs: LabeledGraph | GraphProvider, config: TransformConfig,
+                    seeds: tuple[int, ...], delta_grid: tuple[float, ...] = DELTA_GRID,
+                    metric: str = "accuracy") -> ExperimentReport:
     """One arm per filtering ratio on the grid."""
-    delta_arms = _grid_arms("delta=", delta_grid)
-
-    def one_seed(seed, graph, score):
-        scores = edge_homophily_scores(predictor, graph)
-        return {arm: score(graphost_transform(graph, scores, replace(config, delta=d)))
-                for arm, d in zip(delta_arms, delta_grid)}, {}
-
-    return _run_arms("delta-sweep", classifier, test_graphs, config, seeds, metric, one_seed,
-                     {"delta_grid": list(delta_grid)})
+    return run_study(classifier, predictor, test_graphs, config, seeds, ("delta-sweep",),
+                     metric, NOISE_LEVELS, delta_grid)["delta-sweep"]
 
 
-def run_random_drop_comparison(
-    classifier: Checkpoint,
-    predictor: Checkpoint,
-    test_graphs: LabeledGraph | GraphProvider,
-    config: TransformConfig,
-    seeds: tuple[int, ...],
-    metric: str = "accuracy",
-) -> ExperimentReport:
+def run_random_drop_comparison(classifier: Checkpoint, predictor: Checkpoint,
+                               test_graphs: LabeledGraph | GraphProvider,
+                               config: TransformConfig, seeds: tuple[int, ...],
+                               metric: str = "accuracy") -> ExperimentReport:
     """Base vs. random edge-dropping (count matched to the filter) vs. the
     full pipeline."""
-
-    def one_seed(seed, graph, score):
-        base = score(graph)
-        transformed = graphost_transform(graph, predictor, config)
-        k = graph.num_edges - transformed.num_edges
-        randomly_dropped = random_edge_drop(graph, k, derive_seed(seed, 7))
-        if randomly_dropped.num_edges != transformed.num_edges:
-            raise AssertionError("random-drop arm is not count-matched")
-        return ({"base": base, "random_drop": score(randomly_dropped),
-                 "graphost": score(transformed)}, {"dropped_edges": k})
-
-    return _run_arms("random-drop", classifier, test_graphs, config, seeds, metric, one_seed)
+    return run_study(classifier, predictor, test_graphs, config, seeds, ("random-drop",),
+                     metric)["random-drop"]

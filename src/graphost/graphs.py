@@ -325,7 +325,7 @@ def random_edge_drop(graph: LabeledGraph, drop_count: int, seed: int) -> Labeled
 # object {"num_nodes", "edges", "features", "labels", "num_classes"}
 # (labels/features optional; weighted graphs add "edge_weights", which only
 # load_weighted_graph reads). A legacy "directed": false key is accepted;
-# "directed": true is rejected.
+# "directed": true is rejected, and so is any other key.
 # ---------------------------------------------------------------------------
 
 
@@ -340,8 +340,15 @@ def load_weighted_graph(path: str | Path) -> WeightedGraph:
     return _load(path, weighted=True)
 
 
+_FILE_KEYS = ("num_nodes", "edges", "features", "labels", "num_classes", "edge_weights",
+              "directed")
+
+
 def _load(path: str | Path, weighted: bool) -> WeightedGraph:
     doc = read_json(path, GraphFormatError)
+    unknown = sorted(doc.keys() - set(_FILE_KEYS))
+    if unknown:  # a misspelled optional key would otherwise read as absent
+        doc.fail(f"unknown key {unknown[0]!r}; a graph file holds {', '.join(_FILE_KEYS)}")
     if not weighted and "edge_weights" in doc:
         doc.fail('the file holds "edge_weights"; read it with load_weighted_graph')
     if doc.boolean("directed", False):

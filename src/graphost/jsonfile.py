@@ -254,6 +254,9 @@ class JsonObject:
     def __contains__(self, key: str) -> bool:
         return key in self._doc
 
+    def keys(self) -> set[str]:
+        return set(self._doc)
+
     def fail(self, message: str):
         raise self.error(message, self.path)
 

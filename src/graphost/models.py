@@ -607,7 +607,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     dims = spec.layer_dims
     shapes = {f"W{i}": (dims[i], dims[i + 1]) for i in range(spec.num_layers)}
     shapes |= {f"b{i}": (dims[i + 1],) for i in range(spec.num_layers)}
-    if set(tensors.raw) != set(shapes):
-        doc.fail(f"tensors {sorted(tensors.raw)} do not match the spec's {sorted(shapes)}")
+    if tensors.keys() != set(shapes):
+        doc.fail(f"tensors {sorted(tensors.keys())} do not match the spec's {sorted(shapes)}")
     params = {name: _decode_tensor(tensors, name, shape) for name, shape in shapes.items()}
     return Checkpoint(spec=spec, params=params, metadata=doc.object("metadata", {}).raw)

@@ -33,6 +33,7 @@ import numpy as np
 # generate_csbm under the theory lab's own name, which perfbench's trace patches
 from .csbm import CsbmParams, _sample_edges, generate_csbm as _generate
 from .graphs import LabeledGraph
+from .models import NonFiniteError
 from .nn import mean_aggregate
 
 __all__ = [
@@ -116,12 +117,22 @@ def midpoint(means) -> np.ndarray:
     return (means[0] + means[1]) / 2.0
 
 
+def _norm(v: np.ndarray, what: str) -> float:
+    """||v||, refused with NonFiniteError where it is not finite: the squares
+    of finite entries past about 1.3e154 overflow."""
+    with np.errstate(over="ignore"):  # the overflow is refused below, by name
+        norm = float(np.linalg.norm(v))
+    if not math.isfinite(norm):
+        raise NonFiniteError(f"the norm of {what} is {norm}, not finite")
+    return norm
+
+
 def direction(means) -> np.ndarray:
     means = np.asarray(means, dtype=np.float64)
     if means.shape[0] != 2:
         raise ValueError("direction is defined for exactly two class means")
     diff = means[0] - means[1]
-    norm = np.linalg.norm(diff)
+    norm = _norm(diff, "the class-mean difference")
     if norm == 0.0:
         raise ValueError("direction undefined: class means coincide")
     return diff / norm
@@ -382,6 +393,8 @@ def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
     aggregated: the midpoint and direction read all of them."""
     if params.num_classes != 2:
         raise ValueError("lemma checks are binary; use two-class parameters")
+    means = np.asarray(params.class_means, dtype=np.float64)
+    o = direction(means)  # refuses means too far apart before any draw
     graph = _generate(params, seed)
     h, include = _strict_mean(graph)
     emp = []
@@ -390,14 +403,12 @@ def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
         if not mask.any():
             raise ValueError(f"class {cls} has no non-isolated nodes")
         emp.append(h[mask].mean(axis=0))
-    means = np.asarray(params.class_means, dtype=np.float64)
     emp_mid = (emp[0] + emp[1]) / 2.0
     expected_mid = midpoint(means)
     diff = emp[0] - emp[1]
-    o = direction(means)
-    cos = float(np.dot(diff, o) / (np.linalg.norm(diff) * np.linalg.norm(o)))
-    empirical = float(np.linalg.norm(diff))
-    a = float(np.linalg.norm(means[0] - means[1]))
+    empirical = _norm(diff, "the aggregated class-mean difference")
+    cos = float(np.dot(diff, o) / (empirical * np.linalg.norm(o)))
+    a = float(np.linalg.norm(means[0] - means[1]))  # finite: direction took this norm
     closed_form = 2.0 * class_separation_distance(
         params.intra_prob, params.inter_prob, a
     )
@@ -406,7 +417,7 @@ def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
         "empirical_class_means": [emp[0].tolist(), emp[1].tolist()],
         "empirical_midpoint": emp_mid.tolist(),
         "expected_midpoint": expected_mid.tolist(),
-        "midpoint_error": float(np.linalg.norm(emp_mid - expected_mid)),
+        "midpoint_error": _norm(emp_mid - expected_mid, "the midpoint error"),
         "direction_cosine": cos,
         "excluded_nodes": int(np.count_nonzero(~include)),
         "empirical_distance": empirical,

@@ -521,6 +521,53 @@ class TestOverflowingPredictor:
                 assert text.startswith(refused) and text.count("\n") == 1, text
 
 
+THEORY_SMALL = ["--p", "0.06", "--q", "0.02", "--p2", "0.08", "--q2", "0.01", "--n1", "60",
+                "--n2", "60", "--lemma-nodes", "100", "--samples", "2000", "--trials", "2"]
+
+
+class TestOverflowingMeanDistance:
+    """A --mean-distance whose class-mean difference overflows its norm is a
+    run error (exit 1) naming the option, with no numpy warning and no
+    theory FAIL; it used to print numpy's overflow warning and then a check
+    FAIL or an error naming no option."""
+
+    @pytest.mark.parametrize("suite", ["phi", "separation"])
+    def test_probe_exits_1_naming_the_option(self, tmp_path, suite):
+        env = dict(os.environ, PYTHONPATH=str(Path(graphost.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "graphost", "theory-validate", "--suite", suite,
+             "--mean-distance", "1e300", "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == ("error: --mean-distance 1e+300: the norm of the class-mean "
+                               "difference is inf, not finite\n"), done.stderr
+        assert not (tmp_path / "o").exists()
+
+    @given(st.sampled_from(["all", *theory.SUITES]), st.integers(0, 308))
+    @example("all", 0)
+    @example("all", 154)
+    @example("all", 155)
+    @example("constraint", 308)
+    @example("multiclass", 308)
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_mean_distance_is_finite_or_refused(self, suite, power):
+        # tier-1 turns any numpy RuntimeWarning into a failure
+        with tempfile.TemporaryDirectory() as work:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = run(["theory-validate", "--suite", suite, *THEORY_SMALL,
+                            "--mean-distance", f"1e{power}", "--out", work])
+        if code == 1 and err.getvalue():
+            assert err.getvalue().startswith(f"error: --mean-distance {10.0 ** power!r}: the "
+                                             "norm of ") and err.getvalue().count("\n") == 1
+            assert out.getvalue() == ""
+        else:
+            # checks may fail, at scales their absolute tolerances do not fit,
+            # but every number they print is finite
+            assert code in (0, 1) and err.getvalue() == ""
+            assert not re.search(r"\b(inf|nan)\b", out.getvalue()), out.getvalue()
+
+
 class TestCheckpointRoles:
     """A checkpoint given in the other network's role is a usage error
     naming the flag and the file; one that does not say loads as given."""
@@ -970,6 +1017,40 @@ class TestUsageErrors:
         assert flag in err and repr(arm) in err
         assert not (tmp_path / "rep").exists()
 
+
+    @pytest.mark.parametrize("misspelled", ["label", "feature", "edge_weight"])
+    def test_misspelled_graph_key_is_refused(self, workspace, tmp_path, capsys, misspelled):
+        # transform once loaded a graph whose "labels" were misspelled as
+        # unlabeled, exited 0 and wrote no HD block
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        doc = json.loads((data / "test.json").read_text())
+        key = misspelled + "s"
+        doc[misspelled] = doc.pop(key) if key in doc else [0.5] * len(doc["edges"])
+        path = tmp_path / "test.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "never"
+        assert run(["transform", "--test-graph", str(path),
+                    "--predictor", str(ckpt / "predictor.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"unknown key {misspelled!r}" in err and err.count(str(path)) == 1
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("name, key", [
+        ("ablate", "delta_grid"), ("ablate", "noise_levels"),
+        ("sweep-delta", "noise_levels"), ("noise-robustness", "delta_grid"),
+        ("random-drop", "delta_grid"),
+    ])
+    def test_other_experiments_grid_is_not_read(self, workspace, tmp_path, name, key):
+        # a harness run reads only its own experiment's grid
+        data, ckpt = workspace / "data", workspace / "ckpt"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "0.1,0.1"}))
+        assert run([
+            name, "--test-graph", str(data / "test.json"),
+            "--classifier", str(ckpt / "classifier.json"),
+            "--predictor", str(ckpt / "predictor.json"), "--seed", "0",
+            "--config", str(cfg), "--out", str(tmp_path / "out"),
+        ]) == 0
 
     @pytest.mark.parametrize("name, key, value", [
         ("sweep-delta", "delta_grid", "0.1,abc"),

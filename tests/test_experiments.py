@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +12,9 @@ import pytest
 
 import graphost.experiments as experiments
 import graphost.transform as transform
+import graphost.workers as workers
 from graphost.experiments import (
+    EXPERIMENTS,
     ExperimentReport,
     RepeatedArmError,
     derive_seed,
@@ -21,10 +24,11 @@ from graphost.experiments import (
     run_delta_sweep,
     run_noise_robustness,
     run_random_drop_comparison,
+    run_study,
     write_report,
 )
 from graphost.fixtures import make_fixture
-from graphost.graphs import inject_structural_noise, random_edge_drop
+from graphost.graphs import WeightedGraph, inject_structural_noise, random_edge_drop
 from graphost.metrics import hd_delta_report
 from graphost.transform import TransformConfig, graphost_transform
 
@@ -344,6 +348,120 @@ class TestRunnersLabelFree:
             for want, got in zip(wants, relabeled[key]):
                 assert got.base.edges.tobytes() == want.base.edges.tobytes()
                 assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
+
+
+class TestRunStudy:
+    """run_study builds each distinct arm once per seed; the four runners are
+    its views and give the same reports."""
+
+    # delta = 0.3 is the full arm's recipe and noise level 0 stays its own arm
+    GRIDS = dict(noise_levels=(0.0, 0.3), delta_grid=(0.0, 0.3, 0.6))
+
+    @pytest.mark.parametrize("mode", ["homophilic", "heterophilic"])
+    def test_reports_equal_the_runners(self, fixture, mode):
+        config = replace(fixture.config, mode=mode)
+        args = (fixture.classifier, fixture.predictor, fixture.test_graph, config, SEEDS)
+        study = run_study(*args, **self.GRIDS)
+        assert list(study) == list(EXPERIMENTS)
+        runners = {
+            "ablation": run_ablation(*args),
+            "delta-sweep": run_delta_sweep(*args, delta_grid=self.GRIDS["delta_grid"]),
+            "noise-robustness": run_noise_robustness(*args,
+                                                     noise_levels=self.GRIDS["noise_levels"]),
+            "random-drop": run_random_drop_comparison(*args),
+        }
+        for name, report in runners.items():
+            assert study[name].to_dict() == report.to_dict(), name
+            assert study[name].to_csv_rows() == report.to_csv_rows(), name
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts per kind of work done through the study's bindings."""
+        counts = dict.fromkeys(("draws", "scorings", "transforms", "evaluations", "hd_reports"),
+                               0)
+        for kind, module, name in [("scorings", experiments, "edge_homophily_scores"),
+                                   ("scorings", transform, "edge_homophily_scores"),
+                                   ("transforms", experiments, "graphost_transform"),
+                                   ("evaluations", experiments, "evaluate_graph"),
+                                   ("hd_reports", experiments, "hd_delta_report")]:
+            def counted(*args, _kind=kind, _fn=getattr(module, name)):
+                counts[_kind] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_per_seed_work_at_default_grids(self, fixture, work):
+        def draw(seed):
+            work["draws"] += 1
+            return fixture.test_graph(seed)
+
+        args = (fixture.classifier, fixture.predictor, draw, fixture.config, SEEDS[:2])
+        run_study(*args)
+        # HD is taken only for ablation's full arm, the one arm an extra reads it of.
+        per_seed = dict(draws=1, scorings=5, transforms=16, evaluations=18, hd_reports=1)
+        assert work == {kind: 2 * count for kind, count in per_seed.items()}
+        work.update(dict.fromkeys(work, 0))
+        for runner in RUNNERS:
+            runner(*args)
+        per_seed = dict(draws=4, scorings=7, transforms=18, evaluations=22, hd_reports=1)
+        assert work == {kind: 2 * count for kind, count in per_seed.items()}
+
+    def test_no_earlier_arm_graph_alive_at_a_transform(self, fixture, monkeypatch):
+        monkeypatch.setattr(workers, "_usable_cores", lambda: 1)
+        made = []  # weak references to every arm graph built so far
+        transforms = []
+
+        def tracked(fn):
+            def call(*args):
+                out = fn(*args)
+                # Noise level 0 returns its input, and an unfiltered transform
+                # keeps it as its base: the input is no arm graph of its own.
+                for graph in (out, out.base if isinstance(out, WeightedGraph) else None):
+                    if graph is not None and graph is not args[0]:
+                        made.append(weakref.ref(graph))
+                return out
+            return call
+
+        transform_tracked = tracked(graphost_transform)
+
+        def checked(*args):
+            source = args[0]
+            alive = [ref for ref in made if ref() is not None and ref() is not source]
+            assert alive == [], f"transform {len(transforms)}: earlier arm graphs alive"
+            transforms.append(args[2])
+            return transform_tracked(*args)
+
+        monkeypatch.setattr(experiments, "graphost_transform", checked)
+        monkeypatch.setattr(experiments, "inject_structural_noise",
+                            tracked(inject_structural_noise))
+        monkeypatch.setattr(experiments, "random_edge_drop", tracked(random_edge_drop))
+        run_study(fixture.classifier, fixture.predictor, fixture.test_graph,
+                  fixture.config, SEEDS[:2])
+        assert len(transforms) == 2 * 16
+
+    def test_grid_read_only_for_asked_experiments(self, fixture):
+        args = (fixture.classifier, fixture.predictor, fixture.test_graph, fixture.config, (0,))
+        repeated = dict(noise_levels=(0.1, 0.1), delta_grid=(0.2, 0.2))
+        reports = run_study(*args, ("ablation", "random-drop"), **repeated)
+        assert list(reports) == ["ablation", "random-drop"]
+        assert reports["ablation"].to_dict() == run_ablation(*args).to_dict()
+        for name, arm in [("delta-sweep", "delta=0.2"), ("noise-robustness",
+                                                          "graphost_noise0.1")]:
+            with pytest.raises(RepeatedArmError, match=re.escape(repr(arm))):
+                run_study(*args, ("ablation", name), **repeated)
+
+    @pytest.mark.parametrize("experiments_, seeds, problem", [
+        (("ablation", "sweep"), (0,), "unknown experiment 'sweep'"),
+        (EXPERIMENTS, (2, 2), "seed list repeats 2"),
+        (EXPERIMENTS, (), "an experiment needs at least one seed"),
+        (("delta-sweep",), (0,), "both give arm 'delta=0.1'"),
+    ])
+    def test_refused_before_any_draw(self, experiments_, seeds, problem):
+        drawn = []
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            run_study(None, None, drawn.append, TransformConfig(mode="homophilic"), seeds,
+                      experiments_, delta_grid=(0.1, 0.1))
+        assert drawn == []
 
 
 RUNNERS = [run_ablation, run_delta_sweep, run_noise_robustness, run_random_drop_comparison]

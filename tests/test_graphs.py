@@ -474,6 +474,18 @@ class TestGraphIO:
                 load_graph(path)
             assert err.value.path == str(path)
 
+    @pytest.mark.parametrize("loader", [load_graph, load_weighted_graph])
+    @pytest.mark.parametrize("key", ["label", "feature", "edge_weight"])
+    def test_unknown_key_names_path(self, tmp_path, loader, key):
+        # a misspelled optional key once loaded as if it were absent
+        doc = {"num_nodes": 2, "edges": [[0, 1]], key: [0, 1]}
+        path = tmp_path / "misspelled.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GraphFormatError, match=f"unknown key {key!r}") as err:
+            loader(path)
+        assert err.value.path == str(path)
+        assert str(err.value).count(str(path)) == 1
+
     @pytest.mark.parametrize("field, value, message", [
         ("num_nodes", None, '"num_nodes" must be an integer'),
         ("num_nodes", 2.5, '"num_nodes" must be an integer'),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from graphost.cli import main as cli_main
 from graphost.csbm import CsbmParams
 from graphost.graphs import LabeledGraph
+from graphost.models import NonFiniteError
 from graphost.theory import (
     SUITES,
     BoundarySpec,
@@ -91,6 +92,13 @@ class TestBoundary:
     def test_direction_rejects_equal_means(self):
         with pytest.raises(ValueError, match="coincide"):
             direction(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("a", [1.4e154, 1e300, 1.7e308])
+    def test_direction_refuses_an_overflowing_norm(self, a):
+        # the squares overflow, so the norm is inf and the "direction" was 0
+        with pytest.raises(NonFiniteError, match="class-mean difference is inf, not finite"):
+            direction(np.array([[a / 2, 0.0], [-a / 2, 0.0]]))
+        assert np.array_equal(direction(np.array([[6e153, 0.0], [-6e153, 0.0]])), [1.0, 0.0])
 
     def test_midpoint_of_expected_embeddings_is_invariant(self, rng):
         # closed-form identity checked numerically over random (p, q)
@@ -350,6 +358,14 @@ class TestEmpiricalChecks:
         result = lemma_check(axis_params(0.05, 0.02, n=800), seed=1)
         assert result["midpoint_error"] <= 0.1
         assert abs(result["direction_cosine"]) >= 0.99
+
+    def test_lemma_check_refuses_an_overflowing_norm_before_drawing(self, monkeypatch):
+        import graphost.theory as theory
+
+        monkeypatch.setattr(theory, "_generate", lambda *args: pytest.fail("drew a graph"))
+        for check in (lemma_check, separation_check):
+            with pytest.raises(NonFiniteError, match="norm of the class-mean difference"):
+                check(axis_params(0.05, 0.02, n=50, a=1e300))
 
     def test_lemma_sign_flips_with_regime(self):
         hom = lemma_check(axis_params(0.04, 0.01, n=800), seed=2)
