@@ -547,6 +547,8 @@ class TestOverflowingMeanDistance:
     @example("all", 0)
     @example("all", 154)
     @example("all", 155)
+    @example("all", 23)
+    @example("all", 210)
     @example("constraint", 308)
     @example("multiclass", 308)
     @settings(max_examples=40, deadline=None)
@@ -558,7 +560,8 @@ class TestOverflowingMeanDistance:
                 code = run(["theory-validate", "--suite", suite, *THEORY_SMALL,
                             "--mean-distance", f"1e{power}", "--out", work])
         if code == 1 and err.getvalue():
-            assert err.getvalue().startswith(f"error: --mean-distance {10.0 ** power!r}: the "
+            echoed = float(f"1e{power}")  # the parsed flag: 1e+210, not 10.0 ** 210
+            assert err.getvalue().startswith(f"error: --mean-distance {echoed!r}: the "
                                              "norm of ") and err.getvalue().count("\n") == 1
             assert out.getvalue() == ""
         else:

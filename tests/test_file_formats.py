@@ -324,7 +324,7 @@ FUZZ_COMMANDS = {
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_fuzzed_file_loads_or_is_refused_by_name(fuzz_dir, kind, data):
-    write, load, error, refused_code, _ = KINDS[kind]
+    write, load, error, _, _ = KINDS[kind]
     path = fuzz_dir / f"fuzzed-{kind}.json"
     _fuzzed(data, path, write)
     argv = FUZZ_COMMANDS[kind](path, fuzz_dir) + ["--out", str(fuzz_dir / "out")]
@@ -338,12 +338,36 @@ def test_fuzzed_file_loads_or_is_refused_by_name(fuzz_dir, kind, data):
         assert str(exc).count(str(path)) == 1
         assert kind == "config" or exc.path == str(path)
         refused = True
+    _assert_cli_runs_or_refuses_by_name(kind, path, argv, refused)
+
+
+def _assert_cli_runs_or_refuses_by_name(kind, path, argv, refused) -> int:
+    """The CLI on `argv`, which reads the `kind` file at `path`, exits with the
+    kind's code naming the path once if its loader refused the file, and
+    otherwise runs, or names the path in a usage error or a run error.
+    Returns the exit code."""
     # the sampler is not under test: any params the options make draw GRAPH
     with mock.patch.object(cli, "generate_csbm", lambda params, seed: GRAPH):
         code, err = _cli(argv)
     assert "Traceback" not in err
     if refused:
-        assert code == refused_code and err.count(str(path)) == 1
+        assert code == KINDS[kind][3] and err.count(str(path)) == 1
+    elif code == 1:
+        # a finite checkpoint whose embeddings overflow is a run error
+        assert kind == "checkpoint" and re.fullmatch(
+            rf"error: --predictor {re.escape(str(path))}: the embedding norm of node \d+ "
+            r"is (inf|nan), not finite\n", err), err
     else:
         # a config that merges may still lack --p and --q, which no file names
         assert code in (0, 2) and (code == 0 or kind == "config" or str(path) in err)
+    return code
+
+
+def test_overflowing_checkpoint_loads_and_is_refused_by_name(fuzz_dir):
+    path = fuzz_dir / "overflowing-checkpoint.json"
+    w0 = CHECKPOINT.params["W0"].copy()
+    w0[0, 0] *= 1e300
+    save_checkpoint(Checkpoint(SPEC, {**CHECKPOINT.params, "W0": w0}, {"seed": 0}), path)
+    load_checkpoint(path)
+    argv = FUZZ_COMMANDS["checkpoint"](path, fuzz_dir) + ["--out", str(fuzz_dir / "out")]
+    assert _assert_cli_runs_or_refuses_by_name("checkpoint", path, argv, refused=False) == 1

@@ -47,11 +47,13 @@ def axis_params(p, q, n=500, a=2.0):
 
 class TestNormalCdf:
     def test_against_erfc_oracle(self):
-        # independent stdlib oracle; the rational approximation is specified
-        # to 7.5e-8 absolute error
         for x in np.linspace(-8, 8, 2001):
             exact = 0.5 * math.erfc(-x / math.sqrt(2.0))
             assert abs(std_normal_cdf(float(x)) - exact) <= 7.5e-8
+
+    def test_far_lower_tail_stays_positive_and_ordered(self):
+        # below x ~ -8.3, 1 - Phi(-x) would cancel to 0
+        assert std_normal_cdf(-10.0) > std_normal_cdf(-30.0) > std_normal_cdf(-37.0) > 0.0
 
     def test_symmetry(self):
         assert std_normal_cdf(0.0) == pytest.approx(0.5)
@@ -155,6 +157,12 @@ class TestClosedForms:
 
     def test_misclassification_vanishes_for_large_distance(self):
         assert misclassification_prob(0.05, 0.01, 500, 500, 100.0) <= 1e-12
+
+    def test_misclassification_resolves_small_errors(self):
+        # Phi arguments -12.9 and -29.9: both errors are tiny but distinct
+        before = misclassification_prob(0.02, 0.01, 500, 500, 20.0)
+        after = misclassification_prob(0.03, 0.005, 500, 500, 20.0)
+        assert before > after > 0.0
 
     def test_misclassification_degenerate_degree(self):
         with pytest.raises(ValueError, match="degree"):
@@ -419,6 +427,16 @@ class TestValidate:
 
     def test_no_report_without_the_theorem_suite(self):
         assert validate(SETTINGS, ["phi", "multiclass"], 0)[1] is None
+
+    @pytest.mark.parametrize("mean_distance", [2.0, 20.0, 60.0, 200.0])
+    @pytest.mark.parametrize("p2, q2, holds", [(0.03, 0.005, True), (0.011, 0.009, False)])
+    def test_constraint_decides_at_every_mean_distance(self, mean_distance, p2, q2, holds):
+        # at 60 and 200 both closed-form errors underflow to 0
+        settings = {**SETTINGS, "n1": 500, "n2": 500, "mean_distance": mean_distance,
+                    "p2": p2, "q2": q2}
+        [(name, passed, detail)] = validate(settings, ["constraint"], 0)[0]
+        assert name == "constraint-vs-phi" and passed, detail
+        assert detail.startswith(f"constraint {holds}, closed-form error change ")
 
     @pytest.mark.parametrize("suite", [s for s in SUITES if SUITES[s].needs_transform])
     def test_transform_suites_need_p2_and_q2(self, suite):
