@@ -9,7 +9,8 @@ Rows (times in seconds, each with its raw samples):
   src_lines             lines of src/**/*.py
   src_code_lines        lines of src/**/*.py that are not blank, not
                         comment-only and not inside a module, class or
-                        function docstring (found with ast)
+                        function docstring (found with ast); the total, and
+                        each file's count by its path under src/
   theory_validate_s     per feature width (--dim 2 and 16): `theory-validate
                         --suite theorem` at the homophilic point of
                         scripts/run_theory_suite.py (seed 1), one call of
@@ -305,6 +306,7 @@ def measure() -> dict:
     imports = [float(_run([sys.executable, "-c", IMPORT_PROBE])[1]) for _ in range(5)]
     sources = sorted((ROOT / "src").rglob("*.py"))
     lines = sum(len(p.read_text().splitlines()) for p in sources)
+    per_file = {p.relative_to(ROOT / "src").as_posix(): code_lines(p) for p in sources}
     theory = {f"dim={dim}": _median_row([
         float(_run([sys.executable, "-c", THEORY_PROBE, *THEORY_FLAGS, "--dim", dim])[1])
         for _ in range(5)]) for dim in ("2", "16")}
@@ -316,7 +318,8 @@ def measure() -> dict:
         "tier1_s": {"seconds": tier1, "summary": log.strip().splitlines()[-1], "unit": "s"},
         "import_s": _median_row(imports),
         "src_lines": {"value": lines, "unit": "lines"},
-        "src_code_lines": {"value": sum(map(code_lines, sources)), "unit": "lines"},
+        "src_code_lines": {"value": sum(per_file.values()), "unit": "lines",
+                           "files": per_file},
         "theory_validate_s": theory,
         "pipeline_peak_mb": {"rungs": rungs, "unit": "MB"},
         "train_epoch": {"rungs": {

@@ -37,6 +37,7 @@ from .experiments import (
     run_study,
     write_report,
 )
+from .fixtures import train_networks
 from .graphs import LabeledGraph, edge_homophily_or_none, load_graph, save_graph
 from .jsonfile import FileFormatError, read_json
 from .metrics import hd_delta_report
@@ -47,14 +48,11 @@ from .models import (
     OptimizerConfig,
     load_checkpoint,
     save_checkpoint,
-    train_classifier,
-    train_homophily_predictor,
 )
 from .theory import SUITES as THEORY_SUITES, validate
 # unused: kept bound for perfbench's trace of the theory lab
 from .theory import lemma_check, monte_carlo_theorem_check, phi_vs_simulation, separation_check
 from .transform import MODES, TransformConfig, graphost_transform, resolve_mode
-from .workers import map_in_order
 
 PINNED_TIMESTAMP = "pinned"
 
@@ -367,19 +365,12 @@ def cmd_train(options: dict) -> int:
     optimizer = OptimizerConfig(learning_rate=options["lr"], max_epochs=options["epochs"],
                                 patience=options["patience"])
     hidden, layers, dim = options["hidden"], options["layers"], train_graph.feature_dim
-
-    def train(network: str) -> Checkpoint:
-        if network == "classifier":
-            spec = ArchitectureSpec.default(options["kind"], dim, train_graph.num_classes,
-                                            hidden, layers)
-            return train_classifier(train_graph, val_graph, spec, optimizer, seed)
-        spec = ArchitectureSpec.default(options["predictor_kind"], dim, hidden, hidden, layers)
-        return train_homophily_predictor(train_graph, val_graph, spec, optimizer, seed,
-                                         loss=options["loss"])
-
-    # With --target both the two trainings are independent: they may run side by side.
-    networks = ("classifier", "predictor") if options["target"] == "both" else (options["target"],)
-    checkpoints = dict(zip(networks, map_in_order(train, networks)))
+    heads = {"classifier": (options["kind"], train_graph.num_classes),  # (kind, output width)
+             "predictor": (options["predictor_kind"], hidden)}
+    specs = {name: ArchitectureSpec.default(kind, dim, width, hidden, layers)
+             for name, (kind, width) in heads.items() if options["target"] in (name, "both")}
+    checkpoints = train_networks(train_graph, val_graph, specs, optimizer,
+                                 dict.fromkeys(specs, seed), options["loss"])
     out = _out_dir(options)
     logline: dict = {"seed": seed, "optimizer": optimizer.to_dict()}
     for name, ckpt in checkpoints.items():
@@ -643,11 +634,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, OSError) as exc:
-        # Name the flag behind a NonFiniteError: the theory lab raises it on class
-        # means too far apart, the edge head on the predictor's embeddings.
-        key = "mean_distance" if args.command == "theory-validate" else "predictor"
-        if isinstance(exc, NonFiniteError) and options.get(key):
-            exc = f"{_flag(key)} {options[key]}: {exc}"
+        # A NonFiniteError names the input it came from: a checkpoint, a
+        # training or validation graph, or the theory lab's mean distance.
+        if isinstance(exc, NonFiniteError) and options.get(exc.source):
+            exc = f"{_flag(exc.source)} {options[exc.source]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a count that fits int64 but not in memory

@@ -6,10 +6,14 @@ unit-variance class Gaussians. The noise, the hidden width, the predictor's
 kind and depth, the learning rate, the predictor loss and the filtering
 ratio are the constants below; ``make_fixture`` takes the CSBM family, the
 seed, the classifier depth, the predictor width and the training length.
+
+``train_networks`` is the one training step of ``make_fixture`` and of
+``graphost train``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +30,7 @@ from .models import (
 from .transform import TransformConfig, resolve_mode
 from .workers import map_in_order
 
-__all__ = ["TrainedFixture", "make_fixture"]
+__all__ = ["TrainedFixture", "make_fixture", "train_networks"]
 
 NOISE_STD = math.sqrt(0.5)
 HIDDEN = 32
@@ -57,6 +61,22 @@ class TrainedFixture:
         )
 
 
+def train_networks(train_graph: LabeledGraph, val_graph: LabeledGraph,
+                   specs: dict[str, ArchitectureSpec], optimizer: OptimizerConfig,
+                   seeds: dict[str, int], loss: str) -> dict[str, Checkpoint]:
+    """{name: Checkpoint} for each network `specs` names ("classifier",
+    "predictor"), in the order given: each trained on train_graph from its
+    spec and its seed in `seeds`, early-stopped on val_graph; `loss` is the
+    predictor's. The trainings are independent, so they may run side by
+    side. Every training goes through this module's `train_classifier` and
+    `train_homophily_predictor`, looked up at call time."""
+    trainers = {"classifier": train_classifier,
+                "predictor": functools.partial(train_homophily_predictor, loss=loss)}
+    return dict(zip(specs, map_in_order(
+        lambda name: trainers[name](train_graph, val_graph, specs[name], optimizer, seeds[name]),
+        specs)))
+
+
 def make_fixture(
     intra_prob: float = 0.05,
     inter_prob: float = 0.02,
@@ -82,29 +102,12 @@ def make_fixture(
         learning_rate=LEARNING_RATE, max_epochs=max_epochs, patience=patience
     )
     p_hidden = HIDDEN if predictor_hidden is None else predictor_hidden
-
-    def train(network: str) -> Checkpoint:
-        if network == "classifier":
-            return train_classifier(
-                train_graph,
-                val_graph,
-                ArchitectureSpec.default("gcn", feature_dim, 2, HIDDEN, num_layers),
-                optimizer,
-                seed=derive_seed(seed, 2),
-            )
-        return train_homophily_predictor(
-            train_graph,
-            val_graph,
-            ArchitectureSpec.default(
-                PREDICTOR_KIND, feature_dim, p_hidden, p_hidden, PREDICTOR_LAYERS
-            ),
-            optimizer,
-            seed=derive_seed(seed, 3),
-            loss=PREDICTOR_LOSS,
-        )
-
-    # The two trainings are independent, so they may run side by side.
-    classifier, predictor = map_in_order(train, ("classifier", "predictor"))
+    specs = {"classifier": ArchitectureSpec.default("gcn", feature_dim, 2, HIDDEN, num_layers),
+             "predictor": ArchitectureSpec.default(PREDICTOR_KIND, feature_dim, p_hidden,
+                                                   p_hidden, PREDICTOR_LAYERS)}
+    seeds = {"classifier": derive_seed(seed, 2), "predictor": derive_seed(seed, 3)}
+    classifier, predictor = train_networks(train_graph, val_graph, specs, optimizer, seeds,
+                                           PREDICTOR_LOSS).values()
     mode = resolve_mode(predictor)
     return TrainedFixture(
         params=params,

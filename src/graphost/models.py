@@ -24,6 +24,11 @@ layer writes its product into its dead input, and edge scoring drops the
 aggregator before the head, which normalizes the embeddings in place.
 Training keeps every array its backward pass reads; its per-epoch validation
 scores through the inference pass and head.
+
+A value that is not finite from finite inputs (an overflowing checkpoint or
+graph) raises `NonFiniteError` naming the input it came from: logits and
+embedding norms are checked once per pass, with numpy's overflow warnings
+off for it, and Adam's second moments once per step.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .nn import (
     AdamState,
     EdgeMatrix,
     MeanAggregator,
+    NonFiniteError,
     _ACTIVATIONS,
     adam_step,
     bce_loss,
@@ -82,11 +88,6 @@ _EDGE_BLOCK = 1024
 
 class CheckpointError(FileFormatError):
     """Malformed checkpoint file; carries the offending path."""
-
-
-class NonFiniteError(ValueError):
-    """A network computed a value that is not finite from finite inputs, as
-    an overflowing checkpoint does; the message names the quantity."""
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,11 @@ def _fit(
             raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
         grad_out = backward()
         grads = network_backward(spec, params, cache, grad_out, aggregator)
-        params = adam_step(params, grads, adam)
+        try:
+            params = adam_step(params, grads, adam)
+        except NonFiniteError as exc:  # the moments hold the training pass's gradients
+            exc.source = "train_graph"
+            raise
         loss_tail = (loss_tail + [loss])[-10:]
         metric = val_metric(params)
         log.debug("%s epoch %d: loss %.6g, %s %.6g",
@@ -355,11 +360,26 @@ def train_classifier(
         return loss, lambda: grad_logits
 
     def val_accuracy(p):
-        logits = network_forward(spec, p, val_graph.features, val_agg)
+        logits = _finite_logits(spec, p, val_graph.features, val_agg, "val_graph")
         return accuracy(np.argmax(logits, axis=1), val_graph.labels)
 
     return _fit(spec, optimizer, seed, train_graph.features, train_agg, cross_entropy,
                 val_accuracy, "val_accuracy", {"trained_as": "classifier"})
+
+
+def _finite_logits(spec: ArchitectureSpec, params: dict[str, np.ndarray], features: np.ndarray,
+                   aggregator: MeanAggregator | None, source: str) -> np.ndarray:
+    """The inference pass's logits, computed with numpy's overflow warnings
+    off and refused with NonFiniteError naming `source` where one is not
+    finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        logits = network_forward(spec, params, features, aggregator)
+    bad = np.argwhere(~np.isfinite(logits))
+    if len(bad):
+        node, unit = bad[0]
+        raise NonFiniteError(f"logit {unit} of node {node} is {logits[node, unit]}, not finite",
+                             source)
+    return logits
 
 
 def classifier_logits(
@@ -367,10 +387,11 @@ def classifier_logits(
     graph: LabeledGraph,
     edge_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Pure forward pass -> (n, c) logits; weights of 1 equal no weights."""
+    """Pure forward pass -> (n, c) logits; weights of 1 equal no weights.
+    Logits that are not finite are refused with NonFiniteError."""
     spec = checkpoint.spec
     agg = _aggregator(spec, graph, edge_weights)
-    return network_forward(spec, checkpoint.params, graph.features, agg)
+    return _finite_logits(spec, checkpoint.params, graph.features, agg, "classifier")
 
 
 def predict_labels(
@@ -405,10 +426,12 @@ def build_edge_training_set(
     return train_graph.edges, edge_labels, alpha
 
 
-def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool = False):
+def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool = False,
+                            source: str | None = None):
     """sigmoid(cosine) per edge plus everything needed for the backward pass.
     With overwrite_z the unit rows are written over z, which the caller
-    gives up.
+    gives up. A norm that is not finite is refused with NonFiniteError
+    naming `source`, the input z came from.
 
     Cosines are taken a block of edges at a time; each row's sum is the
     same as in one whole-array product. A block has at most _EDGE_BLOCK
@@ -421,7 +444,8 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool 
         norms = np.linalg.norm(z, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:  # finite norms keep the unit rows, and so the cosines, finite
-        raise NonFiniteError(f"the embedding norm of node {bad[0]} is {norms[bad[0]]}, not finite")
+        raise NonFiniteError(f"the embedding norm of node {bad[0]} is {norms[bad[0]]}, not finite",
+                             source)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = np.divide(z, safe[:, None], out=z if overwrite_z else None)
     cos = np.empty(len(edges), dtype=np.float64)
@@ -509,17 +533,17 @@ def train_homophily_predictor(
             raise ValueError("validation graph has a single edge class")
         fit_idx = slice(None)
         val_agg = _aggregator(spec, val_graph)
-        val_feats = val_graph.features
+        val_feats, val_source = val_graph.features, "val_graph"
     else:
         fit_idx, held_idx = _holdout_split(edge_labels, 0.1, seed)
         val_edges, val_labels = edges[held_idx], edge_labels[held_idx]
-        val_agg, val_feats = train_agg, train_graph.features
+        val_agg, val_feats, val_source = train_agg, train_graph.features, "train_graph"
     fit_edges, fit_labels = edges[fit_idx], edge_labels[fit_idx]
     n, out_dim = train_graph.num_nodes, spec.output_dim
     adjacency = EdgeMatrix(edges, n, fit_idx, train_agg)
 
     def edge_bce(z):
-        scores, ctx = _edge_scores_with_cache(z, fit_edges)
+        scores, ctx = _edge_scores_with_cache(z, fit_edges, source="train_graph")
         if loss == "wbce":
             loss_value, grad_scores = wbce_loss(scores, fit_labels, alpha)
         else:
@@ -530,8 +554,9 @@ def train_homophily_predictor(
     def val_auc(p):
         # the inference pass and head, as edge_homophily_scores runs them; no
         # name holds the embeddings, so they are freed before the ranking
-        scores = _edge_scores_with_cache(network_forward(spec, p, val_feats, val_agg),
-                                         val_edges, overwrite_z=True)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
+            scores = _edge_scores_with_cache(network_forward(spec, p, val_feats, val_agg),
+                                             val_edges, True, val_source)[0]
         return roc_auc(scores, val_labels.astype(np.int64))
 
     return _fit(spec, optimizer, seed, train_graph.features, train_agg, edge_bce, val_auc,
@@ -545,8 +570,9 @@ def edge_homophily_scores(
     aggregator is dropped before the head, which normalizes the embeddings
     in place."""
     spec = predictor.spec
-    z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
-    return EdgeScoreTable(scores=_edge_scores_with_cache(z, graph.edges, overwrite_z=True)[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
+        z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
+    return EdgeScoreTable(scores=_edge_scores_with_cache(z, graph.edges, True, "predictor")[0])
 
 
 # --------------------------------------------------------------------------

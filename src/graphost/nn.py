@@ -47,10 +47,26 @@ __all__ = [
     "cross_entropy_loss",
     "AdamState",
     "adam_step",
+    "NonFiniteError",
 ]
 
 PROB_EPS = 1e-7  # log-loss probability clamp
+ADAM_BETA1 = 0.9  # Adam's first-moment decay
+ADAM_BETA2 = 0.999  # Adam's second-moment decay
+ADAM_EPS = 1e-8  # Adam's denominator guard
 _INT32_MAX = np.iinfo(np.int32).max
+
+
+class NonFiniteError(ValueError):
+    """A value that is not finite, computed from finite inputs, as an
+    overflowing checkpoint or graph gives. The message names the quantity;
+    `source`, where known, names the input it came from by its parameter
+    name ("train_graph", "val_graph", "classifier", "predictor",
+    "mean_distance"), whose flag and value the CLI prints before the message."""
+
+    def __init__(self, message: str, source: str | None = None):
+        super().__init__(message)
+        self.source = source
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -331,7 +347,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax; rows sum to 1 and every entry is positive."""
     logits = np.asarray(logits, dtype=np.float64)
     _require_finite("softmax input", logits)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a shift past -max float is -inf, whose exp is 0
+        shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
 
@@ -389,9 +406,6 @@ class AdamState:
     """Adam accumulators; single-owner, mutated by adam_step."""
 
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
@@ -410,7 +424,10 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
 ) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns the new parameter dict."""
+    """One bias-corrected Adam update; returns the new parameter dict. A
+    second moment that is not finite is refused with NonFiniteError naming
+    the parameter: its update would be m_hat / inf = 0, a parameter that
+    silently never moves."""
     if set(params) != set(grads):
         raise ValueError("params and grads must share the same keys")
     state.step += 1
@@ -422,11 +439,15 @@ def adam_step(
             raise ValueError(f"gradient shape {g.shape} != param shape {value.shape}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        out[name] = value - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        with np.errstate(over="ignore"):  # an overflowing square is refused below
+            v += (1.0 - ADAM_BETA2) * g * g
+        bad = v[~np.isfinite(v)]
+        if bad.size:  # a finite g keeps m finite, so v covers both moments
+            raise NonFiniteError(f"Adam's second moment of {name} is {bad[0]}, not finite")
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        out[name] = value - state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return out

@@ -110,11 +110,12 @@ def midpoint(means) -> np.ndarray:
 
 def _norm(v: np.ndarray, what: str) -> float:
     """||v||, refused with NonFiniteError where it is not finite: the squares
-    of finite entries past about 1.3e154 overflow."""
+    of finite entries past about 1.3e154 overflow. The vectors measured here
+    are class means, whose scale the mean distance sets."""
     with np.errstate(over="ignore"):  # the overflow is refused below, by name
         norm = float(np.linalg.norm(v))
     if not math.isfinite(norm):
-        raise NonFiniteError(f"the norm of {what} is {norm}, not finite")
+        raise NonFiniteError(f"the norm of {what} is {norm}, not finite", "mean_distance")
     return norm
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import graphost
 import graphost.cli as cli
 import graphost.experiments as experiments
+import graphost.fixtures as fixtures
 import graphost.models as models
 import graphost.theory as theory
 import graphost.transform as transform
@@ -449,15 +450,28 @@ def checkpoint_argv(command, graph, checkpoints, out):
     return argv
 
 
-def scaled_predictor(workspace, path, name, index, power):
-    """A copy of the workspace predictor, which the CLI wrote, with one weight
-    of tensor `name` times 10**power (inf where that overflows)."""
-    doc = json.loads((workspace / "ckpt" / "predictor.json").read_text())
+def scaled_checkpoint(workspace, role, path, name, index, power):
+    """A copy of the workspace checkpoint `role`, which the CLI wrote, with one
+    weight of tensor `name` times 10**power (inf where that overflows)."""
+    doc = json.loads((workspace / "ckpt" / f"{role}.json").read_text())
     tensor = doc["params"][name]
     values = np.frombuffer(base64.b64decode(tensor["data_b64"]), "<f8").copy()
     with np.errstate(over="ignore"):
         values[index % len(values)] *= 10.0 ** power
     tensor["data_b64"] = base64.b64encode(values.tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def overflowing_checkpoint(workspace, role, path):
+    """The workspace checkpoint `role` with both weight matrices times 1e308:
+    every tensor finite, and the forward pass overflows."""
+    doc = json.loads((workspace / "ckpt" / f"{role}.json").read_text())
+    for name in ("W0", "W1"):
+        tensor = doc["params"][name]
+        values = np.frombuffer(base64.b64decode(tensor["data_b64"]), "<f8") * 1e308
+        assert np.isfinite(values).all()
+        tensor["data_b64"] = base64.b64encode(values.tobytes()).decode("ascii")
     path.write_text(json.dumps(doc))
     return path
 
@@ -488,7 +502,7 @@ class TestOverflowingPredictor:
     @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS[1:])
     def test_every_scoring_command_exits_1_naming_the_file(self, workspace, tmp_path, capsys,
                                                             command):
-        bad = scaled_predictor(workspace, tmp_path / "bad.json", "W0", 0, 300)
+        bad = scaled_checkpoint(workspace, "predictor", tmp_path / "bad.json", "W0", 0, 300)
         checkpoints = {"classifier": workspace / "ckpt" / "classifier.json", "predictor": bad}
         assert run(checkpoint_argv(command, workspace / "data" / "test.json", checkpoints,
                                    tmp_path / "o")) == 1
@@ -496,6 +510,16 @@ class TestOverflowingPredictor:
         assert captured.err.startswith(f"error: --predictor {bad}: the embedding norm of node ")
         assert captured.err.endswith(", not finite\n") and captured.err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    def test_overflowing_forward_pass_is_refused_quietly(self, workspace, tmp_path, capsys):
+        # the encoder's matmul overflows before the head: numpy's warning is
+        # off for the pass, whose inf norms the head refuses
+        bad = overflowing_checkpoint(workspace, "predictor", tmp_path / "bad.json")
+        assert run(["transform", "--test-graph", str(workspace / "data" / "test.json"),
+                    "--predictor", str(bad), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --predictor {bad}: the embedding norm of node ")
+        assert err.count("\n") == 1
 
     @given(st.sampled_from(["W0", "b0", "W1", "b1"]), st.integers(0, 2**16),
            st.integers(0, 308))
@@ -506,7 +530,8 @@ class TestOverflowingPredictor:
     def test_scaled_weight_scores_or_is_refused(self, workspace, name, index, power):
         # tier-1 turns any numpy RuntimeWarning into a failure
         with tempfile.TemporaryDirectory() as work:
-            bad = scaled_predictor(workspace, Path(work) / "scaled.json", name, index, power)
+            bad = scaled_checkpoint(workspace, "predictor", Path(work) / "scaled.json", name,
+                                    index, power)
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = run(["transform", "--test-graph", str(workspace / "data" / "test.json"),
@@ -519,6 +544,128 @@ class TestOverflowingPredictor:
                 refused = (f"error: --predictor {bad}: the embedding norm of node ",
                            f"error: {bad}: tensor {name!r} contains NaN or Inf")
                 assert text.startswith(refused) and text.count("\n") == 1, text
+
+
+def graphost_process(*argv, cwd=None):
+    """`python -m graphost ARGV` in a fresh process, so numpy's warnings print
+    as they would for a user."""
+    env = dict(os.environ, PYTHONPATH=str(Path(graphost.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "graphost", *argv], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+class TestOverflowingClassifier:
+    """A finite classifier checkpoint whose logits overflow is a run error
+    (exit 1) naming --classifier and its file, with no numpy warning and no
+    traceback; it used to print numpy's overflow warning and then
+    `error: softmax input contains NaN or Inf`, naming no flag."""
+
+    def test_evaluate_probe_exits_1_without_traceback(self, workspace, tmp_path):
+        bad = overflowing_checkpoint(workspace, "classifier", tmp_path / "bad.json")
+        done = graphost_process(
+            "evaluate", "--test-graph", str(workspace / "data" / "test.json"),
+            "--classifier", str(bad), "--predictor", str(workspace / "ckpt" / "predictor.json"),
+            "--out", str(tmp_path / "o"))
+        assert done.returncode == 1 and done.stdout == ""
+        assert re.fullmatch(rf"error: --classifier {re.escape(str(bad))}: logit \d of node "
+                            r"\d+ is (-?inf|nan), not finite\n", done.stderr), done.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS[1:])
+    def test_every_evaluating_command_exits_1_naming_the_file(self, workspace, tmp_path,
+                                                              capsys, command):
+        bad = overflowing_checkpoint(workspace, "classifier", tmp_path / "bad.json")
+        checkpoints = {"classifier": bad, "predictor": workspace / "ckpt" / "predictor.json"}
+        assert run(checkpoint_argv(command, workspace / "data" / "test.json", checkpoints,
+                                   tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: --classifier {re.escape(str(bad))}: logit \d of node "
+                            r"\d+ is (-?inf|nan), not finite\n", err), err
+        assert not (tmp_path / "o").exists()
+
+    @given(st.sampled_from(["W0", "b0", "W1", "b1"]), st.integers(0, 2**16),
+           st.integers(0, 308))
+    @example("W0", 0, 0)
+    @example("W0", 0, 308)
+    @example("W1", 0, 308)
+    @example("b1", 1, 308)
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_weight_evaluates_or_is_refused(self, workspace, name, index, power):
+        # tier-1 turns any numpy RuntimeWarning into a failure
+        with tempfile.TemporaryDirectory() as work:
+            bad = scaled_checkpoint(workspace, "classifier", Path(work) / "scaled.json", name,
+                                    index, power)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                code = run(checkpoint_argv(
+                    "evaluate", workspace / "data" / "test.json",
+                    {"classifier": bad, "predictor": workspace / "ckpt" / "predictor.json"},
+                    Path(work) / "o"))
+        if code == 0:
+            assert err.getvalue() == "" and out.getvalue().startswith("accuracy: base ")
+        else:
+            assert code == 1 and out.getvalue() == ""
+            refused = (f"error: --classifier {bad}: logit ",
+                       f"error: {bad}: tensor {name!r} contains NaN or Inf")
+            assert err.getvalue().startswith(refused) and err.getvalue().count("\n") == 1, \
+                err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def overflowing_graphs(tmp_path_factory):
+    """Graphs whose features overflow training (`big`, mean distance 1e300)
+    and graphs of the same family that do not (`small`), in one directory."""
+    root = tmp_path_factory.mktemp("overflow")
+    for name, distance in (("big", "1e300"), ("small", "2")):
+        assert run(["generate", "--p", "0.05", "--q", "0.02", "--sizes", "100,100",
+                    "--mean-distance", distance, "--seed", "0", "--out",
+                    str(root / name)]) == 0
+    return root
+
+
+class TestOverflowingTraining:
+    """A training or validation pass that overflows is a run error (exit 1)
+    naming the graph flag and file of that pass, with no numpy warning, no
+    traceback and no checkpoint. The classifier used to print numpy's
+    overflow warning from Adam's g * g and write a checkpoint whose
+    overflowed parameters never moved; the predictor's error named no flag."""
+
+    # Both graphs are big in the probes: the classifier first overflows in
+    # the training pass's Adam step, the predictor in the validation pass
+    # that scores its initial parameters.
+    @pytest.mark.parametrize("target, flag, message", [
+        ("classifier", "train", r"Adam's second moment of W0 is inf, not finite"),
+        ("predictor", "val", r"the embedding norm of node \d+ is inf, not finite"),
+        ("both", "train", r"Adam's second moment of W0 is inf, not finite"),
+    ])
+    def test_probe_exits_1_naming_the_graph(self, overflowing_graphs, tmp_path, target, flag,
+                                            message):
+        done = graphost_process("train", "--train-graph", "big/train.json", "--val-graph",
+                                "big/val.json", "--target", target, "--out", str(tmp_path / "o"),
+                                cwd=overflowing_graphs)
+        assert done.returncode == 1 and done.stdout == ""
+        assert re.fullmatch(rf"error: --{flag}-graph big/{flag}.json: {message}\n",
+                            done.stderr), done.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("target", ["classifier", "predictor"])
+    def test_big_training_graph_is_named(self, overflowing_graphs, tmp_path, capsys, target):
+        train = overflowing_graphs / "big" / "train.json"
+        assert run(["train", "--train-graph", str(train), "--val-graph",
+                    str(overflowing_graphs / "small" / "val.json"), "--target", target,
+                    "--epochs", "5", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --train-graph {train}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_big_validation_graph_is_named(self, overflowing_graphs, tmp_path, capsys):
+        val = overflowing_graphs / "big" / "val.json"
+        assert run(["train", "--train-graph", str(overflowing_graphs / "small" / "train.json"),
+                    "--val-graph", str(val), "--target", "predictor", "--epochs", "5",
+                    "--out", str(tmp_path / "o")]) == 1
+        assert re.fullmatch(rf"error: --val-graph {re.escape(str(val))}: the embedding norm "
+                            r"of node \d+ is inf, not finite\n", capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
 
 
 THEORY_SMALL = ["--p", "0.06", "--q", "0.02", "--p2", "0.08", "--q2", "0.01", "--n1", "60",
@@ -686,8 +833,8 @@ class TestGraphInputs:
 
         monkeypatch.setattr(models, "train_classifier", refuse)
         monkeypatch.setattr(models, "train_homophily_predictor", refuse)
-        monkeypatch.setattr(cli, "train_classifier", refuse)
-        monkeypatch.setattr(cli, "train_homophily_predictor", refuse)
+        monkeypatch.setattr(fixtures, "train_classifier", refuse)
+        monkeypatch.setattr(fixtures, "train_homophily_predictor", refuse)
 
     @pytest.mark.parametrize("split, part", [
         ("val", "features"), ("val", "labels"), ("train", "features"),

@@ -782,6 +782,62 @@ class TestNonFiniteEmbeddings:
             edge_homophily_scores(Checkpoint(spec=spec, params=params), train)
 
 
+class TestNonFiniteLogits:
+    """Logits that are not finite are refused with one typed error naming the
+    logit and the input they came from, and no numpy warning."""
+
+    @pytest.mark.parametrize("scale", [1e308, 1e200])
+    def test_classifier_logits_refused(self, small_csbm, trained_classifier, scale):
+        train, _ = small_csbm
+        params = {name: value * (scale if name.startswith("W") else 1.0)
+                  for name, value in trained_classifier.params.items()}
+        with pytest.raises(NonFiniteError, match=r"^logit \d of node \d+ is (-?inf|nan), "
+                                                 r"not finite$") as caught:
+            classifier_logits(Checkpoint(trained_classifier.spec, params), train)
+        assert caught.value.source == "classifier"
+
+    def test_finite_logits_unchanged(self, small_csbm, trained_classifier):
+        train, _ = small_csbm
+        spec, params = trained_classifier.spec, trained_classifier.params
+        want = network_forward(spec, params, train.features,
+                               MeanAggregator(train, self_loops=True))
+        assert np.array_equal(classifier_logits(trained_classifier, train), want)
+
+
+def _scaled(graph, factor):
+    return graph.with_features(graph.features * factor)
+
+
+class TestNonFiniteTraining:
+    """A pass that overflows in training names the graph it ran on."""
+
+    def test_classifier_adam_overflow_names_the_training_graph(self, small_csbm):
+        train, val = small_csbm
+        with pytest.raises(NonFiniteError, match="^Adam's second moment of W0 ") as caught:
+            train_classifier(_scaled(train, 1e300), val, ArchitectureSpec.default("gcn", 8, 2),
+                             OptimizerConfig(max_epochs=3))
+        assert caught.value.source == "train_graph"
+
+    def test_classifier_validation_overflow_names_the_validation_graph(self, small_csbm):
+        train, val = small_csbm
+        with pytest.raises(NonFiniteError, match="^logit ") as caught:
+            # every feature at max float: the first layer's sums overflow
+            train_classifier(train, val.with_features(np.full_like(val.features, 1.7e308)),
+                             ArchitectureSpec.default("gcn", 8, 2), OptimizerConfig(max_epochs=3))
+        assert caught.value.source == "val_graph"
+
+    @pytest.mark.parametrize("big, source", [("train", "train_graph"), ("val", "val_graph"),
+                                             ("holdout", "train_graph")])
+    def test_predictor_overflow_names_the_graph(self, small_csbm, big, source):
+        train, val = small_csbm
+        graphs = {"train": (_scaled(train, 1e300), val), "val": (train, _scaled(val, 1e300)),
+                  "holdout": (_scaled(train, 1e300), None)}[big]
+        with pytest.raises(NonFiniteError, match="^the embedding norm of node ") as caught:
+            train_homophily_predictor(*graphs, ArchitectureSpec.default("gcn", 8, 8),
+                                      OptimizerConfig(max_epochs=3))
+        assert caught.value.source == source
+
+
 class TestCheckpointIO:
     def test_round_trip_preserves_logits(self, tmp_path, small_csbm, trained_classifier):
         train, _ = small_csbm

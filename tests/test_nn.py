@@ -24,6 +24,7 @@ from graphost.nn import (
     AdamState,
     EdgeMatrix,
     MeanAggregator,
+    NonFiniteError,
     _entry_indices,
     adam_step,
     bce_loss,
@@ -647,6 +648,10 @@ class TestActivationsAndScores:
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         assert (probs > 0).all()
 
+    def test_softmax_of_logits_spanning_past_max_float(self):
+        # the shift of -1e308 by the row max overflows to -inf, silently
+        assert np.array_equal(softmax(np.array([[1e308, -1e308]])), [[1.0, 0.0]])
+
     def test_softmax_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             softmax(np.array([[np.nan, 0.0]]))
@@ -799,3 +804,18 @@ class TestAdam:
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"w": np.zeros(4)}, state)
+
+    def test_state_holds_rate_step_and_moments_only(self):
+        state = AdamState.for_params({"w": np.zeros(2)}, learning_rate=0.1)
+        assert list(vars(state)) == ["learning_rate", "step", "first_moment", "second_moment"]
+        assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (0.9, 0.999, 1e-8)
+
+    # tier-1 turns numpy's overflow warning into a failure
+    @pytest.mark.parametrize("g, shown", [(1e200, "inf"), (np.inf, "inf"), (np.nan, "nan")])
+    def test_non_finite_second_moment_refused_by_name(self, g, shown):
+        params = {"b": np.zeros(1), "w": np.zeros(3)}
+        state = AdamState.for_params(params)
+        with pytest.raises(NonFiniteError, match=rf"^Adam's second moment of w is {shown}, "
+                                                 "not finite$") as caught:
+            adam_step(params, {"b": np.ones(1), "w": np.array([1.0, g, 1.0])}, state)
+        assert caught.value.source is None

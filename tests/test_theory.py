@@ -98,8 +98,10 @@ class TestBoundary:
     @pytest.mark.parametrize("a", [1.4e154, 1e300, 1.7e308])
     def test_direction_refuses_an_overflowing_norm(self, a):
         # the squares overflow, so the norm is inf and the "direction" was 0
-        with pytest.raises(NonFiniteError, match="class-mean difference is inf, not finite"):
+        with pytest.raises(NonFiniteError,
+                           match="class-mean difference is inf, not finite") as caught:
             direction(np.array([[a / 2, 0.0], [-a / 2, 0.0]]))
+        assert caught.value.source == "mean_distance"  # the setting that scales the means
         assert np.array_equal(direction(np.array([[6e153, 0.0], [-6e153, 0.0]])), [1.0, 0.0])
 
     def test_midpoint_of_expected_embeddings_is_invariant(self, rng):
