@@ -25,13 +25,15 @@ import numpy as np
 from .csbm import (
     SAMPLER_VERSION,
     CsbmParams,
+    derive_seed,
     generate_csbm,
     symmetric_binary_params,
 )
 from .experiments import (
+    DELTA_GRID,
     METRICS,
+    NOISE_LEVELS,
     RepeatedArmError,
-    derive_seed,
     evaluate_graph,
     parse_seeds,
     run_study,
@@ -42,6 +44,8 @@ from .graphs import LabeledGraph, edge_homophily_or_none, load_graph, save_graph
 from .jsonfile import FileFormatError, read_json
 from .metrics import hd_delta_report
 from .models import (
+    KINDS,
+    LOSSES,
     ArchitectureSpec,
     Checkpoint,
     NonFiniteError,
@@ -109,6 +113,11 @@ def _split(item: Callable, sep: str = ",") -> Callable[[object], tuple]:
     return lambda value: tuple(item(piece) for piece in _text(value).split(sep))
 
 
+def _joined(numbers: tuple[float, ...]) -> str:
+    """The comma-separated text `_split` reads back as `numbers`."""
+    return ",".join(f"{x:g}" for x in numbers)
+
+
 @dataclass(frozen=True)
 class _Option:
     """One settable value: built-in default, parser, choices, help. `parse`
@@ -127,7 +136,6 @@ class _Option:
         return value
 
 
-_NETWORK_KINDS = ("gcn", "mlp")
 _COUNT = _ranged(lambda v: v >= 1, "[1, inf)", _int)
 _PROBABILITY = _ranged(lambda v: 0 <= v <= 1, "[0, 1]")
 _RATIO = _ranged(lambda v: 0 <= v < 1, "[0, 1)")
@@ -154,14 +162,14 @@ _OPTIONS: dict[str, _Option] = {
     "train_graph": _Option(help="labeled training graph"),
     "val_graph": _Option(),
     "target": _Option("both", choices=("classifier", "predictor", "both")),
-    "kind": _Option("gcn", choices=_NETWORK_KINDS, help="classifier backbone"),
-    "predictor_kind": _Option("gcn", choices=_NETWORK_KINDS),
+    "kind": _Option("gcn", choices=KINDS, help="classifier backbone"),
+    "predictor_kind": _Option("gcn", choices=KINDS),
     "hidden": _Option(32, _COUNT),
     "layers": _Option(2, _ranged(lambda v: v >= 2, "[2, inf)", _int)),
-    "lr": _Option(1e-2, _ranged(lambda v: v >= 0, "[0, inf)")),
-    "epochs": _Option(1000, _COUNT),
-    "patience": _Option(50, _COUNT),
-    "loss": _Option("wbce", choices=("wbce", "bce"), help="predictor loss"),
+    "lr": _Option(OptimizerConfig.learning_rate, _ranged(lambda v: v >= 0, "[0, inf)")),
+    "epochs": _Option(OptimizerConfig.max_epochs, _COUNT),
+    "patience": _Option(OptimizerConfig.patience, _COUNT),
+    "loss": _Option("wbce", choices=LOSSES, help="predictor loss"),
     # transformation and evaluation
     "test_graph": _Option(),
     "classifier": _Option(),
@@ -169,19 +177,14 @@ _OPTIONS: dict[str, _Option] = {
     "mode": _Option(
         "auto", choices=(*MODES, "auto"), help="edge regime; auto reads it from --predictor"
     ),
-    "delta": _Option(0.3, _RATIO, help="filtering ratio in [0, 1)"),
+    "delta": _Option(TransformConfig.delta, _RATIO, help="filtering ratio in [0, 1)"),
     "no_weight": _Option(False, _switch, help="disable confidence weighting"),
     "no_filter": _Option(False, _switch, help="disable edge filtering"),
     "metric": _Option("accuracy", choices=METRICS),
-    "delta_grid": _Option(
-        "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-        _split(_RATIO),
-        help="comma-separated filtering ratios",
-    ),
-    "noise_levels": _Option(
-        "0,0.1,0.3,0.5", _split(_PROBABILITY),
-        help="comma-separated noise ratios",
-    ),
+    "delta_grid": _Option(_joined(DELTA_GRID), _split(_RATIO),
+                          help="comma-separated filtering ratios"),
+    "noise_levels": _Option(_joined(NOISE_LEVELS), _split(_PROBABILITY),
+                            help="comma-separated noise ratios"),
     # theory validation
     "p2": _Option(parse=_PROBABILITY, help="transformed intra-class probability"),
     "q2": _Option(parse=_PROBABILITY, help="transformed inter-class probability"),
@@ -372,7 +375,7 @@ def cmd_train(options: dict) -> int:
     checkpoints = train_networks(train_graph, val_graph, specs, optimizer,
                                  dict.fromkeys(specs, seed), options["loss"])
     out = _out_dir(options)
-    logline: dict = {"seed": seed, "optimizer": optimizer.to_dict()}
+    logline: dict = {"seed": seed, "optimizer": asdict(optimizer)}
     for name, ckpt in checkpoints.items():
         save_checkpoint(ckpt, out / f"{name}.json")
         logline[name] = ckpt.metadata

@@ -14,6 +14,8 @@ counter-based Philox stream keyed on (seed, tag):
 
 Normals use numpy's ziggurat sampler. ``SAMPLER_VERSION`` names this
 layout; it changes whenever a seed would draw a different graph.
+``derive_seed`` gives the child seeds that one experiment or trial seed
+draws its graphs with.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .jsonfile import JsonObject, read_json, typed, write_json
 __all__ = [
     "SAMPLER_VERSION",
     "CsbmParams",
+    "derive_seed",
     "symmetric_binary_params",
     "generate_csbm",
     "perturb_features",
@@ -40,6 +43,11 @@ _MASK64 = (1 << 64) - 1
 _STREAM_FEATURE = 1 << 62
 _STREAM_EDGES = 2 << 62
 _STREAM_NOISE = 3 << 62
+
+
+def derive_seed(seed: int, tag: int) -> int:
+    """Disjoint child seeds for sub-draws of one experiment seed."""
+    return seed * 1_000_003 + tag
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .csbm import derive_seed
 from .graphs import LabeledGraph, WeightedGraph, inject_structural_noise, random_edge_drop
 from .jsonfile import write_json
 from .metrics import accuracy, f1_macro, hd_delta_report
@@ -46,11 +47,6 @@ __all__ = [
     "run_study",
     "write_report",
 ]
-
-
-def derive_seed(seed: int, tag: int) -> int:
-    """Disjoint child seeds for sub-draws of one experiment seed."""
-    return seed * 1_000_003 + tag
 
 
 def _distinct(seeds: tuple[int, ...]) -> tuple[int, ...]:

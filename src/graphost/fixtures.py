@@ -17,8 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .csbm import CsbmParams, generate_csbm, perturb_features, symmetric_binary_params
-from .experiments import derive_seed
+from .csbm import (CsbmParams, derive_seed, generate_csbm, perturb_features,
+                   symmetric_binary_params)
 from .graphs import LabeledGraph
 from .models import (
     ArchitectureSpec,

@@ -28,14 +28,16 @@ scores through the inference pass and head.
 A value that is not finite from finite inputs (an overflowing checkpoint or
 graph) raises `NonFiniteError` naming the input it came from: logits and
 embedding norms are checked once per pass, with numpy's overflow warnings
-off for it, and Adam's second moments once per step.
+off for it, the classifier's training loss wherever it overflows, and Adam's
+second moments once per step. A loss that is not finite without an overflow
+stops training as divergence (`RuntimeError`).
 """
 
 from __future__ import annotations
 
 import base64
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -78,6 +80,8 @@ __all__ = [
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
+KINDS = ("gcn", "mlp")  # ArchitectureSpec.kind
+LOSSES = ("wbce", "bce")  # train_homophily_predictor's loss
 
 log = logging.getLogger(__name__)
 
@@ -100,8 +104,8 @@ class ArchitectureSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.kind not in ("gcn", "mlp"):
-            raise ValueError(f"kind must be 'gcn' or 'mlp', got {self.kind!r}")
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be {' or '.join(map(repr, KINDS))}, got {self.kind!r}")
         dims = tuple(typed(f"layer_dims[{i}]", d, "an integer")
                      for i, d in enumerate(self.layer_dims))
         object.__setattr__(self, "layer_dims", dims)
@@ -123,13 +127,6 @@ class ArchitectureSpec:
     @property
     def output_dim(self) -> int:
         return self.layer_dims[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "layer_dims": list(self.layer_dims),
-            "activation": self.activation,
-        }
 
     @classmethod
     def default(cls, kind: str, input_dim: int, output_dim: int,
@@ -153,13 +150,6 @@ class OptimizerConfig:
             object.__setattr__(self, name, typed(name, getattr(self, name), "an integer"))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "max_epochs": self.max_epochs,
-            "patience": self.patience,
-        }
 
 
 @dataclass(frozen=True)
@@ -300,7 +290,8 @@ def _fit(
     # Each epoch's arrays live until the next epoch overwrites them: freeing
     # them sooner tripled the page faults of predictor training.
     for epoch in range(1, optimizer.max_epochs + 1):
-        out, cache = network_forward(spec, params, features, aggregator, with_cache=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
+            out, cache = network_forward(spec, params, features, aggregator, with_cache=True)
         loss, backward = head(out)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
@@ -334,7 +325,7 @@ def _fit(
             "best_epoch": best_epoch,
             metric_name: best_metric,
             "loss_tail": loss_tail,
-            "optimizer": optimizer.to_dict(),
+            "optimizer": asdict(optimizer),
         },
     )
 
@@ -356,7 +347,13 @@ def train_classifier(
     val_agg = _aggregator(spec, val_graph)
 
     def cross_entropy(logits):
-        loss, grad_logits = cross_entropy_loss(logits, train_graph.labels)
+        _refuse_non_finite(logits, "train_graph")
+        try:
+            with np.errstate(over="raise"):  # a NaN without overflow is _fit's divergence
+                loss, grad_logits = cross_entropy_loss(logits, train_graph.labels)
+        except FloatingPointError as exc:
+            raise NonFiniteError(f"the cross-entropy loss overflows ({exc})",
+                                 "train_graph") from None
         return loss, lambda: grad_logits
 
     def val_accuracy(p):
@@ -374,12 +371,17 @@ def _finite_logits(spec: ArchitectureSpec, params: dict[str, np.ndarray], featur
     finite."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
         logits = network_forward(spec, params, features, aggregator)
+    _refuse_non_finite(logits, source)
+    return logits
+
+
+def _refuse_non_finite(logits: np.ndarray, source: str) -> None:
+    """NonFiniteError naming `source` and the first logit that is not finite."""
     bad = np.argwhere(~np.isfinite(logits))
     if len(bad):
         node, unit = bad[0]
         raise NonFiniteError(f"logit {unit} of node {node} is {logits[node, unit]}, not finite",
                              source)
-    return logits
 
 
 def classifier_logits(
@@ -518,8 +520,8 @@ def train_homophily_predictor(
     ROC-AUC over the validation graph's edges, or over a held-out 10% of
     training edges when no validation graph is given.
     """
-    if loss not in ("wbce", "bce"):
-        raise ValueError(f"loss must be 'wbce' or 'bce', got {loss!r}")
+    if loss not in LOSSES:
+        raise ValueError(f"loss must be {' or '.join(map(repr, LOSSES))}, got {loss!r}")
     edges, edge_labels, alpha = build_edge_training_set(train_graph)
     if alpha in (0.0, 1.0):
         raise ValueError(
@@ -609,7 +611,7 @@ def _decode_tensor(tensors: JsonObject, name: str, shape: tuple[int, ...]) -> np
 def save_checkpoint(checkpoint: Checkpoint, path: str | Path) -> None:
     write_json(path, {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "spec": checkpoint.spec.to_dict(),
+        "spec": asdict(checkpoint.spec),
         "params": {k: _encode_tensor(v) for k, v in checkpoint.params.items()},
         "metadata": checkpoint.metadata,
     })

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 # generate_csbm under the theory lab's own name, which perfbench's trace patches
-from .csbm import CsbmParams, _sample_edges, generate_csbm as _generate
+from .csbm import CsbmParams, _sample_edges, derive_seed, generate_csbm as _generate
 from .graphs import LabeledGraph
 from .models import NonFiniteError
 from .nn import mean_aggregate
@@ -206,13 +206,17 @@ def degree_relaxation_constraint(
 
 
 def imbalanced_boundary(mu1: float, mu2: float, sigma: float, n1: int, n2: int) -> float:
-    """One-dimensional equal-variance boundary with a class prior shift:
-    (mu1 + mu2) / 2 + ln(n2 / n1) / (2 sigma^2)."""
+    """The Bayes boundary of two one-dimensional Gaussians N(mu_k, sigma^2)
+    with priors in proportion to the class counts n_k, where n1 phi_1 equals
+    n2 phi_2: (mu1 + mu2) / 2 + sigma^2 ln(n2 / n1) / (mu1 - mu2). It moves
+    toward the smaller class's mean."""
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if n1 < 1 or n2 < 1:
         raise ValueError("class counts must be positive")
-    return (mu1 + mu2) / 2.0 + math.log(n2 / n1) / (2.0 * sigma * sigma)
+    if mu1 == mu2:
+        raise ValueError("boundary undefined: class means coincide")
+    return (mu1 + mu2) / 2.0 + sigma * sigma * math.log(n2 / n1) / (mu1 - mu2)
 
 
 def multiclass_separation(p: float, q: float, s: int, mean_distance: float) -> float:
@@ -265,22 +269,9 @@ class TheoremCheckReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "constraint_satisfied": self.constraint_satisfied,
-            "trials": self.trials,
-            "seed": self.seed,
-            "rates_before": list(self.rates_before),
-            "rates_after": list(self.rates_after),
-            "excluded_before": list(self.excluded_before),
-            "excluded_after": list(self.excluded_after),
-            "mean_before": self.mean_before,
-            "mean_after": self.mean_after,
-            "mean_difference": self.mean_difference,
-            "improved_trials": self.improved_trials,
-            "params": self.params,
-            "params_new": self.params_new,
-        }
+        """The fields and the four derived figures."""
+        return asdict(self) | {name: getattr(self, name) for name in (
+            "mean_before", "mean_after", "mean_difference", "improved_trials")}
 
     def to_csv_rows(self) -> list[list]:
         header = ["trial", "rate_before", "rate_after", "excluded_before", "excluded_after"]
@@ -360,7 +351,7 @@ def monte_carlo_theorem_check(
     before: list[tuple[float, int]] = []  # (rate, excluded) per trial
     after: list[tuple[float, int]] = []
     for t in range(trials):
-        trial_seed = seed * 1_000_003 + 2 * t
+        trial_seed = derive_seed(seed, 2 * t)
         original = _generate(params, trial_seed)
         transformed = original.with_edges(_sample_edges(params_new, trial_seed + 1))
         before.append(_misclassification_rate(original, boundary, orientation))

@@ -23,8 +23,9 @@ import graphost.models as models
 import graphost.theory as theory
 import graphost.transform as transform
 from graphost.cli import main
-from graphost.csbm import SAMPLER_VERSION
-from graphost.graphs import load_weighted_graph
+from graphost.csbm import SAMPLER_VERSION, generate_csbm, symmetric_binary_params
+from graphost.graphs import load_graph, load_weighted_graph, save_graph
+from graphost.metrics import accuracy, f1_macro
 
 
 def run(args):
@@ -329,6 +330,31 @@ class TestEvaluate:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         doc = json.loads((tmp_path / "a" / name).read_text())
         assert set(doc["arms"]) == {"base", "graphost"}
+
+    def test_f1_macro_report_holds_the_macro_f1_of_each_arm(self, tmp_path):
+        # imbalanced, overlapping classes, where macro-F1 and accuracy differ
+        data, ckpt, out = tmp_path / "data", tmp_path / "ckpt", tmp_path / "out"
+        assert run(["generate", "--p", "0.05", "--q", "0.03", "--sizes", "150,50", "--dim", "4",
+                    "--mean-distance", "1", "--out", str(data)]) == 0
+        assert run(["train", "--train-graph", str(data / "train.json"), "--val-graph",
+                    str(data / "val.json"), "--epochs", "30", "--patience", "10",
+                    "--out", str(ckpt)]) == 0
+        assert run(["evaluate", "--test-graph", str(data / "test.json"), "--classifier",
+                    str(ckpt / "classifier.json"), "--predictor", str(ckpt / "predictor.json"),
+                    "--mode", "homophilic", "--metric", "f1_macro", "--pin-timestamp",
+                    "--out", str(out)]) == 0
+        doc = json.loads((out / "evaluate-pinned-0.json").read_text())
+        test = load_graph(data / "test.json")
+        classifier = models.load_checkpoint(ckpt / "classifier.json")
+        transformed = transform.graphost_transform(
+            test, models.load_checkpoint(ckpt / "predictor.json"),
+            transform.TransformConfig(mode="homophilic"))
+        for arm, graph, weights in (("base", test, None),
+                                    ("graphost", transformed.base, transformed.edge_weights)):
+            predicted, _ = models.predict_labels(classifier, graph, weights)
+            want = f1_macro(predicted, test.labels, 2)
+            assert doc["arms"][arm] == {"value": want}
+            assert abs(want - accuracy(predicted, test.labels)) > 0.01
 
     def test_weighted_test_graph_exits_1_naming_path(self, workspace, tmp_path, capsys):
         data, ckpt = workspace / "data", workspace / "ckpt"
@@ -656,6 +682,22 @@ class TestOverflowingTraining:
                     "--epochs", "5", "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: --train-graph {train}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_classifier_loss_names_the_training_graph(self, tmp_path):
+        # a 120-node training graph whose one feature is 1.6e308 everywhere:
+        # the logits stay finite and the loss's mean overflows
+        params = symmetric_binary_params(2.0, 1, (60, 60), 0.1, 0.02)
+        train = generate_csbm(params, 1)
+        save_graph(train.with_features(np.full_like(train.features, 1.6e308)),
+                   tmp_path / "bigtrain.json")
+        save_graph(generate_csbm(params, 2), tmp_path / "val.json")
+        done = graphost_process("train", "--train-graph", "bigtrain.json", "--val-graph",
+                                "val.json", "--target", "classifier", "--out", "o", cwd=tmp_path)
+        assert done.returncode == 1 and done.stdout == ""
+        assert re.fullmatch(r"error: --train-graph bigtrain.json: the cross-entropy loss "
+                            r"overflows \(overflow encountered in \w+\)\n",
+                            done.stderr), done.stderr
         assert not (tmp_path / "o").exists()
 
     def test_big_validation_graph_is_named(self, overflowing_graphs, tmp_path, capsys):
@@ -1388,6 +1430,22 @@ class TestOptionParsing:
                  else repr(key))
         assert shown in err and str(cfg) in err and "Traceback" not in err
         assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("name, key, value, choices", [
+        ("transform", "mode", "bogus", "('homophilic', 'heterophilic', 'auto')"),
+        ("train", "loss", "hinge", "('wbce', 'bce')"),
+        ("train", "kind", "rnn", "('gcn', 'mlp')"),
+    ])
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                         name, key, value, choices):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({key: value}))
+        assert run([name, "--config", "cfg.json", "--out", "never"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"usage error: bad --{key} value {value!r} in config file cfg.json: "
+            f"must be one of {choices}\n")
+        assert not Path("never").exists()
 
     @pytest.mark.parametrize("name, flag, text", [
         ("train", "--epochs", "abc"), ("train", "--epochs", "3.9"),

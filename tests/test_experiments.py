@@ -13,6 +13,7 @@ import pytest
 import graphost.experiments as experiments
 import graphost.transform as transform
 import graphost.workers as workers
+from graphost.csbm import generate_csbm, symmetric_binary_params
 from graphost.experiments import (
     EXPERIMENTS,
     ExperimentReport,
@@ -29,7 +30,8 @@ from graphost.experiments import (
 )
 from graphost.fixtures import make_fixture
 from graphost.graphs import WeightedGraph, inject_structural_noise, random_edge_drop
-from graphost.metrics import hd_delta_report
+from graphost.metrics import accuracy, f1_macro, hd_delta_report
+from graphost.models import ArchitectureSpec, OptimizerConfig, predict_labels, train_classifier
 from graphost.transform import TransformConfig, graphost_transform
 
 
@@ -90,6 +92,21 @@ class TestExperimentReport:
             ExperimentReport(
                 experiment="demo", seeds=(0,), arm_values={"a": (float("nan"),)}, config={}
             )
+
+
+class TestEvaluateGraph:
+    def test_f1_macro_is_the_macro_f1_of_the_predictions(self):
+        # 150 against 50 nodes with overlapping classes: the classifier errs,
+        # and macro-F1 weighs the small class's errors more than accuracy does
+        params = symmetric_binary_params(1.0, 4, (150, 50), 0.05, 0.03)
+        train, val, test = (generate_csbm(params, seed) for seed in (0, 1, 2))
+        classifier = train_classifier(train, val, ArchitectureSpec.default("gcn", 4, 2),
+                                      OptimizerConfig(max_epochs=30, patience=10))
+        predicted, _ = predict_labels(classifier, test)
+        want = f1_macro(predicted, test.labels, 2)
+        assert evaluate_graph(classifier, test, "f1_macro") == want
+        assert evaluate_graph(classifier, test, "accuracy") == accuracy(predicted, test.labels)
+        assert abs(want - accuracy(predicted, test.labels)) > 0.01
 
 
 class TestAblation:

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestOptimizerConfig:
     def test_numpy_counts_are_ints(self):
         config = OptimizerConfig(learning_rate=np.float64(0.1), max_epochs=np.int64(3),
                                  patience=np.int32(2))
-        assert config.to_dict() == {"learning_rate": 0.1, "max_epochs": 3, "patience": 2}
+        assert asdict(config) == {"learning_rate": 0.1, "max_epochs": 3, "patience": 2}
         assert type(config.max_epochs) is int and type(config.patience) is int
 
     def test_zero_learning_rate_is_legal(self):
@@ -309,6 +310,12 @@ class TestEdgeTrainingSet:
 
 
 class TestPredictorTraining:
+    def test_unknown_loss_is_refused_before_training(self, small_csbm, monkeypatch):
+        monkeypatch.setattr(models, "_fit", None)  # never reached
+        with pytest.raises(ValueError, match=r"^loss must be 'wbce' or 'bce', got 'hinge'$"):
+            train_homophily_predictor(*small_csbm, ArchitectureSpec.default("gcn", 8, 8),
+                                      loss="hinge")
+
     def test_degenerate_edge_classes_abort(self, small_csbm):
         _, val = small_csbm
         g = LabeledGraph(
@@ -425,7 +432,7 @@ def reference_fit(spec, optimizer, seed, graph, loss_and_grad, val_metric, metri
                 break
     return Checkpoint(spec=spec, params=best_params, metadata=metadata | {
         "seed": seed, "epochs_run": epoch, "best_epoch": best_epoch, metric_name: best_metric,
-        "loss_tail": losses[-10:], "optimizer": optimizer.to_dict()})
+        "loss_tail": losses[-10:], "optimizer": asdict(optimizer)})
 
 
 def reference_classifier(train, val, spec, optimizer, seed):
@@ -816,6 +823,24 @@ class TestNonFiniteTraining:
         with pytest.raises(NonFiniteError, match="^Adam's second moment of W0 ") as caught:
             train_classifier(_scaled(train, 1e300), val, ArchitectureSpec.default("gcn", 8, 2),
                              OptimizerConfig(max_epochs=3))
+        assert caught.value.source == "train_graph"
+
+    def test_classifier_loss_overflow_names_the_training_graph(self):
+        # one feature at 1.6e308 everywhere: the logits stay finite, and the
+        # loss's mean overflows
+        params = symmetric_binary_params(2.0, 1, (60, 60), 0.1, 0.02)
+        train, val = generate_csbm(params, 1), generate_csbm(params, 2)
+        with pytest.raises(NonFiniteError, match=r"^the cross-entropy loss overflows \(") as caught:
+            train_classifier(train.with_features(np.full_like(train.features, 1.6e308)), val,
+                             ArchitectureSpec.default("gcn", 1, 2), OptimizerConfig(max_epochs=3))
+        assert caught.value.source == "train_graph"
+
+    def test_classifier_training_logits_overflow_names_the_training_graph(self, small_csbm):
+        train, val = small_csbm
+        with pytest.raises(NonFiniteError, match="^logit ") as caught:
+            # every feature at max float: the training pass's first sums overflow
+            train_classifier(train.with_features(np.full_like(train.features, 1.7e308)), val,
+                             ArchitectureSpec.default("gcn", 8, 2), OptimizerConfig(max_epochs=3))
         assert caught.value.source == "train_graph"
 
     def test_classifier_validation_overflow_names_the_validation_graph(self, small_csbm):

@@ -174,20 +174,40 @@ class TestClosedForms:
         assert imbalanced_boundary(1.0, 3.0, 1.0, 50, 50) == pytest.approx(2.0)
 
     def test_imbalanced_boundary_shift_sign(self):
+        # the larger class 2 (mean 2) takes ground: the boundary moves toward 0
         balanced = imbalanced_boundary(0.0, 2.0, 1.0, 100, 100)
         shifted = imbalanced_boundary(0.0, 2.0, 1.0, 100, 300)
-        assert shifted > balanced
+        assert shifted < balanced
 
     def test_imbalanced_boundary_hand_value(self):
-        # mu = 0, 2, sigma = 1, n2/n1 = e^2 -> 1 + 1 = 2
+        # mu = 0, 2, sigma = 1, n2/n1 = e^2 -> 1 + 1 * 2 / (0 - 2) = 0
         n1 = 1000
         n2 = int(round(n1 * math.e**2))
         value = imbalanced_boundary(0.0, 2.0, 1.0, n1, n2)
-        assert value == pytest.approx(2.0, abs=1e-4)
+        assert value == pytest.approx(0.0, abs=1e-4)
+
+    @pytest.mark.parametrize("mu1, mu2", [(0.0, 2.0), (2.0, 0.0), (1.0, -1.0), (-1.0, 1.0),
+                                          (-0.5, 3.0), (3.0, -0.5)])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n1, n2", [(100, 300), (300, 100), (50, 50), (7, 1000)])
+    def test_imbalanced_boundary_is_where_the_weighted_densities_cross(self, mu1, mu2, sigma,
+                                                                       n1, n2):
+        def excess(x):  # n1 phi_1(x) - n2 phi_2(x), without the common factor
+            return (n1 * math.exp(-0.5 * ((x - mu1) / sigma) ** 2)
+                    - n2 * math.exp(-0.5 * ((x - mu2) / sigma) ** 2))
+
+        lo, hi = (mu1 + mu2) / 2 - 20 * sigma, (mu1 + mu2) / 2 + 20 * sigma
+        assert excess(lo) * excess(hi) < 0
+        for _ in range(200):  # bisection
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if (excess(mid) > 0) == (excess(lo) > 0) else (lo, mid)
+        assert imbalanced_boundary(mu1, mu2, sigma, n1, n2) == pytest.approx(lo, abs=1e-9)
 
     def test_imbalanced_boundary_validation(self):
         with pytest.raises(ValueError, match="sigma"):
             imbalanced_boundary(0.0, 1.0, 0.0, 10, 10)
+        with pytest.raises(ValueError, match="class means coincide"):
+            imbalanced_boundary(1.0, 1.0, 1.0, 10, 30)
 
 
 class TestDegreeRelaxationConstraint:
