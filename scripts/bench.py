@@ -21,19 +21,30 @@ Rows (times in seconds, each with its raw samples):
                         2 x n/2-node CSBM of mean degree ~21, p/q = 2.5, 16-dim
                         features, drawn as the fixture's test graph of seed 0
                         with those CSBM params; the process high-water mark
-                        (VmHWM, read from /proc/self/status) and the seconds
-                        of each stage:
+                        (VmHWM, read from /proc/self/status), the seconds and
+                        the minor page faults (the ru_minflt delta) of each
+                        stage:
                         setup (fixture training), generate + perturb, transform
                         (delta = 0.3) and classify (base and transformed graph)
   train_epoch           per rung (n = 20k and 200k), one fresh child each: a
                         hidden-64, 2-layer GCN predictor fit (WBCE, patience
                         50) on a CSBM training graph of the pipeline rung's
                         params (seed 0) with a validation graph (seed 1),
-                        once for 1 epoch and once for 3; each fit's seconds
-                        and the VmHWM after it, the seconds per epoch (the
-                        difference over 2) and the fit setup seconds (the
-                        1-epoch fit less one epoch: operator builds, edge
-                        matrix and the first validation)
+                        once for 1 epoch and once for 3; each fit's seconds,
+                        minor page faults and the VmHWM after it, the seconds
+                        per epoch (the difference over 2) and the fit setup
+                        seconds (the 1-epoch fit less one epoch: operator
+                        builds, edge matrix and the first validation)
+  desk_pass             one fresh child pinned to one core: the
+                        run_benchmark.py fixture (make_fixture) and the four
+                        experiment views (run_ablation, run_delta_sweep,
+                        run_noise_robustness, run_random_drop_comparison) over
+                        seeds 0-9; the seconds and minor page faults from the
+                        fixture's start to the last view's end (timed inside
+                        the child, so interpreter start-up and import are
+                        out). One core means no worker threads, so the fault
+                        count repeats exactly from run to run of one checkout;
+                        with two seed workers it spread by about 2x
   cli_start_s           per command (transform and evaluate): spawn to exit
                         of a fresh `python -m graphost` child on a generated
                         600-node workspace (CLI_WORKSPACE: the run_benchmark.py
@@ -78,6 +89,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -112,6 +124,20 @@ print(wall)
 THEORY_FLAGS = ["theory-validate", "--suite", "theorem", "--p", "0.02", "--q", "0.01",
                 "--p2", "0.03", "--q2", "0.005", "--n1", "500", "--n2", "500",
                 "--mean-distance", "2", "--trials", "20", "--seed", "1"]
+DESK_PROBE = """
+import json, os, resource, time
+os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])  # one core: no seed workers
+from graphost import experiments
+from graphost.fixtures import make_fixture
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+start = time.perf_counter()
+fx = make_fixture(intra_prob=0.05, inter_prob=0.02, seed=0, num_layers=4, predictor_hidden=64)
+for view in (experiments.run_ablation, experiments.run_delta_sweep,
+             experiments.run_noise_robustness, experiments.run_random_drop_comparison):
+    view(fx.classifier, fx.predictor, fx.test_graph, fx.config, tuple(range(10)))
+print(json.dumps({"seconds": time.perf_counter() - start,
+                  "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}))
+"""
 EVALUATION_INPUTS = ["--test-graph", "data/test.json", "--classifier", "ckpt/classifier.json",
                      "--predictor", "ckpt/predictor.json"]
 PINNED_SEQUENCE = [
@@ -173,6 +199,10 @@ def _vmhwm_mb() -> float:
     return kb / 1024
 
 
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cli_start() -> dict:
     """The cli_start_s rows: each command in fresh children, in a workspace
     that CLI_WORKSPACE builds in a temporary directory."""
@@ -205,12 +235,13 @@ def pipeline_rung(nodes_per_class: int) -> dict:
     from graphost import fixtures, models, transform
 
     stages: dict = {}
-    start = time.perf_counter()
+    start, faults = time.perf_counter(), _minor_faults()
 
     def stage(name: str) -> None:
-        nonlocal start
-        stages[name] = {"seconds": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
-        start = time.perf_counter()
+        nonlocal start, faults
+        stages[name] = {"seconds": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb(),
+                        "minor_faults": _minor_faults() - faults}
+        start, faults = time.perf_counter(), _minor_faults()
 
     fx = fixtures.make_fixture(intra_prob=0.05, inter_prob=0.02, seed=0, num_layers=4,
                                predictor_hidden=64)
@@ -245,10 +276,11 @@ def train_epoch(nodes_per_class: int) -> dict:
     spec = models.ArchitectureSpec.default("gcn", 16, 64, hidden=64, num_layers=2)
     fits = {}
     for epochs in (1, 3):
-        start = time.perf_counter()
+        start, faults = time.perf_counter(), _minor_faults()
         models.train_homophily_predictor(train, val, spec,
                                          models.OptimizerConfig(max_epochs=epochs), seed=0)
-        fits[str(epochs)] = {"seconds": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb()}
+        fits[str(epochs)] = {"seconds": time.perf_counter() - start, "vmhwm_mb": _vmhwm_mb(),
+                             "minor_faults": _minor_faults() - faults}
     epoch_s = (fits["3"]["seconds"] - fits["1"]["seconds"]) / 2
     return {"nodes": train.num_nodes, "edges": train.num_edges, "fits": fits,
             "epoch_s": epoch_s, "setup_s": fits["1"]["seconds"] - epoch_s}
@@ -326,6 +358,7 @@ def measure() -> dict:
             f"n={2 * m}": json.loads(_run([sys.executable, "scripts/bench.py",
                                            "--train-epoch", str(m)])[1])
             for m in PIPELINE_RUNGS}, "unit": "s, MB"},
+        "desk_pass": json.loads(_run([sys.executable, "-c", DESK_PROBE])[1]),
         "cli_start_s": cli_start(),
         "pinned_outputs": json.loads(_run([sys.executable, "scripts/bench.py",
                                            "--pinned-outputs"])[1]),

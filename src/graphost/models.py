@@ -7,16 +7,21 @@ The predictor's output head is fixed: sigmoid(cosine(z_i, z_j)) on the
 encoder embeddings of an edge's endpoints -- its only learned parameters
 are the encoder's.
 
-The head never builds an (E, d) array. Its forward pass takes the cosines
-as row dots of unit embeddings over fixed blocks of edges, so memory stays
-O(n d + E) and every cosine equals the one-shot row sum bit for bit. It
-refuses embeddings whose norms are not finite with `NonFiniteError`. Its
-backward pass sums each node's cosine gradients in closed form: with G =
-A @ unit, A the symmetric n x n matrix of per-edge gradients, a node's
-gradient is the part of G_u tangent to its unit vector, divided by |z_u|
--- one sparse product plus O(n d) work. A is the training graph's
-`nn.EdgeMatrix`: a GCN's on its aggregator's pattern, so a fit builds one
-pattern per graph.
+The head never builds an (E, d) array, and no (n, d) one but the unit
+embeddings. Its forward pass takes the norms over fixed blocks of nodes and
+the cosines as row dots of unit embeddings over fixed blocks of edges, each
+block squared or gathered, multiplied and summed inside two (block, d)
+buffers made once per call. So memory stays O(n d + E), no block
+allocates, and every norm and cosine equals the one-shot row sum bit for
+bit. It refuses an edge id outside [0, n) with `IndexError` and embeddings
+whose norms are not finite with `NonFiniteError`. Its backward pass sums
+each node's cosine gradients in closed form: with G = A @ unit, A the
+symmetric n x n matrix of per-edge gradients, a node's gradient is the part
+of G_u tangent to its unit vector, divided by |z_u| -- one sparse product
+plus O(n d) work. A is the training graph's `nn.EdgeMatrix`: a GCN's on its
+aggregator's pattern, so a fit builds one pattern per graph. The layers'
+backward passes hold no float mask: ReLU's gradient multiplies by the sign
+test of its input, and the identity passes the gradient through.
 
 Inference holds no copy it does not need, with the same bits as the
 straightforward pass: bias and activation work in place, a square GCN
@@ -85,8 +90,9 @@ LOSSES = ("wbce", "bce")  # train_homophily_predictor's loss
 
 log = logging.getLogger(__name__)
 
-# Edges per row block of the cosine head, at most; bounds its temporaries to
-# _EDGE_BLOCK x d floats whatever the edge count.
+# Rows (edges, or nodes for the norms) per block of the cosine head, at
+# most; bounds each of its two buffers to _EDGE_BLOCK x d floats whatever
+# the edge count.
 _EDGE_BLOCK = 1024
 
 
@@ -254,8 +260,8 @@ def network_backward(
     g = grad_out
     for layer in reversed(range(spec.num_layers)):
         entry = cache[layer]
-        _, act_grad = _ACTIVATIONS[entry["act"]]
-        g_pre = g * act_grad(entry["pre"])
+        _, act_backward = _ACTIVATIONS[entry["act"]]
+        g_pre = act_backward(g, entry["pre"])
         grads[f"W{layer}"] = entry["agg_in"].T @ g_pre
         grads[f"b{layer}"] = g_pre.sum(axis=0)
         if layer == 0:
@@ -432,18 +438,33 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool 
                             source: str | None = None):
     """sigmoid(cosine) per edge plus everything needed for the backward pass.
     With overwrite_z the unit rows are written over z, which the caller
-    gives up. A norm that is not finite is refused with NonFiniteError
-    naming `source`, the input z came from.
+    gives up. An edge id outside [0, len(z)) is refused with IndexError
+    before anything is read, and a norm that is not finite with
+    NonFiniteError naming `source`, the input z came from.
 
-    Cosines are taken a block of edges at a time; each row's sum is the
-    same as in one whole-array product. A block has at most _EDGE_BLOCK
-    edges and at most len(z), so its (block, d) temporaries fit in the space
-    the encoder pass's (n, d) arrays have just freed. Larger blocks on a
-    600-node graph grew the heap top on every call, glibc handed that memory
-    back at once, and a predictor fit took about 4x the page faults.
+    Norms are taken a block of nodes, and cosines a block of edges, at a
+    time; each row's sum is the same as in one whole-array product. A block
+    has at most _EDGE_BLOCK rows and at most len(z), so its two (block, d)
+    buffers fit in the space the encoder pass's (n, d) arrays have just
+    freed. Larger blocks on a 600-node graph grew the heap top on every
+    call, glibc handed that memory back at once, and a predictor fit took
+    about 4x the page faults. So the buffers are made once per call, and
+    every block squares, gathers, multiplies and sums inside them. With the
+    ids checked up front the gathers' clip mode never clips; the default
+    raise mode buffers each gather again.
     """
+    if len(edges) and (edges.min() < 0 or edges.max() >= len(z)):
+        bad = edges[((edges < 0) | (edges >= len(z))).any(axis=1)][0]
+        raise IndexError(f"edge ({bad[0]}, {bad[1]}) references a node outside [0, {len(z)})")
+    block = max(1, min(_EDGE_BLOCK, len(z)))
+    left, right = np.empty((block, z.shape[1])), np.empty((block, z.shape[1]))
+    norms = np.empty(len(z))
     with np.errstate(over="ignore"):  # an overflowing norm is refused just below
-        norms = np.linalg.norm(z, axis=1)
+        for start in range(0, len(z), block):
+            rows = z[start:start + block]
+            squares = np.multiply(rows, rows, out=left[:len(rows)])
+            np.add.reduce(squares, axis=1, out=norms[start:start + len(rows)])
+    np.sqrt(norms, out=norms)  # the bits of np.linalg.norm(z, axis=1)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:  # finite norms keep the unit rows, and so the cosines, finite
         raise NonFiniteError(f"the embedding norm of node {bad[0]} is {norms[bad[0]]}, not finite",
@@ -451,10 +472,13 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool 
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = np.divide(z, safe[:, None], out=z if overwrite_z else None)
     cos = np.empty(len(edges), dtype=np.float64)
-    block = max(1, min(_EDGE_BLOCK, len(z)))
     for start in range(0, len(edges), block):
         b = edges[start:start + block]
-        cos[start:start + len(b)] = np.sum(unit[b[:, 0]] * unit[b[:, 1]], axis=1)
+        lhs, rhs = left[:len(b)], right[:len(b)]
+        np.take(unit, b[:, 0], axis=0, out=lhs, mode="clip")
+        np.take(unit, b[:, 1], axis=0, out=rhs, mode="clip")
+        np.multiply(lhs, rhs, out=lhs)
+        np.sum(lhs, axis=1, out=cos[start:start + len(b)])
     np.clip(cos, -1.0, 1.0, out=cos)
     scores = sigmoid(cos)
     return scores, {"norms": norms, "safe": safe, "unit": unit, "cos": cos}

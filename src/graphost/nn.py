@@ -39,7 +39,7 @@ __all__ = [
     "MeanAggregator",
     "mean_aggregate",
     "relu",
-    "relu_grad",
+    "relu_backward",
     "sigmoid",
     "softmax",
     "wbce_loss",
@@ -322,25 +322,31 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.maximum(x, 0.0, out=out)
 
 
-def relu_grad(pre: np.ndarray) -> np.ndarray:
-    return (pre > 0.0).astype(np.float64)
+def relu_backward(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """d(loss)/d(pre) from g = d(loss)/d(relu(pre)): g where pre > 0, else a
+    zero of g's sign, the bits of g * relu'(pre) without the float mask."""
+    return np.multiply(g, pre > 0.0)
 
 
+# name -> (forward, backward(g, pre))
 _ACTIVATIONS = {
-    "relu": (relu, relu_grad),
-    "identity": (lambda x, out=None: x, lambda pre: np.ones_like(pre)),
+    "relu": (relu, relu_backward),
+    "identity": (lambda x, out=None: x, lambda g, pre: g),
 }
 
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
+    """1 / (1 + e^-x) where x >= 0 and e^x / (1 + e^x) below, so no exp
+    overflows. Both branches take t = e^-|x|, the value each branch's own
+    exp gives, so every result keeps the two-branch formula's bits."""
     arr = np.asarray(x, dtype=np.float64)
     _require_finite("sigmoid input", arr)
-    flat = np.atleast_1d(arr).copy()
-    pos = flat >= 0
-    flat[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[~pos])
-    flat[~pos] = ex / (1.0 + ex)
-    return float(flat[0]) if arr.ndim == 0 else flat.reshape(arr.shape)
+    t = np.abs(np.atleast_1d(arr))
+    np.exp(np.negative(t, out=t), out=t)
+    out = np.where(arr >= 0, 1.0, t)
+    t += 1.0
+    out /= t
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

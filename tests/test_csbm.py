@@ -14,7 +14,7 @@ from graphost.csbm import (
     perturb_features,
     symmetric_binary_params,
 )
-from graphost.graphs import edge_homophily_degree
+from graphost.graphs import LabeledGraph, edge_homophily_degree
 
 
 def binary_params(p, q, n=100, dim=2, distance=2.0):
@@ -286,3 +286,18 @@ class TestPerturbFeatures:
         noisy = perturb_features(g, 0.7, seed=1)
         delta = noisy.features - g.features
         assert abs(delta.std() - 0.7) < 0.02
+
+
+class TestPerturbRefusals:
+    """perturb_features refuses what it cannot perturb, by message."""
+
+    def test_featureless_graph_is_refused(self):
+        graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
+        bare = LabeledGraph(graph.num_nodes, graph.edges, labels=graph.labels)
+        with pytest.raises(ValueError, match="^graph has no features to perturb$"):
+            perturb_features(bare, 0.5, seed=0)
+
+    def test_negative_noise_std_is_refused(self):
+        graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
+        with pytest.raises(ValueError, match="^noise_std must be non-negative$"):
+            perturb_features(graph, -0.5, seed=0)

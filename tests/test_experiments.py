@@ -29,7 +29,7 @@ from graphost.experiments import (
     write_report,
 )
 from graphost.fixtures import make_fixture
-from graphost.graphs import WeightedGraph, inject_structural_noise, random_edge_drop
+from graphost.graphs import LabeledGraph, WeightedGraph, inject_structural_noise, random_edge_drop
 from graphost.metrics import accuracy, f1_macro, hd_delta_report
 from graphost.models import ArchitectureSpec, OptimizerConfig, predict_labels, train_classifier
 from graphost.transform import TransformConfig, graphost_transform
@@ -529,3 +529,25 @@ class TestRepeatedSeeds:
         assert result.returncode == 2
         assert "--seeds: seed list repeats 3" in result.stderr
         assert result.stdout == "" and not (tmp_path / "never").exists()
+
+
+class TestPublicRefusals:
+    """Each refusal below is reached through its public input, with its
+    message pinned."""
+
+    def test_report_without_seeds(self):
+        with pytest.raises(ValueError, match="^an experiment needs at least one seed$"):
+            ExperimentReport(experiment="demo", seeds=(), arm_values={}, config={})
+
+    def test_unknown_metric(self, fixture):
+        with pytest.raises(ValueError, match=r"^metric must be one of \['accuracy', 'f1_macro'\], "
+                                             r"got 'auc'$"):
+            evaluate_graph(fixture.classifier, fixture.test_graph(0), "auc")
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_unlabeled_graph(self, fixture, weighted):
+        test = fixture.test_graph(0)
+        unlabeled = LabeledGraph(test.num_nodes, test.edges, test.features)
+        graph = WeightedGraph(unlabeled, np.ones(unlabeled.num_edges)) if weighted else unlabeled
+        with pytest.raises(ValueError, match="^evaluation needs a labeled graph$"):
+            evaluate_graph(fixture.classifier, graph)

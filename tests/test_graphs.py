@@ -522,3 +522,39 @@ class TestGraphIO:
         with pytest.raises(GraphFormatError, match="integer pairs") as err:
             load_graph(path)
         assert err.value.path == str(path)
+
+
+class TestConstructorRefusals:
+    """Each refusal of the graph constructors and derivations, reached through
+    its public input, with its message pinned."""
+
+    @pytest.mark.parametrize("edges, shape", [
+        (np.array([0, 1, 2]), r"\(3,\)"), (np.array([[0, 1, 2]]), r"\(1, 3\)"),
+    ])
+    def test_edge_list_of_wrong_shape(self, edges, shape):
+        with pytest.raises(ValueError, match=rf"^edge list must have shape \(E, 2\), got {shape}$"):
+            canonicalize_edges(edges, 3)
+        with pytest.raises(ValueError, match=r"^edge list must have shape"):
+            LabeledGraph(num_nodes=3, edges=edges)
+
+    def test_negative_node_count(self):
+        with pytest.raises(ValueError, match="^num_nodes must be non-negative$"):
+            LabeledGraph(num_nodes=-1, edges=np.empty((0, 2), dtype=np.int64))
+
+    def test_negative_label(self):
+        with pytest.raises(ValueError, match="^labels must be non-negative class indices$"):
+            triangle(labels=(0, -1, 1))
+
+    def test_label_beyond_num_classes(self):
+        with pytest.raises(ValueError, match="^label 2 out of range for 2 classes$"):
+            LabeledGraph(num_nodes=3, edges=np.array([[0, 1]]), labels=np.array([0, 2, 1]),
+                         num_classes=2)
+
+    def test_feature_dim_of_a_featureless_graph(self):
+        graph = LabeledGraph(num_nodes=3, edges=np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="^graph has no features$"):
+            graph.feature_dim
+
+    def test_negative_drop_count(self):
+        with pytest.raises(ValueError, match="^drop_count must be non-negative$"):
+            random_edge_drop(triangle(), -1, seed=0)

@@ -21,7 +21,14 @@ from hypothesis import strategies as st
 
 import graphost
 from graphost import jsonfile
-from graphost.graphs import LabeledGraph, WeightedGraph, load_weighted_graph, save_graph
+from graphost.graphs import (
+    GraphFormatError,
+    LabeledGraph,
+    WeightedGraph,
+    load_graph,
+    load_weighted_graph,
+    save_graph,
+)
 from graphost.jsonfile import FileFormatError, read_json, write_json
 
 BLOCK = jsonfile._BLOCK_ROWS
@@ -320,6 +327,22 @@ def test_written_graph_is_read_without_the_whole_text_path(tmp_path):
     edges = doc.array("edges", (None, 2), "integer", "pairs")
     assert np.array_equal(edges, graph.edges)
     assert doc.raw["features"] == graph.features.tolist()
+
+
+@pytest.mark.parametrize("text", ['{"edges": [[0, 1]], 5: 0}', '{"edges": [[0, 1]],\n 5: 0}'])
+def test_later_key_that_is_not_a_string_falls_back_to_json_loads(tmp_path, text):
+    # the packed reader gives up at the key, and json.loads names the error
+    assert jsonfile._packed_object(text, json.JSONDecoder().scan_once) is None
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    with pytest.raises(GraphFormatError) as got:
+        load_graph(path)
+    line = want.value.lineno
+    assert got.value.line == line
+    assert str(got.value) == (f"{path}:{line}: invalid JSON: {want.value.msg} "
+                              f"at offset {want.value.pos}")
 
 
 # ---------------------------------------------------------------------------

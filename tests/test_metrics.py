@@ -206,3 +206,29 @@ class TestHdDeltaReport:
         g = self.graph([[0, 1]])
         with pytest.raises(ValueError, match="labels length"):
             hd_delta_report(g, g, np.array([0, 1]))
+
+
+class TestMetricRefusals:
+    """Each refusal of f1_macro and roc_auc through its public input, with
+    its message pinned, and roc_auc's NaN for a score without rank order."""
+
+    def test_f1_lengths_differ(self):
+        with pytest.raises(ValueError, match="^predicted and true labels must have equal length$"):
+            f1_macro([0, 1], [0], 2)
+
+    def test_f1_of_no_labels(self):
+        with pytest.raises(ValueError, match="^f1 of an empty label set is undefined$"):
+            f1_macro([], [], 2)
+
+    @pytest.mark.parametrize("num_classes", [0, -1])
+    def test_f1_without_classes(self, num_classes):
+        with pytest.raises(ValueError, match="^num_classes must be positive$"):
+            f1_macro([0], [0], num_classes)
+
+    def test_auc_lengths_differ(self):
+        with pytest.raises(ValueError, match="^scores and labels must have equal length$"):
+            roc_auc([0.1, 0.9], [1])
+
+    @pytest.mark.parametrize("scores", [[np.nan, 0.5, 0.7], [0.2, 0.5, np.nan]])
+    def test_auc_of_a_nan_score_is_nan(self, scores):
+        assert np.isnan(roc_auc(scores, [0, 1, 1]))

@@ -921,3 +921,88 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match=repr(drop[-1])) as err:
             load_checkpoint(path)
         assert str(path) in str(err.value)
+
+
+class TestEdgeHeadBuffers:
+    """The head gathers each block into two buffers made once per call: edge
+    ids outside [0, len(z)) are refused before anything is read, and the
+    cosines keep the bits of the whole-array product."""
+
+    @pytest.mark.parametrize("bad_edge", [[0, 5], [5, 0], [1, 9], [-1, 2], [2, -5]])
+    @pytest.mark.parametrize("overwrite_z", [False, True])
+    def test_edge_id_outside_the_nodes_is_refused_before_any_gather(self, bad_edge,
+                                                                    overwrite_z):
+        z = np.arange(10.0).reshape(5, 2)
+        kept = z.copy()
+        edges = np.array([[0, 1], bad_edge, [2, 3]])
+        want = rf"^edge \({bad_edge[0]}, {bad_edge[1]}\) references a node outside \[0, 5\)$"
+        with pytest.raises(IndexError, match=want):
+            _edge_scores_with_cache(z, edges, overwrite_z)
+        assert np.array_equal(z, kept)  # not normalized: nothing was read or written
+
+    def test_refusal_names_the_first_bad_edge(self):
+        edges = np.array([[0, 1], [0, 7], [-2, 1]])
+        with pytest.raises(IndexError, match=r"^edge \(0, 7\)"):
+            _edge_scores_with_cache(np.ones((3, 2)), edges)
+
+    def test_edges_on_an_empty_embedding_are_refused(self):
+        with pytest.raises(IndexError, match=r"outside \[0, 0\)$"):
+            _edge_scores_with_cache(np.empty((0, 4)), np.array([[0, 0]]))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])  # edge counts around the node cap
+    @pytest.mark.parametrize("dim", [3, 64])
+    @pytest.mark.parametrize("n", [7, 500, 2 * _EDGE_BLOCK + 5])
+    def test_overwriting_head_is_bit_identical_to_unblocked(self, extra, dim, n):
+        rng = np.random.default_rng(n + extra)
+        edges = rng.integers(0, n, size=(n + extra, 2))
+        edges[0] = (0, n - 1)  # both ends of the id range
+        z = rng.standard_normal((n, dim))
+        z[::5] = 0.0  # zero-norm rows score cos 0
+        want = edge_cosines_unblocked(z, edges)
+        norms = np.linalg.norm(z, axis=1)
+        scores, ctx = _edge_scores_with_cache(z, edges, overwrite_z=True)
+        assert ctx["unit"] is z
+        assert ctx["norms"].tobytes() == norms.tobytes()
+        assert ctx["cos"].tobytes() == want.tobytes()
+        assert scores.tobytes() == nn.sigmoid(want).tobytes()
+
+
+class TestPublicRefusals:
+    """Each refusal below is reached through its public input, with its
+    message pinned."""
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="^unknown activation 'tanh'$"):
+            ArchitectureSpec(kind="gcn", layer_dims=(2, 4, 2), activation="tanh")
+
+    def test_gcn_forward_needs_an_aggregator(self):
+        spec = ArchitectureSpec.default("gcn", 2, 2)
+        with pytest.raises(ValueError, match="^gcn forward pass needs an aggregator$"):
+            network_forward(spec, init_params(spec, seed=0), np.ones((3, 2)), None)
+
+    def test_edge_training_set_of_an_edgeless_graph(self):
+        graph = LabeledGraph(num_nodes=2, edges=np.empty((0, 2), dtype=np.int64),
+                             features=np.ones((2, 2)), labels=np.array([0, 1]))
+        with pytest.raises(ValueError, match="^edge training set needs at least one edge$"):
+            build_edge_training_set(graph)
+
+    def test_holdout_needs_two_edges_of_each_class(self):
+        # two homophilic edges and one heterophilic: alpha = 1/3, but no
+        # heterophilic edge is left to train on once one is held out
+        graph = LabeledGraph(num_nodes=4, edges=np.array([[0, 1], [1, 2], [2, 3]]),
+                             features=np.eye(4)[:, :2], labels=np.array([0, 0, 1, 1]))
+        spec = ArchitectureSpec.default("gcn", 2, 2)
+        with pytest.raises(ValueError, match="^too few edges of one class to hold out "
+                                             "predictor validation$"):
+            train_homophily_predictor(graph, None, spec, OptimizerConfig(max_epochs=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_checkpoint_tensor_that_is_not_finite(self, tmp_path, bad):
+        spec = ArchitectureSpec.default("gcn", 2, 2)
+        params = init_params(spec, seed=0)
+        params["b1"][1] = bad
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(Checkpoint(spec=spec, params=params), path)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: tensor 'b1' contains NaN or Inf"

@@ -25,12 +25,14 @@ from graphost.nn import (
     EdgeMatrix,
     MeanAggregator,
     NonFiniteError,
+    _ACTIVATIONS,
     _entry_indices,
     adam_step,
     bce_loss,
     csr_matrix,
     cross_entropy_loss,
     mean_aggregate,
+    relu_backward,
     sigmoid,
     softmax,
     wbce_loss,
@@ -819,3 +821,78 @@ class TestAdam:
                                                  "not finite$") as caught:
             adam_step(params, {"b": np.ones(1), "w": np.array([1.0, g, 1.0])}, state)
         assert caught.value.source is None
+
+
+class TestActivationBackward:
+    def test_relu_backward_has_the_bits_of_the_float_mask(self):
+        # zeros keep the sign g * relu'(pre) gives them: -0.0 where g < 0
+        g = np.array([[-2.0, 3.0, -0.0, 0.0], [np.inf, -1.5, 4.0, -np.inf]])
+        pre = np.array([[-1.0, 0.0, 2.0, -0.0], [1.0, -3.0, np.nan, 0.5]])
+        want = g * (pre > 0.0).astype(np.float64)
+        got = relu_backward(g, pre)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0]) and not np.signbit(got[0, 1])
+
+    def test_identity_backward_passes_the_gradient_through(self):
+        g = np.array([[1.0, -0.0], [np.nan, 2.0]])
+        assert _ACTIVATIONS["identity"][1](g, np.zeros_like(g)) is g
+
+
+def sigmoid_two_branch(x):
+    """sigmoid as it was written before its branches shared one exp, kept as
+    oracle: each branch's exp over its own masked copy."""
+    arr = np.asarray(x, dtype=np.float64)
+    flat = np.atleast_1d(arr).copy()
+    pos = flat >= 0
+    flat[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+    ex = np.exp(flat[~pos])
+    flat[~pos] = ex / (1.0 + ex)
+    return float(flat[0]) if arr.ndim == 0 else flat.reshape(arr.shape)
+
+
+class TestSigmoidOracle:
+    @given(arrays(np.float64, st.tuples(st.integers(0, 40), st.integers(1, 3)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=200, deadline=None)
+    @example(np.array([[0.0], [-0.0], [5e-324], [-5e-324], [745.2], [-745.2], [1e308]]))
+    def test_bit_identical_to_two_branches(self, x):
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == sigmoid_two_branch(x).tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.3, -0.3, 40.0, -40.0, -800.0])
+    def test_scalar_is_a_float_with_the_same_bits(self, x):
+        got = sigmoid(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(sigmoid_two_branch(x)).tobytes()
+
+    def test_input_is_left_as_it_was(self):
+        x = np.array([-1.0, 0.5, 2.0])
+        sigmoid(x)
+        assert np.array_equal(x, [-1.0, 0.5, 2.0])
+
+class TestPublicRefusals:
+    """Each refusal below is reached through its public input, with its
+    message pinned."""
+
+    def test_edge_weight_count_must_match_the_edges(self):
+        with pytest.raises(ValueError, match="^3 edge weights for 2 edges$"):
+            MeanAggregator(star_graph(), np.ones(3), self_loops=True)
+
+    def test_wbce_lengths_differ(self):
+        with pytest.raises(ValueError,
+                           match="^predictions and labels must have the same length$"):
+            wbce_loss(np.array([0.5, 0.5]), np.array([1.0]), 0.5)
+
+    @pytest.mark.parametrize("logits, labels", [
+        (np.zeros(3), np.array([0, 1, 2])), (np.zeros((3, 2)), np.array([0, 1])),
+    ], ids=["one-dimensional", "label-count"])
+    def test_cross_entropy_shapes(self, logits, labels):
+        with pytest.raises(ValueError, match=r"^logits must be \(n, c\) with one label per row$"):
+            cross_entropy_loss(logits, labels)
+
+    def test_adam_keys_must_match(self):
+        params = {"W0": np.zeros((2, 2))}
+        with pytest.raises(ValueError, match="^params and grads must share the same keys$"):
+            adam_step(params, {"W1": np.zeros((2, 2))}, AdamState.for_params(params))
