@@ -13,10 +13,14 @@ The tracer is installed again before each test. Some tests replace or clear
 the process's trace function, and a tracer installed once stops recording
 partway through the run.
 
+A statement may stay unreached only if ALLOWED names it, with a reason,
+which is printed beside it. The script exits 1 if it lists a statement
+ALLOWED does not name, and with pytest's code otherwise.
+
 Not part of tier-1: the traced run takes several minutes.
 
 Usage: python3 scripts/reach.py [PYTEST_ARGS ...]
-       (default: -q -p no:cacheprovider tests; exits with pytest's code)
+       (default: -q -p no:cacheprovider tests)
 """
 
 import ast
@@ -29,6 +33,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "graphost"
+
+# Statements allowed to stay unreached, by (path under the repo, the
+# statement's first line, stripped), each with its reason. Empty: every
+# function-body statement of src/graphost has a test that runs it.
+ALLOWED: dict[tuple[str, str], str] = {}
 
 _hits: dict[str, set[int]] = {str(path): set() for path in sorted(SRC.glob("*.py"))}
 _keys: dict[str, str | None] = {}  # a code object's filename -> its _hits key, or None
@@ -103,14 +112,16 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = 0
+    total = unlisted = 0
     for name, ran in _hits.items():
-        path = Path(name)
-        for line, text in unreached(path, ran):
-            print(f"{path.relative_to(ROOT)}:{line}: {text}")
+        path = Path(name).relative_to(ROOT)
+        for line, text in unreached(ROOT / path, ran):
+            reason = ALLOWED.get((str(path), text))
+            print(f"{path}:{line}: {text}" + (f"  [allowed: {reason}]" if reason else ""))
             total += 1
-    print(f"{total} function-body statements never ran")
-    return int(code)
+            unlisted += reason is None
+    print(f"{total} function-body statements never ran, {unlisted} of them not allowed")
+    return 1 if unlisted else int(code)
 
 
 if __name__ == "__main__":

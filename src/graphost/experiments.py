@@ -50,8 +50,11 @@ __all__ = [
 
 
 def _distinct(seeds: tuple[int, ...]) -> tuple[int, ...]:
-    """`seeds`, refused if one repeats: a repeat would report copies of one
-    run as spread across seeds."""
+    """`seeds`, refused if one is negative, which numpy's generators refuse
+    only at the first draw, or if one repeats: a repeat would report copies
+    of one run as spread across seeds."""
+    if any(s < 0 for s in seeds):
+        raise ValueError(f"seeds must be non-negative, got {min(seeds)}")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ValueError(f"seed list repeats {', '.join(map(str, repeated))}")

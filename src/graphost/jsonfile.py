@@ -6,7 +6,8 @@ JSON object, written by `write_json` and read by `read_json`, whose
 every field of every file:
 
 - true/false is never a number, a float is never an integer and a string is
-  never a number;
+  never a number (a CLI config file's values are typed by the CLI's option
+  parsers instead, which read flag text too: `7` or `"7"` for an integer);
 - a scalar number is finite (an array's values are checked by the type
   built from it, which can name the offending row);
 - a missing required field is named, and no object repeats a key.

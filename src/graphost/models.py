@@ -434,11 +434,11 @@ def build_edge_training_set(
     return train_graph.edges, edge_labels, alpha
 
 
-def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool = False,
-                            source: str | None = None):
+def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, source: str | None = None):
     """sigmoid(cosine) per edge plus everything needed for the backward pass.
-    With overwrite_z the unit rows are written over z, which the caller
-    gives up. An edge id outside [0, len(z)) is refused with IndexError
+    The unit rows are written over z, which the caller gives up: in a fit z
+    is the last layer's output, which the identity activation's backward
+    never reads. An edge id outside [0, len(z)) is refused with IndexError
     before anything is read, and a norm that is not finite with
     NonFiniteError naming `source`, the input z came from.
 
@@ -470,7 +470,7 @@ def _edge_scores_with_cache(z: np.ndarray, edges: np.ndarray, overwrite_z: bool 
         raise NonFiniteError(f"the embedding norm of node {bad[0]} is {norms[bad[0]]}, not finite",
                              source)
     safe = np.where(norms > 0.0, norms, 1.0)
-    unit = np.divide(z, safe[:, None], out=z if overwrite_z else None)
+    unit = np.divide(z, safe[:, None], out=z)
     cos = np.empty(len(edges), dtype=np.float64)
     for start in range(0, len(edges), block):
         b = edges[start:start + block]
@@ -582,7 +582,7 @@ def train_homophily_predictor(
         # name holds the embeddings, so they are freed before the ranking
         with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
             scores = _edge_scores_with_cache(network_forward(spec, p, val_feats, val_agg),
-                                             val_edges, True, val_source)[0]
+                                             val_edges, val_source)[0]
         return roc_auc(scores, val_labels.astype(np.int64))
 
     return _fit(spec, optimizer, seed, train_graph.features, train_agg, edge_bce, val_auc,
@@ -598,7 +598,7 @@ def edge_homophily_scores(
     spec = predictor.spec
     with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
         z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
-    return EdgeScoreTable(scores=_edge_scores_with_cache(z, graph.edges, True, "predictor")[0])
+    return EdgeScoreTable(scores=_edge_scores_with_cache(z, graph.edges, "predictor")[0])
 
 
 # --------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -80,6 +81,42 @@ class BoundarySpec:
         object.__setattr__(self, "midpoint", m)
 
 
+# Each closed-form input's domain by parameter name: a test, False for NaN,
+# and the rule it states. Where p and q are both read, p + q > 0 as well.
+_DOMAIN: dict[str, tuple[Callable[[float], bool], str]] = {
+    **dict.fromkeys(("p", "q", "p_new", "q_new"), (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")),
+    **dict.fromkeys(("n1", "n2", "trials", "samples"), (
+        lambda v: isinstance(v, numbers.Integral) and v >= 1, "be an integer >= 1")),
+    "s": (lambda v: isinstance(v, numbers.Integral) and v >= 2, "be an integer >= 2"),
+    "mean_distance": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
+    "sigma": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
+    **dict.fromkeys(("mu1", "mu2"), (math.isfinite, "be finite")),
+}
+
+
+def _check(**values) -> None:
+    """Refuses the first of `values` outside its _DOMAIN rule, by name, and
+    p = q = 0."""
+    for name, value in values.items():
+        test, rule = _DOMAIN[name]
+        if not test(value):
+            raise ValueError(f"{name} must {rule}, got {value}")
+    if "q" in values and values["p"] + values["q"] == 0.0:
+        raise ValueError("p + q must be positive: at p = q = 0 every degree is 0")
+
+
+def _means(means, count: int | None) -> np.ndarray:
+    """`means` as a float array of s >= 2 finite rows, one per class, where
+    s is `count` if one is given."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.ndim != 2 or len(means) < 2 or count not in (None, len(means)):
+        raise ValueError(f"means must be {count or 's >= 2'} rows of class means, "
+                         f"got shape {means.shape}")
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
+    return means
+
+
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF, 0.5 * erfc(-x / sqrt(2))."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
@@ -88,24 +125,17 @@ def std_normal_cdf(x: float) -> float:
 def expected_embedding(class_index: int, p: float, q: float, means) -> np.ndarray:
     """Mean of the post-aggregation embedding for one class:
     (p * mu_k + q * sum_{j != k} mu_j) / (p + (s - 1) * q)."""
-    means = np.asarray(means, dtype=np.float64)
-    if means.ndim != 2 or len(means) < 2:
-        raise ValueError("means must be an (s >= 2, l) array")
+    _check(p=p, q=q)
+    means = _means(means, None)
     s = len(means)
-    if not 0 <= class_index < s:
+    if not (isinstance(class_index, numbers.Integral) and 0 <= class_index < s):
         raise ValueError(f"class_index {class_index} out of range for {s} classes")
-    denom = p + (s - 1) * q
-    if denom <= 0.0:
-        raise ValueError("p + (s - 1) * q must be positive")
     others = means.sum(axis=0) - means[class_index]
-    return (p * means[class_index] + q * others) / denom
+    return (p * means[class_index] + q * others) / (p + (s - 1) * q)
 
 
 def midpoint(means) -> np.ndarray:
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape[0] != 2:
-        raise ValueError("midpoint is defined for exactly two class means")
-    return (means[0] + means[1]) / 2.0
+    return _means(means, 2).sum(axis=0) / 2.0
 
 
 def _norm(v: np.ndarray, what: str) -> float:
@@ -120,9 +150,7 @@ def _norm(v: np.ndarray, what: str) -> float:
 
 
 def direction(means) -> np.ndarray:
-    means = np.asarray(means, dtype=np.float64)
-    if means.shape[0] != 2:
-        raise ValueError("direction is defined for exactly two class means")
+    means = _means(means, 2)
     diff = means[0] - means[1]
     norm = _norm(diff, "the class-mean difference")
     if norm == 0.0:
@@ -148,22 +176,15 @@ def boundary_signed_value(h: np.ndarray, boundary: BoundarySpec) -> float | np.n
 def class_separation_distance(p: float, q: float, mean_distance: float) -> float:
     """Distance from a class's expected embedding to the optimal boundary:
     (1/2) * |p - q| / (p + q) * mean_distance."""
-    if p + q <= 0.0:
-        raise ValueError("p + q must be positive")
-    if mean_distance < 0.0:
-        raise ValueError("mean_distance must be non-negative")
+    _check(p=p, q=q, mean_distance=mean_distance)
     return 0.5 * abs(p - q) / (p + q) * mean_distance
 
 
 def _phi_argument(p: float, q: float, n1: int, n2: int, mean_distance: float) -> float:
     """-a |p - q| sqrt(p n1 + q n2) / (2 (p + q)), the argument of Phi in
-    `misclassification_prob`."""
-    degree = p * n1 + q * n2
-    if degree <= 0.0:
-        raise ValueError("degenerate degree: p * n1 + q * n2 must be positive")
-    if p + q <= 0.0:
-        raise ValueError("p + q must be positive")
-    return -mean_distance * abs(p - q) * math.sqrt(degree) / (2.0 * (p + q))
+    `misclassification_prob`. The degree p n1 + q n2 is positive: p + q is."""
+    _check(p=p, q=q, n1=n1, n2=n2, mean_distance=mean_distance)
+    return -mean_distance * abs(p - q) * math.sqrt(p * n1 + q * n2) / (2.0 * (p + q))
 
 
 def misclassification_prob(
@@ -188,9 +209,7 @@ def degree_relaxation_constraint(
     homophilic:   (p'-q')(p+q) sqrt(p' n1 + q' n2) > (p-q)(p'+q') sqrt(p n1 + q n2)
     heterophilic: (q'-p')(p+q) sqrt(p' n1 + q' n2) > (q-p)(p'+q') sqrt(p n1 + q n2)
     """
-    for name, value in (("p", p), ("q", q), ("p_new", p_new), ("q_new", q_new)):
-        if not 0.0 < value <= 1.0:
-            raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    _check(p=p, q=q, p_new=p_new, q_new=q_new, n1=n1, n2=n2)
     if regime not in ("homophilic", "heterophilic"):
         raise ValueError(f"regime must be 'homophilic' or 'heterophilic', got {regime!r}")
     # q - p is -(p - q) exactly, so one formula with the regime's sign serves both
@@ -209,27 +228,22 @@ def imbalanced_boundary(mu1: float, mu2: float, sigma: float, n1: int, n2: int) 
     """The Bayes boundary of two one-dimensional Gaussians N(mu_k, sigma^2)
     with priors in proportion to the class counts n_k, where n1 phi_1 equals
     n2 phi_2: (mu1 + mu2) / 2 + sigma^2 ln(n2 / n1) / (mu1 - mu2). It moves
-    toward the smaller class's mean."""
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if n1 < 1 or n2 < 1:
-        raise ValueError("class counts must be positive")
+    toward the smaller class's mean. A boundary past the float range, as
+    sigma^2 past it or means closer than sigma^2 / 1e308 give, is refused."""
+    _check(mu1=mu1, mu2=mu2, sigma=sigma, n1=n1, n2=n2)
     if mu1 == mu2:
         raise ValueError("boundary undefined: class means coincide")
-    return (mu1 + mu2) / 2.0 + sigma * sigma * math.log(n2 / n1) / (mu1 - mu2)
+    boundary = (mu1 + mu2) / 2.0 + sigma * sigma * math.log(n2 / n1) / (mu1 - mu2)
+    if not math.isfinite(boundary):
+        raise NonFiniteError(f"the boundary is {boundary}, not finite")
+    return boundary
 
 
 def multiclass_separation(p: float, q: float, s: int, mean_distance: float) -> float:
     """Distance between two classes' expected embeddings in an s-class model:
     |p - q| / (p + (s - 1) q) * mean_distance."""
-    if s < 2:
-        raise ValueError("s must be at least 2")
-    denom = p + (s - 1) * q
-    if denom <= 0.0:
-        raise ValueError("p + (s - 1) * q must be positive")
-    if mean_distance < 0.0:
-        raise ValueError("mean_distance must be non-negative")
-    return abs(p - q) / denom * mean_distance
+    _check(p=p, q=q, s=s, mean_distance=mean_distance)
+    return abs(p - q) / (p + (s - 1) * q) * mean_distance
 
 
 @dataclass(frozen=True)
@@ -327,8 +341,7 @@ def monte_carlo_theorem_check(
     regime; the degree-relaxation constraint is evaluated and recorded.
     Only the feature columns the boundary reads are aggregated.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _check(trials=trials)
     if params.class_means != params_new.class_means:
         raise ValueError("class means must stay fixed across the transformation")
     if params.class_sizes != params_new.class_sizes:
@@ -436,11 +449,9 @@ def phi_vs_simulation(
 
     The tolerance band is three standard errors of the closed-form rate.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    _check(samples=samples)
     closed_form = misclassification_prob(p, q, n1, n2, mean_distance)
-    a = mean_distance
-    means = np.array([[a / 2.0, 0.0], [-a / 2.0, 0.0]])
+    means = np.array([[mean_distance / 2.0, 0.0], [-mean_distance / 2.0, 0.0]])
     boundary = boundary_from_means(means)
     orientation = 1.0 if p > q else -1.0
     sigma = 1.0 / math.sqrt(p * n1 + q * n2)

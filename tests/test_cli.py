@@ -1178,6 +1178,31 @@ class TestUsageErrors:
         assert f"bad --seed value {seeds!r}" in err and problem in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("name, seeds", [
+        ("generate", "-1"), ("train", "-1"), ("evaluate", "0,-1"), ("ablate", "-3"),
+        ("sweep-delta", "-2"), ("noise-robustness", "-3"), ("random-drop", "0,-1"),
+        ("theory-validate", "-2"),
+    ])
+    def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, via, name,
+                                                          seeds):
+        # numpy refuses a negative seed only at the first draw, naming no flag
+        out = tmp_path / "never"
+        args = [name, "--out", str(out)]
+        if via == "flag":
+            args += ["--seed=" + seeds]
+            source = ""
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"seed": seeds}))
+            args += ["--config", str(cfg)]
+            source = f" in config file {cfg}"
+        assert run(args) == 2
+        lowest = min(int(s) for s in seeds.split(","))
+        assert capsys.readouterr().err == (f"usage error: bad --seed value {seeds!r}{source}: "
+                                           f"seeds must be non-negative, got {lowest}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, args", [
         ("generate", ["--p", "0.06", "--q", "0.02", "--sizes", "20,20"]),
         ("train", ["--train-graph", "{data}/train.json", "--val-graph", "{data}/val.json",

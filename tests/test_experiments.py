@@ -496,6 +496,18 @@ class TestRepeatedSeeds:
             runner(None, None, drawn.append, TransformConfig(mode="homophilic"), (3, 3))
         assert drawn == []
 
+    @pytest.mark.parametrize("runner", RUNNERS + [run_study], ids=lambda r: r.__name__)
+    def test_runner_refuses_a_negative_seed_before_any_draw(self, runner):
+        drawn = []
+        with pytest.raises(ValueError, match="^seeds must be non-negative, got -2$"):
+            runner(None, None, drawn.append, TransformConfig(mode="homophilic"), (0, -1, -2))
+        assert drawn == []
+
+    @pytest.mark.parametrize("text, lowest", [("-1", -1), ("3,-7,-2", -7)])
+    def test_parse_seeds_refuses_a_negative_seed(self, text, lowest):
+        with pytest.raises(ValueError, match=f"^seeds must be non-negative, got {lowest}$"):
+            parse_seeds(text)
+
     @pytest.mark.parametrize("runner", RUNNERS, ids=lambda r: r.__name__)
     def test_runner_refuses_no_seeds_before_any_draw(self, runner):
         drawn = []

@@ -632,9 +632,10 @@ class TestBlockedEdgeCosine:
         edges = rng.integers(0, n, size=(num_edges, 2))
         z = rng.standard_normal((n, dim))
         z[::7] = 0.0  # zero-norm rows score cos 0
+        want = edge_cosines_unblocked(z, edges)  # before the head normalizes z in place
         _, ctx = _edge_scores_with_cache(z, edges)
         assert ctx["cos"].shape == (num_edges,)
-        assert np.array_equal(ctx["cos"], edge_cosines_unblocked(z, edges))
+        assert np.array_equal(ctx["cos"], want)
 
     def test_scoring_memory_bounded(self):
         # 10k nodes, ~105k edges, hidden 64: whole-array (E, d) gathers
@@ -929,15 +930,13 @@ class TestEdgeHeadBuffers:
     cosines keep the bits of the whole-array product."""
 
     @pytest.mark.parametrize("bad_edge", [[0, 5], [5, 0], [1, 9], [-1, 2], [2, -5]])
-    @pytest.mark.parametrize("overwrite_z", [False, True])
-    def test_edge_id_outside_the_nodes_is_refused_before_any_gather(self, bad_edge,
-                                                                    overwrite_z):
+    def test_edge_id_outside_the_nodes_is_refused_before_any_gather(self, bad_edge):
         z = np.arange(10.0).reshape(5, 2)
         kept = z.copy()
         edges = np.array([[0, 1], bad_edge, [2, 3]])
         want = rf"^edge \({bad_edge[0]}, {bad_edge[1]}\) references a node outside \[0, 5\)$"
         with pytest.raises(IndexError, match=want):
-            _edge_scores_with_cache(z, edges, overwrite_z)
+            _edge_scores_with_cache(z, edges)
         assert np.array_equal(z, kept)  # not normalized: nothing was read or written
 
     def test_refusal_names_the_first_bad_edge(self):
@@ -960,7 +959,7 @@ class TestEdgeHeadBuffers:
         z[::5] = 0.0  # zero-norm rows score cos 0
         want = edge_cosines_unblocked(z, edges)
         norms = np.linalg.norm(z, axis=1)
-        scores, ctx = _edge_scores_with_cache(z, edges, overwrite_z=True)
+        scores, ctx = _edge_scores_with_cache(z, edges)
         assert ctx["unit"] is z
         assert ctx["norms"].tobytes() == norms.tobytes()
         assert ctx["cos"].tobytes() == want.tobytes()

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -374,12 +376,12 @@ class TestMisclassificationRate:
 
 class TestSampleCounts:
     def test_theorem_check_needs_a_trial(self):
-        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1, got 0"):
             monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005),
                                       trials=0)
 
     def test_phi_vs_simulation_needs_a_sample(self):
-        with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        with pytest.raises(ValueError, match="samples must be an integer >= 1, got 0"):
             phi_vs_simulation(0.02, 0.01, 500, 500, 2.0, samples=0)
 
 
@@ -464,3 +466,239 @@ class TestValidate:
     def test_transform_suites_need_p2_and_q2(self, suite):
         with pytest.raises(ValueError, match=f"suite '{suite}' needs p2 and q2"):
             validate({**SETTINGS, "q2": None}, ["lemmas", suite], 0)
+
+
+# Each closed-form input's values of moderate size (|x| <= 1e6) inside its
+# domain, and values outside it: NaN, +-inf and finite values past its bounds.
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+BELOW_ZERO = st.floats(max_value=-math.ulp(0.0))
+WHOLE_FLOATS = st.integers(-5, 5).map(float)
+IN_DOMAIN = {
+    **dict.fromkeys(["p", "q", "p_new", "q_new"], st.floats(0.0, 1.0)),
+    **dict.fromkeys(["n1", "n2", "trials", "samples"], st.integers(1, 10**6)),
+    "s": st.integers(2, 10**6),
+    "mean_distance": st.floats(0.0, 1e6),
+    "sigma": st.floats(0.0, 1e6, exclude_min=True),
+    **dict.fromkeys(["mu1", "mu2"], st.floats(-1e6, 1e6)),
+}
+OUT_OF_DOMAIN = {
+    **dict.fromkeys(["p", "q", "p_new", "q_new"], NON_FINITE | BELOW_ZERO
+                    | st.floats(min_value=math.nextafter(1.0, 2.0))),
+    **dict.fromkeys(["n1", "n2", "trials", "samples"], NON_FINITE | st.integers(max_value=0)
+                    | WHOLE_FLOATS | st.floats(0.0, 1e6).filter(lambda v: not v.is_integer())),
+    "s": NON_FINITE | st.integers(max_value=1) | WHOLE_FLOATS | st.just(2.5),
+    "mean_distance": NON_FINITE | BELOW_ZERO,
+    "sigma": NON_FINITE | st.floats(max_value=0.0),
+    **dict.fromkeys(["mu1", "mu2"], NON_FINITE),
+}
+
+
+def constraint(p, q, p_new, q_new, n1, n2):
+    """degree_relaxation_constraint in the regime p and q are in."""
+    regime = "homophilic" if p > q else "heterophilic"
+    return degree_relaxation_constraint(p, q, p_new, q_new, n1, n2, regime)
+
+
+# The scalar closed forms and their parameters, which name their domains
+CLOSED_FORMS = [
+    (class_separation_distance, ("p", "q", "mean_distance")),
+    (misclassification_prob, ("p", "q", "n1", "n2", "mean_distance")),
+    (multiclass_separation, ("p", "q", "s", "mean_distance")),
+    (imbalanced_boundary, ("mu1", "mu2", "sigma", "n1", "n2")),
+    (constraint, ("p", "q", "p_new", "q_new", "n1", "n2")),
+]
+
+
+def theorem_check(trials):
+    return monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005), trials)
+
+
+def embedding(p, q):
+    return expected_embedding(0, p, q, SYMMETRIC)
+
+
+# Every parameter of every entry point that checks one, the Monte Carlo
+# checks' sample counts included: the value is refused before any draw
+REFUSING = [(fn, names, name) for fn, names in CLOSED_FORMS + [
+    (phi_vs_simulation, ("p", "q", "n1", "n2", "mean_distance", "samples")),
+    (theorem_check, ("trials",)),
+    (embedding, ("p", "q")),
+] for name in names]
+MEANS = st.integers(2, 5).flatmap(lambda s: st.integers(1, 4).flatmap(
+    lambda dim: st.lists(st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+                         min_size=s, max_size=s))).map(np.array)
+
+
+class TestDomain:
+    """Each closed-form input has one domain, checked at every entry point:
+    p, q, p_new and q_new in [0, 1] with p + q > 0; integer counts n1, n2,
+    trials and samples >= 1 and s >= 2; a finite mean_distance >= 0, a
+    finite sigma > 0 and finite mu1, mu2 and means."""
+
+    @pytest.mark.parametrize("fn, names, name", REFUSING,
+                             ids=[f"{fn.__name__}-{name}" for fn, _, name in REFUSING])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_value_outside_its_domain_is_refused_by_name(self, fn, names, name, data):
+        args = {n: data.draw(IN_DOMAIN[n], label=n) for n in names}
+        args[name] = bad = data.draw(OUT_OF_DOMAIN[name], label=f"bad {name}")
+        with pytest.raises(ValueError, match=f"^{name} must .*, got {re.escape(str(bad))}$"):
+            fn(**args)
+
+    @pytest.mark.parametrize("fn, names", CLOSED_FORMS, ids=[fn.__name__ for fn, _ in CLOSED_FORMS])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_values_inside_their_domains_give_finite_results(self, fn, names, data):
+        args = {n: data.draw(IN_DOMAIN[n], label=n) for n in names}
+        assume(args.get("p", 1.0) + args.get("q", 1.0) > 0.0)
+        if fn is constraint:  # the regime holds before and after
+            assume(np.sign(args["p"] - args["q"]) == np.sign(args["p_new"] - args["q_new"]) != 0)
+        if fn is imbalanced_boundary:
+            assume(args["mu1"] != args["mu2"])
+            try:
+                value = fn(**args)
+            except NonFiniteError:  # only where the exact shift lies past the float range
+                mu1, mu2, sigma, n1, n2 = (args[n] for n in names)
+                assert (2 * math.log(sigma) + math.log(abs(math.log(n2 / n1)))
+                        - math.log(abs(mu1 - mu2)) > math.log(sys.float_info.max) - 1e-9)
+                return
+        else:
+            value = fn(**args)
+        assert type(value) is bool if fn is constraint else math.isfinite(value)
+
+    @given(MEANS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_means_inside_their_domain_give_finite_embeddings(self, means, data):
+        p, q = data.draw(IN_DOMAIN["p"]), data.draw(IN_DOMAIN["q"])
+        assume(p + q > 0.0)
+        k = data.draw(st.integers(0, len(means) - 1))
+        assert np.isfinite(expected_embedding(k, p, q, means)).all()
+        if len(means) == 2:
+            assert np.isfinite(midpoint(means)).all()
+            assume(not np.array_equal(means[0], means[1]))
+            assert np.linalg.norm(direction(means)) == pytest.approx(1.0)
+
+    @given(MEANS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_means_are_refused(self, means, data):
+        means[data.draw(st.integers(0, len(means) - 1)),
+              data.draw(st.integers(0, means.shape[1] - 1))] = data.draw(NON_FINITE)
+        with pytest.raises(ValueError, match="^means must be finite$"):
+            expected_embedding(0, 0.5, 0.1, means)
+        if len(means) == 2:
+            for fn in (midpoint, direction, boundary_from_means):
+                with pytest.raises(ValueError, match="^means must be finite$"):
+                    fn(means)
+
+    @pytest.mark.parametrize("means", [np.zeros(4), np.zeros((1, 2)), np.zeros((3, 2)),
+                                       np.zeros((2, 2, 2))], ids=lambda m: str(m.shape))
+    def test_means_of_the_wrong_shape_are_refused(self, means):
+        shape = re.escape(str(means.shape))
+        for fn in (midpoint, direction):
+            with pytest.raises(ValueError, match=f"^means must be 2 rows of class means, "
+                                                 f"got shape {shape}$"):
+                fn(means)
+        if means.shape == (3, 2):  # any s >= 2 classes have expected embeddings
+            assert np.array_equal(expected_embedding(0, 0.5, 0.1, means), [0.0, 0.0])
+        else:
+            with pytest.raises(ValueError, match=f"^means must be s >= 2 rows of class means, "
+                                                 f"got shape {shape}$"):
+                expected_embedding(0, 0.5, 0.1, means)
+
+    @pytest.mark.parametrize("p, q", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+    @pytest.mark.parametrize("fn", [
+        lambda p, q: class_separation_distance(p, q, 1.0),
+        lambda p, q: misclassification_prob(p, q, 10, 10, 2.0),
+        lambda p, q: multiclass_separation(p, q, 3, 1.0),
+        lambda p, q: expected_embedding(0, p, q, SYMMETRIC),
+        lambda p, q: degree_relaxation_constraint(p, q, 0.03, 0.005, 10, 10, "homophilic"),
+        lambda p, q: phi_vs_simulation(p, q, 10, 10, 2.0),
+    ])
+    def test_p_and_q_both_zero_are_refused(self, fn, p, q):
+        with pytest.raises(ValueError, match="^p \\+ q must be positive: at p = q = 0 every "
+                                             "degree is 0$"):
+            fn(p, q)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: class_separation_distance(math.nan, 0.2, 1.0), "p must lie in [0, 1], got nan"),
+        (lambda: misclassification_prob(math.nan, 0.1, 10, 10, 2.0),
+         "p must lie in [0, 1], got nan"),
+        (lambda: imbalanced_boundary(0, 1, math.nan, 10, 10),
+         "sigma must be finite and > 0, got nan"),
+        (lambda: expected_embedding(0, math.nan, 0.1, SYMMETRIC), "p must lie in [0, 1], got nan"),
+        (lambda: multiclass_separation(2.0, -0.5, 3, 1.0), "p must lie in [0, 1], got 2.0"),
+        (lambda: misclassification_prob(-0.5, 0.6, 10, 10, 2.0),
+         "p must lie in [0, 1], got -0.5"),
+        (lambda: misclassification_prob(0.1, 0.05, 0, 10, 2.0), "n1 must be an integer >= 1, got 0"),
+        (lambda: degree_relaxation_constraint(0.02, 0.01, 0.03, 0.005, math.nan, 10, "homophilic"),
+         "n1 must be an integer >= 1, got nan"),
+        (lambda: degree_relaxation_constraint(0.02, 0.01, 0.03, 0.005, -10, 10, "homophilic"),
+         "n1 must be an integer >= 1, got -10"),
+        (lambda: degree_relaxation_constraint(0.0, 0.01, 0.03, 0.005, 10, 10, "homophilic"),
+         "homophilic regime needs p > q and p_new > q_new; got (0.0, 0.01) -> (0.03, 0.005)"),
+    ])
+    def test_inputs_once_read_as_numbers_are_refused(self, call, message):
+        # each of these returned nan, a number, False or a math domain error
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_boundary_zero_probabilities_are_inside_the_domain(self):
+        # p = 0 or q = 0 alone is a valid CSBM: the constraint once refused it
+        assert degree_relaxation_constraint(0.02, 0.01, 0.03, 0.0, 10, 10, "homophilic")
+        assert not degree_relaxation_constraint(0.0, 0.02, 0.0, 0.01, 10, 10, "heterophilic")
+        assert misclassification_prob(0.0, 0.02, 10, 10, 2.0) < 0.5
+
+    @pytest.mark.parametrize("args, value", [
+        ((0.0, 5e-324, 1.0, 1, 100), "-inf"),  # ln(100) / -5e-324
+        ((0.0, 1.0, 1e200, 5, 5), "nan"),  # sigma^2 = inf, times ln(1) = 0
+    ])
+    def test_an_imbalanced_boundary_past_the_float_range_is_refused(self, args, value):
+        with pytest.raises(NonFiniteError, match=f"^the boundary is {value}, not finite$"):
+            imbalanced_boundary(*args)
+
+
+class TestStructuralRefusals:
+    """The theory lab's refusals of inputs that no domain rule covers, each
+    reached through its public input, with its message pinned."""
+
+    def test_boundary_dimensions_must_match(self):
+        with pytest.raises(ValueError, match="^direction and midpoint must share a dimension$"):
+            BoundarySpec(direction=np.array([1.0, 0.0]), midpoint=np.zeros(3))
+
+    @pytest.mark.parametrize("class_index", [2, -1, 1.0, math.nan])
+    def test_class_index_out_of_range(self, class_index):
+        with pytest.raises(ValueError, match=f"^class_index {class_index} out of range for 2 "
+                                             "classes$"):
+            expected_embedding(class_index, 0.5, 0.1, SYMMETRIC)
+
+    def test_unknown_regime_name(self):
+        with pytest.raises(ValueError, match="^regime must be 'homophilic' or 'heterophilic', "
+                                             "got 'neutral'$"):
+            degree_relaxation_constraint(0.02, 0.01, 0.03, 0.005, 500, 500, "neutral")
+
+    def test_class_sizes_must_match(self):
+        with pytest.raises(ValueError, match="^class sizes must stay fixed across the "
+                                             "transformation$"):
+            monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005, n=400))
+
+    def test_checks_are_binary(self):
+        three = CsbmParams(class_means=((1.0,), (-1.0,), (0.0,)), class_sizes=(20, 20, 20),
+                           intra_prob=0.1, inter_prob=0.05)
+        with pytest.raises(ValueError, match="^theorem checks are binary; use two-class "
+                                             "parameters$"):
+            monte_carlo_theorem_check(three, three, trials=1)
+        with pytest.raises(ValueError, match="^lemma checks are binary; use two-class "
+                                             "parameters$"):
+            lemma_check(three)
+
+    def test_theorem_check_needs_p_unlike_q(self):
+        with pytest.raises(ValueError, match="^original parameters need p != q to define a "
+                                             "regime$"):
+            monte_carlo_theorem_check(axis_params(0.02, 0.02), axis_params(0.03, 0.005))
+
+    def test_lemma_check_needs_a_non_isolated_node_in_each_class(self):
+        # one node in class 0 and no inter-class edges: it is always isolated
+        params = CsbmParams(class_means=((1.0,), (-1.0,)), class_sizes=(1, 50),
+                            intra_prob=0.5, inter_prob=0.0)
+        with pytest.raises(ValueError, match="^class 0 has no non-isolated nodes$"):
+            lemma_check(params, seed=0)

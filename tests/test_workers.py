@@ -1,3 +1,5 @@
+import _ctypes
+import glob
 import json
 import os
 import subprocess
@@ -6,7 +8,9 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import graphost
@@ -64,6 +68,39 @@ class TestWorkerRule:
                  "import graphost.workers as w; print(w._blas_threads())"],
                 env=env, capture_output=True, text=True, check=True)
             assert done.stdout.strip() == threads
+
+
+class TestBlasThreadGetter:
+    """The getter's fallbacks, reached through a substituted list of
+    numpy.libs' OpenBLAS libraries: a library that cannot be loaded and one
+    without the thread-count symbol are passed over, and with none left the
+    count is unreadable and every call runs in the caller's thread."""
+
+    @pytest.fixture
+    def libraries(self, monkeypatch):
+        def substitute(paths):
+            monkeypatch.setattr(workers, "glob", SimpleNamespace(glob=lambda pattern: paths))
+            workers._blas_thread_getter.cache_clear()
+
+        monkeypatch.setattr(workers, "_usable_cores", lambda: 4)
+        yield substitute
+        workers._blas_thread_getter.cache_clear()  # read the real libraries again
+
+    def test_no_usable_library_means_one_worker(self, libraries, tmp_path):
+        unloadable = str(tmp_path / "libscipy_openblas64_-missing.so")
+        without_symbol = _ctypes.__file__  # loads, and links no OpenBLAS
+        libraries([unloadable, without_symbol])
+        assert workers._blas_thread_getter() is None
+        assert workers._blas_threads() is None
+        assert worker_count(10) == 1
+
+    def test_a_later_library_is_still_found(self, libraries, tmp_path):
+        real = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                      "numpy.libs", "libscipy_openblas*"))
+        if not real:
+            pytest.skip("numpy ships no OpenBLAS")
+        libraries([str(tmp_path / "libscipy_openblas64_-missing.so"), *real])
+        assert workers._blas_threads() >= 1
 
 
 class TestMapInOrder:
