@@ -30,6 +30,8 @@ def main() -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"--seeds: {exc}")
+    if args.base_seed < 0:  # refused before --out is made or the fixture trains
+        parser.error(f"--base-seed: seed must be non-negative, got {args.base_seed}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

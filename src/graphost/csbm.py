@@ -151,6 +151,8 @@ def symmetric_binary_params(
 
 
 def _stream(seed: int, word: int) -> np.random.Generator:
+    if seed < 0:  # the mask would wrap it onto the draw of seed + 2**64
+        raise ValueError(f"seed must be non-negative, got {seed}")
     # An explicit uint64 key: plain int lists with entries >= 2**63 would be
     # routed through float64 by numpy and silently lose the low bits.
     key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)

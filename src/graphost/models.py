@@ -31,11 +31,13 @@ Training keeps every array its backward pass reads; its per-epoch validation
 scores through the inference pass and head.
 
 A value that is not finite from finite inputs (an overflowing checkpoint or
-graph) raises `NonFiniteError` naming the input it came from: logits and
-embedding norms are checked once per pass, with numpy's overflow warnings
-off for it, the classifier's training loss wherever it overflows, and Adam's
-second moments once per step. A loss that is not finite without an overflow
-stops training as divergence (`RuntimeError`).
+graph) raises `NonFiniteError` naming the input it came from.
+`network_forward` computes quietly: its pass runs with numpy's overflow and
+invalid warnings off and may return values that are not finite. Its callers
+refuse them by name: logits and embedding norms once per pass, the
+classifier's training loss wherever it overflows, and Adam's second moments
+once per step. A loss that is not finite without an overflow stops training
+as divergence (`RuntimeError`).
 """
 
 from __future__ import annotations
@@ -213,7 +215,10 @@ def network_forward(
 ):
     """Forward pass; returns output or (output, cache) for backprop.
 
-    aggregator is required for kind="gcn" and ignored for "mlp".
+    aggregator is required for kind="gcn" and ignored for "mlp". The pass
+    runs with numpy's overflow and invalid warnings off, so an overflowing
+    checkpoint or graph returns values that are not finite, quietly; the
+    caller refuses them with NonFiniteError naming the input they came from.
     """
     if spec.kind == "gcn" and aggregator is None:
         raise ValueError("gcn forward pass needs an aggregator")
@@ -223,27 +228,28 @@ def network_forward(
             f"feature dim {h.shape[1]} does not match spec input {spec.input_dim}"
         )
     cache: list[dict] = []
-    for layer in range(spec.num_layers):
-        act_name = spec.activation if layer < spec.num_layers - 1 else "identity"
-        act, _ = _ACTIVATIONS[act_name]
-        weight = params[f"W{layer}"]
-        agg_in = aggregator.apply(h) if spec.kind == "gcn" else h
-        # In inference a GCN layer's input h is dead once aggregated, and past
-        # layer 0 (the caller's features) it is our own buffer: a square
-        # layer writes its product into it.
-        reuse = (not with_cache and layer > 0 and agg_in is not h
-                 and weight.shape[0] == weight.shape[1])
-        pre = np.matmul(agg_in, weight, out=h if reuse else None)
-        pre += params[f"b{layer}"]
-        if with_cache:
-            cache.append({"agg_in": agg_in, "pre": pre, "act": act_name})
-            h = act(pre)
-        else:
-            # inference frees the aggregate before an in-place activation:
-            # at most two n x d arrays alive at once in a square GCN layer,
-            # three otherwise, not five
-            del agg_in
-            h = act(pre, out=pre)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
+        for layer in range(spec.num_layers):
+            act_name = spec.activation if layer < spec.num_layers - 1 else "identity"
+            act, _ = _ACTIVATIONS[act_name]
+            weight = params[f"W{layer}"]
+            agg_in = aggregator.apply(h) if spec.kind == "gcn" else h
+            # In inference a GCN layer's input h is dead once aggregated, and past
+            # layer 0 (the caller's features) it is our own buffer: a square
+            # layer writes its product into it.
+            reuse = (not with_cache and layer > 0 and agg_in is not h
+                     and weight.shape[0] == weight.shape[1])
+            pre = np.matmul(agg_in, weight, out=h if reuse else None)
+            pre += params[f"b{layer}"]
+            if with_cache:
+                cache.append({"agg_in": agg_in, "pre": pre, "act": act_name})
+                h = act(pre)
+            else:
+                # inference frees the aggregate before an in-place activation:
+                # at most two n x d arrays alive at once in a square GCN layer,
+                # three otherwise, not five
+                del agg_in
+                h = act(pre, out=pre)
     return (h, cache) if with_cache else h
 
 
@@ -296,8 +302,7 @@ def _fit(
     # Each epoch's arrays live until the next epoch overwrites them: freeing
     # them sooner tripled the page faults of predictor training.
     for epoch in range(1, optimizer.max_epochs + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
-            out, cache = network_forward(spec, params, features, aggregator, with_cache=True)
+        out, cache = network_forward(spec, params, features, aggregator, with_cache=True)
         loss, backward = head(out)
         if not np.isfinite(loss):
             raise RuntimeError(f"training diverged: loss is not finite at epoch {epoch}")
@@ -363,31 +368,22 @@ def train_classifier(
         return loss, lambda: grad_logits
 
     def val_accuracy(p):
-        logits = _finite_logits(spec, p, val_graph.features, val_agg, "val_graph")
-        return accuracy(np.argmax(logits, axis=1), val_graph.labels)
+        logits = network_forward(spec, p, val_graph.features, val_agg)
+        return accuracy(_refuse_non_finite(logits, "val_graph").argmax(axis=1), val_graph.labels)
 
     return _fit(spec, optimizer, seed, train_graph.features, train_agg, cross_entropy,
                 val_accuracy, "val_accuracy", {"trained_as": "classifier"})
 
 
-def _finite_logits(spec: ArchitectureSpec, params: dict[str, np.ndarray], features: np.ndarray,
-                   aggregator: MeanAggregator | None, source: str) -> np.ndarray:
-    """The inference pass's logits, computed with numpy's overflow warnings
-    off and refused with NonFiniteError naming `source` where one is not
-    finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN
-        logits = network_forward(spec, params, features, aggregator)
-    _refuse_non_finite(logits, source)
-    return logits
-
-
-def _refuse_non_finite(logits: np.ndarray, source: str) -> None:
-    """NonFiniteError naming `source` and the first logit that is not finite."""
+def _refuse_non_finite(logits: np.ndarray, source: str) -> np.ndarray:
+    """`logits`, refused with NonFiniteError naming `source` and the first
+    logit where one is not finite."""
     bad = np.argwhere(~np.isfinite(logits))
     if len(bad):
         node, unit = bad[0]
         raise NonFiniteError(f"logit {unit} of node {node} is {logits[node, unit]}, not finite",
                              source)
+    return logits
 
 
 def classifier_logits(
@@ -397,9 +393,9 @@ def classifier_logits(
 ) -> np.ndarray:
     """Pure forward pass -> (n, c) logits; weights of 1 equal no weights.
     Logits that are not finite are refused with NonFiniteError."""
-    spec = checkpoint.spec
-    agg = _aggregator(spec, graph, edge_weights)
-    return _finite_logits(spec, checkpoint.params, graph.features, agg, "classifier")
+    agg = _aggregator(checkpoint.spec, graph, edge_weights)
+    logits = network_forward(checkpoint.spec, checkpoint.params, graph.features, agg)
+    return _refuse_non_finite(logits, "classifier")
 
 
 def predict_labels(
@@ -580,9 +576,8 @@ def train_homophily_predictor(
     def val_auc(p):
         # the inference pass and head, as edge_homophily_scores runs them; no
         # name holds the embeddings, so they are freed before the ranking
-        with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
-            scores = _edge_scores_with_cache(network_forward(spec, p, val_feats, val_agg),
-                                             val_edges, val_source)[0]
+        scores = _edge_scores_with_cache(network_forward(spec, p, val_feats, val_agg),
+                                         val_edges, val_source)[0]
         return roc_auc(scores, val_labels.astype(np.int64))
 
     return _fit(spec, optimizer, seed, train_graph.features, train_agg, edge_bce, val_auc,
@@ -596,8 +591,7 @@ def edge_homophily_scores(
     aggregator is dropped before the head, which normalizes the embeddings
     in place."""
     spec = predictor.spec
-    with np.errstate(over="ignore", invalid="ignore"):  # the head refuses an overflow
-        z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
+    z = network_forward(spec, predictor.params, graph.features, _aggregator(spec, graph))
     return EdgeScoreTable(scores=_edge_scores_with_cache(z, graph.edges, "predictor")[0])
 
 

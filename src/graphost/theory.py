@@ -73,6 +73,9 @@ class BoundarySpec:
         m = np.asarray(self.midpoint, dtype=np.float64).reshape(-1)
         if o.shape != m.shape:
             raise ValueError("direction and midpoint must share a dimension")
+        for name, v in (("direction", o), ("midpoint", m)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v.tolist()}")
         if abs(np.linalg.norm(o) - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector (within 1e-12)")
         o.setflags(write=False)
@@ -88,6 +91,7 @@ _DOMAIN: dict[str, tuple[Callable[[float], bool], str]] = {
     **dict.fromkeys(("n1", "n2", "trials", "samples"), (
         lambda v: isinstance(v, numbers.Integral) and v >= 1, "be an integer >= 1")),
     "s": (lambda v: isinstance(v, numbers.Integral) and v >= 2, "be an integer >= 2"),
+    "seed": (lambda v: isinstance(v, numbers.Integral) and v >= 0, "be an integer >= 0"),
     "mean_distance": (lambda v: 0.0 <= v < math.inf, "be finite and >= 0"),
     "sigma": (lambda v: 0.0 < v < math.inf, "be finite and > 0"),
     **dict.fromkeys(("mu1", "mu2"), (math.isfinite, "be finite")),
@@ -152,6 +156,10 @@ def _norm(v: np.ndarray, what: str) -> float:
 def direction(means) -> np.ndarray:
     means = _means(means, 2)
     diff = means[0] - means[1]
+    # Squares below 2**-1022 underflow, and the norm with them; a power of two
+    # scales the difference exactly and keeps its direction.
+    if 0.0 < np.abs(diff).max() < 2.0**-511:
+        diff = np.ldexp(diff, 600)
     norm = _norm(diff, "the class-mean difference")
     if norm == 0.0:
         raise ValueError("direction undefined: class means coincide")
@@ -341,7 +349,7 @@ def monte_carlo_theorem_check(
     regime; the degree-relaxation constraint is evaluated and recorded.
     Only the feature columns the boundary reads are aggregated.
     """
-    _check(trials=trials)
+    _check(trials=trials, seed=seed)
     if params.class_means != params_new.class_means:
         raise ValueError("class means must stay fixed across the transformation")
     if params.class_sizes != params_new.class_sizes:
@@ -392,6 +400,7 @@ def lemma_check(params: CsbmParams, seed: int = 0) -> dict:
     midpoint and direction, and the distance between the classes,
     |p - q| / (p + q) * ||mu_1 - mu_2||. Every feature column is
     aggregated: the midpoint and direction read all of them."""
+    _check(seed=seed)
     if params.num_classes != 2:
         raise ValueError("lemma checks are binary; use two-class parameters")
     means = np.asarray(params.class_means, dtype=np.float64)
@@ -449,7 +458,7 @@ def phi_vs_simulation(
 
     The tolerance band is three standard errors of the closed-form rate.
     """
-    _check(samples=samples)
+    _check(samples=samples, seed=seed)
     closed_form = misclassification_prob(p, q, n1, n2, mean_distance)
     means = np.array([[mean_distance / 2.0, 0.0], [-mean_distance / 2.0, 0.0]])
     boundary = boundary_from_means(means)

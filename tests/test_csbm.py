@@ -301,3 +301,21 @@ class TestPerturbRefusals:
         graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
         with pytest.raises(ValueError, match="^noise_std must be non-negative$"):
             perturb_features(graph, -0.5, seed=0)
+
+
+class TestSeedRefusals:
+    """A negative seed is refused by name at every draw: its uint64 key would
+    otherwise wrap onto the draw of seed + 2**64."""
+
+    def test_generate_refuses_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            generate_csbm(binary_params(0.1, 0.02, n=10), -1)
+
+    def test_perturb_refuses_a_negative_seed(self):
+        graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+            perturb_features(graph, 0.5, seed=-3)
+
+    def test_the_largest_seed_still_draws(self):
+        graph = generate_csbm(binary_params(0.1, 0.02, n=10), 2**64 - 1)
+        assert graph.num_nodes == 20

@@ -529,18 +529,27 @@ class TestRepeatedSeeds:
 
     def test_run_benchmark_script_exits_2(self, tmp_path):
         # refused while reading its arguments, so before any training
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
-                                                          env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, str(root / "scripts" / "run_benchmark.py"), "--seeds", "3,3,3",
-             "--out", str(tmp_path / "never")],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        result = _run_benchmark_script("--seeds", "3,3,3", "--out", str(tmp_path / "never"))
         assert result.returncode == 2
         assert "--seeds: seed list repeats 3" in result.stderr
         assert result.stdout == "" and not (tmp_path / "never").exists()
+
+    def test_run_benchmark_script_refuses_a_negative_base_seed(self, tmp_path):
+        # refused while reading its arguments, so before --out is made
+        result = _run_benchmark_script("--seeds", "0", "--base-seed", "-1",
+                                       "--out", str(tmp_path / "never"))
+        assert result.returncode == 2
+        assert "--base-seed: seed must be non-negative, got -1" in result.stderr
+        assert result.stdout == "" and not (tmp_path / "never").exists()
+
+
+def _run_benchmark_script(*argv: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(root / "scripts" / "run_benchmark.py"), *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
 
 
 class TestPublicRefusals:

@@ -6,10 +6,12 @@ and the CLI must turn it into exit 1 (graph, checkpoint) or 2 (params,
 config) with the path on stderr and no traceback.
 """
 
+import base64
 import contextlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -371,3 +373,54 @@ def test_overflowing_checkpoint_loads_and_is_refused_by_name(fuzz_dir):
     load_checkpoint(path)
     argv = FUZZ_COMMANDS["checkpoint"](path, fuzz_dir) + ["--out", str(fuzz_dir / "out")]
     assert _assert_cli_runs_or_refuses_by_name("checkpoint", path, argv, refused=False) == 1
+
+
+# Fuzzed tensors: one tensor of a valid checkpoint re-encoded (base64,
+# little-endian float64) with finite floats from the whole float range. Every
+# such file loads, so each run through the CLI must end with exit 0 or with
+# exit 1 naming the checkpoint's flag: a forward pass that overflows is
+# refused by name, with no numpy warning.
+CLASSIFIER_SPEC = ArchitectureSpec.default("gcn", GRAPH.feature_dim, GRAPH.num_classes, hidden=5)
+FUZZ_CHECKPOINTS = {
+    "predictor": (CHECKPOINT, ["transform", "evaluate"]),
+    "classifier": (Checkpoint(CLASSIFIER_SPEC, init_params(CLASSIFIER_SPEC, 1), {"seed": 1}),
+                   ["evaluate"]),
+}
+
+
+@pytest.fixture(scope="module")
+def tensor_fuzz_dir(fuzz_dir):
+    save_checkpoint(FUZZ_CHECKPOINTS["classifier"][0], fuzz_dir / "classifier.json")
+    return fuzz_dir
+
+
+@pytest.mark.parametrize("role", FUZZ_CHECKPOINTS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fuzzed_tensor_runs_or_is_refused_by_name(tensor_fuzz_dir, role, data):
+    checkpoint, commands = FUZZ_CHECKPOINTS[role]
+    name = data.draw(st.sampled_from(sorted(checkpoint.params)))
+    size = checkpoint.params[name].size
+    values = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=size, max_size=size))
+    path = tensor_fuzz_dir / f"fuzzed-{role}.json"
+    save_checkpoint(checkpoint, path)
+    doc = json.loads(path.read_text())
+    doc["params"][name]["data_b64"] = base64.b64encode(
+        np.array(values, dtype="<f8").tobytes()).decode("ascii")
+    path.write_text(json.dumps(doc))
+    load_checkpoint(path)
+    files = {"classifier": tensor_fuzz_dir / "classifier.json",
+             "predictor": tensor_fuzz_dir / "predictor.json", role: path}
+    for command in commands:
+        argv = [command, "--test-graph", str(tensor_fuzz_dir / "graph.json"),
+                "--predictor", str(files["predictor"]), "--mode", "homophilic",
+                "--out", str(tensor_fuzz_dir / "out")]
+        if command == "evaluate":
+            argv += ["--classifier", str(files["classifier"])]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _cli(argv)
+        assert not caught, [str(w.message) for w in caught]
+        assert code == 0 and err == "" or code == 1 and err.startswith(
+            f"error: --{role} {path}: ") and err.count("\n") == 1, (code, err)

@@ -790,6 +790,27 @@ class TestNonFiniteEmbeddings:
             edge_homophily_scores(Checkpoint(spec=spec, params=params), train)
 
 
+class TestQuietForwardPass:
+    """network_forward computes an overflow quietly, even where the caller
+    has numpy raise on every floating-point error: it returns values that
+    are not finite and leaves the caller's error state as it was. Its
+    callers refuse the values by name (the classes around this one)."""
+
+    @pytest.mark.parametrize("kind", models.KINDS)
+    @pytest.mark.parametrize("with_cache", [False, True])
+    def test_overflowing_weights_give_non_finite_output(self, small_csbm, kind, with_cache):
+        train, _ = small_csbm
+        spec = ArchitectureSpec.default(kind, 8, 2)
+        params = {name: value * (1e308 if name.startswith("W") else 1.0)
+                  for name, value in init_params(spec, seed=0).items()}
+        agg = MeanAggregator(train, self_loops=True) if kind == "gcn" else None
+        with np.errstate(all="raise"):
+            out = network_forward(spec, params, train.features, agg, with_cache=with_cache)
+            assert np.geterr()["over"] == "raise"
+        out = out[0] if with_cache else out
+        assert not np.isfinite(out).all()
+
+
 class TestNonFiniteLogits:
     """Logits that are not finite are refused with one typed error naming the
     logit and the input they came from, and no numpy warning."""

@@ -477,6 +477,7 @@ IN_DOMAIN = {
     **dict.fromkeys(["p", "q", "p_new", "q_new"], st.floats(0.0, 1.0)),
     **dict.fromkeys(["n1", "n2", "trials", "samples"], st.integers(1, 10**6)),
     "s": st.integers(2, 10**6),
+    "seed": st.integers(0, 2**64 - 1),
     "mean_distance": st.floats(0.0, 1e6),
     "sigma": st.floats(0.0, 1e6, exclude_min=True),
     **dict.fromkeys(["mu1", "mu2"], st.floats(-1e6, 1e6)),
@@ -487,6 +488,7 @@ OUT_OF_DOMAIN = {
     **dict.fromkeys(["n1", "n2", "trials", "samples"], NON_FINITE | st.integers(max_value=0)
                     | WHOLE_FLOATS | st.floats(0.0, 1e6).filter(lambda v: not v.is_integer())),
     "s": NON_FINITE | st.integers(max_value=1) | WHOLE_FLOATS | st.just(2.5),
+    "seed": NON_FINITE | st.integers(max_value=-1) | WHOLE_FLOATS.map(abs),
     "mean_distance": NON_FINITE | BELOW_ZERO,
     "sigma": NON_FINITE | st.floats(max_value=0.0),
     **dict.fromkeys(["mu1", "mu2"], NON_FINITE),
@@ -513,6 +515,14 @@ def theorem_check(trials):
     return monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005), trials)
 
 
+def seeded_theorem_check(seed):
+    return monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005), 2, seed)
+
+
+def lemma(seed):
+    return lemma_check(axis_params(0.02, 0.01), seed)
+
+
 def embedding(p, q):
     return expected_embedding(0, p, q, SYMMETRIC)
 
@@ -520,8 +530,10 @@ def embedding(p, q):
 # Every parameter of every entry point that checks one, the Monte Carlo
 # checks' sample counts included: the value is refused before any draw
 REFUSING = [(fn, names, name) for fn, names in CLOSED_FORMS + [
-    (phi_vs_simulation, ("p", "q", "n1", "n2", "mean_distance", "samples")),
+    (phi_vs_simulation, ("p", "q", "n1", "n2", "mean_distance", "samples", "seed")),
     (theorem_check, ("trials",)),
+    (seeded_theorem_check, ("seed",)),
+    (lemma, ("seed",)),
     (embedding, ("p", "q")),
 ] for name in names]
 MEANS = st.integers(2, 5).flatmap(lambda s: st.integers(1, 4).flatmap(
@@ -532,8 +544,8 @@ MEANS = st.integers(2, 5).flatmap(lambda s: st.integers(1, 4).flatmap(
 class TestDomain:
     """Each closed-form input has one domain, checked at every entry point:
     p, q, p_new and q_new in [0, 1] with p + q > 0; integer counts n1, n2,
-    trials and samples >= 1 and s >= 2; a finite mean_distance >= 0, a
-    finite sigma > 0 and finite mu1, mu2 and means."""
+    trials and samples >= 1, s >= 2 and seed >= 0; a finite mean_distance
+    >= 0, a finite sigma > 0 and finite mu1, mu2 and means."""
 
     @pytest.mark.parametrize("fn, names, name", REFUSING,
                              ids=[f"{fn.__name__}-{name}" for fn, _, name in REFUSING])
@@ -577,6 +589,14 @@ class TestDomain:
             assert np.isfinite(midpoint(means)).all()
             assume(not np.array_equal(means[0], means[1]))
             assert np.linalg.norm(direction(means)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("means", [[[0.0], [2.2250738585e-313]], [[3e-160, 4e-160], [0, 0]]],
+                             ids=["subnormal", "squares-underflow"])
+    def test_means_too_close_to_square_still_have_a_direction(self, means):
+        # the squares of their difference underflow to 0
+        o = direction(means)
+        assert np.linalg.norm(o) == pytest.approx(1.0)
+        assert np.all(np.sign(o) == np.sign(np.subtract(*means)))
 
     @given(MEANS, st.data())
     @settings(max_examples=60, deadline=None)
@@ -656,10 +676,29 @@ class TestDomain:
         with pytest.raises(NonFiniteError, match=f"^the boundary is {value}, not finite$"):
             imbalanced_boundary(*args)
 
+    @pytest.mark.parametrize("fn", [
+        lambda: phi_vs_simulation(0.02, 0.01, 500, 500, 2.0, seed=-1),
+        lambda: monte_carlo_theorem_check(axis_params(0.02, 0.01), axis_params(0.03, 0.005),
+                                          seed=-1),
+        lambda: lemma_check(axis_params(0.02, 0.01), seed=-1),
+    ], ids=["phi_vs_simulation", "monte_carlo_theorem_check", "lemma_check"])
+    def test_a_negative_seed_is_refused_by_name(self, fn):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1$"):
+            fn()
+
 
 class TestStructuralRefusals:
     """The theory lab's refusals of inputs that no domain rule covers, each
     reached through its public input, with its message pinned."""
+
+    @pytest.mark.parametrize("field", ["direction", "midpoint"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_boundary_must_be_finite(self, field, bad):
+        # a NaN direction would pass the unit-norm test
+        values = {"direction": [1.0, 0.0], "midpoint": [0.0, 0.0]}
+        values[field] = [bad, 0.0]
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got \[{bad}, 0\.0\]$"):
+            BoundarySpec(**values)
 
     def test_boundary_dimensions_must_match(self):
         with pytest.raises(ValueError, match="^direction and midpoint must share a dimension$"):
