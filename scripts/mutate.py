@@ -16,8 +16,8 @@ exactly once: the table must follow the code, not rot silently.
 
 Not part of tier-1: each mutant costs up to one tier-1 run.
 
-Usage: python3 scripts/mutate.py [--json OUT] [NAME ...]
-       (default: every mutant; OUT gets the results as JSON)
+Usage: python3 scripts/mutate.py [--json OUT]
+       (runs every mutant; OUT gets the results as JSON)
 """
 
 import argparse
@@ -94,11 +94,10 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
 }
 
 
-def stale(names: list[str]) -> list[str]:
-    """The mutants among `names` whose text does not occur exactly once."""
-    return [name for name in names
-            if (ROOT / "src" / "graphost" / MUTANTS[name][0]).read_text()
-            .count(MUTANTS[name][1]) != 1]
+def stale() -> list[str]:
+    """The mutants whose text does not occur exactly once in their file."""
+    return [name for name, (filename, old, _) in MUTANTS.items()
+            if (ROOT / "src" / "graphost" / filename).read_text().count(old) != 1]
 
 
 def tier1(mutant: str | None) -> tuple[int, str, float]:
@@ -123,14 +122,9 @@ def tier1(mutant: str | None) -> tuple[int, str, float]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("names", nargs="*", metavar="NAME")
     parser.add_argument("--json", type=Path, default=None, metavar="OUT")
     args = parser.parse_args()
-    unknown = [name for name in args.names if name not in MUTANTS]
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; choose from {list(MUTANTS)}")
-    names = args.names or list(MUTANTS)
-    rotten = stale(names)
+    rotten = stale()
     for name in rotten:
         print(f"STALE {name}: {MUTANTS[name][1]!r} does not occur exactly once in "
               f"src/graphost/{MUTANTS[name][0]}", file=sys.stderr)
@@ -143,7 +137,7 @@ def main() -> int:
         return 1
     print(f"unmutated: passed in {seconds:.0f} s")
     results, broken = {}, False
-    for name in names:
+    for name in MUTANTS:
         code, failed, seconds = tier1(name)
         broken |= code not in (0, 1)
         verdict = {0: "SURVIVED", 1: f"killed by {failed}"}.get(code, f"pytest exit {code}")

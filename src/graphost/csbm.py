@@ -45,9 +45,19 @@ _STREAM_EDGES = 2 << 62
 _STREAM_NOISE = 3 << 62
 
 
+def _non_negative(seed: int) -> int:
+    """`seed`, refused by name if negative: its uint64 key would wrap onto
+    the draw of seed + 2**64."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def derive_seed(seed: int, tag: int) -> int:
-    """Disjoint child seeds for sub-draws of one experiment seed."""
-    return seed * 1_000_003 + tag
+    """Disjoint child seeds for sub-draws of one experiment seed. The
+    caller's seed is refused if negative, so the message names it and no
+    child of it draws."""
+    return _non_negative(seed) * 1_000_003 + tag
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,9 @@ def symmetric_binary_params(
 
 
 def _stream(seed: int, word: int) -> np.random.Generator:
-    if seed < 0:  # the mask would wrap it onto the draw of seed + 2**64
-        raise ValueError(f"seed must be non-negative, got {seed}")
     # An explicit uint64 key: plain int lists with entries >= 2**63 would be
     # routed through float64 by numpy and silently lose the low bits.
-    key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
+    key = np.array([_non_negative(seed) & _MASK64, word & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -10,6 +10,7 @@ from graphost.csbm import (
     _sample_edges,
     _stream,
     _unrank_triu,
+    derive_seed,
     generate_csbm,
     perturb_features,
     symmetric_binary_params,
@@ -315,6 +316,11 @@ class TestSeedRefusals:
         graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
         with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
             perturb_features(graph, 0.5, seed=-3)
+
+    def test_derive_seed_refuses_the_callers_negative_seed(self):
+        # the child, -1 * 1_000_003 + 7_000_000, would be non-negative
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            derive_seed(-1, 7_000_000)
 
     def test_the_largest_seed_still_draws(self):
         graph = generate_csbm(binary_params(0.1, 0.02, n=10), 2**64 - 1)

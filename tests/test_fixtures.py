@@ -7,6 +7,7 @@ import pytest
 
 import graphost.fixtures as fixtures
 from graphost.cli import main
+from graphost.csbm import symmetric_binary_params
 from graphost.experiments import derive_seed
 from graphost.graphs import load_graph
 from graphost.models import ArchitectureSpec, OptimizerConfig
@@ -50,6 +51,22 @@ def test_make_fixture_trains_through_the_bindings(trainings):
     ]
     assert fx.classifier.metadata["trained_as"] == "classifier"
     assert fx.predictor.metadata["loss"] == fixtures.PREDICTOR_LOSS
+
+
+def test_make_fixture_refuses_a_negative_seed_by_its_value(trainings):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        fixtures.make_fixture(seed=-1)
+    assert trainings == []
+
+
+def test_test_graph_refuses_a_negative_base_seed_by_its_value():
+    # derive_seed(-1, 100 + 1_000_000) is 97: the child alone would draw
+    fx = fixtures.TrainedFixture(
+        params=symmetric_binary_params(2.0, 4, (10, 10), 0.1, 0.02), base_seed=-1,
+        train_graph=None, val_graph=None, classifier=None, predictor=None, mode=None,
+        config=None)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        fx.test_graph(1_000_000)
 
 
 @pytest.mark.parametrize("target, networks", [
