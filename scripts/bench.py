@@ -53,8 +53,9 @@ Rows (times in seconds, each with its raw samples):
                         under `-X importtime` that records whether the
                         command imported scipy.sparse
   pinned_outputs        one fresh child: PINNED_SEQUENCE (generate, train --target
-                        both, transform, evaluate, the four harness runs and
-                        theory-validate in both regimes, each --pin-timestamp)
+                        both, transform, evaluate, study (all four experiments)
+                        and theory-validate in both regimes, each
+                        --pin-timestamp)
                         through cli.main in an empty directory, then
                         RUN_BENCHMARK_SEQUENCE (scripts/run_benchmark.py at
                         seeds 0,1 in both regimes, one child each) in the same
@@ -147,8 +148,7 @@ PINNED_SEQUENCE = [
      "--target", "both", "--epochs", "80", "--patience", "20", "--seed", "3", "--out", "ckpt"],
     ["transform", "--test-graph", "data/test.json", "--predictor", "ckpt/predictor.json",
      "--out", "out"],
-    *[[name, *EVALUATION_INPUTS, "--out", "out"]
-      for name in ("evaluate", "ablate", "sweep-delta", "noise-robustness", "random-drop")],
+    *[[name, *EVALUATION_INPUTS, "--out", "out"] for name in ("evaluate", "study")],
     *[["theory-validate", "--p", p, "--q", q, "--p2", p2, "--q2", q2, "--n1", "500",
        "--n2", "500", "--mean-distance", "2", "--trials", "20", "--seed", "1",
        "--out", f"theory-{regime}"]

@@ -71,6 +71,10 @@ MUTANTS: dict[str, tuple[str, str, str]] = {
         "cli.py",
         'enable_filtering=not options["no_filter"],',
         "enable_filtering=True,"),
+    "study ignores --experiments": (
+        "cli.py",
+        'options["experiments"], options["metric"],',
+        'EXPERIMENTS, options["metric"],'),
     "cosine clip": (
         "models.py",
         "np.clip(cos, -1.0, 1.0, out=cos)",

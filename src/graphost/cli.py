@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: generate | train | transform | evaluate | ablate | sweep-delta
-| noise-robustness | random-drop | theory-validate. Flag values override the
---config JSON file, which overrides built-in defaults; each option's parser
-reads all three alike, main merges them once, and every subcommand runs on
-the merged options; experiments.write_report writes every report.
+Subcommands: generate | train | transform | evaluate | study | theory-validate.
+Flag values override the --config JSON file, which overrides built-in
+defaults; each option's parser reads all three alike, main merges them once,
+and every subcommand runs on the merged options; experiments.write_report
+writes every report.
 Verbosity comes from GRAPHOST_LOG (DEBUG/INFO/WARNING/ERROR).
 """
 
@@ -31,6 +31,7 @@ from .csbm import (
 )
 from .experiments import (
     DELTA_GRID,
+    EXPERIMENTS,
     METRICS,
     NOISE_LEVELS,
     RepeatedArmError,
@@ -118,6 +119,14 @@ def _joined(numbers: tuple[float, ...]) -> str:
     return ",".join(f"{x:g}" for x in numbers)
 
 
+def _experiments(value) -> tuple[str, ...]:
+    """Comma-separated names of EXPERIMENTS, each at most once."""
+    names = _split(_Option(choices=EXPERIMENTS).read)(value)
+    if len(set(names)) < len(names):
+        raise ValueError("names an experiment twice")
+    return names
+
+
 @dataclass(frozen=True)
 class _Option:
     """One settable value: built-in default, parser, choices, help. `parse`
@@ -181,6 +190,8 @@ _OPTIONS: dict[str, _Option] = {
     "no_weight": _Option(False, _switch, help="disable confidence weighting"),
     "no_filter": _Option(False, _switch, help="disable edge filtering"),
     "metric": _Option("accuracy", choices=METRICS),
+    "experiments": _Option(",".join(EXPERIMENTS), _experiments,
+                           help="comma-separated experiments to run"),
     "delta_grid": _Option(_joined(DELTA_GRID), _split(_RATIO),
                           help="comma-separated filtering ratios"),
     "noise_levels": _Option(_joined(NOISE_LEVELS), _split(_PROBABILITY),
@@ -432,7 +443,7 @@ def _format_hd(value: float | None) -> str:
 
 
 def _evaluation_inputs(options: dict):
-    """What evaluate and the harness runs share: the labeled test graph,
+    """What evaluate and study share: the labeled test graph,
     classifier and predictor checkpoints, transform config and seeds."""
     test_graph = _graph(options, "test_graph", labeled=True)
     classifier = _checkpoint(options, "classifier", test_graph)
@@ -464,23 +475,26 @@ def cmd_evaluate(options: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# experiment harness subcommands
+# study
 # ---------------------------------------------------------------------------
 
-def cmd_harness(experiment: str, grid_key: str | None, options: dict) -> int:
-    """One harness run: run_study's `experiment` over the evaluation inputs;
-    only that experiment's grid option, `grid_key`, is read."""
+def cmd_study(options: dict) -> int:
+    """One run_study call over the evaluation inputs for the --experiments
+    asked, which share each seed's graph and every equal arm; a report and
+    a summary per experiment, in the order asked. Only the grids of asked
+    experiments are read."""
     test_graph, classifier, predictor, config, seeds = _evaluation_inputs(options)
     try:
-        report = run_study(classifier, predictor, test_graph, config, seeds, (experiment,),
-                           options["metric"], options["noise_levels"],
-                           options["delta_grid"])[experiment]
+        reports = run_study(classifier, predictor, test_graph, config, seeds,
+                            options["experiments"], options["metric"],
+                            options["noise_levels"], options["delta_grid"])
     except RepeatedArmError as exc:
-        raise CliError(f"{_flag(grid_key)}: {exc}") from exc
-    write_report(_out_dir(options), report.experiment, report.to_dict(), _stamp(options),
-                 report.seeds, report.to_csv_rows())
-    for arm in report.arm_values:
-        print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
+        raise CliError(f"{_flag(exc.grid)}: {exc}") from exc
+    for report in reports.values():
+        write_report(_out_dir(options), report.experiment, report.to_dict(), _stamp(options),
+                     report.seeds, report.to_csv_rows())
+        for arm in report.arm_values:
+            print(f"{report.experiment} {arm}: {report.mean(arm):.4f} +- {report.std(arm):.4f}")
     return 0
 
 
@@ -545,17 +559,6 @@ class _Subcommand:
 _COMMON = ("out", "pin_timestamp")
 _TRANSFORM_FLAGS = ("predictor", "mode", "delta", "no_weight", "no_filter")
 _EVALUATE_FLAGS = ("test_graph", "classifier", "metric", *_TRANSFORM_FLAGS, "seed")
-_GRIDS = ("delta_grid", "noise_levels")
-
-
-def _harness(help_text: str, experiment: str, grid: str | None = None) -> _Subcommand:
-    return _Subcommand(
-        functools.partial(cmd_harness, experiment, grid),
-        help_text,
-        _EVALUATE_FLAGS + ((grid,) if grid else ()),
-        config_only=tuple(k for k in _GRIDS if k != grid),
-        default_overrides={"seed": "0,1"},
-    )
 
 
 _SUBCOMMANDS: dict[str, _Subcommand] = {
@@ -580,13 +583,12 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         "base vs transformed metric report",
         _EVALUATE_FLAGS,
     ),
-    "ablate": _harness("base / w-o weight / w-o filter / full arms", "ablation"),
-    "sweep-delta": _harness("metric across the filtering-ratio grid", "delta-sweep",
-                            "delta_grid"),
-    "noise-robustness": _harness("pipeline under injected structural noise",
-                                 "noise-robustness", "noise_levels"),
-    "random-drop": _harness("pipeline vs count-matched random edge dropping",
-                            "random-drop"),
+    "study": _Subcommand(
+        cmd_study,
+        "ablation, delta sweep, noise robustness and random drop in one run",
+        _EVALUATE_FLAGS + ("experiments", "delta_grid", "noise_levels"),
+        default_overrides={"seed": "0,1"},
+    ),
     "theory-validate": _Subcommand(
         cmd_theory_validate,
         "closed-form and Monte Carlo checks",

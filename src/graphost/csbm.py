@@ -257,6 +257,7 @@ def perturb_features(graph: LabeledGraph, noise_std: float, seed: int) -> Labele
         raise ValueError(f"noise_std must be finite, got {noise_std}")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
+    _non_negative(seed)  # also where no noise is drawn
     if noise_std == 0:
         return graph
     noise = _stream(seed, _STREAM_NOISE).standard_normal(graph.features.shape)

@@ -160,16 +160,24 @@ def evaluate_graph(
 
 
 class RepeatedArmError(ValueError):
-    """Two grid values give one arm label, so their values would merge."""
+    """Two grid values give one arm label, so their values would merge.
+    `grid` names the grid by its run_study parameter ("delta_grid" or
+    "noise_levels"), whose flag the CLI prints before the message."""
+
+    def __init__(self, message: str, grid: str):
+        super().__init__(message)
+        self.grid = grid
 
 
-def _grid_arms(prefix: str, grid: tuple[float, ...]) -> dict[str, float]:
-    """{arm label: grid value}, the label the value printed with :g."""
+def _grid_arms(prefix: str, grid: str, values: tuple[float, ...]) -> dict[str, float]:
+    """{arm label: value} for run_study's grid parameter `grid`, the label the
+    value printed with :g."""
     arms = {}
-    for value in grid:
+    for value in values:
         arm = f"{prefix}{value:g}"
         if arm in arms:
-            raise RepeatedArmError(f"grid values {arms[arm]!r} and {value!r} both give arm {arm!r}")
+            raise RepeatedArmError(
+                f"grid values {arms[arm]!r} and {value!r} both give arm {arm!r}", grid)
         arms[arm] = value
     return arms
 
@@ -196,11 +204,11 @@ def _plan(name: str, config: TransformConfig, noise_levels: tuple[float, ...],
                  "hd_after_full": lambda arms: arms["full"].hd[1]}, ("full",))
     if name == "delta-sweep":
         return ({arm: (None, replace(config, delta=d))
-                 for arm, d in _grid_arms("delta=", delta_grid).items()},
+                 for arm, d in _grid_arms("delta=", "delta_grid", delta_grid).items()},
                 {"delta_grid": list(delta_grid)}, {}, ())
     if name == "noise-robustness":
-        return (base | {arm: ((level, tag), config) for tag, (arm, level)
-                        in enumerate(_grid_arms("graphost_noise", noise_levels).items())},
+        return (base | {arm: ((level, tag), config) for tag, (arm, level) in enumerate(
+                            _grid_arms("graphost_noise", "noise_levels", noise_levels).items())},
                 {"noise_levels": list(noise_levels)}, {}, ())
     if name == "random-drop":
         return (base | {"random_drop": (None, _RANDOM_DROP), "graphost": (None, config)}, {},

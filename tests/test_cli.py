@@ -33,8 +33,7 @@ def run(args):
 
 
 # the subcommands that take the transform flags (--predictor, --mode, --delta, ...)
-TRANSFORM_SUBCOMMANDS = ["transform", "evaluate", "ablate", "sweep-delta",
-                         "noise-robustness", "random-drop"]
+TRANSFORM_SUBCOMMANDS = ["transform", "evaluate", "study"]
 
 
 @pytest.fixture(scope="module")
@@ -424,30 +423,60 @@ class TestEvaluate:
         assert run(["evaluate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
-class TestHarnessSubcommands:
-    @pytest.mark.parametrize("name", ["ablate", "sweep-delta", "noise-robustness", "random-drop"])
-    def test_runs_and_writes_report(self, workspace, tmp_path, name):
-        data, ckpt = workspace / "data", workspace / "ckpt"
-        args = [
-            name, "--test-graph", str(data / "test.json"),
+def study_argv(workspace, out, *extra):
+    """`study` on the workspace in homophilic mode over seeds 0 and 1, with
+    small grids, pinned timestamps and `extra` flags."""
+    data, ckpt = workspace / "data", workspace / "ckpt"
+    return ["study", "--test-graph", str(data / "test.json"),
             "--classifier", str(ckpt / "classifier.json"),
-            "--predictor", str(ckpt / "predictor.json"),
-            "--mode", "homophilic", "--seed", "0,1",
-            "--out", str(tmp_path / name), "--pin-timestamp",
-        ]
-        if name == "sweep-delta":
-            args += ["--delta-grid", "0,0.3,0.6"]
-        if name == "noise-robustness":
-            args += ["--noise-levels", "0,0.5"]
-        assert run(args) == 0
-        json_files = list((tmp_path / name).glob("*.json"))
-        csv_files = list((tmp_path / name).glob("*.csv"))
-        assert len(json_files) == 1 and len(csv_files) == 1
+            "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
+            "--delta-grid", "0,0.3,0.6", "--noise-levels", "0.3,0.5",
+            "--out", str(out), "--pin-timestamp", *extra]
 
+
+class TestStudy:
+    def test_one_study_writes_what_one_run_per_experiment_writes(self, workspace, tmp_path,
+                                                                capsys, monkeypatch):
+        calls = []
+        original = experiments.edge_homophily_scores
+
+        def counted(predictor, graph):
+            calls.append(graph)
+            return original(predictor, graph)
+
+        monkeypatch.setattr(experiments, "edge_homophily_scores", counted)
+        assert run(study_argv(workspace, tmp_path / "all")) == 0
+        together, scored_together = capsys.readouterr().out, calls[:]
+        alone = ""
+        for name in experiments.EXPERIMENTS:
+            assert run(study_argv(workspace, tmp_path / name, "--experiments", name)) == 0
+            alone += capsys.readouterr().out
+        assert together == alone
+        written = {}
+        for name in experiments.EXPERIMENTS:
+            written |= {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+        assert len(written) == 8  # a JSON and a CSV report per experiment
+        assert {path.name: path.read_bytes() for path in (tmp_path / "all").iterdir()} == written
+        # each source graph is scored once per seed: the clean graph, which three
+        # experiments transform, and each of the two noisy graphs
+        clean = load_graph(workspace / "data" / "test.json").edges
+        is_clean = [np.array_equal(graph.edges, clean) for graph in scored_together]
+        assert (is_clean.count(True), is_clean.count(False)) == (2, 4)
+        assert sum(np.array_equal(graph.edges, clean)
+                   for graph in calls[len(scored_together):]) == 6
+
+    def test_runs_the_experiments_asked_in_the_order_asked(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(study_argv(workspace, out, "--experiments", "random-drop,ablation")) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            f"{name}-pinned-0-1.{suffix}" for name in ("ablation", "random-drop")
+            for suffix in ("csv", "json")]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["random-drop"] * 3 + ["ablation"] * 4
 
     @pytest.mark.parametrize("edges, hd_before", [([], None), ([[0, 1]], 1.0)])
-    def test_ablate_with_edgeless_side_reports_null_hd(self, workspace, tmp_path, edges,
-                                                       hd_before):
+    def test_ablation_with_edgeless_side_reports_null_hd(self, workspace, tmp_path, edges,
+                                                         hd_before):
         # one edge: the full arm's ceil(0.3 * 1) = 1 removal leaves none
         data, ckpt = workspace / "data", workspace / "ckpt"
         doc = json.loads((data / "test.json").read_text())
@@ -456,7 +485,7 @@ class TestHarnessSubcommands:
         graph.write_text(json.dumps(doc))
         out = tmp_path / "out"
         assert run([
-            "ablate", "--test-graph", str(graph),
+            "study", "--experiments", "ablation", "--test-graph", str(graph),
             "--classifier", str(ckpt / "classifier.json"),
             "--predictor", str(ckpt / "predictor.json"),
             "--mode", "homophilic", "--seed", "0", "--out", str(out), "--pin-timestamp",
@@ -766,7 +795,7 @@ class TestCheckpointRoles:
 
     @pytest.mark.parametrize("command, role", [
         ("transform", "predictor"), ("evaluate", "predictor"),
-        ("evaluate", "classifier"), ("ablate", "classifier"),
+        ("evaluate", "classifier"), ("study", "classifier"),
     ])
     def test_other_role_exits_2(self, workspace, tmp_path, capsys, command, role):
         other = "classifier" if role == "predictor" else "predictor"
@@ -822,7 +851,7 @@ class TestMismatchedInputs:
                 f"--{role} {checkpoints[role]} takes 8") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "ablate"])
+    @pytest.mark.parametrize("command", ["evaluate", "study"])
     def test_predictor_width_exits_2(self, workspace, tmp_path, capsys, command):
         spec = models.ArchitectureSpec.default("gcn", 4, 8, 8, 2)
         predictor = tmp_path / "narrow-predictor.json"
@@ -948,7 +977,7 @@ class TestGraphInputs:
                     "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["predictor.json", "train-log.json"]
 
-    @pytest.mark.parametrize("command", ["transform", "evaluate", "ablate"])
+    @pytest.mark.parametrize("command", ["transform", "evaluate", "study"])
     def test_test_graph_without_features_exits_2(self, workspace, tmp_path, capsys,
                                                  monkeypatch, command):
         def refuse(*args, **kwargs):
@@ -1163,7 +1192,7 @@ class TestUsageErrors:
         # a repeat would report copies of one run as spread across seeds
         data, ckpt = workspace / "data", workspace / "ckpt"
         out = tmp_path / "never"
-        args = ["ablate", "--test-graph", str(data / "test.json"),
+        args = ["study", "--test-graph", str(data / "test.json"),
                 "--classifier", str(ckpt / "classifier.json"),
                 "--predictor", str(ckpt / "predictor.json"), "--mode", "homophilic",
                 "--out", str(out)]
@@ -1180,9 +1209,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("name, seeds", [
-        ("generate", "-1"), ("train", "-1"), ("evaluate", "0,-1"), ("ablate", "-3"),
-        ("sweep-delta", "-2"), ("noise-robustness", "-3"), ("random-drop", "0,-1"),
-        ("theory-validate", "-2"),
+        ("generate", "-1"), ("train", "-1"), ("evaluate", "0,-1"), ("study", "-3"),
+        ("study", "0,-1"), ("theory-validate", "-2"),
     ])
     def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, via, name,
                                                           seeds):
@@ -1217,21 +1245,26 @@ class TestUsageErrors:
         assert "--seed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("name, flag, grid, arm", [
-        ("sweep-delta", "--delta-grid", "0.1,0.1", "delta=0.1"),
+    # both grid experiments run by default; the flag named is the grid that repeats
+    @pytest.mark.parametrize("experiments_, flag, grid, arm", [
+        (None, "--delta-grid", "0.1,0.1", "delta=0.1"),
+        (None, "--noise-levels", "0.1,0.10000001", "graphost_noise0.1"),
+        ("delta-sweep", "--delta-grid", "0.1,0.1", "delta=0.1"),
+        ("noise-robustness,delta-sweep", "--delta-grid", "0.1,0.1", "delta=0.1"),
         ("noise-robustness", "--noise-levels", "0.1,0.10000001", "graphost_noise0.1"),
     ])
     def test_repeated_grid_arm_is_usage_error(self, workspace, tmp_path, capsys,
-                                              name, flag, grid, arm):
+                                              experiments_, flag, grid, arm):
         data, ckpt = workspace / "data", workspace / "ckpt"
+        asked = [] if experiments_ is None else ["--experiments", experiments_]
         assert run([
-            name, "--test-graph", str(data / "test.json"),
+            "study", "--test-graph", str(data / "test.json"),
             "--classifier", str(ckpt / "classifier.json"),
-            "--predictor", str(ckpt / "predictor.json"),
+            "--predictor", str(ckpt / "predictor.json"), *asked,
             "--mode", "homophilic", flag, grid, "--out", str(tmp_path / "rep"),
         ]) == 2
         err = capsys.readouterr().err
-        assert flag in err and repr(arm) in err
+        assert err.startswith(f"usage error: {flag}: ") and repr(arm) in err
         assert not (tmp_path / "rep").exists()
 
 
@@ -1252,35 +1285,35 @@ class TestUsageErrors:
         assert f"unknown key {misspelled!r}" in err and err.count(str(path)) == 1
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("name, key", [
-        ("ablate", "delta_grid"), ("ablate", "noise_levels"),
-        ("sweep-delta", "noise_levels"), ("noise-robustness", "delta_grid"),
+    @pytest.mark.parametrize("experiments_, key", [
+        ("ablation", "delta_grid"), ("ablation", "noise_levels"),
+        ("delta-sweep", "noise_levels"), ("noise-robustness", "delta_grid"),
         ("random-drop", "delta_grid"),
     ])
-    def test_other_experiments_grid_is_not_read(self, workspace, tmp_path, name, key):
-        # a harness run reads only its own experiment's grid
+    def test_other_experiments_grid_is_not_read(self, workspace, tmp_path, experiments_, key):
+        # a study reads only the grids of the experiments it runs
         data, ckpt = workspace / "data", workspace / "ckpt"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: "0.1,0.1"}))
         assert run([
-            name, "--test-graph", str(data / "test.json"),
+            "study", "--experiments", experiments_, "--test-graph", str(data / "test.json"),
             "--classifier", str(ckpt / "classifier.json"),
             "--predictor", str(ckpt / "predictor.json"), "--seed", "0",
             "--config", str(cfg), "--out", str(tmp_path / "out"),
         ]) == 0
 
-    @pytest.mark.parametrize("name, key, value", [
-        ("sweep-delta", "delta_grid", "0.1,abc"),
-        ("sweep-delta", "delta_grid", "0.1,1.5"),
-        ("sweep-delta", "delta_grid", "0.1,1"),
-        ("sweep-delta", "delta_grid", "-0.1"),
-        ("sweep-delta", "delta_grid", [0.1, 0.2]),
-        ("noise-robustness", "noise_levels", "0.1,abc"),
-        ("noise-robustness", "noise_levels", "0.1,1.5"),
-        ("noise-robustness", "noise_levels", "nan"),
+    @pytest.mark.parametrize("key, value", [
+        ("delta_grid", "0.1,abc"),
+        ("delta_grid", "0.1,1.5"),
+        ("delta_grid", "0.1,1"),
+        ("delta_grid", "-0.1"),
+        ("delta_grid", [0.1, 0.2]),
+        ("noise_levels", "0.1,abc"),
+        ("noise_levels", "0.1,1.5"),
+        ("noise_levels", "nan"),
     ])
     def test_bad_grid_is_usage_error_before_scoring(self, workspace, tmp_path, capsys,
-                                                    monkeypatch, name, key, value):
+                                                    monkeypatch, key, value):
         calls = []
         original = transform.edge_homophily_scores
 
@@ -1300,7 +1333,7 @@ class TestUsageErrors:
             grid_args = [flag, value]
         out = tmp_path / "never"
         assert run([
-            name, "--test-graph", str(data / "test.json"),
+            "study", "--test-graph", str(data / "test.json"),
             "--classifier", str(ckpt / "classifier.json"),
             "--predictor", str(ckpt / "predictor.json"),
             "--mode", "homophilic", *grid_args, "--out", str(out),
@@ -1383,6 +1416,7 @@ OPTION_SAMPLES = {
     "means": ("1,0;0,1", "1,0;0,1", ((1.0, 0.0), (0.0, 1.0))),
     "delta_grid": ("0.1,0.5", "0.1,0.5", (0.1, 0.5)),
     "noise_levels": ("0.5,1", "0.5,1", (0.5, 1.0)),
+    "experiments": ("random-drop,ablation", "random-drop,ablation", ("random-drop", "ablation")),
 }
 # option kinds and config values their parser must reject
 COUNT_OPTIONS = {"dim", "n1", "n2", "trials", "samples", "lemma_nodes", "hidden", "epochs",
@@ -1399,6 +1433,7 @@ BAD_CONFIG_VALUES = [
     (FLOAT_OPTIONS, ["abc", float("nan"), float("inf"), True]),
     (SWITCH_OPTIONS, [1, "true"]),
     (PATH_OPTIONS, [5, ["a"]]),
+    ({"experiments"}, ["sweep", "", "ablation,,random-drop", "ablation,ablation", ["ablation"]]),
 ]
 
 
@@ -1476,7 +1511,7 @@ class TestOptionParsing:
         ("train", "--epochs", "abc"), ("train", "--epochs", "3.9"),
         ("theory-validate", "--trials", "ten"), ("theory-validate", "--p", "nan"),
         ("evaluate", "--delta", "inf"), ("transform", "--delta", "1"),
-        ("ablate", "--delta", "-0.1"), ("generate", "--sizes", "20,x"),
+        ("study", "--delta", "-0.1"), ("generate", "--sizes", "20,x"),
         ("generate", "--means", "1,0;0,y"), ("generate", "--seed", "zero"),
         ("theory-validate", "--samples", "0"), ("theory-validate", "--trials", "0"),
         ("theory-validate", "--dim", "0"), ("theory-validate", "--n1", "-5"),
@@ -1489,6 +1524,9 @@ class TestOptionParsing:
         ("generate --p 0.1 --q 0.05", "--dim", "99999999999999999999999"),
         ("generate --p 0.1 --q 0.05 --means 1,0;0,1", "--sizes", "99999999999999999999999,3"),
         ("theory-validate --suite lemmas", "--lemma-nodes", "99999999999999999999999"),
+        # not one of experiments.EXPERIMENTS, an empty item, a repeat
+        ("study", "--experiments", "sweep"), ("study", "--experiments", "ablation,"),
+        ("study", "--experiments", "ablation,random-drop,ablation"),
     ])
     def test_bad_flag_text_is_usage_error(self, tmp_path, capsys, name, flag, text):
         # `name` is the subcommand and any flags given before `flag`
@@ -1521,7 +1559,7 @@ class TestCliSurface:
     COMMON = {"--help", "--config", "--out", "--pin-timestamp"}
     SEEDED = COMMON | {"--seed"}  # every subcommand but transform, which draws nothing
     TRANSFORM = {"--predictor", "--mode", "--delta", "--no-weight", "--no-filter"}
-    HARNESS = SEEDED | TRANSFORM | {"--test-graph", "--classifier", "--metric"}
+    EVALUATE = SEEDED | TRANSFORM | {"--test-graph", "--classifier", "--metric"}
     FLAGS = {
         "generate": SEEDED | {"--params", "--p", "--q", "--sizes", "--dim", "--means",
                               "--mean-distance"},
@@ -1529,15 +1567,29 @@ class TestCliSurface:
                            "--predictor-kind", "--hidden", "--layers", "--lr", "--epochs",
                            "--patience", "--loss"},
         "transform": COMMON | TRANSFORM | {"--test-graph"},
-        "evaluate": HARNESS,
-        "ablate": HARNESS,
-        "sweep-delta": HARNESS | {"--delta-grid"},
-        "noise-robustness": HARNESS | {"--noise-levels"},
-        "random-drop": HARNESS,
+        "evaluate": EVALUATE,
+        "study": EVALUATE | {"--experiments", "--delta-grid", "--noise-levels"},
         "theory-validate": SEEDED | {"--p", "--q", "--p2", "--q2", "--n1", "--n2",
                                      "--mean-distance", "--dim", "--trials", "--samples",
                                      "--lemma-nodes", "--suite"},
     }
+
+    def test_help_lists_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["--help"])
+        assert exit_info.value.code == 0
+        listed = re.search(r"\{([a-z,-]+)\}", capsys.readouterr().out).group(1)
+        assert listed.split(",") == ["generate", "train", "transform", "evaluate", "study",
+                                     "theory-validate"]
+
+    # one study subcommand runs any of the experiments these four ran one each
+    @pytest.mark.parametrize("name", ["ablate", "sweep-delta", "noise-robustness",
+                                      "random-drop"])
+    def test_removed_subcommand_exits_2(self, capsys, name):
+        with pytest.raises(SystemExit) as exit_info:
+            run([name, "--out", "never"])
+        assert exit_info.value.code == 2
+        assert f"invalid choice: {name!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(FLAGS))
     def test_help_lists_flags(self, name, capsys):

@@ -314,8 +314,9 @@ class TestSeedRefusals:
 
     def test_perturb_refuses_a_negative_seed(self):
         graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
-        with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
-            perturb_features(graph, 0.5, seed=-3)
+        for noise_std in (0.5, 0.0):  # 0.0 draws nothing and is refused all the same
+            with pytest.raises(ValueError, match="^seed must be non-negative, got -3$"):
+                perturb_features(graph, noise_std, seed=-3)
 
     def test_derive_seed_refuses_the_callers_negative_seed(self):
         # the child, -1 * 1_000_003 + 7_000_000, would be non-negative

@@ -71,6 +71,21 @@ class TestF1Macro:
         with pytest.raises(ValueError, match="outside"):
             f1_macro([0, 3], [0, 1], 2)
 
+    def test_classes_with_hits_and_misses_hand_value(self):
+        # class 0: tp 3 (nodes 0-2), fp 1 (node 5), fn 1 (node 3): 2*3 / (6 + 1 + 1)
+        # class 1: tp 1 (node 4), fp 1 (node 3), fn 1 (node 5): 2*1 / (2 + 1 + 1)
+        predicted = [0, 0, 0, 1, 1, 0]
+        true = [0, 0, 0, 0, 1, 1]
+        assert f1_macro(predicted, true, 2) == pytest.approx((6 / 8 + 2 / 4) / 2)
+
+    @pytest.mark.parametrize("predicted, true, side", [
+        ([0, 2], [0, 1], "predicted"), ([0, 1], [2, 1], "true"),
+    ])
+    def test_label_equal_to_class_count_rejected(self, predicted, true, side):
+        # labels of 2 classes are 0 and 1: a 2 is outside, however it scores
+        with pytest.raises(ValueError, match=rf"^{side} labels fall outside \[0, 2\)$"):
+            f1_macro(predicted, true, 2)
+
 
 class TestRocAuc:
     def test_perfect_separation(self):

@@ -567,7 +567,7 @@ class TestScipySparseNeverLoaded:
                  ["transform", "--test-graph", "g/test.json", "--predictor", "t/predictor.json",
                   "--out", "o"],
                  ["evaluate", *INPUTS, "--out", "o"],
-                 ["ablate", *INPUTS, "--seed", "0,1", "--out", "o"]]
+                 ["study", *INPUTS, "--seed", "0,1", "--out", "o"]]
         assert loaded_after(tmp_path, argvs) == (False, True, False)
 
     def test_fixture_and_scoring_load_only_the_kernels(self, tmp_path):

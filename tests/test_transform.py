@@ -322,6 +322,11 @@ class TestResolveMode:
         assert resolve_mode(self.predictor({"alpha": alpha})) == mode
         assert (edge_homophily_degree(g) >= 0.5) == (mode == "homophilic")
 
+    def test_alpha_zero_is_homophilic(self):
+        # no heterophilic training edge at all; training refuses a graph with
+        # one edge class, so only a written checkpoint holds alpha 0
+        assert resolve_mode(self.predictor({"alpha": 0.0})) == "homophilic"
+
     @pytest.mark.parametrize("metadata, message", [
         ({}, "missing required key 'alpha' in metadata"),
         ({"alpha": True}, '"alpha" in metadata must be a finite number'),

@@ -166,9 +166,16 @@ class TestConcurrentSeeds:
                                                          two_workers, mode, runner, grid):
         threads = set()
         evaluate = experiments.evaluate_graph
+        # Each thread's first evaluation waits for the other thread's, so the
+        # two seed workers overlap however the pool hands out the seeds; a
+        # run on one thread breaks the barrier at its timeout.
+        overlap = threading.Barrier(2, timeout=10)
 
         def recorded(*args):
-            threads.add(threading.current_thread().name)
+            name = threading.current_thread().name
+            if name not in threads:
+                threads.add(name)
+                overlap.wait()
             return evaluate(*args)
 
         monkeypatch.setattr(experiments, "evaluate_graph", recorded)
@@ -177,6 +184,7 @@ class TestConcurrentSeeds:
         report = runner(*args, SEEDS, *grid)
         assert len(threads) == 2 and all(t.startswith("graphost") for t in threads)
 
+        monkeypatch.setattr(experiments, "evaluate_graph", evaluate)  # one seed: this thread
         singles = [runner(*args, (seed,), *grid) for seed in SEEDS]
         assert report.seeds == SEEDS
         assert report.arm_values == {
