@@ -32,8 +32,12 @@ def run(args):
     return main(args)
 
 
+# `study` asking for all four experiments and for each one alone, as the
+# one-experiment subcommands it replaced ran them; a test takes one of these
+# strings as the subcommand and the flags given before its own
+STUDIES = ["study", *(f"study --experiments {name}" for name in experiments.EXPERIMENTS)]
 # the subcommands that take the transform flags (--predictor, --mode, --delta, ...)
-TRANSFORM_SUBCOMMANDS = ["transform", "evaluate", "study"]
+TRANSFORM_SUBCOMMANDS = ["transform", "evaluate", *STUDIES]
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +290,7 @@ class TestTransform:
         classifier = [] if name == "transform" else ["--classifier", str(ckpt / "classifier.json")]
         with pytest.raises(SystemExit) as exit_info:
             run([
-                name, "--test-graph", str(data / "test.json"), *classifier,
+                *name.split(), "--test-graph", str(data / "test.json"), *classifier,
                 "--predictor", str(ckpt / "predictor.json"), "--mode", "auto",
                 *removed, "--out", str(tmp_path / "x"),
             ])
@@ -498,7 +502,8 @@ class TestStudy:
 def checkpoint_argv(command, graph, checkpoints, out):
     """`command` on `graph` in homophilic mode, given the checkpoints (role
     -> path) it reads: transform takes only the predictor."""
-    argv = [command, "--test-graph", str(graph), "--mode", "homophilic", "--out", str(out)]
+    argv = [*command.split(), "--test-graph", str(graph), "--mode", "homophilic",
+            "--out", str(out)]
     for role, path in checkpoints.items():
         if command != "transform" or role == "predictor":
             argv += [f"--{role}", str(path)]
@@ -795,7 +800,7 @@ class TestCheckpointRoles:
 
     @pytest.mark.parametrize("command, role", [
         ("transform", "predictor"), ("evaluate", "predictor"),
-        ("evaluate", "classifier"), ("study", "classifier"),
+        ("evaluate", "classifier"), *((name, "classifier") for name in STUDIES),
     ])
     def test_other_role_exits_2(self, workspace, tmp_path, capsys, command, role):
         other = "classifier" if role == "predictor" else "predictor"
@@ -851,7 +856,7 @@ class TestMismatchedInputs:
                 f"--{role} {checkpoints[role]} takes 8") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["evaluate", "study"])
+    @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS[1:])
     def test_predictor_width_exits_2(self, workspace, tmp_path, capsys, command):
         spec = models.ArchitectureSpec.default("gcn", 4, 8, 8, 2)
         predictor = tmp_path / "narrow-predictor.json"
@@ -977,7 +982,7 @@ class TestGraphInputs:
                     "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["predictor.json", "train-log.json"]
 
-    @pytest.mark.parametrize("command", ["transform", "evaluate", "study"])
+    @pytest.mark.parametrize("command", TRANSFORM_SUBCOMMANDS)
     def test_test_graph_without_features_exits_2(self, workspace, tmp_path, capsys,
                                                  monkeypatch, command):
         def refuse(*args, **kwargs):
@@ -1210,13 +1215,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize("name, seeds", [
         ("generate", "-1"), ("train", "-1"), ("evaluate", "0,-1"), ("study", "-3"),
-        ("study", "0,-1"), ("theory-validate", "-2"),
+        *((name, "0,-1") for name in STUDIES), ("theory-validate", "-2"),
     ])
     def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, via, name,
                                                           seeds):
         # numpy refuses a negative seed only at the first draw, naming no flag
         out = tmp_path / "never"
-        args = [name, "--out", str(out)]
+        args = [*name.split(), "--out", str(out)]
         if via == "flag":
             args += ["--seed=" + seeds]
             source = ""
@@ -1302,6 +1307,8 @@ class TestUsageErrors:
             "--config", str(cfg), "--out", str(tmp_path / "out"),
         ]) == 0
 
+    # every grid is read, so a bad one is refused whichever experiments run
+    @pytest.mark.parametrize("name", STUDIES)
     @pytest.mark.parametrize("key, value", [
         ("delta_grid", "0.1,abc"),
         ("delta_grid", "0.1,1.5"),
@@ -1313,7 +1320,7 @@ class TestUsageErrors:
         ("noise_levels", "nan"),
     ])
     def test_bad_grid_is_usage_error_before_scoring(self, workspace, tmp_path, capsys,
-                                                    monkeypatch, key, value):
+                                                    monkeypatch, name, key, value):
         calls = []
         original = transform.edge_homophily_scores
 
@@ -1333,7 +1340,7 @@ class TestUsageErrors:
             grid_args = [flag, value]
         out = tmp_path / "never"
         assert run([
-            "study", "--test-graph", str(data / "test.json"),
+            *name.split(), "--test-graph", str(data / "test.json"),
             "--classifier", str(ckpt / "classifier.json"),
             "--predictor", str(ckpt / "predictor.json"),
             "--mode", "homophilic", *grid_args, "--out", str(out),
@@ -1470,10 +1477,15 @@ class TestOptionParsing:
         cfg.write_text('{"seed": 3}')
         assert merged(["theory-validate", "--config", str(cfg)])["seed"] == 3
 
+    # a study that names its experiments on the command line never reads the
+    # config file's experiments key, and reads every other key
     @pytest.mark.parametrize("name, key, value", [
-        (name, key, value) for name, spec in cli._SUBCOMMANDS.items()
-        for key in spec.defaults() for keys, values in BAD_CONFIG_VALUES if key in keys
-        for value in values
+        *[(name, key, value) for name, spec in cli._SUBCOMMANDS.items()
+          for key in spec.defaults() for keys, values in BAD_CONFIG_VALUES if key in keys
+          for value in values],
+        *[(name, key, value) for name in STUDIES[1:]
+          for key in cli._SUBCOMMANDS["study"].defaults() if key != "experiments"
+          for keys, values in BAD_CONFIG_VALUES if key in keys for value in values],
     ])
     def test_mistyped_config_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
                                                   name, key, value):
@@ -1483,9 +1495,9 @@ class TestOptionParsing:
         work.mkdir()
         monkeypatch.chdir(work)
         out = [] if key == "out" else ["--out", "never"]
-        assert run([name, "--config", str(cfg), *out]) == 2
+        assert run([*name.split(), "--config", str(cfg), *out]) == 2
         err = capsys.readouterr().err
-        spec = cli._SUBCOMMANDS[name]
+        spec = cli._SUBCOMMANDS[name.split()[0]]
         shown = ("--" + key.replace("_", "-") if key in spec.flags + cli._COMMON
                  else repr(key))
         assert shown in err and str(cfg) in err and "Traceback" not in err
@@ -1636,6 +1648,6 @@ class TestCliSurface:
     def test_removed_key_rejected(self, tmp_path, capsys, name, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
-        assert run([name, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert run([*name.split(), "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
