@@ -63,6 +63,12 @@ Rows (times in seconds, each with its raw samples):
                         the sha256 of every file written, by relative path.
                         Two labels' rows are equal exactly when the two
                         checkouts write the same bytes.
+  unreached_statements  one child: scripts/reach.py (the tier-1 suite under a
+                        line tracer); the count of statements it lists, the
+                        count ALLOWED does not name, its exit code and seconds
+  mutants               one child: scripts/mutate.py --json (each fixed mutant
+                        under tier-1 with -x); the mutants, the killed count,
+                        each mutant's result, the exit code and seconds
 
 The rows are stored under LABEL (default: `git describe --always --dirty`)
 in the JSON object at OUT, which is created or updated in place, so one file
@@ -90,6 +96,7 @@ import io
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -329,6 +336,32 @@ def pinned_outputs() -> dict:
     return {"commands": commands, "files": files}
 
 
+def unreached_statements() -> dict:
+    """The unreached_statements row, from one scripts/reach.py child."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "scripts/reach.py"], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    found = re.search(r"^(\d+) function-body statements never ran, (\d+) of them not allowed$",
+                      done.stdout, re.MULTILINE)
+    return {"value": int(found[1]) if found else None,
+            "not_allowed": int(found[2]) if found else None,
+            "exit": done.returncode, "seconds": seconds, "unit": "statements"}
+
+
+def mutants() -> dict:
+    """The mutants row, from one scripts/mutate.py --json child."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "mutants.json"
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "scripts/mutate.py", "--json", str(out)],
+                              cwd=ROOT, env=ENV, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+        doc = json.loads(out.read_text()) if out.exists() else {}  # none if a mutant is stale
+    return {"mutants": doc.get("mutants"), "killed": doc.get("killed"),
+            "results": doc.get("results"), "exit": done.returncode, "seconds": seconds}
+
+
 def measure() -> dict:
     with tempfile.TemporaryDirectory() as out:
         walls = [_run([sys.executable, "scripts/run_benchmark.py", "--out", out])[0]
@@ -362,6 +395,8 @@ def measure() -> dict:
         "cli_start_s": cli_start(),
         "pinned_outputs": json.loads(_run([sys.executable, "scripts/bench.py",
                                            "--pinned-outputs"])[1]),
+        "unreached_statements": unreached_statements(),
+        "mutants": mutants(),
     }
 
 

@@ -13,6 +13,11 @@ The tracer is installed again before each test. Some tests replace or clear
 the process's trace function, and a tracer installed once stops recording
 partway through the run.
 
+Each file's text is read before pytest starts, and the statements are
+listed against that text. If a file reads otherwise after the run, the
+script names it and exits 2: the traced line numbers belong to the text
+before the edit.
+
 A statement may stay unreached only if ALLOWED names it, with a reason,
 which is printed beside it. The script exits 1 if it lists a statement
 ALLOWED does not name, and with pytest's code otherwise.
@@ -83,10 +88,9 @@ def _body(statements: list[ast.stmt]):
             yield from _body(part.body)
 
 
-def unreached(path: Path, ran: set[int]) -> list[tuple[int, str]]:
-    """(line, text) of each function-body statement of `path` none of whose
-    lines is in `ran`."""
-    source = path.read_text()
+def unreached(source: str, ran: set[int]) -> list[tuple[int, str]]:
+    """(line, text) of each function-body statement of the module `source`
+    none of whose lines is in `ran`."""
     lines = source.splitlines()
     found = []
     for fn in ast.walk(ast.parse(source)):
@@ -104,7 +108,29 @@ def unreached(path: Path, ran: set[int]) -> list[tuple[int, str]]:
     return sorted(set(found))
 
 
+def report(sources: dict[str, str], hits: dict[str, set[int]], code: int) -> int:
+    """Prints the unreached statements of `sources` ({path: its text before
+    the run}) given the lines in `hits`, and returns the exit code for
+    pytest's `code`. A file that no longer reads as its snapshot is named,
+    and the code is 2: the traced lines belong to the text before."""
+    total = unlisted = 0
+    for name, source in sources.items():
+        path = Path(name).relative_to(ROOT)
+        for line, text in unreached(source, hits[name]):
+            reason = ALLOWED.get((str(path), text))
+            print(f"{path}:{line}: {text}" + (f"  [allowed: {reason}]" if reason else ""))
+            total += 1
+            unlisted += reason is None
+    print(f"{total} function-body statements never ran, {unlisted} of them not allowed")
+    changed = [name for name, source in sources.items() if Path(name).read_text() != source]
+    for name in changed:
+        print(f"{Path(name).relative_to(ROOT)} changed during the run; "
+              "its statements are listed as it read before", file=sys.stderr)
+    return 2 if changed else 1 if unlisted else int(code)
+
+
 def main(argv: list[str]) -> int:
+    sources = {name: Path(name).read_text() for name in _hits}
     _install()
     try:
         code = pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")],
@@ -112,16 +138,7 @@ def main(argv: list[str]) -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    total = unlisted = 0
-    for name, ran in _hits.items():
-        path = Path(name).relative_to(ROOT)
-        for line, text in unreached(ROOT / path, ran):
-            reason = ALLOWED.get((str(path), text))
-            print(f"{path}:{line}: {text}" + (f"  [allowed: {reason}]" if reason else ""))
-            total += 1
-            unlisted += reason is None
-    print(f"{total} function-body statements never ran, {unlisted} of them not allowed")
-    return 1 if unlisted else int(code)
+    return report(sources, _hits, code)
 
 
 if __name__ == "__main__":

@@ -344,7 +344,7 @@ def cmd_generate(options: dict) -> int:
     manifest = {
         "seed": seed,
         "sampler_version": SAMPLER_VERSION,
-        "params": params.to_dict(),
+        "params": asdict(params),
         "files": {},
         "edge_homophily_degree": {},
     }

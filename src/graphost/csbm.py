@@ -20,7 +20,7 @@ draws its graphs with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,25 +39,29 @@ __all__ = [
 
 SAMPLER_VERSION = 2
 
-_MASK64 = (1 << 64) - 1
 _STREAM_FEATURE = 1 << 62
 _STREAM_EDGES = 2 << 62
 _STREAM_NOISE = 3 << 62
 
 
-def _non_negative(seed: int) -> int:
-    """`seed`, refused by name if negative: its uint64 key would wrap onto
-    the draw of seed + 2**64."""
+def _checked(seed: int) -> int:
+    """`seed`, refused by name unless 0 <= seed < 2**64: its uint64 key
+    would wrap any other onto the draw of seed mod 2**64."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+    if seed >= 2**64:
+        raise ValueError(f"seed must be below 2**64, got {seed}")
     return seed
 
 
 def derive_seed(seed: int, tag: int) -> int:
     """Disjoint child seeds for sub-draws of one experiment seed. The
-    caller's seed is refused if negative, so the message names it and no
-    child of it draws."""
-    return _non_negative(seed) * 1_000_003 + tag
+    caller's seed is refused if negative or if its child would reach 2**64,
+    so the message names it and no child of it draws."""
+    child = _checked(seed) * 1_000_003 + tag
+    if child >= 2**64:
+        raise ValueError(f"seed {seed} is too large: its child for tag {tag} reaches 2**64")
+    return child
 
 
 @dataclass(frozen=True)
@@ -107,14 +111,6 @@ class CsbmParams:
     def num_nodes(self) -> int:
         return sum(self.class_sizes)
 
-    def to_dict(self) -> dict:
-        return {
-            "class_means": [list(m) for m in self.class_means],
-            "class_sizes": list(self.class_sizes),
-            "intra_prob": self.intra_prob,
-            "inter_prob": self.inter_prob,
-        }
-
     @classmethod
     def from_dict(cls, doc: dict | JsonObject) -> "CsbmParams":
         """Params from their JSON form (a dict, or a file's JsonObject); each
@@ -132,7 +128,7 @@ class CsbmParams:
         )
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "CsbmParams":
@@ -163,7 +159,7 @@ def symmetric_binary_params(
 def _stream(seed: int, word: int) -> np.random.Generator:
     # An explicit uint64 key: plain int lists with entries >= 2**63 would be
     # routed through float64 by numpy and silently lose the low bits.
-    key = np.array([_non_negative(seed) & _MASK64, word & _MASK64], dtype=np.uint64)
+    key = np.array([_checked(seed), word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -257,7 +253,7 @@ def perturb_features(graph: LabeledGraph, noise_std: float, seed: int) -> Labele
         raise ValueError(f"noise_std must be finite, got {noise_std}")
     if noise_std < 0:
         raise ValueError("noise_std must be non-negative")
-    _non_negative(seed)  # also where no noise is drawn
+    _checked(seed)  # also where no noise is drawn
     if noise_std == 0:
         return graph
     noise = _stream(seed, _STREAM_NOISE).standard_normal(graph.features.shape)

@@ -308,7 +308,7 @@ def run_delta_sweep(classifier: Checkpoint, predictor: Checkpoint,
                     metric: str = "accuracy") -> ExperimentReport:
     """One arm per filtering ratio on the grid."""
     return run_study(classifier, predictor, test_graphs, config, seeds, ("delta-sweep",),
-                     metric, NOISE_LEVELS, delta_grid)["delta-sweep"]
+                     metric, delta_grid=delta_grid)["delta-sweep"]
 
 
 def run_random_drop_comparison(classifier: Checkpoint, predictor: Checkpoint,

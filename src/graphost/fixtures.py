@@ -2,10 +2,12 @@
 and homophily predictor, and per-seed noisy test samples.
 
 Feature noise models test-time attribute shift: N(0, 0.5 I) on top of the
-unit-variance class Gaussians. The noise, the hidden width, the predictor's
-kind and depth, the learning rate, the predictor loss and the filtering
-ratio are the constants below; ``make_fixture`` takes the CSBM family, the
-seed, the classifier depth, the predictor width and the training length.
+unit-variance class Gaussians. The noise, the hidden width and the
+predictor loss are the constants below; the learning rate, the filtering
+ratio and the predictor's depth are the library defaults of
+``OptimizerConfig``, ``TransformConfig`` and ``ArchitectureSpec.default``.
+``make_fixture`` takes the CSBM family, the seed, the classifier depth, the
+predictor width and the training length.
 
 ``train_networks`` is the one training step of ``make_fixture`` and of
 ``graphost train``.
@@ -34,11 +36,7 @@ __all__ = ["TrainedFixture", "make_fixture", "train_networks"]
 
 NOISE_STD = math.sqrt(0.5)
 HIDDEN = 32
-PREDICTOR_KIND = "gcn"
-PREDICTOR_LAYERS = 2
-LEARNING_RATE = 1e-2
 PREDICTOR_LOSS = "wbce"
-DELTA = 0.3
 
 
 @dataclass(frozen=True)
@@ -98,13 +96,10 @@ def make_fixture(
     )
     train_graph = generate_csbm(params, derive_seed(seed, 0))
     val_graph = generate_csbm(params, derive_seed(seed, 1))
-    optimizer = OptimizerConfig(
-        learning_rate=LEARNING_RATE, max_epochs=max_epochs, patience=patience
-    )
+    optimizer = OptimizerConfig(max_epochs=max_epochs, patience=patience)
     p_hidden = HIDDEN if predictor_hidden is None else predictor_hidden
     specs = {"classifier": ArchitectureSpec.default("gcn", feature_dim, 2, HIDDEN, num_layers),
-             "predictor": ArchitectureSpec.default(PREDICTOR_KIND, feature_dim, p_hidden,
-                                                   p_hidden, PREDICTOR_LAYERS)}
+             "predictor": ArchitectureSpec.default("gcn", feature_dim, p_hidden, p_hidden)}
     seeds = {"classifier": derive_seed(seed, 2), "predictor": derive_seed(seed, 3)}
     classifier, predictor = train_networks(train_graph, val_graph, specs, optimizer, seeds,
                                            PREDICTOR_LOSS).values()
@@ -117,5 +112,5 @@ def make_fixture(
         classifier=classifier,
         predictor=predictor,
         mode=mode,
-        config=TransformConfig(mode=mode, delta=DELTA),
+        config=TransformConfig(mode=mode),
     )

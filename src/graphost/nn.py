@@ -411,13 +411,13 @@ def cross_entropy_loss(
 class AdamState:
     """Adam accumulators; single-owner, mutated by adam_step."""
 
-    learning_rate: float = 1e-2
+    learning_rate: float
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float = 1e-2) -> "AdamState":
+    def for_params(cls, params: dict[str, np.ndarray], learning_rate: float) -> "AdamState":
         state = cls(learning_rate=learning_rate)
         for name, value in params.items():
             state.first_moment[name] = np.zeros_like(value)

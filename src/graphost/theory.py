@@ -389,8 +389,8 @@ def monte_carlo_theorem_check(
         excluded_before=excluded_before,
         excluded_after=excluded_after,
         seed=seed,
-        params=params.to_dict(),
-        params_new=params_new.to_dict(),
+        params=asdict(params),
+        params_new=asdict(params_new),
     )
 
 

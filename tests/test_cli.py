@@ -104,6 +104,14 @@ class TestGenerate:
         manifest = json.loads((workspace / "data" / "generate-manifest.json").read_text())
         assert manifest["sampler_version"] == SAMPLER_VERSION
 
+    def test_seed_of_2_to_the_64_is_refused_by_its_value(self, tmp_path, capsys):
+        # its uint64 key used to wrap onto seed 0's draw
+        out = tmp_path / "never"
+        assert run(["generate", "--p", "0.3", "--q", "0.1", "--sizes", "20,20", "--dim", "4",
+                    "--seed", str(2**64), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: seed must be below 2**64, got {2**64}\n"
+        assert not out.exists()
+
     def test_bad_params_is_usage_error(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text('{"class_means": [[1.0]]}')

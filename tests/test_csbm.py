@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ class TestParams:
         path = tmp_path / "params.json"
         params.save(path)
         assert CsbmParams.load(path) == params
-        assert CsbmParams.from_dict(json.loads(json.dumps(params.to_dict()))) == params
+        assert CsbmParams.from_dict(json.loads(json.dumps(asdict(params)))) == params
 
     @pytest.mark.parametrize("field, value", [
         ("class_means", 5),
@@ -85,7 +86,7 @@ class TestParams:
         params = CsbmParams(((np.float64(1.0), np.int64(0)), (-1.0, 0.0)),
                             (np.int64(3), np.int32(4)), np.float64(0.2), 0.05)
         assert params.class_sizes == (3, 4) and type(params.class_sizes[0]) is int
-        assert json.dumps(params.to_dict())
+        assert json.dumps(asdict(params))
 
     @pytest.mark.parametrize("distance", [0.0, -2.0, -1e-300, float("nan")])
     def test_symmetric_params_refuse_non_positive_distance(self, distance):
@@ -326,3 +327,31 @@ class TestSeedRefusals:
     def test_the_largest_seed_still_draws(self):
         graph = generate_csbm(binary_params(0.1, 0.02, n=10), 2**64 - 1)
         assert graph.num_nodes == 20
+
+
+class TestSeedRange:
+    """A seed of 2**64 or more is refused by name: its uint64 key would wrap
+    onto the draw of seed - 2**64."""
+
+    def test_generate_refuses_2_to_the_64(self):
+        with pytest.raises(ValueError, match=f"^seed must be below 2\\*\\*64, got {2**64}$"):
+            generate_csbm(binary_params(0.1, 0.02, n=10), 2**64)
+
+    def test_perturb_refuses_2_to_the_64(self):
+        graph = generate_csbm(binary_params(0.1, 0.02, n=10), seed=0)
+        for noise_std in (0.5, 0.0):
+            with pytest.raises(ValueError, match="^seed must be below 2"):
+                perturb_features(graph, noise_std, seed=2**64 + 5)
+
+    def test_derive_seed_refuses_a_child_of_2_to_the_64_by_the_callers_seed(self):
+        # 18446688733644 * 1_000_003 is the first multiple at or above 2**64
+        assert derive_seed(18446688733643, 0) == 18446744073709200929 < 2**64
+        with pytest.raises(ValueError, match="^seed 18446688733644 is too large: its child "
+                                             "for tag 0 reaches 2\\*\\*64$"):
+            derive_seed(18446688733644, 0)
+        with pytest.raises(ValueError, match="^seed 18446688733643 is too large"):
+            derive_seed(18446688733643, 2**64)
+
+    def test_derive_seed_refuses_a_seed_of_2_to_the_64_itself(self):
+        with pytest.raises(ValueError, match=f"^seed must be below 2\\*\\*64, got {2**64}$"):
+            derive_seed(2**64, 0)

@@ -9,8 +9,10 @@ import graphost.fixtures as fixtures
 from graphost.cli import main
 from graphost.csbm import symmetric_binary_params
 from graphost.experiments import derive_seed
+from graphost.fixtures import train_networks
 from graphost.graphs import load_graph
 from graphost.models import ArchitectureSpec, OptimizerConfig
+from graphost.transform import TransformConfig
 
 
 @pytest.fixture
@@ -46,11 +48,26 @@ def test_make_fixture_trains_through_the_bindings(trainings):
     assert sorted(trainings, key=lambda call: call[0]) == [
         ("classifier", ArchitectureSpec.default("gcn", 16, 2, fixtures.HIDDEN, 2),
          derive_seed(4, 2)),
-        ("predictor", ArchitectureSpec.default(fixtures.PREDICTOR_KIND, 16, 8, 8,
-                                               fixtures.PREDICTOR_LAYERS), derive_seed(4, 3)),
+        ("predictor", ArchitectureSpec.default("gcn", 16, 8, 8), derive_seed(4, 3)),
     ]
     assert fx.classifier.metadata["trained_as"] == "classifier"
     assert fx.predictor.metadata["loss"] == fixtures.PREDICTOR_LOSS
+
+
+def test_make_fixture_takes_the_library_defaults(monkeypatch):
+    # the learning rate and delta are the library's: a changed default moves
+    # the fixture with it
+    handed = []
+
+    def recorded(train_graph, val_graph, specs, optimizer, seeds, loss):
+        handed.append(optimizer)
+        return train_networks(train_graph, val_graph, specs, optimizer, seeds, loss)
+
+    monkeypatch.setattr(fixtures, "train_networks", recorded)
+    fx = fixtures.make_fixture(nodes_per_class=40, max_epochs=3, patience=2, seed=4,
+                               predictor_hidden=8)
+    assert handed == [OptimizerConfig(max_epochs=3, patience=2)]
+    assert fx.config == TransformConfig(mode=fx.mode)
 
 
 def test_make_fixture_refuses_a_negative_seed_by_its_value(trainings):

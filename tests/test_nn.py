@@ -803,9 +803,16 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = {"w": np.zeros(3)}
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, 1e-2)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, {"w": np.zeros(4)}, state)
+
+    def test_learning_rate_has_no_default(self):
+        # the one default learning rate is OptimizerConfig's
+        with pytest.raises(TypeError, match="learning_rate"):
+            AdamState.for_params({"w": np.zeros(2)})
+        with pytest.raises(TypeError, match="learning_rate"):
+            AdamState()
 
     def test_state_holds_rate_step_and_moments_only(self):
         state = AdamState.for_params({"w": np.zeros(2)}, learning_rate=0.1)
@@ -816,7 +823,7 @@ class TestAdam:
     @pytest.mark.parametrize("g, shown", [(1e200, "inf"), (np.inf, "inf"), (np.nan, "nan")])
     def test_non_finite_second_moment_refused_by_name(self, g, shown):
         params = {"b": np.zeros(1), "w": np.zeros(3)}
-        state = AdamState.for_params(params)
+        state = AdamState.for_params(params, 1e-2)
         with pytest.raises(NonFiniteError, match=rf"^Adam's second moment of w is {shown}, "
                                                  "not finite$") as caught:
             adam_step(params, {"b": np.ones(1), "w": np.array([1.0, g, 1.0])}, state)
@@ -895,4 +902,4 @@ class TestPublicRefusals:
     def test_adam_keys_must_match(self):
         params = {"W0": np.zeros((2, 2))}
         with pytest.raises(ValueError, match="^params and grads must share the same keys$"):
-            adam_step(params, {"W1": np.zeros((2, 2))}, AdamState.for_params(params))
+            adam_step(params, {"W1": np.zeros((2, 2))}, AdamState.for_params(params, 1e-2))

@@ -3,7 +3,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphost.fixtures import make_fixture
@@ -15,6 +15,7 @@ from graphost.models import (
     build_edge_training_set,
     edge_homophily_scores,
     init_params,
+    predict_labels,
 )
 from graphost.transform import (
     MODES,
@@ -467,3 +468,53 @@ class TestLabelFree:
             assert np.array_equal(got.base.edges, want.base.edges)
             assert got.base.features.tobytes() == want.base.features.tobytes()
             assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
+
+
+@pytest.fixture(scope="module")
+def small_fixture():
+    return make_fixture(nodes_per_class=40, max_epochs=40, patience=10, seed=2)
+
+
+class TestNodeRelabeling:
+    """Renumbering every node of a fixture test graph by a seeded permutation
+    and mapping the outputs back changes nothing: the same kept edges and
+    predicted labels, and scores within 1e-12 (not bit-identical: the
+    aggregation sums run in another order)."""
+
+    @given(st.integers(0, 50), st.integers(0, 2**32 - 1), st.sampled_from(MODES),
+           st.sampled_from([0.1, 0.3, 0.5]))
+    @settings(max_examples=25, deadline=None)
+    def test_outputs_map_back(self, small_fixture, graph_seed, perm_seed, mode, delta):
+        fx = small_fixture
+        graph = fx.test_graph(graph_seed)
+        perm = np.random.default_rng(perm_seed).permutation(graph.num_nodes)  # node i -> perm[i]
+        features, labels = np.empty_like(graph.features), np.empty_like(graph.labels)
+        features[perm], labels[perm] = graph.features, graph.labels
+        renumbered = LabeledGraph(num_nodes=graph.num_nodes, edges=perm[graph.edges],
+                                  features=features, labels=labels)
+        config = TransformConfig(mode=mode, delta=delta)
+        scores = edge_homophily_scores(fx.predictor, graph).scores
+        harm = 1.0 - scores if mode == "homophilic" else scores
+        k = int(np.ceil(delta * graph.num_edges))
+        cut = np.sort(harm)[::-1][k - 1]
+        # An edge whose harm lies within 1e-12 of the cut's may legitimately
+        # swap sides when the sums run in another order, so such graphs are
+        # left out rather than checked.
+        assume(np.count_nonzero(np.abs(harm - cut) <= 1e-12) == 1)
+
+        inverse = np.argsort(perm)
+        back = np.sort(inverse[renumbered.edges], axis=1)
+        order = np.lexsort((back[:, 1], back[:, 0]))
+        assert np.array_equal(back[order], graph.edges)
+        got = edge_homophily_scores(fx.predictor, renumbered).scores[order]
+        assert np.abs(got - scores).max() <= 1e-12
+        want = graphost_transform(graph, fx.predictor, config)
+        out = graphost_transform(renumbered, fx.predictor, config)
+        kept = {tuple(sorted(pair)) for pair in inverse[out.base.edges].tolist()}
+        assert kept == want.base.edge_pairs()
+        for (want_base, want_weights), (got_base, got_weights) in (
+                ((graph, None), (renumbered, None)),
+                ((want.base, want.edge_weights), (out.base, out.edge_weights))):
+            want_labels = predict_labels(fx.classifier, want_base, want_weights)[0]
+            got_labels = predict_labels(fx.classifier, got_base, got_weights)[0]
+            assert np.array_equal(got_labels[perm], want_labels)
